@@ -70,14 +70,6 @@ def power_weighted_rule(p: float, n: int = 64, tail_panels: int = 120,
     return xi, wbar
 
 
-def integrate_power_weighted(g, p: float, T: float, n: int = 64, **kw) -> float:
-    """int_0^T tau^p g(tau) dtau with the split rule above."""
-    if T <= 0.0:
-        raise ValueError(f"integration length must be positive, got T={T}")
-    xi, wbar = power_weighted_rule(p, n, **kw)
-    return T ** (p + 1.0) * float(wbar @ np.asarray(g(T * xi), dtype=float))
-
-
 @lru_cache(maxsize=None)
 def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
                 length: float = 1.0):

@@ -419,7 +419,7 @@ def _profile_fn(spec: ActuatorSpec, domain: RectDomain, basis: SpectralBasis):
             return out
         return sines
     index = int(coeffs[0])
-    return lambda pts: basis.value_matrix(pts)[index]
+    return lambda pts: basis.modes[index].value(pts)
 
 
 def build_objects(scenario: Scenario):
@@ -821,7 +821,7 @@ def run_selftest() -> int:
     region = Region.box(domain, (0.2, 0.9))
     acts = ActuatorSet(tuple(
         Actuator(Region.whole(domain),
-                 (lambda p_idx: lambda pts: basis.value_matrix(pts)[p_idx])(p),
+                 (lambda p_idx: lambda pts: basis.modes[p_idx].value(pts))(p),
                  f"mode-{p}")
         for p in range(4)))
     target = np.array([0.4, -0.2, 0.1, 0.05])
@@ -856,9 +856,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=int, help="override the truncation K")
         p.add_argument("--epsilon", type=float,
                        help="override the endpoint cutoff epsilon")
-        p.add_argument("--threads", type=int,
-                       help="cap linear-algebra threads (applied to pools "
-                            "initialized after startup)")
         p.add_argument("--format", choices=("json", "csv", "both"),
                        default="both", dest="fmt")
     return parser
@@ -869,13 +866,6 @@ def main(argv=None) -> int:
         level=os.environ.get("ULTRADIFF_LOG_LEVEL", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-        logger.info("thread cap %d exported to BLAS pool variables",
-                    args.threads)
 
     if args.verb == "selftest":
         return run_selftest()

@@ -317,6 +317,8 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
+    # free the first map and its SVD factors before the second SVD below
+    h_disc = kernel = vh = v_range = None
 
     # minimal-norm discrete control on an independent resolution
     taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=pinv_nodes,

@@ -371,19 +371,34 @@ class ActuatorSet:
 
 def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
                           order: int | None = None) -> np.ndarray:
-    """Matrix of <profile_i, alpha_p> over each support; shape (m, n_modes)."""
+    """Matrix of <profile_i, alpha_p> over each support; shape (m, n_modes).
+
+    Cost: one `value_matrix` table (n_modes x order^ndim) per distinct support
+    box, plus one profile evaluation and one matrix-vector product per
+    actuator box.  Boxes are visited one at a time, so a single table is
+    alive at once; each actuator's boxes are summed in support order.
+    """
     order = default_order(basis) if order is None else order
-    n_modes = len(basis.modes)
-    coeffs = np.zeros((actuators.m, n_modes))
+    by_box: dict[Box, list[tuple[int, int]]] = {}
     for i, actuator in enumerate(actuators.actuators):
         if actuator.support.domain is not basis.domain and \
                 actuator.support.domain.bounds != basis.domain.bounds:
             raise ValueError(f"actuator {i} support lives on a different domain")
-        for box in actuator.support.boxes:
-            points, weights = box_quadrature(box, order)
-            profile = np.asarray(actuator.distribution(points), dtype=float)
-            values = basis.value_matrix(points)
-            coeffs[i] += values @ (weights * profile)
+        for j, box in enumerate(actuator.support.boxes):
+            by_box.setdefault(box, []).append((i, j))
+    parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
+    for box, users in by_box.items():
+        points, weights = box_quadrature(box, order)
+        values = basis.value_matrix(points)
+        for i, j in users:
+            profile = np.asarray(actuators.actuators[i].distribution(points),
+                                 dtype=float)
+            parts[i][j] = values @ (weights * profile)
+        del values      # free this table before the next box builds its own
+    coeffs = np.zeros((actuators.m, len(basis.modes)))
+    for i, row in enumerate(parts):
+        for part in row:
+            coeffs[i] += part
     return coeffs
 
 

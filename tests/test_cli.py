@@ -223,6 +223,17 @@ def test_simulate_free_evolution(tmp_path):
     assert len(rows) == 1 + 33
 
 
+def test_mode_profiles_resolve_lazily(tmp_path, capsys):
+    # --cutoff 2 leaves hum-demo's mode indices 4..35 out of range; simulate
+    # never evaluates a profile, so only analyze trips over them
+    argv = ["--scenario", "scenarios/hum-demo.json", "--cutoff", "2"]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", *argv, "--out", str(tmp_path / "an")]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
 def test_reproduce_example_reports_honest_rows(tmp_path, capsys):
     code = main(["reproduce-example", "--out", str(tmp_path)])
     stdout = capsys.readouterr().out

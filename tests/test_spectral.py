@@ -179,6 +179,68 @@ def test_actuator_coefficients_box_constant_closed_form():
         assert_allclose(row[p], exact, rtol=0, atol=1e-12)
 
 
+def _per_actuator_coefficients(actuators, basis):
+    # reference loop: one table per actuator box
+    order = default_order(basis)
+    coeffs = np.zeros((actuators.m, len(basis.modes)))
+    for i, actuator in enumerate(actuators.actuators):
+        for box in actuator.support.boxes:
+            points, weights = box_quadrature(box, order)
+            profile = np.asarray(actuator.distribution(points), dtype=float)
+            coeffs[i] += basis.value_matrix(points) @ (weights * profile)
+    return coeffs
+
+
+def _ones(points):
+    return np.ones(points.shape[0])
+
+
+def _bumpy(points):
+    return 1.0 + np.prod(points, axis=1) ** 2
+
+
+def _shared_box_actuators(domain, basis, boxes):
+    a, b, c, d = boxes        # a overlaps b; c and d are disjoint from a
+    return ActuatorSet((
+        Actuator(Region.whole(domain), basis.modes[2].value, "mode"),
+        Actuator(Region(domain, (a,)), _ones, "zone"),
+        Actuator(Region(domain, (b,)), _bumpy, "overlapping"),
+        Actuator(Region(domain, (a,)), _bumpy, "same-box"),
+        Actuator(Region(domain, (c, a)), _ones, "two-box"),
+        Actuator(Region(domain, (a, c, d)), _bumpy, "three-box"),
+        Actuator(Region(domain, (d, c, a)), _bumpy, "three-box-reversed"),
+        Actuator(Region.whole(domain),
+                 (lambda q: lambda p: basis.modes[q].value(p))(3), "cli-mode"),
+    ))
+
+
+@pytest.mark.parametrize("domain,boxes", [
+    (RectDomain.interval(0.0, 1.0),
+     (((0.3, 0.6),), ((0.5, 0.9),), ((0.0, 0.2),), ((0.7, 1.0),))),
+    (RectDomain.rectangle((0.0, 1.0), (-0.5, 0.5)),
+     (((0.3, 0.6), (-0.5, 0.0)), ((0.5, 0.9), (-0.2, 0.5)),
+      ((0.0, 0.2), (-0.5, 0.5)), ((0.7, 1.0), (0.1, 0.4)))),
+])
+def test_actuator_coefficients_share_one_table_per_box(domain, boxes,
+                                                       monkeypatch):
+    basis = SpectralBasis(domain, 4)
+    acts = _shared_box_actuators(domain, basis, boxes)
+    expected = _per_actuator_coefficients(acts, basis)
+
+    calls = []
+    value_matrix = SpectralBasis.value_matrix
+
+    def counted(self, points):
+        calls.append(1)
+        return value_matrix(self, points)
+
+    monkeypatch.setattr(SpectralBasis, "value_matrix", counted)
+    got = actuator_coefficients(acts, basis)
+    distinct = {box for a in acts.actuators for box in a.support.boxes}
+    assert len(calls) == len(distinct) == 5
+    assert np.array_equal(got, expected)
+
+
 def test_actuator_domain_mismatch_raises():
     basis = SpectralBasis(RectDomain.interval(0.0, 1.0), 3)
     other = RectDomain.interval(0.0, 2.0)
