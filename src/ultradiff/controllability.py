@@ -337,18 +337,29 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     length = window.length if window is not None else 1.0
     taus = np.geomspace(length * 1e-4, length, time_samples)
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
-    stacked = np.zeros((time_samples * m, n_modes))
-    for b_id in bucket_ids:
-        idx = np.nonzero(mode_buckets == b_id)[0]
-        block = coefficient_matrix[:, idx] @ gram.matrix[idx, :]   # (m, n_modes)
-        profile = kernel[idx[0], :]                                # (n_taus,)
-        stacked += (profile[:, None, None] * block[None, :, :]).reshape(
-            time_samples * m, n_modes)
+    stacked = _stacked_observation_map(coefficient_matrix, gram.matrix, kernel,
+                                       mode_buckets)
     stacked_rank = _rank(stacked, rank_rtol)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
                            "STRATEGIC" if strategic else "NOT")
+
+
+def _stacked_observation_map(coefficient_matrix: np.ndarray,
+                             gram_matrix: np.ndarray, kernel: np.ndarray,
+                             mode_buckets: np.ndarray) -> np.ndarray:
+    """Time-sampled observation map, (n_taus * m, n_modes).
+
+    Every mode of a bucket uses the kernel row of the bucket's first mode,
+    kappa[p], so the rows for time sample t are (D * kappa[:, t]) @ Gamma.
+    """
+    _, first, inverse = np.unique(mode_buckets, return_index=True,
+                                  return_inverse=True)
+    kappa = kernel[first[inverse]]                        # (n_modes, n_taus)
+    n_modes = coefficient_matrix.shape[1]
+    scaled = coefficient_matrix[None, :, :] * kappa.T[:, None, :]
+    return scaled.reshape(-1, n_modes) @ gram_matrix
 
 
 def _rank(matrix: np.ndarray, rtol: float, scale: float | None = None) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import qr
 
 from ._quadrature import kernel_rule
 from .controllability import (GradientGramian, approx_controllability_verdict,
@@ -268,6 +269,11 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     same constraint, on a different quadrature resolution, must price the
     same.  With trials == 0, or when the discrete map has no null space, only
     the pseudo-inverse comparison runs.
+
+    The trials take the rank and row space of the wide discrete map h_disc
+    (n_modes x m*nq) from an economic QR factor h_disc^T = Q R: its singular
+    values are those of the small R = U_R S V_R^T, and Q U_R spans its row
+    space.  The pseudo-inverse cross-check stays an SVD (`np.linalg.pinv`).
     """
     problem, gramian = solution.problem, solution.gramian
     alpha, window = problem.alpha, problem.window
@@ -292,17 +298,15 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     max_violation = 0.0
     mode = "pinv-only"
     if trials > 0:
-        s_vals, vh = np.linalg.svd(h_disc, full_matrices=False)[1:]
-        rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
-        kernel_kept = m * nq - rank
+        _, q, u_range = _row_space(h_disc)
+        kernel_kept = m * nq - u_range.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rng = np.random.default_rng(seed)
-            v_range = vh[:rank]
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
             for _ in range(trials):
                 phi = rng.standard_normal(m * nq)
-                phi -= v_range.T @ (v_range @ phi)
+                phi -= q @ (u_range @ (u_range.T @ (q.T @ phi)))
                 scale = math.sqrt(float(np.sum(time_metric * phi * phi)))
                 if scale > 0:
                     phi /= scale
@@ -317,8 +321,8 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
-    # free the first map and its SVD factors before the second SVD below
-    h_disc = kernel = vh = v_range = None
+    # free the first map and its factors before the pseudo-inverse's SVD below
+    h_disc = kernel = q = None
 
     # minimal-norm discrete control on an independent resolution
     taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=pinv_nodes,
@@ -337,6 +341,18 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     return MinimalityReport(mode, trials, trials_passed, min_delta,
                             max_violation, kernel_kept, solution.energy,
                             pinv_energy, rel_gap, passed)
+
+
+def _row_space(h_disc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values s of a wide map, and Q, U with Q @ U spanning its row space.
+
+    h_disc^T = Q R is an economic QR factor and R = U_R S V_R^T; U keeps the
+    columns of U_R whose singular value exceeds 1e-12 * s[0].
+    """
+    q, r = qr(h_disc.T, mode="economic")
+    u_r, s_vals, _ = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
+    return s_vals, q, u_r[:, :rank]
 
 
 # -- state-restriction variant (for cost-comparison properties) --------------

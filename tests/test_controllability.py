@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff._quadrature import kernel_rule
-from ultradiff.controllability import (GradientGramian,
+from ultradiff.controllability import (RANK_RTOL, GradientGramian,
+                                       _rank, _stacked_observation_map,
                                        approx_controllability_verdict,
                                        apply_H, apply_H_adjoint,
                                        assemble_gramian, pinv_solve_symmetric,
@@ -21,9 +22,11 @@ from ultradiff.controllability import (GradientGramian,
                                        worked_example_pairing_table)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
-from ultradiff.solver import ControlSignal, EnergyDivergenceError, forced_solution
+from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
+                              _ml_matrix, forced_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis, actuator_coefficients)
+                                SpectralBasis, actuator_coefficients,
+                                default_order, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
@@ -228,6 +231,51 @@ def test_two_dimensional_strategic_patterns():
     assert modal.m_sufficient
     assert modal.stacked_rank == modal.required_rank == len(basis.modes)
     assert modal.strategic
+
+
+def test_stacked_observation_map_matches_per_bucket_sum():
+    # canonical modes on the unit square: lam_kl = lam_lk gives double buckets
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 4)
+    region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
+    acts = ActuatorSet((
+        Actuator(Region.box(domain, (0.0, 0.5), (0.0, 0.5)),
+                 lambda p: np.ones(p.shape[0]), "zone-a"),
+        Actuator(Region.box(domain, (0.3, 1.0), (0.4, 1.0)),
+                 lambda p: p[:, 0] + 2.0 * p[:, 1], "zone-b"),
+        Actuator(Region.box(domain, (0.6, 0.9), (0.0, 0.7)),
+                 lambda p: np.ones(p.shape[0]), "zone-c"),
+    ))
+    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    assert np.bincount(mode_buckets).max() == 2
+    order = default_order(basis)
+    d = actuator_coefficients(acts, basis, order)
+    gram = gradient_gram(basis, region, order).matrix
+    time_samples = 64
+    taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
+    kernel = _ml_matrix(0.7, basis.lams, taus)
+
+    def per_bucket_sum(kernel):
+        """One outer product per bucket, each with its first mode's kernel row."""
+        m, n_modes = d.shape
+        stacked = np.zeros((time_samples * m, n_modes))
+        for b_id in sorted(set(mode_buckets)):
+            idx = np.nonzero(mode_buckets == b_id)[0]
+            block = d[:, idx] @ gram[idx, :]
+            stacked += (kernel[idx[0], :][:, None, None] * block[None, :, :]).reshape(
+                time_samples * m, n_modes)
+        return stacked
+
+    reference = per_bucket_sum(kernel)
+    assert_allclose(_stacked_observation_map(d, gram, kernel, mode_buckets),
+                    reference, rtol=1e-12)
+    # rows that differ within a bucket: only the first one may be used
+    jittered = kernel * np.random.default_rng(5).uniform(0.5, 1.5, kernel.shape)
+    assert_allclose(_stacked_observation_map(d, gram, jittered, mode_buckets),
+                    per_bucket_sum(jittered), rtol=1e-12)
+    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW,
+                            time_samples=time_samples)
+    assert report.stacked_rank == _rank(reference, RANK_RTOL)
 
 
 def test_verdict_threshold_semantics():

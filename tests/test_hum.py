@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import GradientGramian, assemble_gramian
-from ultradiff.hum import (HumProblem, energy, g_norm, solve_hum,
+from ultradiff.hum import (HumProblem, _row_space, energy, g_norm, solve_hum,
                            solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
-from ultradiff.solver import ControlSignal, EnergyDivergenceError
+from ultradiff.solver import ControlSignal, EnergyDivergenceError, _ml_matrix
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis)
 
@@ -88,6 +89,85 @@ def test_minimality_pinv_only_mode():
     assert report.kernel_dimension == 0
     assert report.rel_pinv_gap <= 1e-4
     assert report.passed
+
+
+def _svd_reference_trials(solution, trials, seed):
+    """The kernel-perturbation trials, from the SVD of the whole discrete map."""
+    problem, gramian = solution.problem, solution.gramian
+    alpha, window = problem.alpha, problem.window
+    d = gramian.coefficient_matrix
+    m = d.shape[0]
+    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0),
+                                n=gramian.kernel_nodes, eps=0.0,
+                                length=window.length)
+    kernel = _ml_matrix(alpha, gramian.basis.lams, taus)
+    nq = taus.size
+    h_disc = np.einsum("ip,pq->piq", d, kernel * weights).reshape(-1, m * nq)
+    time_metric = np.tile(weights * window.b * np.exp(-taus), m)
+    u_star_smooth = solution.control.smooth_at_tau(taus).ravel()
+
+    s_vals, vh = np.linalg.svd(h_disc, full_matrices=False)[1:]
+    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0]))
+    v_range = vh[:rank]
+    rng = np.random.default_rng(seed)
+    trials_passed = 0
+    for _ in range(trials):
+        phi = rng.standard_normal(m * nq)
+        phi -= v_range.T @ (v_range @ phi)
+        phi /= math.sqrt(float(np.sum(time_metric * phi * phi)))
+        delta = (2.0 * float(np.sum(time_metric * u_star_smooth * phi))
+                 + float(np.sum(time_metric * phi * phi)))
+        trials_passed += delta >= -1e-9
+    return h_disc, s_vals, v_range, trials_passed
+
+
+def _modal_plus_zone_setup():
+    """Modal actuators plus one zone actuator: D is not diagonal."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 3)
+    acts = ActuatorSet(
+        tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
+              for i, mode in enumerate(basis.modes))
+        + (Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
+                    lambda p: np.ones(p.shape[0]), "zone"),))
+    return basis, Region.box(domain, (0.0, 0.5), (0.0, 1.0)), acts, len(basis.modes)
+
+
+def _quadrant_zone_setup():
+    """One zone actuator on the quadrant of [-1, 1]^2: the couplings vanish
+    on every mode with an even index, so the map has one direction per
+    distinct k^2 + l^2 over odd k, l."""
+    domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
+    basis = SpectralBasis(domain, 4, "whole-wave")
+    quadrant = Region.box(domain, (0.0, 1.0), (0.0, 1.0))
+    acts = ActuatorSet((Actuator(quadrant, lambda p: np.ones(p.shape[0]), "zone"),))
+    rank = len({k * k + l * l for k, l in (mode.index for mode in basis.modes)
+                if k % 2 == 1 and l % 2 == 1})
+    return basis, quadrant, acts, rank
+
+
+@pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
+                         ids=["modal-plus-zone", "rank-deficient"])
+def test_minimality_row_space_from_qr_matches_svd(setup):
+    basis, region, acts, expected_rank = setup()
+    rng = np.random.default_rng(11)
+    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
+                               rng.standard_normal(len(basis.modes))))
+    h_disc, s_ref, v_ref, passed_ref = _svd_reference_trials(sol, 12, seed=4)
+    assert v_ref.shape[0] == expected_rank
+
+    s_vals, q, u_range = _row_space(h_disc)
+    assert u_range.shape[1] == expected_rank
+    assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+    phi = rng.standard_normal(h_disc.shape[1])
+    assert_allclose(q @ (u_range @ (u_range.T @ (q.T @ phi))),
+                    v_ref.T @ (v_ref @ phi), rtol=0, atol=1e-10)
+
+    report = verify_minimality(sol, trials=12, seed=4)
+    assert report.mode == "kernel+pinv"
+    assert report.trials_passed == passed_ref
+    assert report.kernel_dimension == h_disc.shape[1] - expected_rank
+    assert report.max_constraint_violation <= 1e-9
 
 
 def test_synthesis_is_linear_in_the_target():
