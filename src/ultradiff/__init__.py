@@ -7,14 +7,9 @@ rectangular domains.
 
 from .logtime import LogTimeWindow, graded_grid
 from .mittag_leffler import (
-    MLParams,
     MLConvergenceError,
-    PropagatorKernelSpec,
-    eval_ml,
     mittag_leffler,
     ml_on_negative_axis,
-    kernel_kappa,
-    free_propagator,
 )
 from .spectral import (
     Actuator,
@@ -65,14 +60,9 @@ __version__ = "0.1.0"
 __all__ = [
     "LogTimeWindow",
     "graded_grid",
-    "MLParams",
     "MLConvergenceError",
-    "PropagatorKernelSpec",
-    "eval_ml",
     "mittag_leffler",
     "ml_on_negative_axis",
-    "kernel_kappa",
-    "free_propagator",
     "Actuator",
     "ActuatorSet",
     "GradientBasisGram",

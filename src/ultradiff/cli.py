@@ -59,12 +59,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .controllability import (approx_controllability_verdict, assemble_gramian,
+from .controllability import (DEFAULT_KERNEL_NODES,
+                              approx_controllability_verdict, assemble_gramian,
                               strategic_test, worked_example_mode_means,
                               worked_example_pairing_table)
-from .hum import HumProblem, energy, g_norm, solve_hum, verify_minimality
+from .hum import (RESIDUAL_NODES, HumProblem, energy, g_norm, solve_hum,
+                  verify_minimality)
 from .logtime import LogTimeWindow
-from .solver import (ControlSignal, EnergyDivergenceError, free_solution)
+from .solver import (DEFAULT_CONTROL_NODES, ControlSignal,
+                     EnergyDivergenceError, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
                        SpectralBasis, default_order)
 
@@ -465,13 +468,12 @@ def _jsonable(obj):
 
 
 def write_report(report: dict, out_dir: str, *, fmt: str = "json",
-                 tables: dict | None = None, timing: dict | None = None,
-                 name: str = "report") -> None:
+                 tables: dict | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
         payload = json.dumps(_jsonable(report), sort_keys=True, indent=2,
                              allow_nan=False)
-        with open(os.path.join(out_dir, f"{name}.json"), "w",
+        with open(os.path.join(out_dir, "report.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(payload + "\n")
     if fmt in ("csv", "both") and tables:
@@ -483,10 +485,6 @@ def write_report(report: dict, out_dir: str, *, fmt: str = "json",
                 for row in rows:
                     writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                                      else v for v in row])
-    if timing is not None:
-        with open(os.path.join(out_dir, f"{name}.timing.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps(_jsonable(timing), sort_keys=True, indent=2) + "\n")
 
 
 def _base_report(scenario: Scenario, basis: SpectralBasis) -> dict:
@@ -495,9 +493,9 @@ def _base_report(scenario: Scenario, basis: SpectralBasis) -> dict:
         "scenario": scenario.to_dict(),
         "quadrature": {
             "spatial_order": default_order(basis),
-            "kernel_nodes": 160,
-            "control_nodes": 256,
-            "residual_nodes": 192,
+            "kernel_nodes": DEFAULT_KERNEL_NODES,
+            "control_nodes": DEFAULT_CONTROL_NODES,
+            "residual_nodes": RESIDUAL_NODES,
         },
     }
 
@@ -537,7 +535,7 @@ def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]
             ["t"] + [f"c_{p}" for p in range(n_modes)],
             [[times[j]] + list(series[j]) for j in range(n_samples)]),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables, name="report")
+    write_report(report, out_dir, fmt=fmt, tables=tables)
     return 0, report
 
 
@@ -577,7 +575,7 @@ def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
             ["index", "coordinate_operator_eigenvalue"],
             [[i, float(v)] for i, v in enumerate(eigs)]),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables, name="report")
+    write_report(report, out_dir, fmt=fmt, tables=tables)
     return (0 if verdict.controllable else 2), report
 
 
@@ -624,7 +622,7 @@ def run_synthesize(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dic
             ["t", "tau"] + [f"u_{i + 1}" for i in range(u.m)],
             [[times[q], taus[q]] + list(values[:, q]) for q in range(u.n_nodes)]),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables, name="report")
+    write_report(report, out_dir, fmt=fmt, tables=tables)
     return 0, report
 
 
@@ -780,7 +778,7 @@ def run_reproduce(scenario: Scenario | None, out_dir: str, fmt: str,
             [[r["k"], r["l"], r["p"], r["q"],
               r["closed_form"], r["quadrature"], r["rel_discrepancy"],
               r["in_stated_parity"]] for r in result["pairing_table"]])
-    write_report(report, out_dir, fmt=fmt, tables=tables, name="report")
+    write_report(report, out_dir, fmt=fmt, tables=tables)
     return (0 if result["all_passed"] else 2), report
 
 

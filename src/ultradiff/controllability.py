@@ -83,7 +83,6 @@ class GradientGramian:
     matrix: np.ndarray                 # W
     epsilon_cutoff: float | None = None
     kernel_nodes: int = DEFAULT_KERNEL_NODES
-    spatial_order: int = 0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.matrix, dtype=float)
@@ -123,8 +122,6 @@ class GradientGramian:
 def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
                      alpha: float, window: LogTimeWindow, *,
                      epsilon: float | None = None,
-                     kernel_nodes: int = DEFAULT_KERNEL_NODES,
-                     spatial_order: int | None = None,
                      coefficient_matrix: np.ndarray | None = None,
                      gram: GradientBasisGram | None = None) -> GradientGramian:
     """Assemble the (Gamma, W) pair for one configuration.
@@ -139,13 +136,12 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
         raise EnergyDivergenceError(alpha, "the controllability Gramian integrand")
     if epsilon is not None and not 0 < epsilon < window.length:
         raise ValueError(f"epsilon cutoff must be in (0, {window.length:.6g})")
-    order = default_order(basis) if spatial_order is None else spatial_order
     if coefficient_matrix is None:
-        coefficient_matrix = actuator_coefficients(actuators, basis, order)
+        coefficient_matrix = actuator_coefficients(actuators, basis)
     if gram is None:
-        gram = gradient_gram(basis, region, order)
+        gram = gradient_gram(basis, region)
 
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=kernel_nodes,
+    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=DEFAULT_KERNEL_NODES,
                                 eps=epsilon or 0.0, length=window.length)
     jacobian = np.exp(taus) / window.b
     kernel = _ml_matrix(alpha, basis.lams, taus)      # (n_modes, n_nodes)
@@ -154,8 +150,7 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
     w = coupling * kernel_cross
     return GradientGramian(basis, region, actuators, alpha, window,
                            coefficient_matrix, gram, 0.5 * (w + w.T),
-                           epsilon_cutoff=epsilon, kernel_nodes=kernel_nodes,
-                           spatial_order=order)
+                           epsilon_cutoff=epsilon)
 
 
 @dataclass(frozen=True)

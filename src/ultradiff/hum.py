@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 RESIDUAL_NODES = 192
 PINV_NODES = 96
+PINV_TOLERANCE = 1e-4
+SOLVER_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +119,7 @@ def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
 
 def _control_from_datum(datum: np.ndarray, coefficient_matrix: np.ndarray,
                         basis: SpectralBasis, alpha: float, window: LogTimeWindow,
-                        epsilon: float | None,
-                        n: int) -> ControlSignal:
+                        epsilon: float | None) -> ControlSignal:
     lams = basis.lams
     b = window.b
 
@@ -128,13 +129,11 @@ def _control_from_datum(datum: np.ndarray, coefficient_matrix: np.ndarray,
         return (coefficient_matrix @ (kernel * datum[:, None])) * (np.exp(tau) / b)
 
     return ControlSignal.from_smooth_part(smooth, window, alpha,
-                                          clock="from-end", n=n,
+                                          clock="from-end",
                                           epsilon_cutoff=epsilon)
 
 
 def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
-              kernel_nodes: int = 160, residual_nodes: int = RESIDUAL_NODES,
-              control_nodes: int = 256, solver_rtol: float = 1e-12,
               gramian: GradientGramian | None = None) -> HumSolution:
     """Synthesize the minimum-energy control for the steering problem.
 
@@ -145,8 +144,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
     basis, window, alpha = problem.basis, problem.window, problem.alpha
     if gramian is None:
         gramian = assemble_gramian(basis, problem.region, problem.actuators,
-                                   alpha, window, epsilon=problem.epsilon_cutoff,
-                                   kernel_nodes=kernel_nodes)
+                                   alpha, window, epsilon=problem.epsilon_cutoff)
     verdict = approx_controllability_verdict(gramian, threshold)
     if not verdict.controllable:
         logger.warning("synthesis on a configuration with verdict %s "
@@ -155,7 +153,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
 
     free = _free_final_coefficients(problem)
     rhs = problem.target_gradient_coefficients - free
-    datum, kept, cond = pinv_solve_symmetric(gramian.matrix, rhs, rtol=solver_rtol)
+    datum, kept, cond = pinv_solve_symmetric(gramian.matrix, rhs, rtol=SOLVER_RTOL)
     n_modes = len(basis.modes)
     ill_posed = (not verdict.controllable) or kept < n_modes
     if kept < n_modes:
@@ -163,13 +161,12 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
                        "kept %d of %d directions", kept, n_modes)
 
     g_coeffs, _, _ = pinv_solve_symmetric(gramian.gram.matrix, datum,
-                                          rtol=solver_rtol)
+                                          rtol=SOLVER_RTOL)
     control = _control_from_datum(datum, gramian.coefficient_matrix, basis,
-                                  alpha, window, problem.epsilon_cutoff,
-                                  control_nodes)
+                                  alpha, window, problem.epsilon_cutoff)
 
     reached = forced_solution(problem.actuators, basis, control, alpha, window,
-                              window.b, nodes=residual_nodes,
+                              window.b, nodes=RESIDUAL_NODES,
                               coefficient_matrix=gramian.coefficient_matrix,
                               epsilon=problem.epsilon_cutoff)
     gap = reached.coefficients + free - problem.target_gradient_coefficients
@@ -182,7 +179,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
     else:
         residual = math.sqrt(gap_norm2)
 
-    cost = energy(control, nodes=kernel_nodes)
+    cost = energy(control)
     quadratic = float(datum @ gramian.matrix @ datum)
     identity_gap = (abs(cost - quadratic) / max(cost, quadratic)
                     if max(cost, quadratic) > 0 else 0.0)
@@ -196,8 +193,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
                        cost, residual, diagnostics)
 
 
-def g_norm(g_coefficients, gramian: GradientGramian, *,
-           nodes: int = 160) -> float:
+def g_norm(g_coefficients, gramian: GradientGramian) -> float:
     """Squared-observation norm of a dual element, by direct time quadrature.
 
     Input is the element's gradient-basis weights; the value equals the
@@ -209,7 +205,8 @@ def g_norm(g_coefficients, gramian: GradientGramian, *,
         raise EnergyDivergenceError(alpha, "the squared-observation integrand")
     gamma = np.asarray(g_coefficients, dtype=float)
     datum = gramian.gram.matrix @ gamma
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes,
+    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0),
+                                n=gramian.kernel_nodes,
                                 eps=gramian.epsilon_cutoff or 0.0,
                                 length=window.length)
     kernel = _ml_matrix(alpha, gramian.basis.lams, taus)
@@ -226,7 +223,7 @@ def energy(u: ControlSignal, *, nodes: int = 160) -> float:
     signal must carry an epsilon cutoff.
     """
     window = u.window
-    if u.smooth_values is not None:
+    if u.smooth_fn is not None:
         # synthesized signal: integrate the (possibly singular) power factor
         # through the weighted rule, re-evaluating the smooth part exactly
         if u.alpha <= 0.5 and u.epsilon_cutoff is None:
@@ -259,8 +256,7 @@ class MinimalityReport:
 
 
 def verify_minimality(solution: HumSolution, trials: int = 50, *,
-                      seed: int = 0, pinv_nodes: int = PINV_NODES,
-                      pinv_tolerance: float = 1e-4) -> MinimalityReport:
+                      seed: int = 0) -> MinimalityReport:
     """Check optimality of a synthesized control two independent ways.
 
     Kernel perturbations: admissible directions w = tau^(alpha-1) phi with phi
@@ -325,7 +321,7 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     h_disc = kernel = q = None
 
     # minimal-norm discrete control on an independent resolution
-    taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=pinv_nodes,
+    taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=PINV_NODES,
                                   eps=eps, length=window.length)
     kernel2 = _ml_matrix(alpha, gramian.basis.lams, taus2)
     metric2 = np.tile(weights2 * window.b * np.exp(-taus2), m)
@@ -337,7 +333,7 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     rel_gap = abs(solution.energy - pinv_energy) / denom if denom > 0 else 0.0
 
     kernel_ok = (mode == "pinv-only") or trials_passed == trials
-    passed = kernel_ok and rel_gap <= pinv_tolerance
+    passed = kernel_ok and rel_gap <= PINV_TOLERANCE
     return MinimalityReport(mode, trials, trials_passed, min_delta,
                             max_violation, kernel_kept, solution.energy,
                             pinv_energy, rel_gap, passed)
@@ -381,9 +377,7 @@ def state_restriction_gram(basis: SpectralBasis, region: Region,
 def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
                     alpha: float, window: LogTimeWindow,
                     state_target_coefficients, *, y0_coefficients=None,
-                    epsilon: float | None = None, kernel_nodes: int = 160,
-                    control_nodes: int = 256,
-                    solver_rtol: float = 1e-12) -> StateRestrictionSolution:
+                    epsilon: float | None = None) -> StateRestrictionSolution:
     """Minimum-energy steering of the STATE restriction (no gradient).
 
     Same kernel factor W, same synthesis path; the region Gram of the
@@ -391,7 +385,7 @@ def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet
     for priced comparisons of the two steering notions.
     """
     gramian = assemble_gramian(basis, region, actuators, alpha, window,
-                               epsilon=epsilon, kernel_nodes=kernel_nodes)
+                               epsilon=epsilon)
     target = np.asarray(state_target_coefficients, dtype=float)
     if y0_coefficients is None:
         free = np.zeros(len(basis.modes))
@@ -399,9 +393,9 @@ def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet
         free = free_solution(y0_coefficients, basis, alpha, window,
                              window.b).coefficients
     rhs = target - free
-    datum, _, _ = pinv_solve_symmetric(gramian.matrix, rhs, rtol=solver_rtol)
+    datum, _, _ = pinv_solve_symmetric(gramian.matrix, rhs, rtol=SOLVER_RTOL)
     control = _control_from_datum(datum, gramian.coefficient_matrix, basis,
-                                  alpha, window, epsilon, control_nodes)
+                                  alpha, window, epsilon)
     reached = forced_solution(actuators, basis, control, alpha, window, window.b,
                               nodes=RESIDUAL_NODES,
                               coefficient_matrix=gramian.coefficient_matrix,
@@ -411,5 +405,4 @@ def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet
     denom = float(target @ state_gram @ target)
     gap2 = max(0.0, float(gap @ state_gram @ gap))
     residual = math.sqrt(gap2 / denom) if denom > 0 else math.sqrt(gap2)
-    return StateRestrictionSolution(datum, control, energy(control, nodes=kernel_nodes),
-                                    residual)
+    return StateRestrictionSolution(datum, control, energy(control), residual)

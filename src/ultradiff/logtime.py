@@ -33,9 +33,6 @@ class LogTimeWindow:
         """Log-length L = log(b/a)."""
         return math.log(self.b / self.a)
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
     def require_inside(self, t: float, *, open_start: bool = False,
                        open_end: bool = False, what: str = "t") -> None:
         lo_ok = t > self.a if open_start else t >= self.a
@@ -55,12 +52,6 @@ class LogTimeWindow:
     def tau_from_end(self, t):
         """log(b/t); 0 at the final time."""
         return np.log(self.b / np.asarray(t))
-
-    def time_from_start_tau(self, tau):
-        return self.a * np.exp(np.asarray(tau))
-
-    def time_from_end_tau(self, tau):
-        return self.b * np.exp(-np.asarray(tau))
 
 
 def graded_grid(length: float, n: int = 256, exponent: float = 2.0) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Two-parameter Mittag-Leffler evaluation and the propagator kernels built on it.
+"""Two-parameter Mittag-Leffler evaluation on the real axis.
 
 E_{alpha,beta}(z) = sum_{n>=0} z^n / Gamma(n*alpha + beta), here for real z,
 0 < alpha <= 1, beta > 0 — the arguments the log-clock diffusion propagators
-produce.  Four regimes:
+produce.  `ml_on_negative_axis` is the one branch router for z <= 0, and the
+scalar `mittag_leffler` is its one-element case there.  The regimes:
 
-* z >= 0: the defining series, terms by a log-space recurrence (never forms
-  z^n, so only a genuinely infinite value overflows).
-* small negative z (cheap, low cancellation): compensated float64 series.
+* z > 0 (scalar only): the defining series, terms by a log-space recurrence
+  (never forms z^n, so only a genuinely infinite value overflows).
+* -1e-8 < z <= 0: the two-term Taylor polynomial.
 * moderate negative z: a parabolic-contour inverse-Laplace quadrature --
   the series is numerically impossible here (peak terms reach 1e90 while the
   sum is ~1e-3), and the textbook asymptotic has not kicked in yet.
@@ -15,20 +16,19 @@ produce.  Four regimes:
 The contour rule (N=32, h=3/N, mu=pi*N/12) was tuned against a
 high-precision series oracle: worst absolute error 2.1e-12 over
 alpha in [0.1, 0.995], z in [-65, -0.05]; the asymptotic branch agrees with
-it to 1.7e-13 on [-80, -50].  For alpha > 0.985 the contour degrades, and a
-high-precision series fallback takes over (slow, but that corner is rare).
+it to 1.7e-13 on [-80, -50].  For alpha > 0.985 the contour degrades, and the
+moderate range falls back per element to the compensated float64 series where
+that is cheap and cancellation-safe, and to an mpmath series otherwise (slow,
+but that corner is rare).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, rgamma
-
-from .logtime import LogTimeWindow
 
 logger = logging.getLogger(__name__)
 
@@ -53,33 +53,12 @@ class MLConvergenceError(ArithmeticError):
             f"z={z}: {reason}")
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Order pair (alpha, beta) of E_{alpha,beta}."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class PropagatorKernelSpec:
-    """Kernel parameters: fractional order, mode eigenvalue, time window."""
-
-    alpha: float
-    lam: float
-    window: LogTimeWindow
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.lam >= 0.0):
-            raise ValueError(f"eigenvalue must be non-negative, got {self.lam}")
+def _check_orders(alpha: float, beta: float) -> None:
+    """Validate the order pair (alpha, beta) of E_{alpha,beta}."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive, got {beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,48 +145,48 @@ def _series_mp(alpha: float, beta: float, z: float) -> float:
     raise MLConvergenceError(alpha, beta, z, f"no convergence in {_MAX_TERMS} terms")
 
 
+def _series_is_cheap(alpha: float, beta: float, x: float) -> bool:
+    """True when the float64 series at -x is short and cancellation-safe."""
+    return (_series_term_estimate(alpha, beta, x) <= _SERIES_TERM_BUDGET
+            and _series_peak_log10(alpha, beta, x) <= _SERIES_PEAK_DIGITS)
+
+
+def _series_or_mp(alpha: float, beta: float, z: float) -> float:
+    """Mid-range value for alpha above the contour's range: the float64 series
+    where it is cheap, the high-precision series otherwise."""
+    if _series_is_cheap(alpha, beta, -z):
+        return _series_f64(alpha, beta, z)
+    logger.debug("ml: high-precision fallback at alpha=%s beta=%s z=%s", alpha, beta, z)
+    return _series_mp(alpha, beta, z)
+
+
 # ---------------------------------------------------------------------------
 # public evaluators
 # ---------------------------------------------------------------------------
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) for real z, absolute accuracy ~1e-11 on |z| <= 50."""
-    MLParams(alpha, beta)  # validate
+    """E_{alpha,beta}(z) for real z, absolute accuracy ~1e-11 on |z| <= 50.
+
+    For z <= 0 this is the one-element case of `ml_on_negative_axis`.
+    """
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"argument must be finite, got z={z}")
-    if z == 0.0:
-        return float(rgamma(beta))
+    if z <= 0.0:
+        return float(ml_on_negative_axis(alpha, beta, z)[0])
+    _check_orders(alpha, beta)
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
-    if z > 0.0:
-        return _series_f64(alpha, beta, z)
-    if z > -_TINY_Z:
-        return float(rgamma(beta) + z * rgamma(alpha + beta))
-    if z <= _ASYMPTOTIC_CUT:
-        return float(_asymptotic(alpha, beta, np.array([z]))[0])
-    x = -z
-    if (_series_term_estimate(alpha, beta, x) <= _SERIES_TERM_BUDGET
-            and _series_peak_log10(alpha, beta, x) <= _SERIES_PEAK_DIGITS):
-        return _series_f64(alpha, beta, z)
-    if alpha <= _CONTOUR_ALPHA_MAX:
-        return float(_contour(alpha, beta, np.array([z]))[0])
-    logger.debug("ml: high-precision fallback at alpha=%s beta=%s z=%s", alpha, beta, z)
-    return _series_mp(alpha, beta, z)
-
-
-def eval_ml(params: MLParams, z: float) -> float:
-    """E_{alpha,beta}(z) for a validated parameter pair."""
-    return mittag_leffler(params.alpha, params.beta, z)
+    return _series_f64(alpha, beta, z)
 
 
 def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} for arrays of arguments z <= 0.
 
-    This is the hot path of every kernel quadrature; the branch layout
-    mirrors the scalar router.
+    This is the hot path of every kernel quadrature and the only branch
+    router on the negative axis.
     """
-    MLParams(alpha, beta)
+    _check_orders(alpha, beta)
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         z = z[None]
@@ -229,29 +208,5 @@ def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
         if alpha <= _CONTOUR_ALPHA_MAX:
             out[mid] = _contour(alpha, beta, z[mid])
         else:
-            out[mid] = [mittag_leffler(alpha, beta, zi) for zi in z[mid]]
+            out[mid] = [_series_or_mp(alpha, beta, zi) for zi in z[mid]]
     return out
-
-
-def kernel_kappa(spec: PropagatorKernelSpec, tau) -> np.ndarray | float:
-    """tau^(alpha-1) * E_{alpha,alpha}(-lam * tau^alpha); positive for tau > 0."""
-    tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr <= 0.0):
-        raise ValueError(f"kernel requires tau > 0, got min tau={tau_arr.min()}")
-    value = tau_arr ** (spec.alpha - 1.0) * ml_on_negative_axis(
-        spec.alpha, spec.alpha, -spec.lam * tau_arr ** spec.alpha)
-    return float(value[0]) if np.ndim(tau) == 0 else value
-
-
-def free_propagator(alpha: float, lam: float, window: LogTimeWindow, t) -> np.ndarray | float:
-    """E_alpha(-lam * log(t/a)^alpha): decay factor of an uncontrolled mode."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if lam < 0.0:
-        raise ValueError(f"eigenvalue must be non-negative, got {lam}")
-    t_arr = np.asarray(t, dtype=float)
-    for ti in np.atleast_1d(t_arr):
-        window.require_inside(float(ti))
-    tau = np.log(t_arr / window.a)
-    value = ml_on_negative_axis(alpha, 1.0, -lam * tau ** alpha)
-    return float(value[0]) if np.ndim(t) == 0 else value

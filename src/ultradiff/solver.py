@@ -124,10 +124,11 @@ class ControlSignal:
     tau = log(b/t) (the natural clock for synthesized controls, singular end
     at t = b), "from-start" means tau = log(t/a).
 
-    When `smooth_values` is present the signal is u = tau^(alpha-1) * smooth,
-    stored by its smooth factor so the singular endpoint never has to be
-    represented numerically; `values` then holds the raw product at the nodes
-    for export and plotting.
+    When `smooth_fn` is present the signal is u = tau^(alpha-1) * smooth_fn(tau),
+    held by an exact evaluator of its smooth factor (tau-array -> (m, n)) so
+    the singular endpoint never has to be represented numerically and the
+    control is re-evaluated exactly at foreign quadrature nodes; `values` then
+    holds the raw product at the grid nodes for export and plotting.
     """
 
     window: LogTimeWindow
@@ -135,12 +136,7 @@ class ControlSignal:
     tau_grid: np.ndarray
     values: np.ndarray
     clock: str = "from-end"
-    smooth_values: np.ndarray | None = None
     epsilon_cutoff: float | None = None
-    # Exact evaluator of the smooth factor (tau-array -> (m, n)).  When present
-    # it replaces spline interpolation everywhere, so synthesized controls are
-    # re-evaluated exactly at foreign quadrature nodes; the sampled arrays
-    # remain the export/plotting representation.
     smooth_fn: object | None = None
 
     def __post_init__(self) -> None:
@@ -161,14 +157,6 @@ class ControlSignal:
                              f"{grid.size} grid nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite control values")
-        smooth = self.smooth_values
-        if smooth is not None:
-            smooth = np.atleast_2d(np.array(smooth, dtype=float))
-            if smooth.shape != values.shape:
-                raise ValueError("smooth_values shape must match values")
-            if not np.all(np.isfinite(smooth)):
-                raise ValueError("non-finite smooth part")
-            smooth.setflags(write=False)
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
             raise ValueError("epsilon cutoff must be positive when given")
         grid.setflags(write=False)
@@ -176,7 +164,6 @@ class ControlSignal:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "smooth_values", smooth)
 
     # -- constructors ---------------------------------------------------
 
@@ -207,7 +194,7 @@ class ControlSignal:
         grid = graded_grid(window.length, n=n, exponent=2.0 / alpha)
         smooth = np.atleast_2d(np.asarray(fn(grid), dtype=float))
         values = grid ** (alpha - 1.0) * smooth
-        return cls(window, alpha, grid, values, clock=clock, smooth_values=smooth,
+        return cls(window, alpha, grid, values, clock=clock,
                    epsilon_cutoff=epsilon_cutoff, smooth_fn=fn)
 
     def with_epsilon(self, epsilon: float) -> "ControlSignal":
@@ -226,7 +213,7 @@ class ControlSignal:
     @property
     def is_singular(self) -> bool:
         """True when the signal carries an explicit tau^(alpha-1) factor."""
-        return self.smooth_values is not None and self.alpha < 1.0
+        return self.smooth_fn is not None and self.alpha < 1.0
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -237,8 +224,7 @@ class ControlSignal:
 
     @cached_property
     def _splines(self):
-        source = self.smooth_values if self.smooth_values is not None else self.values
-        return [CubicSpline(self.tau_grid, source[i]) for i in range(source.shape[0])]
+        return [CubicSpline(self.tau_grid, row) for row in self.values]
 
     def smooth_at_tau(self, tau) -> np.ndarray:
         """The smooth factor at given tau values (raw values if not singular)."""
@@ -252,7 +238,7 @@ class ControlSignal:
         """Raw control values u(tau), shape (m, tau.size)."""
         tau = np.asarray(tau, dtype=float)
         out = self.smooth_at_tau(tau)
-        if self.smooth_values is not None:
+        if self.smooth_fn is not None:
             if np.any(tau <= 0):
                 raise ValueError("singular control cannot be evaluated at tau <= 0")
             out = out * tau ** (self.alpha - 1.0)
@@ -284,27 +270,23 @@ class ControlSignal:
                 or self.alpha != other.alpha
                 or not np.array_equal(self.tau_grid, other.tau_grid)):
             raise ValueError("can only add controls on the same grid/clock/order")
-        both_smooth = self.smooth_values is not None and other.smooth_values is not None
-        smooth = self.smooth_values + other.smooth_values if both_smooth else None
         fn = None
-        if both_smooth and self.smooth_fn is not None and other.smooth_fn is not None:
+        if self.smooth_fn is not None and other.smooth_fn is not None:
             first, second = self.smooth_fn, other.smooth_fn
             fn = lambda tau: np.asarray(first(tau)) + np.asarray(second(tau))
         eps = self.epsilon_cutoff if self.epsilon_cutoff is not None else other.epsilon_cutoff
         return ControlSignal(self.window, self.alpha, self.tau_grid,
                              self.values + other.values, clock=self.clock,
-                             smooth_values=smooth, epsilon_cutoff=eps, smooth_fn=fn)
+                             epsilon_cutoff=eps, smooth_fn=fn)
 
     def __mul__(self, scalar: float) -> "ControlSignal":
-        smooth = None if self.smooth_values is None else scalar * self.smooth_values
         fn = None
         if self.smooth_fn is not None:
             base = self.smooth_fn
             fn = lambda tau: scalar * np.asarray(base(tau))
         return ControlSignal(self.window, self.alpha, self.tau_grid,
                              scalar * self.values, clock=self.clock,
-                             smooth_values=smooth, epsilon_cutoff=self.epsilon_cutoff,
-                             smooth_fn=fn)
+                             epsilon_cutoff=self.epsilon_cutoff, smooth_fn=fn)
 
     __rmul__ = __mul__
 

@@ -60,10 +60,6 @@ class RectDomain:
     def ndim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.bounds)
-
     def contains_box(self, box: Box, tol: float = 1e-12) -> bool:
         if len(box) != self.ndim:
             return False

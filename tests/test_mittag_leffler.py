@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from ultradiff.logtime import LogTimeWindow
-from ultradiff.mittag_leffler import (MLConvergenceError, MLParams,
-                                      PropagatorKernelSpec, eval_ml,
-                                      free_propagator, kernel_kappa,
-                                      mittag_leffler, ml_on_negative_axis)
+from ultradiff.mittag_leffler import (MLConvergenceError, _series_f64,
+                                      _series_is_cheap, mittag_leffler,
+                                      ml_on_negative_axis)
 
 # (alpha, beta, z, E_{alpha,beta}(z)) — frozen 25-digit reference values
 ORACLE = [
@@ -50,12 +48,6 @@ def test_against_frozen_reference(alpha, beta, z, expected):
     assert_allclose(mittag_leffler(alpha, beta, z), expected, rtol=1e-9)
 
 
-def test_eval_ml_matches_direct():
-    for alpha, beta, z, _ in ORACLE[:6]:
-        params = MLParams(alpha, beta)
-        assert eval_ml(params, z) == mittag_leffler(alpha, beta, z)
-
-
 def test_value_at_zero_is_reciprocal_gamma():
     for beta in (0.5, 0.7, 1.0, 1.3, 2.0):
         assert_allclose(mittag_leffler(0.6, beta, 0.0),
@@ -72,12 +64,32 @@ def test_classical_limit_is_exponential():
 
 
 def test_vectorized_matches_scalar():
-    # batched evaluation reorders the mid-range arithmetic, so agreement is
-    # to the evaluator's accuracy envelope rather than bitwise
-    z = np.linspace(-55.0, 0.0, 37)
-    vec = ml_on_negative_axis(0.7, 0.7, z)
-    scal = np.array([mittag_leffler(0.7, 0.7, zz) for zz in z])
-    assert_allclose(vec, scal, rtol=5e-10)
+    # the router (tiny-z and contour branches) against the independent
+    # compensated float64 series, wherever that series is cheap and safe
+    for alpha, beta in ((0.7, 0.7), (0.3, 1.0), (0.5, 0.5), (0.9, 1.3)):
+        z = np.array([zz for zz in -np.geomspace(1e-10, 55.0, 400)
+                      if _series_is_cheap(alpha, beta, -zz)])
+        assert z.size >= 100
+        vec = ml_on_negative_axis(alpha, beta, z)
+        series = np.array([_series_f64(alpha, beta, zz) for zz in z])
+        assert_allclose(vec, series, rtol=5e-10)
+
+
+@pytest.mark.parametrize("alpha,beta,zs", [
+    (0.6, 1.0, (0.0, -0.0, -1e-9, -5e-9)),          # tiny-z Taylor
+    (0.3, 1.0, (-0.5, -7.5, -30.0)),                # contour
+    (0.7, 0.7, (-2.0, -8.5, -45.0)),                # contour
+    (0.5, 0.5, (-50.0, -80.0, -400.0)),             # asymptotic
+    (0.99, 1.0, (-0.5, -2.0, -30.0)),               # alpha > 0.985 fallback
+    (0.9999, 0.9999, (-1e-9, -3.0, -60.0)),
+    (1.0, 1.0, (0.0, -3.0, -70.0)),                 # classical exp
+])
+def test_scalar_is_the_routers_one_element_case(alpha, beta, zs):
+    # one branch table: on z <= 0 the scalar is the router's own value, to
+    # the bit (per element: a batched contour sum may reorder its additions)
+    for z in zs:
+        assert mittag_leffler(alpha, beta, z) == \
+            ml_on_negative_axis(alpha, beta, np.array([z]))[0]
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.7, 0.7),
@@ -126,32 +138,13 @@ def test_convergence_error_carries_parameters():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        MLParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        MLParams(1.2, 1.0)
-    with pytest.raises(ValueError):
-        MLParams(0.5, -1.0)
-    with pytest.raises(ValueError):
-        PropagatorKernelSpec(0.5, -4.0, LogTimeWindow(1.0, 2.0))
-
-
-def test_kernel_kappa_composition():
-    window = LogTimeWindow(1.0, 5.0)
-    spec = PropagatorKernelSpec(0.6, 9.8696, window)
-    tau = np.array([0.01, 0.3, 1.1, window.length])
-    expected = tau ** (0.6 - 1.0) * ml_on_negative_axis(
-        0.6, 0.6, -9.8696 * tau ** 0.6)
-    assert_allclose(kernel_kappa(spec, tau), expected, rtol=1e-14)
-
-
-def test_free_propagator_composition():
-    window = LogTimeWindow(2.0, 4.0)
-    t = np.array([2.0, 2.5, 3.2, 4.0])
-    tau = np.log(t / 2.0)
-    expected = ml_on_negative_axis(0.5, 1.0, -3.0 * tau ** 0.5)
-    assert_allclose(free_propagator(0.5, 3.0, window, t), expected, rtol=1e-14)
-    assert free_propagator(0.5, 3.0, window, 2.0) == 1.0
+    for alpha, beta in ((0.0, 1.0), (1.2, 1.0), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            mittag_leffler(alpha, beta, -1.0)
+        with pytest.raises(ValueError):
+            mittag_leffler(alpha, beta, 1.0)
+        with pytest.raises(ValueError):
+            ml_on_negative_axis(alpha, beta, np.array([-1.0]))
 
 
 @settings(max_examples=60, deadline=None)

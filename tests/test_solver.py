@@ -246,8 +246,6 @@ def test_control_signal_algebra_and_epsilon():
     u2 = singular_signal(0.6, levels=(0.5, 0.25))
     total = u1 + u2
     assert_allclose(total.values, u1.values + u2.values, rtol=1e-15)
-    assert_allclose(total.smooth_values, u1.smooth_values + u2.smooth_values,
-                    rtol=1e-15)
     tau_probe = np.array([0.1, 0.4])
     assert_allclose(total.smooth_at_tau(tau_probe),
                     u1.smooth_at_tau(tau_probe) + u2.smooth_at_tau(tau_probe),
