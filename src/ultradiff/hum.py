@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr
+from scipy.linalg.lapack import dormqr
 
 from ._quadrature import kernel_rule
 from .controllability import (GradientGramian, approx_controllability_verdict,
@@ -266,10 +267,11 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     same.  With trials == 0, or when the discrete map has no null space, only
     the pseudo-inverse comparison runs.
 
-    The trials take the rank and row space of the wide discrete map h_disc
-    (n_modes x m*nq) from an economic QR factor h_disc^T = Q R: its singular
-    values are those of the small R = U_R S V_R^T, and Q U_R spans its row
-    space.  The pseudo-inverse cross-check stays an SVD (`np.linalg.pinv`).
+    Both checks factor the transpose of a wide map (n_modes x m*nq) once,
+    A^T = Q R with Householder QR and R = U S V^T, and never form Q (`_qr_svd`).
+    The trials project all draws off the row space Q U as one block; the
+    cross-check's minimal-norm control is Q U S^-1 V^T rhs over the singular
+    values above 1e-12 s[0], the rule of np.linalg.pinv(rcond=1e-12).
     """
     problem, gramian = solution.problem, solution.gramian
     alpha, window = problem.alpha, problem.window
@@ -294,31 +296,25 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     max_violation = 0.0
     mode = "pinv-only"
     if trials > 0:
-        _, q, u_range = _row_space(h_disc)
+        # factor a copy: h_disc.T is F-ordered, so the factor would overwrite h_disc
+        _, u_range, _, q_mul = _qr_svd(h_disc.T.copy(order="F"))
         kernel_kept = m * nq - u_range.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
-            rng = np.random.default_rng(seed)
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            for _ in range(trials):
-                phi = rng.standard_normal(m * nq)
-                phi -= q @ (u_range @ (u_range.T @ (q.T @ phi)))
-                scale = math.sqrt(float(np.sum(time_metric * phi * phi)))
-                if scale > 0:
-                    phi /= scale
-                violation = float(np.linalg.norm(h_disc @ phi)) / rhs_scale
-                max_violation = max(max_violation, violation)
-                cross = float(np.sum(time_metric * u_star_smooth * phi))
-                perturbation_cost = float(np.sum(time_metric * phi * phi))
-                delta = 2.0 * cross + perturbation_cost
-                min_delta = min(min_delta, delta)
-                if delta >= -1e-9:
-                    trials_passed += 1
+            phi = np.random.default_rng(seed).standard_normal((trials, m * nq))
+            phi -= q_mul(u_range @ (u_range.T @ q_mul(phi.T, "T"))).T
+            scale = np.sqrt(phi * phi @ time_metric)
+            phi /= np.where(scale > 0, scale, 1.0)[:, None]
+            max_violation = float(np.linalg.norm(phi @ h_disc.T, axis=1).max()) / rhs_scale
+            delta = 2.0 * (phi @ (time_metric * u_star_smooth)) + phi * phi @ time_metric
+            min_delta = float(delta.min())
+            trials_passed = int(np.count_nonzero(delta >= -1e-9))
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
-    # free the first map and its factors before the pseudo-inverse's SVD below
-    h_disc = kernel = q = None
+    # free the first map and its factors before the second factorization below
+    h_disc = kernel = phi = q_mul = None
 
     # minimal-norm discrete control on an independent resolution
     taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=PINV_NODES,
@@ -326,8 +322,10 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     kernel2 = _ml_matrix(alpha, gramian.basis.lams, taus2)
     metric2 = np.tile(weights2 * window.b * np.exp(-taus2), m)
     map2 = np.einsum("ip,pq->piq", d, kernel2 * weights2).reshape(-1, m * taus2.size)
-    whitened = map2 / np.sqrt(metric2)
-    minimal = np.linalg.pinv(whitened, rcond=1e-12) @ rhs
+    whitened, map2 = map2 / np.sqrt(metric2), None
+    # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
+    s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T)
+    minimal = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
     pinv_energy = float(minimal @ minimal)
     denom = max(solution.energy, pinv_energy)
     rel_gap = abs(solution.energy - pinv_energy) / denom if denom > 0 else 0.0
@@ -339,16 +337,28 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
                             pinv_energy, rel_gap, passed)
 
 
-def _row_space(h_disc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values s of a wide map, and Q, U with Q @ U spanning its row space.
+def _qr_svd(tall: np.ndarray):
+    """SVD of a tall matrix from its Householder QR, tall = Q R, R = U S V^T.
 
-    h_disc^T = Q R is an economic QR factor and R = U_R S V_R^T; U keeps the
-    columns of U_R whose singular value exceeds 1e-12 * s[0].
+    Factors `tall` in place (pass an F-ordered array the caller can lose) and
+    never forms Q.  Returns every singular value s, the U columns and V^T rows
+    with s > 1e-12 * s[0], and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
+    Q^T @ x for the economic Q, applied from the reflectors by LAPACK's dormqr.
     """
-    q, r = qr(h_disc.T, mode="economic")
-    u_r, s_vals, _ = np.linalg.svd(r, full_matrices=False)
+    (h, tau), r = qr(tall, overwrite_a=True, mode="raw")
+    u_r, s_vals, vt = np.linalg.svd(r)
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
-    return s_vals, q, u_r[:, :rank]
+
+    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
+        c = np.zeros((h.shape[0], x.shape[1]), order="F")
+        c[:x.shape[0]] = x
+        lwork = int(dormqr("L", trans, h, tau, c, -1, overwrite_c=True)[1][0])
+        c, _, info = dormqr("L", trans, h, tau, c, lwork, overwrite_c=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+        return c if trans == "N" else c[:h.shape[1]]
+
+    return s_vals, u_r[:, :rank], vt[:rank], q_mul
 
 
 # -- state-restriction variant (for cost-comparison properties) --------------

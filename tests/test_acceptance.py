@@ -22,6 +22,7 @@ from ultradiff.hadamard import (hadamard_caputo_left, hadamard_derivative_left,
                                 hadamard_integral_right, reflect_Q)
 from ultradiff.hum import HumProblem, energy, g_norm, solve_hum, verify_minimality
 from ultradiff.logtime import LogTimeWindow
+from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
                               adjoint_solution, forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, RectDomain, Region,
@@ -290,18 +291,18 @@ def test_free_solution_residual_per_mode():
         lam = basis.lams[mode]
         z0 = np.ones(len(basis.modes))
         for alpha in (0.3, 0.5, 0.7):
-            def shifted(s, basis=basis, mode=mode, alpha=alpha):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                out = np.empty(s.size)
-                for i, x in enumerate(s):
-                    xx = min(max(float(x), window.a), window.b)
-                    out[i] = (free_solution(z0, basis, alpha, window, xx)
-                              .coefficients[mode] - 1.0)
-                return out
+            # the mode's free trajectory minus 1, one router call per grid
+            def trajectory(s, lam=lam, alpha=alpha):
+                tau = window.tau_from_start(np.clip(s, window.a, window.b))
+                return ml_on_negative_axis(alpha, 1.0, -lam * tau ** alpha)
+
+            def shifted(s, trajectory=trajectory):
+                return trajectory(s) - 1.0
 
             for t in interior_times(window, 10, lo=0.08, hi=0.95):
                 t = float(t)
                 y_t = free_solution(z0, basis, alpha, window, t).coefficients[mode]
+                assert_allclose(y_t, trajectory(t)[0], rtol=1e-12, atol=0)
                 got = hadamard_derivative_left(shifted, alpha, window, t, nodes=96)
                 worst = max(worst, abs(got + lam * y_t) / (lam * abs(y_t)))
     print(f"worst decay-equation residual over both rates x 3 alphas x 10 "

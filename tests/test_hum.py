@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import GradientGramian, assemble_gramian
-from ultradiff.hum import (HumProblem, _row_space, energy, g_norm, solve_hum,
-                           solve_state_hum, state_restriction_gram,
+from ultradiff.hum import (PINV_NODES, HumProblem, _qr_svd, energy, g_norm,
+                           solve_hum, solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import ControlSignal, EnergyDivergenceError, _ml_matrix
@@ -92,7 +92,9 @@ def test_minimality_pinv_only_mode():
 
 
 def _svd_reference_trials(solution, trials, seed):
-    """The kernel-perturbation trials, from the SVD of the whole discrete map."""
+    """The kernel-perturbation trials, one draw at a time, from the SVD of the
+    whole discrete map.  Returns the map, its singular values and row space,
+    and the trials' pass count, least energy increase and worst violation."""
     problem, gramian = solution.problem, solution.gramian
     alpha, window = problem.alpha, problem.window
     d = gramian.coefficient_matrix
@@ -110,15 +112,19 @@ def _svd_reference_trials(solution, trials, seed):
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0]))
     v_range = vh[:rank]
     rng = np.random.default_rng(seed)
-    trials_passed = 0
+    rhs_scale = float(np.linalg.norm(solution.rhs)) or 1.0
+    trials_passed, min_delta, max_violation = 0, math.inf, 0.0
     for _ in range(trials):
         phi = rng.standard_normal(m * nq)
         phi -= v_range.T @ (v_range @ phi)
         phi /= math.sqrt(float(np.sum(time_metric * phi * phi)))
+        max_violation = max(max_violation,
+                            float(np.linalg.norm(h_disc @ phi)) / rhs_scale)
         delta = (2.0 * float(np.sum(time_metric * u_star_smooth * phi))
                  + float(np.sum(time_metric * phi * phi)))
+        min_delta = min(min_delta, delta)
         trials_passed += delta >= -1e-9
-    return h_disc, s_vals, v_range, trials_passed
+    return h_disc, s_vals, v_range, (trials_passed, min_delta, max_violation)
 
 
 def _modal_plus_zone_setup():
@@ -153,14 +159,14 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     rng = np.random.default_rng(11)
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                rng.standard_normal(len(basis.modes))))
-    h_disc, s_ref, v_ref, passed_ref = _svd_reference_trials(sol, 12, seed=4)
+    h_disc, s_ref, v_ref, (passed_ref, _, _) = _svd_reference_trials(sol, 12, seed=4)
     assert v_ref.shape[0] == expected_rank
 
-    s_vals, q, u_range = _row_space(h_disc)
+    s_vals, u_range, _, q_mul = _qr_svd(h_disc.T.copy(order="F"))
     assert u_range.shape[1] == expected_rank
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
     phi = rng.standard_normal(h_disc.shape[1])
-    assert_allclose(q @ (u_range @ (u_range.T @ (q.T @ phi))),
+    assert_allclose(q_mul(u_range @ (u_range.T @ q_mul(phi[:, None], "T"))).ravel(),
                     v_ref.T @ (v_ref @ phi), rtol=0, atol=1e-10)
 
     report = verify_minimality(sol, trials=12, seed=4)
@@ -168,6 +174,43 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     assert report.trials_passed == passed_ref
     assert report.kernel_dimension == h_disc.shape[1] - expected_rank
     assert report.max_constraint_violation <= 1e-9
+
+
+@pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
+                         ids=["modal-plus-zone", "rank-deficient"])
+def test_minimality_qr_route_matches_pinv_and_per_trial_loop(setup):
+    basis, region, acts, _ = setup()
+    rng = np.random.default_rng(11)
+    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
+                               rng.standard_normal(len(basis.modes))))
+    report = verify_minimality(sol, trials=12, seed=4)
+
+    # the cross-check's map on its own resolution, whitened by the time metric
+    d, window = sol.gramian.coefficient_matrix, sol.problem.window
+    taus, weights = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=PINV_NODES, eps=0.0,
+                                length=window.length)
+    kernel = _ml_matrix(0.7, basis.lams, taus)
+    metric = np.tile(weights * window.b * np.exp(-taus), d.shape[0])
+    whitened = (np.einsum("ip,pq->piq", d, kernel * weights)
+                .reshape(-1, metric.size) / np.sqrt(metric))
+    x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
+    s_full = np.linalg.svd(whitened, compute_uv=False)
+
+    s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T.copy(order="F"))
+    assert u_k.shape[1] == vt_k.shape[0] == np.count_nonzero(s_full > 1e-12 * s_full[0])
+    x = q_mul(u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    pinv_energy = float(x_ref @ x_ref)
+    gap_ref = abs(sol.energy - pinv_energy) / max(sol.energy, pinv_energy)
+    assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
+
+    # the block of trials against the one-draw-at-a-time loop
+    _, _, _, (passed_ref, min_delta_ref, violation_ref) = _svd_reference_trials(
+        sol, 12, seed=4)
+    assert report.trials_passed == passed_ref
+    assert_allclose(report.min_energy_increase, min_delta_ref, rtol=1e-9)
+    assert report.max_constraint_violation <= 1e-9
+    assert violation_ref <= 1e-9
 
 
 def test_synthesis_is_linear_in_the_target():

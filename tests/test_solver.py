@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from ultradiff._quadrature import kernel_rule
 from ultradiff.hadamard import hadamard_derivative_left
 from ultradiff.logtime import LogTimeWindow
+from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
                               SpectralState, adjoint_solution, final_gradient,
                               forced_solution, free_solution)
@@ -132,17 +133,18 @@ def test_free_solution_satisfies_fractional_decay_equation():
     for alpha, p in ((0.3, 0), (0.7, 1)):
         lam = basis.lams[p]
 
+        # the mode's free trajectory, one router call per grid
+        def trajectory(s, lam=lam, alpha=alpha):
+            tau = WINDOW.tau_from_start(np.clip(s, WINDOW.a, WINDOW.b))
+            return ml_on_negative_axis(alpha, 1.0, -lam * tau ** alpha)
+
         def shifted(s):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            out = np.empty(s.size)
-            for i, x in enumerate(s):
-                xx = min(max(x, WINDOW.a), WINDOW.b)
-                out[i] = free_solution(z0, basis, alpha, WINDOW, xx).coefficients[p] - 1.0
-            return out
+            return trajectory(s) - 1.0
 
         for th in (0.2, 0.55, 0.9):
             t = WINDOW.a * (WINDOW.b / WINDOW.a) ** th
             y_t = free_solution(z0, basis, alpha, WINDOW, t).coefficients[p]
+            assert_allclose(y_t, trajectory(t)[0], rtol=1e-12, atol=0)
             got = hadamard_derivative_left(shifted, alpha, WINDOW, t, nodes=96)
             assert abs(got + lam * y_t) <= 1e-6 * lam * abs(y_t)
 
