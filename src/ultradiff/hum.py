@@ -267,11 +267,10 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     same.  With trials == 0, or when the discrete map has no null space, only
     the pseudo-inverse comparison runs.
 
-    Both checks factor the transpose of a wide map (n_modes x m*nq) once,
-    A^T = Q R with Householder QR and R = U S V^T, and never form Q (`_qr_svd`).
-    The trials project all draws off the row space Q U as one block; the
-    cross-check's minimal-norm control is Q U S^-1 V^T rhs over the singular
-    values above 1e-12 s[0], the rule of np.linalg.pinv(rcond=1e-12).
+    Both checks factor the transpose of their map A (n_modes x m*nq) once with
+    `_qr_svd`, A^T = Q R, R = U S V^T, and never form Q.  The trials project
+    all draws off the row space Q U as one block; the cross-check's control is
+    Q U S^-1 V^T rhs over s > 1e-12 s[0], the rule of np.linalg.pinv(rcond=1e-12).
     """
     problem, gramian = solution.problem, solution.gramian
     alpha, window = problem.alpha, problem.window
@@ -337,15 +336,16 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
                             pinv_energy, rel_gap, passed)
 
 
-def _qr_svd(tall: np.ndarray):
-    """SVD of a tall matrix from its Householder QR, tall = Q R, R = U S V^T.
+def _qr_svd(a: np.ndarray):
+    """SVD of a matrix of any shape from its Householder QR, a = Q R, R = U S V^T.
 
-    Factors `tall` in place (pass an F-ordered array the caller can lose) and
+    Factors `a` in place (pass an F-ordered array the caller can lose) and
     never forms Q.  Returns every singular value s, the U columns and V^T rows
     with s > 1e-12 * s[0], and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
     Q^T @ x for the economic Q, applied from the reflectors by LAPACK's dormqr.
     """
-    (h, tau), r = qr(tall, overwrite_a=True, mode="raw")
+    (h, tau), r = qr(a, overwrite_a=True, mode="raw")
+    h = h[:, :tau.size]          # a wide `a` has fewer reflectors than columns
     u_r, s_vals, vt = np.linalg.svd(r)
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
 

@@ -292,17 +292,16 @@ def test_free_solution_residual_per_mode():
         z0 = np.ones(len(basis.modes))
         for alpha in (0.3, 0.5, 0.7):
             # the mode's free trajectory minus 1, one router call per grid
-            def trajectory(s, lam=lam, alpha=alpha):
+            def shifted(s, lam=lam, alpha=alpha):
                 tau = window.tau_from_start(np.clip(s, window.a, window.b))
-                return ml_on_negative_axis(alpha, 1.0, -lam * tau ** alpha)
-
-            def shifted(s, trajectory=trajectory):
-                return trajectory(s) - 1.0
+                return ml_on_negative_axis(alpha, 1.0, -lam * tau ** alpha) - 1.0
 
             for t in interior_times(window, 10, lo=0.08, hi=0.95):
                 t = float(t)
                 y_t = free_solution(z0, basis, alpha, window, t).coefficients[mode]
-                assert_allclose(y_t, trajectory(t)[0], rtol=1e-12, atol=0)
+                tau = window.tau_from_start(t)
+                assert_allclose(y_t, ml_on_negative_axis(
+                    alpha, 1.0, -basis.lams * tau ** alpha)[mode], rtol=1e-13, atol=0)
                 got = hadamard_derivative_left(shifted, alpha, window, t, nodes=96)
                 worst = max(worst, abs(got + lam * y_t) / (lam * abs(y_t)))
     print(f"worst decay-equation residual over both rates x 3 alphas x 10 "

@@ -152,6 +152,18 @@ def _quadrant_zone_setup():
     return basis, quadrant, acts, rank
 
 
+def _whitened_pinv_map(solution):
+    """The cross-check's map on its own resolution, whitened by the time metric."""
+    d, window = solution.gramian.coefficient_matrix, solution.problem.window
+    alpha = solution.problem.alpha
+    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=PINV_NODES, eps=0.0,
+                                length=window.length)
+    kernel = _ml_matrix(alpha, solution.gramian.basis.lams, taus)
+    metric = np.tile(weights * window.b * np.exp(-taus), d.shape[0])
+    return (np.einsum("ip,pq->piq", d, kernel * weights)
+            .reshape(-1, metric.size) / np.sqrt(metric))
+
+
 @pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
                          ids=["modal-plus-zone", "rank-deficient"])
 def test_minimality_row_space_from_qr_matches_svd(setup):
@@ -159,7 +171,8 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     rng = np.random.default_rng(11)
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                rng.standard_normal(len(basis.modes))))
-    h_disc, s_ref, v_ref, (passed_ref, _, _) = _svd_reference_trials(sol, 12, seed=4)
+    h_disc, s_ref, v_ref, (passed_ref, min_delta_ref, violation_ref) = (
+        _svd_reference_trials(sol, 12, seed=4))
     assert v_ref.shape[0] == expected_rank
 
     s_vals, u_range, _, q_mul = _qr_svd(h_disc.T.copy(order="F"))
@@ -171,31 +184,17 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
 
     report = verify_minimality(sol, trials=12, seed=4)
     assert report.mode == "kernel+pinv"
-    assert report.trials_passed == passed_ref
     assert report.kernel_dimension == h_disc.shape[1] - expected_rank
+    # the block of trials against the one-draw-at-a-time loop
+    assert report.trials_passed == passed_ref
+    assert_allclose(report.min_energy_increase, min_delta_ref, rtol=1e-9)
     assert report.max_constraint_violation <= 1e-9
+    assert violation_ref <= 1e-9
 
-
-@pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
-                         ids=["modal-plus-zone", "rank-deficient"])
-def test_minimality_qr_route_matches_pinv_and_per_trial_loop(setup):
-    basis, region, acts, _ = setup()
-    rng = np.random.default_rng(11)
-    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
-                               rng.standard_normal(len(basis.modes))))
-    report = verify_minimality(sol, trials=12, seed=4)
-
-    # the cross-check's map on its own resolution, whitened by the time metric
-    d, window = sol.gramian.coefficient_matrix, sol.problem.window
-    taus, weights = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=PINV_NODES, eps=0.0,
-                                length=window.length)
-    kernel = _ml_matrix(0.7, basis.lams, taus)
-    metric = np.tile(weights * window.b * np.exp(-taus), d.shape[0])
-    whitened = (np.einsum("ip,pq->piq", d, kernel * weights)
-                .reshape(-1, metric.size) / np.sqrt(metric))
+    # the cross-check's minimal-norm control against np.linalg.pinv
+    whitened = _whitened_pinv_map(sol)
     x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
     s_full = np.linalg.svd(whitened, compute_uv=False)
-
     s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T.copy(order="F"))
     assert u_k.shape[1] == vt_k.shape[0] == np.count_nonzero(s_full > 1e-12 * s_full[0])
     x = q_mul(u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
@@ -204,13 +203,48 @@ def test_minimality_qr_route_matches_pinv_and_per_trial_loop(setup):
     gap_ref = abs(sol.energy - pinv_energy) / max(sol.energy, pinv_energy)
     assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
 
-    # the block of trials against the one-draw-at-a-time loop
-    _, _, _, (passed_ref, min_delta_ref, violation_ref) = _svd_reference_trials(
-        sol, 12, seed=4)
-    assert report.trials_passed == passed_ref
-    assert_allclose(report.min_energy_increase, min_delta_ref, rtol=1e-9)
+
+@pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["tall", "wide"])
+def test_qr_svd_matches_svd_on_tall_and_wide_input(shape):
+    """A rank-25 matrix: a wide one has fewer reflectors than columns."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((shape[0], 25)) @ rng.standard_normal((25, shape[1]))
+    u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    s_vals, u_k, vt_k, q_mul = _qr_svd(a.copy(order="F"))
+    assert u_k.shape[1] == vt_k.shape[0] == 25
+    assert_allclose(s_vals[:25], s_ref[:25], rtol=0, atol=1e-12 * s_ref[0])
+    # Q U spans the column space; Q^T a is R = U S V^T
+    y = rng.standard_normal((shape[0], 3))
+    assert_allclose(q_mul(u_k @ (u_k.T @ q_mul(y, "T"))),
+                    u_ref[:, :25] @ (u_ref[:, :25].T @ y), rtol=0, atol=1e-10)
+    assert_allclose(q_mul(a, "T"), (u_k * s_vals[:25]) @ vt_k, rtol=0,
+                    atol=1e-12 * s_ref[0])
+    # the minimal-norm solve of a^T x = rhs, as verify_minimality takes it
+    rhs = rng.standard_normal(shape[1])
+    x = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:25])[:, None]).ravel()
+    x_ref = np.linalg.pinv(a.T, rcond=1e-12) @ rhs
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_minimality_cross_check_with_more_modes_than_nodes():
+    """One zone actuator at cutoff 10 in 2-D: 100 modes against PINV_NODES = 96
+    time nodes, so the cross-check factors a wide matrix."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 10)
+    acts = ActuatorSet((Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
+                                 lambda p: np.ones(p.shape[0]), "zone"),))
+    sol = solve_hum(HumProblem(basis, Region.box(domain, (0.0, 0.5), (0.0, 1.0)),
+                               acts, 0.7, WINDOW,
+                               np.random.default_rng(11).standard_normal(100)))
+    report = verify_minimality(sol, trials=12, seed=4)
+    whitened = _whitened_pinv_map(sol)
+    assert whitened.shape[0] > whitened.shape[1]
+    x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
+    # the smallest kept singular value is ~1e-11 s[0], so rounding in either
+    # factorization moves the minimal-norm energy by up to ~eps s[0]/s_min ~ 2e-5
+    assert_allclose(report.pinv_energy, float(x_ref @ x_ref), rtol=1e-4)
+    assert report.trials_passed == 12
     assert report.max_constraint_violation <= 1e-9
-    assert violation_ref <= 1e-9
 
 
 def test_synthesis_is_linear_in_the_target():
