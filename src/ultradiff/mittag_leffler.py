@@ -13,31 +13,25 @@ scalar `mittag_leffler` is its one-element case there.  The regimes:
   sum is ~1e-3), and the textbook asymptotic has not kicked in yet.
 * z <= -50: the classical asymptotic expansion in 1/z.
 
-The contour rule (N=32, h=3/N, mu=pi*N/12) was tuned against a
-high-precision series oracle: worst absolute error 2.1e-12 over
-alpha in [0.1, 0.995], z in [-65, -0.05]; the asymptotic branch agrees with
-it to 1.7e-13 on [-80, -50].  For alpha > 0.985 the contour degrades, and the
-moderate range falls back per element to the compensated float64 series where
-that is cheap and cancellation-safe, and to an mpmath series otherwise (slow,
-but that corner is rare).
+The contour rule (N=32, h=3/N, mu=pi*N/12; Weideman & Trefethen, Math. Comp.
+76 (2007) 1341) serves every order 0 < alpha <= 1 with no special case near
+alpha = 1; only alpha = beta = 1 short-cuts to exp.  Against a high-precision
+series oracle its worst absolute error is 2.1e-12 over alpha in [0.1, 0.995],
+z in [-65, -0.05], and 1.5e-12 over alpha in [0.985, 1], beta in
+[0.3, 3.5], z in [-50, 0) (2.6e-13 for beta in {alpha, 1}).  The asymptotic
+branch agrees with it to 1.7e-13 on [-80, -50].
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-logger = logging.getLogger(__name__)
-
 _MAX_TERMS = 10_000
 _ASYMPTOTIC_CUT = -50.0
 _ASYMPTOTIC_TERMS = 10
-_SERIES_TERM_BUDGET = 220        # float64 series allowed up to this length
-_SERIES_PEAK_DIGITS = 3.0        # ... and up to ~1e3 peak-term magnitude
-_CONTOUR_ALPHA_MAX = 0.985
 _TINY_Z = 1e-8
 
 
@@ -64,20 +58,6 @@ def _check_orders(alpha: float, beta: float) -> None:
 # ---------------------------------------------------------------------------
 # branch internals
 # ---------------------------------------------------------------------------
-
-def _series_peak_log10(alpha: float, beta: float, x: float) -> float:
-    """log10 of the largest series term at argument magnitude x."""
-    if x <= 1.0:
-        return 0.0
-    n_pk = max(0.0, (x ** (1.0 / alpha) - beta) / alpha)
-    if n_pk <= 0.0:
-        return 0.0
-    return (n_pk * math.log(x) - gammaln(n_pk * alpha + beta)) / math.log(10.0)
-
-
-def _series_term_estimate(alpha: float, beta: float, x: float) -> float:
-    return 2.5 * max(0.0, (x ** (1.0 / alpha) - beta) / alpha) + 40.0
-
 
 def _series_f64(alpha: float, beta: float, z: float) -> float:
     """Compensated direct series; caller guarantees it is float64-safe."""
@@ -112,7 +92,13 @@ def _contour(alpha: float, beta: float, z) -> np.ndarray:
     pref = np.exp(zeta) * zeta ** (alpha - beta) * (1.0 + 1j * u)
     g = pref[:, None] / (zeta[:, None] ** alpha - np.asarray(z, dtype=float)[None, :])
     g[0] *= 0.5
-    return (2.0 * mu * h / math.pi) * g.real.sum(axis=0)
+    # one fixed order of additions, so a value does not depend on its batch
+    # (numpy's axis-0 sum is pairwise for one column, row by row for several)
+    gr = g.real
+    acc = gr[0].copy()
+    for row in gr[1:]:
+        acc += row
+    return (2.0 * mu * h / math.pi) * acc
 
 
 def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:
@@ -124,40 +110,6 @@ def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:
         zn = zn / z
         s -= zn * rgamma(beta - n * alpha)
     return s
-
-
-def _series_mp(alpha: float, beta: float, z: float) -> float:
-    """High-precision series for the rare corner the contour cannot serve."""
-    import mpmath as mp
-
-    peak = _series_peak_log10(alpha, beta, abs(z))
-    dps = int(peak) + 60
-    if dps > 3000:
-        raise MLConvergenceError(alpha, beta, z, "required precision exceeds 3000 digits")
-    with mp.workdps(dps):
-        a, b, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
-        total = mp.mpf(0)
-        for n in range(_MAX_TERMS):
-            term = zz ** n / mp.gamma(a * n + b)
-            total += term
-            if n > 4 and abs(term) < mp.mpf(10) ** (-(dps - 5)) * max(abs(total), mp.mpf(1)):
-                return float(total)
-    raise MLConvergenceError(alpha, beta, z, f"no convergence in {_MAX_TERMS} terms")
-
-
-def _series_is_cheap(alpha: float, beta: float, x: float) -> bool:
-    """True when the float64 series at -x is short and cancellation-safe."""
-    return (_series_term_estimate(alpha, beta, x) <= _SERIES_TERM_BUDGET
-            and _series_peak_log10(alpha, beta, x) <= _SERIES_PEAK_DIGITS)
-
-
-def _series_or_mp(alpha: float, beta: float, z: float) -> float:
-    """Mid-range value for alpha above the contour's range: the float64 series
-    where it is cheap, the high-precision series otherwise."""
-    if _series_is_cheap(alpha, beta, -z):
-        return _series_f64(alpha, beta, z)
-    logger.debug("ml: high-precision fallback at alpha=%s beta=%s z=%s", alpha, beta, z)
-    return _series_mp(alpha, beta, z)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +157,5 @@ def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
     if big.any():
         out[big] = _asymptotic(alpha, beta, z[big])
     if mid.any():
-        if alpha <= _CONTOUR_ALPHA_MAX:
-            out[mid] = _contour(alpha, beta, z[mid])
-        else:
-            out[mid] = [_series_or_mp(alpha, beta, zi) for zi in z[mid]]
+        out[mid] = _contour(alpha, beta, z[mid])
     return out

@@ -6,6 +6,8 @@ problem only (no import or fixture cost).
 """
 
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -357,6 +359,38 @@ def test_minimum_energy_synthesis_end_to_end():
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.2f}s  (ceiling 120s)")
     assert elapsed < 120.0
+
+
+def test_near_classical_order_synthesis_without_mpmath():
+    # alpha = 0.99: the selftest's 1-D problem (4 whole-domain modal
+    # actuators, window [1, e]) meets every synthesize gate
+    window = LogTimeWindow(1.0, math.e)
+    basis = SpectralBasis(UNIT_INTERVAL, 4)
+    region = Region.box(UNIT_INTERVAL, (0.2, 0.9))
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(UNIT_INTERVAL),
+                 (lambda i: lambda p: basis.modes[i].value(p))(i), f"mode-{i}")
+        for i in range(4)))
+    target = np.array([0.4, -0.2, 0.1, 0.05])
+    solution = solve_hum(HumProblem(basis, region, acts, 0.99, window, target))
+    gnorm2 = g_norm(solution.g_coefficients, solution.gramian)
+    identity_gap = abs(solution.energy - gnorm2) / max(solution.energy, gnorm2)
+    print(f"alpha 0.99: residual {solution.residual_relative:.3e}, "
+          f"energy-identity gap {identity_gap:.3e}  (bounds 1e-6)")
+    assert solution.residual_relative <= 1e-6
+    assert identity_gap <= 1e-6
+    assert verify_minimality(solution, trials=12, seed=0).passed
+
+    # a whole alpha = 0.99 table over z in [-80, 0] never loads mpmath
+    code = ("import sys; import numpy as np; import ultradiff\n"
+            "from ultradiff.mittag_leffler import ml_on_negative_axis\n"
+            "z = np.linspace(-80.0, 0.0, 2001)\n"
+            "for beta in (0.99, 1.0, 1.99):\n"
+            "    assert np.all(np.isfinite(ml_on_negative_axis(0.99, beta, z)))\n"
+            "print('mpmath' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 # -- 7: first-order limit reproduces the elementary exponential answers -------

@@ -1,9 +1,13 @@
 """Propagator special-function tests.
 
-The reference table below was produced by an independent 50-digit mpmath
-power-series/asymptotic evaluator (not the shipped code path) and frozen at
-25 significant digits; cross-checks between the independent branches agreed
-to better than 1e-25 relative.
+The reference tables below were produced by independent 50-digit mpmath
+evaluators (not the shipped code path) and frozen at 25 significant digits,
+so no test needs mpmath at run time.  For ORACLE, cross-checks between the
+independent power-series and asymptotic branches agreed to better than 1e-25
+relative.  NEAR_ONE was produced with mpmath 1.3.0 by summing the defining
+power series at 50 decimal digits plus the digits of its largest term
+(~|z| / ln 10 near alpha = 1), until a term fell below 10^-(digits + 5); a
+second summation 30 digits wider agreed to 3.4e-47 relative at every entry.
 """
 
 import math
@@ -12,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from ultradiff.mittag_leffler import (MLConvergenceError, _series_f64,
-                                      _series_is_cheap, mittag_leffler,
-                                      ml_on_negative_axis)
+                                      mittag_leffler, ml_on_negative_axis)
 
 # (alpha, beta, z, E_{alpha,beta}(z)) — frozen 25-digit reference values
 ORACLE = [
@@ -43,9 +47,101 @@ ORACLE = [
 ]
 
 
+# arguments of NEAR_ONE: the tiny-z Taylor, contour and asymptotic branches
+NEAR_ONE_Z = (-1e-9, -1e-3, -0.05, -0.5, -2.0, -8.0, -20.0, -45.0, -55.0, -80.0)
+
+# (alpha, beta) -> E_{alpha,beta}(z) for z in NEAR_ONE_Z, orders up to alpha = 1
+NEAR_ONE = {
+    (0.985, 0.985): (
+        0.9911943416697598930177129, 0.9901823949260400469475778,
+        0.9418512254954920039329705, 0.5953898701793079990857312,
+        0.1311162974477379592731088, 0.0007601754191677441671183748,
+        0.00004673376111875356597136741, 0.000008068263578794855399562768,
+        0.000005306917867440733133823058, 0.000002448723230492651685895563),
+    (0.985, 1.0): (
+        0.9999999989937113277401074, 0.9989942250943986481253185,
+        0.9509486684467283310204004, 0.6058803993196205992753978,
+        0.1396543579502868871685644, 0.002962664121464018536652176,
+        0.0008439097296746166181674653, 0.0003518165175359399426977153,
+        0.0002853863117420887077022744, 0.0001938954158408832099700939),
+    (0.99, 0.99): (
+        0.9941622982077029570090445, 0.9931544520677217278415771,
+        0.945007487971629091971484, 0.5991075497357993275443276,
+        0.1325004592158524990466872, 0.0006226998826906459499734245,
+        0.00003130100920891222507015469, 0.000005395356424270818565080421,
+        0.000003548227971001331666375757, 0.000001636878698613061964421952),
+    (0.99, 1.0): (
+        0.9999999989957956578667844, 0.9989963047575470263885502,
+        0.9510416089546131465023215, 0.6060899526314164783549838,
+        0.1382172806980640258397761, 0.002091731629058404744329806,
+        0.0005616234836749524490371004, 0.0002339806270823245674664673,
+        0.0001897858494438149541073607, 0.0001289301297632232494541227),
+    (0.995, 0.995): (
+        0.9970975290740477156029811, 0.9960938325111904257366462,
+        0.9481335845749071424478685, 0.6028212600844603067200165,
+        0.1339066651124016464924148, 0.0004811728284096331437448704,
+        0.00001572247114052036997733851, 0.000002705737719034978221341065,
+        0.000001779129516372409842668309, 0.0000008205821818587359218944353),
+    (0.995, 1.0): (
+        0.9999999989978919300742212, 0.9989983963850790350897286,
+        0.9511351964841030033387429, 0.6063067027847760419442739,
+        0.1367775288769377217468583, 0.001216023535557674706686895,
+        0.000280304989788725879811627, 0.0001167034755758741431365507,
+        0.00009465322207019409874396844, 0.00006429587226681376544905561),
+    (0.999, 0.999): (
+        0.9994221274983515284543503, 0.9984217850821690046981991,
+        0.950612681317553681681742, 0.6057891410966375992079359,
+        0.1350477490385724191176335, 0.000364945836977837155880664,
+        0.000003157296182159643146119709, 0.0000005424081237144280104205254,
+        0.0000003566099927820794396846308, 0.0000001644512079234355000170395),
+    (0.999, 1.0): (
+        0.9999999989995774494506768, 0.9990000782049365906146219,
+        0.951210527972098034168988, 0.6064852913369113155761329,
+        0.1356239229945434428682181, 0.0005119669014045613428059959,
+        0.00005597906803527703767370816, 0.00002329408052209015427225675,
+        0.00001889173452440026569890046, 0.00001283174973187814119000116),
+    (0.9999, 0.9999): (
+        0.9999422708746866037591147, 0.998942687298948596602265,
+        0.951167804791937472343985, 0.6064565161825330788170224,
+        0.1353064888640807097160672, 0.0003384187067188010159178871,
+        0.0000003178331105681854146989499, 0.00000005426881653828223462877765,
+        0.00000003567841355202869327667651, 0.00000001645255329963939922106313),
+    (0.9999, 1.0): (
+        0.9999999989999577243977109, 0.999000457649492818962332,
+        0.9512275337058759233819912, 0.6065261098875411825550365,
+        0.1353641513911166823328311, 0.0003531219261456608976662732,
+        0.000005597852390804933806698582, 0.000002328350367121354166253138,
+        0.000001888291133161838151863277, 0.000001282553575033009779461417),
+    (1.0, 0.7): (
+        0.770383182766018593967712, 0.7692832836021632242737097,
+        0.7169446950696038697292168, 0.3556378115364301698375672,
+        -0.04539789030952993643359756, -0.03582836066693322184724199,
+        -0.01241180783624349067673288, -0.005292457910640972149592262,
+        -0.004305836512302861429408797, -0.002937290722035587765621826),
+    (1.0, 1.3): (
+        1.114242507690192225003963, 1.113385771468799845355742,
+        1.07230471517226829521902, 0.7662340341686772501863997,
+        0.2881397265803378114063173, 0.04686934065251077204811164,
+        0.0173567169602303452576952, 0.007548485764801796997221668,
+        0.006157555695779972087804207, 0.00421577492303801131651669),
+}
+
+
 @pytest.mark.parametrize("alpha,beta,z,expected", ORACLE)
 def test_against_frozen_reference(alpha, beta, z, expected):
     assert_allclose(mittag_leffler(alpha, beta, z), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("alpha,beta", list(NEAR_ONE))
+def test_orders_near_one_against_frozen_reference(alpha, beta):
+    # the contour serves alpha -> 1 with no fallback: router and scalar both
+    # stay within 1e-11 absolute of the 50-digit values on every branch
+    z = np.array(NEAR_ONE_Z)
+    expected = np.array(NEAR_ONE[(alpha, beta)])
+    assert_allclose(ml_on_negative_axis(alpha, beta, z), expected,
+                    rtol=0, atol=1e-11)
+    scalar = np.array([mittag_leffler(alpha, beta, zz) for zz in z])
+    assert_allclose(scalar, expected, rtol=0, atol=1e-11)
 
 
 def test_value_at_zero_is_reciprocal_gamma():
@@ -63,12 +159,21 @@ def test_classical_limit_is_exponential():
         assert_allclose(mittag_leffler(1.0, 1.0, zz), math.exp(zz), rtol=1e-12)
 
 
+def _float64_series_is_valid(alpha, beta, x):
+    """Where the float64 series at -x is a valid reference: short (an
+    estimated <= 220 terms) and cancellation-safe (largest term <= 1e3)."""
+    n_peak = max(0.0, (x ** (1.0 / alpha) - beta) / alpha)
+    peak_log10 = 0.0 if x <= 1.0 or n_peak <= 0.0 else \
+        (n_peak * math.log(x) - gammaln(n_peak * alpha + beta)) / math.log(10.0)
+    return 2.5 * n_peak + 40.0 <= 220 and peak_log10 <= 3.0
+
+
 def test_vectorized_matches_scalar():
     # the router (tiny-z and contour branches) against the independent
     # compensated float64 series, wherever that series is cheap and safe
     for alpha, beta in ((0.7, 0.7), (0.3, 1.0), (0.5, 0.5), (0.9, 1.3)):
         z = np.array([zz for zz in -np.geomspace(1e-10, 55.0, 400)
-                      if _series_is_cheap(alpha, beta, -zz)])
+                      if _float64_series_is_valid(alpha, beta, -zz)])
         assert z.size >= 100
         vec = ml_on_negative_axis(alpha, beta, z)
         series = np.array([_series_f64(alpha, beta, zz) for zz in z])
@@ -80,16 +185,26 @@ def test_vectorized_matches_scalar():
     (0.3, 1.0, (-0.5, -7.5, -30.0)),                # contour
     (0.7, 0.7, (-2.0, -8.5, -45.0)),                # contour
     (0.5, 0.5, (-50.0, -80.0, -400.0)),             # asymptotic
-    (0.99, 1.0, (-0.5, -2.0, -30.0)),               # alpha > 0.985 fallback
+    (0.99, 1.0, (-0.5, -2.0, -30.0)),               # contour near alpha = 1
     (0.9999, 0.9999, (-1e-9, -3.0, -60.0)),
     (1.0, 1.0, (0.0, -3.0, -70.0)),                 # classical exp
 ])
 def test_scalar_is_the_routers_one_element_case(alpha, beta, zs):
     # one branch table: on z <= 0 the scalar is the router's own value, to
-    # the bit (per element: a batched contour sum may reorder its additions)
+    # the bit
     for z in zs:
         assert mittag_leffler(alpha, beta, z) == \
             ml_on_negative_axis(alpha, beta, np.array([z]))[0]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.7, 0.7),
+                                        (0.9, 1.3), (0.99, 1.0), (1.0, 1.3)])
+def test_batched_values_match_one_element_calls(alpha, beta):
+    # a value must not depend on which other arguments share its call
+    z = -np.geomspace(1e-8, 49.9, 300)
+    batched = ml_on_negative_axis(alpha, beta, z)
+    single = np.array([ml_on_negative_axis(alpha, beta, zz)[0] for zz in z])
+    assert np.array_equal(batched, single)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.7, 0.7),
