@@ -37,7 +37,6 @@ from .controllability import (
     ControllabilityVerdict,
     GradientGramian,
     approx_controllability_verdict,
-    apply_H,
     apply_H_adjoint,
     assemble_gramian,
     strategic_test,
@@ -84,7 +83,6 @@ __all__ = [
     "ControllabilityVerdict",
     "GradientGramian",
     "approx_controllability_verdict",
-    "apply_H",
     "apply_H_adjoint",
     "assemble_gramian",
     "strategic_test",

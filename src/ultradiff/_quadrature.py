@@ -1,6 +1,6 @@
 """Shared quadrature rules.
 
-Two families cover everything in the package:
+Three families cover everything in the package:
 
 * ``power_weighted_rule`` — nodes/weights for integrals of the form
   ``int_0^T tau^p g(tau) dtau`` where ``g`` is smooth on [0, T) but may
@@ -10,14 +10,18 @@ Two families cover everything in the package:
   absorbed, plus dyadically refined Gauss-Legendre panels on [T/2, T]
   whose geometric clustering soaks up any endpoint behavior.
 
+* ``kernel_rule`` — the propagator kernels' time rule in ``y = tau^alpha``:
+  a head of width ``1/lam_max``, then Gauss-Legendre panels doubling in width.
+
 * plain Gauss rules on [0, 1], cached.
 
-All rules are returned in unit form (T = 1) and scaled by callers:
-``int_0^T tau^p g = T^{p+1} * sum(wbar_i * g(T*xi_i))``.
+``power_weighted_rule`` is returned in unit form (T = 1) and scaled by
+callers: ``int_0^T tau^p g = T^{p+1} * sum(wbar_i * g(T*xi_i))``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -72,15 +76,18 @@ def power_weighted_rule(p: float, n: int = 64, tail_panels: int = 120,
 
 @lru_cache(maxsize=None)
 def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
-                length: float = 1.0):
+                length: float = 1.0, lam_max: float = 0.0):
     """Nodes/weights (tau_i, w_i) for int_eps^length tau^p g(tau) dtau
     when g is an entire function of y = tau^alpha (propagator kernels are).
 
-    Computed in the y variable so Gauss rules see a smooth integrand:
-    with q = (p+1)/alpha - 1,  int tau^p g dtau = (1/alpha) int y^q g dy.
-    eps > 0 switches to plain Gauss-Legendre on [eps^alpha, length^alpha]
-    with the explicit power factor (used when p <= -1 makes the weight
-    non-integrable at 0 and a cutoff was requested).
+    Built in y, where the integral is (1/alpha) int y^q g dy, q = (p+1)/alpha - 1.
+    E_{a,a}(-lam y) varies on a 1/lam scale, so for the largest decay rate
+    lam_max the n nodes are split evenly over a head [y0, y0 + 1/lam_max]
+    (y0 = eps^alpha) and Gauss-Legendre panels doubling in width, the last one
+    running on to length^alpha.  The head is Gauss-Jacobi with y^q absorbed
+    when eps = 0; with eps > 0 (a cutoff for p <= -1) every piece is
+    Gauss-Legendre with y^q explicit.  While lam_max (length^alpha - y0) < 3,
+    as for the default lam_max = 0, the head is the whole interval.
     """
     if length <= 0.0:
         raise ValueError(f"integration length must be positive, got {length}")
@@ -89,16 +96,21 @@ def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
         if q <= -1.0:
             raise ValueError(
                 f"kernel weight tau^{p} is non-integrable at 0 for alpha={alpha}")
-        y, wy = gauss_jacobi_01(n, q)
-        Y = length ** alpha
-        y = y * Y
-        wy = wy * Y ** (q + 1.0) / alpha
-    else:
-        if not 0.0 < eps < length:
-            raise ValueError(f"cutoff must lie inside (0, {length}), got {eps}")
-        x, wx = gauss_legendre_01(n)
-        y0, Y = eps ** alpha, length ** alpha
-        y = y0 + (Y - y0) * x
-        wy = wx * (Y - y0) * y ** q / alpha
-    tau = y ** (1.0 / alpha)
-    return tau, wy
+    elif not 0.0 < eps < length:
+        raise ValueError(f"cutoff must lie inside (0, {length}), got {eps}")
+    y0, Y = eps ** alpha, length ** alpha
+    pieces = max(1, math.floor(math.log2(1.0 + lam_max * (Y - y0))))
+    edges = [y0] + [y0 + (2.0 ** k - 1.0) / lam_max for k in range(1, pieces)] + [Y]
+    ys, ws = [], []
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        size = n // pieces + (k < n % pieces)
+        if k == 0 and eps == 0.0:
+            x, w = gauss_jacobi_01(size, q)
+            ys.append(x * hi)
+            ws.append(w * hi ** (q + 1.0))
+        else:
+            x, w = gauss_legendre_01(size)
+            ys.append(lo + (hi - lo) * x)
+            ws.append(w * (hi - lo) * ys[-1] ** q)
+    wy = np.concatenate(ws) / alpha
+    return np.concatenate(ys) ** (1.0 / alpha), wy

@@ -59,14 +59,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .controllability import (DEFAULT_KERNEL_NODES,
-                              approx_controllability_verdict, assemble_gramian,
+from .controllability import (approx_controllability_verdict, assemble_gramian,
                               strategic_test, worked_example_mode_means,
                               worked_example_pairing_table)
 from .hum import (RESIDUAL_NODES, HumProblem, energy, g_norm, solve_hum,
                   verify_minimality)
 from .logtime import LogTimeWindow
-from .solver import (DEFAULT_CONTROL_NODES, ControlSignal,
+from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
                        SpectralBasis, default_order)
@@ -487,17 +486,22 @@ def write_report(report: dict, out_dir: str, *, fmt: str = "json",
                                      else v for v in row])
 
 
-def _base_report(scenario: Scenario, basis: SpectralBasis) -> dict:
-    return {
-        "tool_version": __version__,
-        "scenario": scenario.to_dict(),
-        "quadrature": {
-            "spatial_order": default_order(basis),
-            "kernel_nodes": DEFAULT_KERNEL_NODES,
-            "control_nodes": DEFAULT_CONTROL_NODES,
-            "residual_nodes": RESIDUAL_NODES,
-        },
-    }
+def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
+                 residual_map=None) -> dict:
+    """Report header.  Given the Gramian's and the residual's input maps, the
+    quadrature block reports their nodes and ||W_res - W||_F / ||W||_F."""
+    quadrature = {"spatial_order": default_order(basis),
+                  "kernel_nodes": KERNEL_NODES,
+                  "control_nodes": DEFAULT_CONTROL_NODES,
+                  "residual_nodes": RESIDUAL_NODES}
+    if kernel_map is not None:
+        norm = float(np.linalg.norm(kernel_map.matrix))
+        change = float(np.linalg.norm(residual_map.matrix - kernel_map.matrix))
+        quadrature.update(kernel_nodes=kernel_map.nodes,
+                          residual_nodes=residual_map.nodes,
+                          quadrature_rel_change=change / norm if norm else 0.0)
+    return {"tool_version": __version__, "scenario": scenario.to_dict(),
+            "quadrature": quadrature}
 
 
 # -- task runners ---------------------------------------------------------------
@@ -548,7 +552,8 @@ def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
     strategic = strategic_test(basis, region, actuators, alpha=scenario.alpha,
                                window=window, gram=gramian.gram,
                                coefficient_matrix=gramian.coefficient_matrix)
-    report = _base_report(scenario, basis)
+    report = _base_report(scenario, basis, gramian.input_map,
+                          gramian.input_map.with_nodes(RESIDUAL_NODES))
     report.update({
         "task": "analyze",
         "verdict": verdict.verdict,
@@ -597,7 +602,8 @@ def run_synthesize(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dic
     taus = u.tau_grid
     values = u.values
     times = u.times()
-    report = _base_report(scenario, basis)
+    report = _base_report(scenario, basis, solution.gramian.input_map,
+                          solution.residual_map)
     report.update({
         "task": "synthesize",
         "verdict": solution.diagnostics.verdict,

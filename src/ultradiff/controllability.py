@@ -11,7 +11,8 @@ truncated gradient basis, factors as the pair (Gamma, W):
 
   where the e^tau/b factor is the time Jacobian of the substitution
   tau = log(b/t) applied to the 1/t actuator adjoint — dropping it breaks the
-  energy identities downstream.
+  energy identities downstream.  W is summed by the discrete input map
+  (`solver._InputMap`) that the synthesis and its checks reuse.
 
 Verdicts are read from the eigenvalues of the symmetric coordinate operator
 Gamma^(1/2) W Gamma^(1/2), whose Rayleigh quotients are exactly those of the
@@ -28,17 +29,14 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh, svd
 
-from ._quadrature import kernel_rule
 from .logtime import LogTimeWindow
-from .solver import (ControlSignal, EnergyDivergenceError, SpectralState,
-                     _ml_matrix, forced_solution)
+from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
 from .spectral import (ActuatorSet, GradientBasisGram, Region, SpectralBasis,
                        actuator_coefficients, box_quadrature, default_order,
                        gradient_gram, region_inner_product)
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_KERNEL_NODES = 160
 RANK_RTOL = 1e-10
 
 
@@ -82,7 +80,7 @@ class GradientGramian:
     gram: GradientBasisGram            # Gamma
     matrix: np.ndarray                 # W
     epsilon_cutoff: float | None = None
-    kernel_nodes: int = DEFAULT_KERNEL_NODES
+    input_map: _InputMap | None = None   # the map W was summed on
 
     def __post_init__(self) -> None:
         w = np.asarray(self.matrix, dtype=float)
@@ -91,6 +89,14 @@ class GradientGramian:
         w = 0.5 * (w + w.T)
         w.setflags(write=False)
         object.__setattr__(self, "matrix", w)
+        if self.input_map is None and (self.alpha > 0.5 or self.epsilon_cutoff):
+            object.__setattr__(self, "input_map", _InputMap(
+                self.coefficient_matrix, self.basis.lams, self.alpha, self.window,
+                KERNEL_NODES, self.epsilon_cutoff))
+
+    @property
+    def kernel_nodes(self) -> int:
+        return self.input_map.nodes
 
     @cached_property
     def symmetric_operator(self) -> np.ndarray:
@@ -141,16 +147,11 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
     if gram is None:
         gram = gradient_gram(basis, region)
 
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=DEFAULT_KERNEL_NODES,
-                                eps=epsilon or 0.0, length=window.length)
-    jacobian = np.exp(taus) / window.b
-    kernel = _ml_matrix(alpha, basis.lams, taus)      # (n_modes, n_nodes)
-    kernel_cross = (kernel * (weights * jacobian)) @ kernel.T
-    coupling = coefficient_matrix.T @ coefficient_matrix
-    w = coupling * kernel_cross
+    input_map = _InputMap(coefficient_matrix, basis.lams, alpha, window,
+                          KERNEL_NODES, epsilon)
     return GradientGramian(basis, region, actuators, alpha, window,
-                           coefficient_matrix, gram, 0.5 * (w + w.T),
-                           epsilon_cutoff=epsilon)
+                           coefficient_matrix, gram, input_map.matrix,
+                           epsilon_cutoff=epsilon, input_map=input_map)
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,6 @@ def approx_controllability_verdict(gramian: GradientGramian,
         cutoff_modes=len(gramian.basis.modes),
         epsilon_cutoff=gramian.epsilon_cutoff,
     )
-
-
-def apply_H(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSignal,
-            alpha: float, window: LogTimeWindow, **kwargs) -> SpectralState:
-    """The input-to-state map at the final time (alias of the forced solution)."""
-    return forced_solution(actuators, basis, u, alpha, window, window.b, **kwargs)
 
 
 def apply_H_adjoint(coefficients, basis: SpectralBasis, alpha: float,

@@ -10,7 +10,8 @@ builds the control from the adjoint datum c,
 
     u*_i(t) = (1/t) (log b/t)^(alpha-1) sum_p E_{aa}(-lam_p (log b/t)^alpha) d_ip c_p,
 
-and re-simulates the controlled state to report an honest residual.  Solving
+and reports an honest residual: the state u* reaches, W c, summed on a second
+kernel rule.  Every quantity is read from a discrete input map.  Solving
 for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
 identities independent of the Gram matrix conditioning; the gradient-basis
@@ -32,8 +33,8 @@ from ._quadrature import kernel_rule
 from .controllability import (GradientGramian, approx_controllability_verdict,
                               assemble_gramian, pinv_solve_symmetric)
 from .logtime import LogTimeWindow
-from .solver import (ControlSignal, EnergyDivergenceError, _ml_matrix,
-                     forced_solution, free_solution)
+from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
+                     _InputMap, free_solution)
 from .spectral import (ActuatorSet, Region, SpectralBasis, box_quadrature,
                        default_order)
 
@@ -102,6 +103,7 @@ class HumSolution:
     energy: float
     residual_relative: float
     diagnostics: HumDiagnostics
+    residual_map: _InputMap | None = None   # the rule the residual is summed on
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -116,22 +118,6 @@ def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
         return np.zeros(len(problem.basis.modes))
     return free_solution(problem.y0_coefficients, problem.basis, problem.alpha,
                          problem.window, problem.window.b).coefficients
-
-
-def _control_from_datum(datum: np.ndarray, coefficient_matrix: np.ndarray,
-                        basis: SpectralBasis, alpha: float, window: LogTimeWindow,
-                        epsilon: float | None) -> ControlSignal:
-    lams = basis.lams
-    b = window.b
-
-    def smooth(tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        kernel = _ml_matrix(alpha, lams, tau)
-        return (coefficient_matrix @ (kernel * datum[:, None])) * (np.exp(tau) / b)
-
-    return ControlSignal.from_smooth_part(smooth, window, alpha,
-                                          clock="from-end",
-                                          epsilon_cutoff=epsilon)
 
 
 def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
@@ -163,24 +149,18 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
 
     g_coeffs, _, _ = pinv_solve_symmetric(gramian.gram.matrix, datum,
                                           rtol=SOLVER_RTOL)
-    control = _control_from_datum(datum, gramian.coefficient_matrix, basis,
-                                  alpha, window, problem.epsilon_cutoff)
+    input_map = gramian.input_map
+    control = input_map.control(datum)
 
-    reached = forced_solution(problem.actuators, basis, control, alpha, window,
-                              window.b, nodes=RESIDUAL_NODES,
-                              coefficient_matrix=gramian.coefficient_matrix,
-                              epsilon=problem.epsilon_cutoff)
-    gap = reached.coefficients + free - problem.target_gradient_coefficients
+    residual_map = input_map.with_nodes(RESIDUAL_NODES)
+    gap = residual_map.matrix @ datum + free - problem.target_gradient_coefficients
     gram = gramian.gram.matrix
     target_norm2 = float(problem.target_gradient_coefficients
                          @ gram @ problem.target_gradient_coefficients)
     gap_norm2 = max(0.0, float(gap @ gram @ gap))
-    if target_norm2 > 0:
-        residual = math.sqrt(gap_norm2 / target_norm2)
-    else:
-        residual = math.sqrt(gap_norm2)
+    residual = math.sqrt(gap_norm2 / target_norm2 if target_norm2 > 0 else gap_norm2)
 
-    cost = energy(control)
+    cost = input_map.energy(datum)
     quadratic = float(datum @ gramian.matrix @ datum)
     identity_gap = (abs(cost - quadratic) / max(cost, quadratic)
                     if max(cost, quadratic) > 0 else 0.0)
@@ -191,7 +171,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
         kept_rank=kept, dropped_directions=n_modes - kept,
         solve_condition_number=cond, energy_identity_gap=identity_gap)
     return HumSolution(problem, gramian, g_coeffs, datum, control,
-                       cost, residual, diagnostics)
+                       cost, residual, diagnostics, residual_map)
 
 
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:
@@ -201,27 +181,19 @@ def g_norm(g_coefficients, gramian: GradientGramian) -> float:
     Gramian quadratic form of the same element (an identity the test suite
     checks rather than assumes).
     """
-    alpha, window = gramian.alpha, gramian.window
-    if alpha <= 0.5 and gramian.epsilon_cutoff is None:
-        raise EnergyDivergenceError(alpha, "the squared-observation integrand")
+    if gramian.alpha <= 0.5 and gramian.epsilon_cutoff is None:
+        raise EnergyDivergenceError(gramian.alpha, "the squared-observation integrand")
     gamma = np.asarray(g_coefficients, dtype=float)
-    datum = gramian.gram.matrix @ gamma
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0),
-                                n=gramian.kernel_nodes,
-                                eps=gramian.epsilon_cutoff or 0.0,
-                                length=window.length)
-    kernel = _ml_matrix(alpha, gramian.basis.lams, taus)
-    observed = gramian.coefficient_matrix @ (kernel * datum[:, None])  # (m, nt)
-    return float(np.sum(weights * (np.exp(taus) / window.b)
-                        * np.sum(observed ** 2, axis=0)))
+    return gramian.input_map.energy(gramian.gram.matrix @ gamma)
 
 
-def energy(u: ControlSignal, *, nodes: int = 160) -> float:
+def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:
     """Plain squared-norm cost of a control over the time window.
 
     Singular (synthesized) signals integrate their tau^(2 alpha - 2) factor
     through the weighted rule; for alpha <= 1/2 that integral diverges and the
-    signal must carry an epsilon cutoff.
+    signal must carry an epsilon cutoff.  A signal carries no decay rates for
+    the rule to follow, so the synthesis prices u* on its input map instead.
     """
     window = u.window
     if u.smooth_fn is not None:
@@ -267,62 +239,44 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     same.  With trials == 0, or when the discrete map has no null space, only
     the pseudo-inverse comparison runs.
 
-    Both checks factor the transpose of their map A (n_modes x m*nq) once with
-    `_qr_svd`, A^T = Q R, R = U S V^T, and never form Q.  The trials project
-    all draws off the row space Q U as one block; the cross-check's control is
+    Both checks work on an input map's factor A (A A^T = W), whose columns are
+    the nodes whitened by their energy metric: a control's energy is a squared
+    norm there, and u* = A^T c.  Each factors A^T once with `_qr_svd`,
+    A^T = Q R, R = U S V^T, and never forms Q.  The trials project all draws
+    off the row space Q U as one block; the cross-check's control is
     Q U S^-1 V^T rhs over s > 1e-12 s[0], the rule of np.linalg.pinv(rcond=1e-12).
     """
-    problem, gramian = solution.problem, solution.gramian
-    alpha, window = problem.alpha, problem.window
-    eps = problem.epsilon_cutoff or 0.0
-    d = gramian.coefficient_matrix
-    m = d.shape[0]
-    rhs = solution.rhs
+    input_map, rhs = solution.gramian.input_map, solution.rhs
 
-    # discrete map on the solution's own quadrature resolution
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0),
-                                n=gramian.kernel_nodes, eps=eps,
-                                length=window.length)
-    kernel = _ml_matrix(alpha, gramian.basis.lams, taus)    # (n_modes, nq)
-    nq = taus.size
-    h_disc = np.einsum("ip,pq->piq", d, kernel * weights).reshape(-1, m * nq)
-    time_metric = np.tile(weights * window.b * np.exp(-taus), m)
-
-    u_star_smooth = solution.control.smooth_at_tau(taus).ravel()  # (m*nq,)
-    kernel_kept = 0
-    trials_passed = 0
-    min_delta = math.inf
-    max_violation = 0.0
+    # whitened map on the solution's own quadrature resolution
+    factor = input_map.factor()                           # (n_modes, m*nq)
+    u_star = factor.T @ solution.adjoint_datum
+    kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        # factor a copy: h_disc.T is F-ordered, so the factor would overwrite h_disc
-        _, u_range, _, q_mul = _qr_svd(h_disc.T.copy(order="F"))
-        kernel_kept = m * nq - u_range.shape[1]
+        # factor a copy: factor.T is F-ordered, so the QR would overwrite factor
+        _, u_range, _, q_mul = _qr_svd(factor.T.copy(order="F"))
+        kernel_kept = factor.shape[1] - u_range.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            phi = np.random.default_rng(seed).standard_normal((trials, m * nq))
+            phi = np.random.default_rng(seed).standard_normal((trials, factor.shape[1]))
             phi -= q_mul(u_range @ (u_range.T @ q_mul(phi.T, "T"))).T
-            scale = np.sqrt(phi * phi @ time_metric)
+            scale = np.linalg.norm(phi, axis=1)
             phi /= np.where(scale > 0, scale, 1.0)[:, None]
-            max_violation = float(np.linalg.norm(phi @ h_disc.T, axis=1).max()) / rhs_scale
-            delta = 2.0 * (phi @ (time_metric * u_star_smooth)) + phi * phi @ time_metric
+            max_violation = float(np.linalg.norm(phi @ factor.T, axis=1).max()) / rhs_scale
+            delta = 2.0 * (phi @ u_star) + np.sum(phi * phi, axis=1)
             min_delta = float(delta.min())
             trials_passed = int(np.count_nonzero(delta >= -1e-9))
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
     # free the first map and its factors before the second factorization below
-    h_disc = kernel = phi = q_mul = None
+    factor = phi = q_mul = None
 
-    # minimal-norm discrete control on an independent resolution
-    taus2, weights2 = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=PINV_NODES,
-                                  eps=eps, length=window.length)
-    kernel2 = _ml_matrix(alpha, gramian.basis.lams, taus2)
-    metric2 = np.tile(weights2 * window.b * np.exp(-taus2), m)
-    map2 = np.einsum("ip,pq->piq", d, kernel2 * weights2).reshape(-1, m * taus2.size)
-    whitened, map2 = map2 / np.sqrt(metric2), None
+    # minimal-norm discrete control on an independent resolution:
     # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
+    whitened = input_map.with_nodes(PINV_NODES).factor()
     s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T)
     minimal = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
     pinv_energy = float(minimal @ minimal)
@@ -404,15 +358,11 @@ def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet
                              window.b).coefficients
     rhs = target - free
     datum, _, _ = pinv_solve_symmetric(gramian.matrix, rhs, rtol=SOLVER_RTOL)
-    control = _control_from_datum(datum, gramian.coefficient_matrix, basis,
-                                  alpha, window, epsilon)
-    reached = forced_solution(actuators, basis, control, alpha, window, window.b,
-                              nodes=RESIDUAL_NODES,
-                              coefficient_matrix=gramian.coefficient_matrix,
-                              epsilon=epsilon)
-    gap = reached.coefficients + free - target
+    input_map = gramian.input_map
+    gap = input_map.with_nodes(RESIDUAL_NODES).matrix @ datum + free - target
     state_gram = state_restriction_gram(basis, region)
     denom = float(target @ state_gram @ target)
     gap2 = max(0.0, float(gap @ state_gram @ gap))
     residual = math.sqrt(gap2 / denom) if denom > 0 else math.sqrt(gap2)
-    return StateRestrictionSolution(datum, control, energy(control), residual)
+    return StateRestrictionSolution(datum, input_map.control(datum),
+                                    input_map.energy(datum), residual)

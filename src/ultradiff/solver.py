@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 CLOCKS = ("from-end", "from-start")
 
 DEFAULT_CONTROL_NODES = 256
-DEFAULT_TIME_QUAD_NODES = 160
+KERNEL_NODES = 160
 
 
 class EnergyDivergenceError(ValueError):
@@ -292,11 +292,64 @@ class ControlSignal:
 
 
 def _ml_matrix(alpha: float, lams, taus) -> np.ndarray:
-    """E_{alpha,alpha}(-lam_p tau_q^alpha) as a (n_modes, n_taus) table."""
-    lams = np.asarray(lams, dtype=float)
+    """E_{alpha,alpha}(-lam_p tau_q^alpha) as a (n_modes, n_taus) table, with
+    one evaluation per distinct lam (lam_kl = lam_lk on a square)."""
+    lams, rows = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
     taus = np.asarray(taus, dtype=float)
     z = -np.outer(lams, taus ** alpha)
-    return ml_on_negative_axis(alpha, alpha, z.ravel()).reshape(z.shape)
+    return ml_on_negative_axis(alpha, alpha, z.ravel()).reshape(z.shape)[rows]
+
+
+class _InputMap:
+    """The discrete input-to-state map H at t = b, on one kernel rule.
+
+    D (m, n_modes) holds the couplings, tau_q the nodes of `kernel_rule` for
+    int tau^(2 alpha - 2) g dtau placed for the largest decay rate, w_q its
+    weights times the time Jacobian e^tau_q / b, and kappa_pq the table
+    E_{a,a}(-lam_p tau_q^alpha).  For the datum c of u* = H* c, W =
+    (D^T D) o (kappa w kappa^T) is the Gramian factor and W c the state u*
+    reaches; u* has channel outputs D (kappa o c) and energy
+    sum_q w_q |D (kappa o c)_q|^2 = c' W c; A = [d_ip kappa_pq sqrt(w_q)]
+    (rows p, columns iq) is the factor with A A^T = W.
+    """
+
+    def __init__(self, coefficient_matrix: np.ndarray, lams: np.ndarray,
+                 alpha: float, window: LogTimeWindow, nodes: int,
+                 epsilon: float | None = None) -> None:
+        self.d, self.lams, self.nodes = coefficient_matrix, lams, nodes
+        self.alpha, self.window, self.epsilon = alpha, window, epsilon
+        self.taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes,
+                                         eps=epsilon or 0.0, length=window.length,
+                                         lam_max=float(np.max(lams)))
+        self.weights = weights * (np.exp(self.taus) / window.b)
+        self.kernel = _ml_matrix(alpha, lams, self.taus)     # (n_modes, nq)
+
+    def with_nodes(self, nodes: int) -> "_InputMap":
+        return _InputMap(self.d, self.lams, self.alpha, self.window, nodes,
+                         self.epsilon)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        w = (self.d.T @ self.d) * ((self.kernel * self.weights) @ self.kernel.T)
+        return 0.5 * (w + w.T)
+
+    def energy(self, datum: np.ndarray) -> float:
+        outputs = self.d @ (self.kernel * datum[:, None])       # (m, nq)
+        return float(np.sum(self.weights * np.sum(outputs ** 2, axis=0)))
+
+    def control(self, datum: np.ndarray) -> ControlSignal:
+        """u* = H* c, its smooth part D (kappa(tau) o c) e^tau / b exact at any tau."""
+        def smooth(tau):
+            tau = np.atleast_1d(np.asarray(tau, dtype=float))
+            kernel = _ml_matrix(self.alpha, self.lams, tau)
+            return (self.d @ (kernel * datum[:, None])) * (np.exp(tau) / self.window.b)
+
+        return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
+                                              epsilon_cutoff=self.epsilon)
+
+    def factor(self) -> np.ndarray:
+        return np.einsum("ip,pq->piq", self.d, self.kernel * np.sqrt(self.weights)
+                         ).reshape(-1, self.d.shape[0] * self.nodes)
 
 
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
@@ -314,16 +367,17 @@ def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
 
 def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSignal,
                     alpha: float, window: LogTimeWindow, t: float, *,
-                    nodes: int = DEFAULT_TIME_QUAD_NODES,
+                    nodes: int = KERNEL_NODES,
                     coefficient_matrix: np.ndarray | None = None,
                     epsilon: float | None = None) -> SpectralState:
     """State reached from rest at time t under the control u.
 
-    The mode integrals use a Gauss rule in y = s^alpha, which integrates the
-    Mittag-Leffler kernel factors exactly-smoothly; the only special case is a
-    synthesized (singular, from-end clock) control evaluated at t = b, where
-    the control's own tau^(alpha-1) folds into the weight — that product is
-    non-integrable for alpha <= 1/2 and refuses without an epsilon cutoff.
+    The mode integrals use `kernel_rule` in y = s^alpha with its nodes placed
+    for the largest decay rate, so the Mittag-Leffler factors are smooth on
+    every piece of the rule.  The only special case is a synthesized
+    (singular, from-end clock) control evaluated at t = b, where the control's
+    own tau^(alpha-1) folds into the weight — that product is non-integrable
+    for alpha <= 1/2 and refuses without an epsilon cutoff.
     """
     alpha = _check_alpha(alpha)
     window.require_inside(t, open_start=True)
@@ -340,10 +394,11 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
         if alpha <= 0.5 and cutoff == 0.0:
             raise EnergyDivergenceError(alpha, "the control-times-kernel integrand")
         s, w = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes, eps=cutoff,
-                           length=horizon)
+                           length=horizon, lam_max=float(basis.lams.max()))
         channel_values = u.smooth_at_tau(s)
     else:
-        s, w = kernel_rule(alpha, alpha - 1.0, n=nodes, length=horizon)
+        s, w = kernel_rule(alpha, alpha - 1.0, n=nodes, length=horizon,
+                           lam_max=float(basis.lams.max()))
         channel_values = u.evaluate_time(t * np.exp(-s))
 
     kernel = _ml_matrix(alpha, basis.lams, s)

@@ -361,6 +361,30 @@ def test_minimum_energy_synthesis_end_to_end():
     assert elapsed < 120.0
 
 
+@pytest.mark.parametrize("cutoff", [6, 12, 20])
+def test_modal_synthesis_accuracy_holds_as_the_cutoff_grows(cutoff):
+    """One whole-square modal actuator per mode: lam_max grows as cutoff^2, and
+    the kernel rule's nodes must follow it for the residual to stay small."""
+    window = LogTimeWindow(1.0, 3.0)
+    basis = SpectralBasis(UNIT_SQUARE, cutoff)
+    whole = Region.whole(UNIT_SQUARE)
+    acts = ActuatorSet(tuple(Actuator(whole, mode.value, f"mode-{i}")
+                             for i, mode in enumerate(basis.modes)))
+    target = np.random.default_rng(cutoff).standard_normal(len(basis.modes))
+    solution = solve_hum(HumProblem(basis, whole, acts, 0.7, window, target))
+    print(f"K={cutoff}: residual {solution.residual_relative:.3e} (bound 1e-8), "
+          f"energy-identity gap {solution.diagnostics.energy_identity_gap:.3e}"
+          f" (bound 1e-10)")
+    assert solution.residual_relative <= 1e-8
+    assert solution.diagnostics.energy_identity_gap <= 1e-10
+    if cutoff == 12:
+        report = verify_minimality(solution, trials=12, seed=0)
+        print(f"minimality: pseudo-inverse gap {report.rel_pinv_gap:.3e}"
+              f"  (bound 1e-6)")
+        assert report.passed
+        assert report.rel_pinv_gap <= 1e-6
+
+
 def test_near_classical_order_synthesis_without_mpmath():
     # alpha = 0.99: the selftest's 1-D problem (4 whole-domain modal
     # actuators, window [1, e]) meets every synthesize gate

@@ -15,7 +15,7 @@ from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import (RANK_RTOL, GradientGramian,
                                        _rank, _stacked_observation_map,
                                        approx_controllability_verdict,
-                                       apply_H, apply_H_adjoint,
+                                       apply_H_adjoint,
                                        assemble_gramian, pinv_solve_symmetric,
                                        strategic_test, symmetric_square_root,
                                        worked_example_mode_means,
@@ -64,6 +64,11 @@ def test_gramian_is_symmetric_psd():
         GradientGramian(basis, Region.whole(DOMAIN_1D), acts, 0.7, WINDOW,
                         g.coefficient_matrix, g.gram,
                         np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # a Gramian built by hand sums its own input map on the same rule
+    rebuilt = GradientGramian(basis, Region.whole(DOMAIN_1D), acts, 0.7, WINDOW,
+                              g.coefficient_matrix, g.gram, g.matrix)
+    assert rebuilt.kernel_nodes == g.kernel_nodes == 160
+    assert np.array_equal(rebuilt.input_map.matrix, g.matrix)
 
 
 def test_divergence_refusal_and_epsilon_validation():
@@ -116,7 +121,8 @@ def test_input_to_state_duality():
         fn = lambda tau: a0 + a1 * np.cos(tau) + a2 * tau ** 2
         u = ControlSignal.sample(fn, WINDOW, 0.7, clock="from-end")
         v = rng.standard_normal(len(basis.modes))
-        lhs = float(apply_H(acts, basis, u, 0.7, WINDOW).coefficients @ v)
+        lhs = float(forced_solution(acts, basis, u, 0.7, WINDOW,
+                                    WINDOW.b).coefficients @ v)
         channel = d @ (E * v[:, None])             # (m, n_taus)
         rhs = float(weights @ (u.evaluate_tau(taus) * channel).sum(axis=0))
         assert_allclose(lhs, rhs, rtol=1e-7, atol=1e-12)

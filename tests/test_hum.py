@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import GradientGramian, assemble_gramian
 from ultradiff.hum import (PINV_NODES, HumProblem, _qr_svd, energy, g_norm,
                            solve_hum, solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
-from ultradiff.solver import ControlSignal, EnergyDivergenceError, _ml_matrix
+from ultradiff.solver import ControlSignal, EnergyDivergenceError
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis)
 
@@ -93,38 +92,32 @@ def test_minimality_pinv_only_mode():
 
 def _svd_reference_trials(solution, trials, seed):
     """The kernel-perturbation trials, one draw at a time, from the SVD of the
-    whole discrete map.  Returns the map, its singular values and row space,
-    and the trials' pass count, least energy increase and worst violation."""
-    problem, gramian = solution.problem, solution.gramian
-    alpha, window = problem.alpha, problem.window
-    d = gramian.coefficient_matrix
-    m = d.shape[0]
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0),
-                                n=gramian.kernel_nodes, eps=0.0,
-                                length=window.length)
-    kernel = _ml_matrix(alpha, gramian.basis.lams, taus)
-    nq = taus.size
-    h_disc = np.einsum("ip,pq->piq", d, kernel * weights).reshape(-1, m * nq)
-    time_metric = np.tile(weights * window.b * np.exp(-taus), m)
-    u_star_smooth = solution.control.smooth_at_tau(taus).ravel()
+    whole whitened factor of the discrete map.  Returns the factor, its
+    singular values and row space, and the trials' pass count, least energy
+    increase and worst violation."""
+    input_map, window = solution.gramian.input_map, solution.problem.window
+    factor = input_map.factor()
+    # the control at the nodes, scaled by the square root of the energy metric
+    # w_q b e^-tau_q (the map's weights carry w_q e^tau_q / b)
+    u_star = (solution.control.smooth_at_tau(input_map.taus)
+              * np.sqrt(input_map.weights) * window.b * np.exp(-input_map.taus)).ravel()
 
-    s_vals, vh = np.linalg.svd(h_disc, full_matrices=False)[1:]
+    s_vals, vh = np.linalg.svd(factor, full_matrices=False)[1:]
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0]))
     v_range = vh[:rank]
     rng = np.random.default_rng(seed)
     rhs_scale = float(np.linalg.norm(solution.rhs)) or 1.0
     trials_passed, min_delta, max_violation = 0, math.inf, 0.0
     for _ in range(trials):
-        phi = rng.standard_normal(m * nq)
+        phi = rng.standard_normal(factor.shape[1])
         phi -= v_range.T @ (v_range @ phi)
-        phi /= math.sqrt(float(np.sum(time_metric * phi * phi)))
+        phi /= math.sqrt(float(np.sum(phi * phi)))
         max_violation = max(max_violation,
-                            float(np.linalg.norm(h_disc @ phi)) / rhs_scale)
-        delta = (2.0 * float(np.sum(time_metric * u_star_smooth * phi))
-                 + float(np.sum(time_metric * phi * phi)))
+                            float(np.linalg.norm(factor @ phi)) / rhs_scale)
+        delta = 2.0 * float(np.sum(u_star * phi)) + float(np.sum(phi * phi))
         min_delta = min(min_delta, delta)
         trials_passed += delta >= -1e-9
-    return h_disc, s_vals, v_range, (trials_passed, min_delta, max_violation)
+    return factor, s_vals, v_range, (trials_passed, min_delta, max_violation)
 
 
 def _modal_plus_zone_setup():
@@ -154,14 +147,7 @@ def _quadrant_zone_setup():
 
 def _whitened_pinv_map(solution):
     """The cross-check's map on its own resolution, whitened by the time metric."""
-    d, window = solution.gramian.coefficient_matrix, solution.problem.window
-    alpha = solution.problem.alpha
-    taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=PINV_NODES, eps=0.0,
-                                length=window.length)
-    kernel = _ml_matrix(alpha, solution.gramian.basis.lams, taus)
-    metric = np.tile(weights * window.b * np.exp(-taus), d.shape[0])
-    return (np.einsum("ip,pq->piq", d, kernel * weights)
-            .reshape(-1, metric.size) / np.sqrt(metric))
+    return solution.gramian.input_map.with_nodes(PINV_NODES).factor()
 
 
 @pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
@@ -171,20 +157,20 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     rng = np.random.default_rng(11)
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                rng.standard_normal(len(basis.modes))))
-    h_disc, s_ref, v_ref, (passed_ref, min_delta_ref, violation_ref) = (
+    factor, s_ref, v_ref, (passed_ref, min_delta_ref, violation_ref) = (
         _svd_reference_trials(sol, 12, seed=4))
     assert v_ref.shape[0] == expected_rank
 
-    s_vals, u_range, _, q_mul = _qr_svd(h_disc.T.copy(order="F"))
+    s_vals, u_range, _, q_mul = _qr_svd(factor.T.copy(order="F"))
     assert u_range.shape[1] == expected_rank
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
-    phi = rng.standard_normal(h_disc.shape[1])
+    phi = rng.standard_normal(factor.shape[1])
     assert_allclose(q_mul(u_range @ (u_range.T @ q_mul(phi[:, None], "T"))).ravel(),
                     v_ref.T @ (v_ref @ phi), rtol=0, atol=1e-10)
 
     report = verify_minimality(sol, trials=12, seed=4)
     assert report.mode == "kernel+pinv"
-    assert report.kernel_dimension == h_disc.shape[1] - expected_rank
+    assert report.kernel_dimension == factor.shape[1] - expected_rank
     # the block of trials against the one-draw-at-a-time loop
     assert report.trials_passed == passed_ref
     assert_allclose(report.min_energy_increase, min_delta_ref, rtol=1e-9)

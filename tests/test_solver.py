@@ -215,6 +215,16 @@ def test_kernel_rule_moments():
     assert_allclose(np.sum(w), exact, rtol=1e-12)
     with pytest.raises(ValueError, match="non-integrable"):
         kernel_rule(0.4, 2.0 * (0.4 - 1.0), length=L)
+    # nodes placed for lam_max: int_0^L tau^(a-1) E_{a,a}(-lam tau^a) dtau
+    # = (1 - E_a(-lam L^a)) / lam, at decay rates the plain rule misses
+    L = math.log(3.0)
+    for alpha in (0.3, 0.7, 0.99):
+        for lam in (10.0, 1e3, 1e4):
+            tau, w = kernel_rule(alpha, alpha - 1.0, n=160, length=L, lam_max=lam)
+            assert tau.size == 160
+            exact = (1.0 - ml_on_negative_axis(alpha, 1.0, -lam * L ** alpha)) / lam
+            assert_allclose(w @ ml_on_negative_axis(alpha, alpha, -lam * tau ** alpha),
+                            exact, rtol=1e-10)
 
 
 # --- control signal mechanics ------------------------------------------------
