@@ -537,7 +537,7 @@ def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]
     tables = {
         f"{scenario.name}-state-series": (
             ["t"] + [f"c_{p}" for p in range(n_modes)],
-            [[times[j]] + list(series[j]) for j in range(n_samples)]),
+            np.column_stack((times, series)).tolist()),
     }
     write_report(report, out_dir, fmt=fmt, tables=tables)
     return 0, report
@@ -578,7 +578,7 @@ def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
     tables = {
         f"{scenario.name}-spectrum": (
             ["index", "coordinate_operator_eigenvalue"],
-            [[i, float(v)] for i, v in enumerate(eigs)]),
+            [[i, v] for i, v in enumerate(eigs.tolist())]),
     }
     write_report(report, out_dir, fmt=fmt, tables=tables)
     return (0 if verdict.controllable else 2), report
@@ -626,7 +626,7 @@ def run_synthesize(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dic
     tables = {
         f"{scenario.name}-u-star": (
             ["t", "tau"] + [f"u_{i + 1}" for i in range(u.m)],
-            [[times[q], taus[q]] + list(values[:, q]) for q in range(u.n_nodes)]),
+            np.vstack((times, taus, values)).T.tolist()),
     }
     write_report(report, out_dir, fmt=fmt, tables=tables)
     return 0, report

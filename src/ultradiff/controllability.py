@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, svd
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .logtime import LogTimeWindow
 from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
@@ -65,6 +66,35 @@ def pinv_solve_symmetric(matrix: np.ndarray, rhs: np.ndarray,
     kept = vals[keep]
     cond = float(np.max(np.abs(kept)) / np.min(np.abs(kept)))
     return solution, int(np.count_nonzero(keep)), cond
+
+
+def _qr_svd(a: np.ndarray):
+    """SVD of a matrix of any shape from its Householder QR, a = Q R, R = U S V^T.
+
+    Factors `a` in place (pass an F-ordered array the caller can lose) with
+    LAPACK's blocked compact-WY dgeqrt, whose recursive panels run at level-3
+    speed where dgeqrf's are level-2, and never forms Q.  Returns every
+    singular value s, the U columns and V^T rows with s > 1e-12 * s[0], and
+    q_mul: q_mul(y) = Q @ y and q_mul(x, "T") = Q^T @ x for the economic Q,
+    applied from the reflectors and their block factors by dgemqrt.
+    """
+    k = min(a.shape)
+    a, t, info = dgeqrt(min(32, k), a, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
+    v = a[:, :k]                 # a wide `a` has fewer reflectors than columns
+    u_r, s_vals, vt = np.linalg.svd(np.triu(a[:k]))
+    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
+
+    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
+        c = np.zeros((v.shape[0], x.shape[1]), order="F")
+        c[:x.shape[0]] = x
+        c, info = dgemqrt(v, t, c, "L", trans, overwrite_c=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgemqrt failed with info={info}")
+        return c if trans == "N" else c[:k]
+
+    return s_vals, u_r[:, :rank], vt[:rank], q_mul
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +359,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
     stacked = _stacked_observation_map(coefficient_matrix, gram.matrix, kernel,
                                        mode_buckets)
-    stacked_rank = _rank(stacked, rank_rtol)
+    stacked_rank = _count_rank(_qr_svd(stacked)[0], rank_rtol)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
@@ -339,23 +369,30 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
 def _stacked_observation_map(coefficient_matrix: np.ndarray,
                              gram_matrix: np.ndarray, kernel: np.ndarray,
                              mode_buckets: np.ndarray) -> np.ndarray:
-    """Time-sampled observation map, (n_taus * m, n_modes).
+    """Time-sampled observation map, (n_taus * m, n_modes), F-ordered.
 
     Every mode of a bucket uses the kernel row of the bucket's first mode,
     kappa[p], so the rows for time sample t are (D * kappa[:, t]) @ Gamma.
+    Built as (Gamma S^T)^T from the C-ordered stack S of those scaled
+    couplings, so `_qr_svd` factors it in place with no copy.
     """
     _, first, inverse = np.unique(mode_buckets, return_index=True,
                                   return_inverse=True)
     kappa = kernel[first[inverse]]                        # (n_modes, n_taus)
     n_modes = coefficient_matrix.shape[1]
-    scaled = coefficient_matrix[None, :, :] * kappa.T[:, None, :]
-    return scaled.reshape(-1, n_modes) @ gram_matrix
+    scaled = np.multiply(coefficient_matrix[None, :, :], kappa.T[:, None, :],
+                         order="C")
+    return (gram_matrix @ scaled.reshape(-1, n_modes).T).T
 
 
 def _rank(matrix: np.ndarray, rtol: float, scale: float | None = None) -> int:
     if matrix.size == 0:
         return 0
-    s = svd(matrix, compute_uv=False)
+    return _count_rank(svd(matrix, compute_uv=False), rtol, scale)
+
+
+def _count_rank(s: np.ndarray, rtol: float, scale: float | None = None) -> int:
+    """Singular values s (largest first) above rtol times scale, or s[0]."""
     reference = s[0] if scale is None else scale
     return int(np.count_nonzero(s > rtol * reference)) if reference > 0 else 0
 

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dormqr
 
 from ._quadrature import kernel_rule
-from .controllability import (GradientGramian, approx_controllability_verdict,
-                              assemble_gramian, pinv_solve_symmetric)
+from .controllability import (GradientGramian, _qr_svd,
+                              approx_controllability_verdict, assemble_gramian,
+                              pinv_solve_symmetric)
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                      _InputMap, free_solution)
@@ -241,10 +240,11 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     Both checks work on an input map's factor A (A A^T = W), whose columns are
     the nodes whitened by their energy metric: a control's energy is a squared
-    norm there, and u* = A^T c.  Each factors A^T once with `_qr_svd`,
-    A^T = Q R, R = U S V^T, and never forms Q.  The trials project all draws
-    off the row space Q U as one block; the cross-check's control is
-    Q U S^-1 V^T rhs over s > 1e-12 s[0], the rule of np.linalg.pinv(rcond=1e-12).
+    norm there, and u* = A^T c.  Each factors A^T once with `_qr_svd`
+    (blocked Householder QR, LAPACK dgeqrt), A^T = Q R, R = U S V^T, and never
+    forms Q.  The trials project all draws off the row space Q U as one block;
+    the cross-check's control is Q U S^-1 V^T rhs over s > 1e-12 s[0], the
+    rule of np.linalg.pinv(rcond=1e-12).
     """
     input_map, rhs = solution.gramian.input_map, solution.rhs
 
@@ -254,7 +254,8 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        # factor a copy: factor.T is F-ordered, so the QR would overwrite factor
+        # factor a copy: factor.T is F-ordered, so the QR would overwrite the
+        # factor the constraint check reads below
         _, u_range, _, q_mul = _qr_svd(factor.T.copy(order="F"))
         kernel_kept = factor.shape[1] - u_range.shape[1]
         if kernel_kept > 0:
@@ -288,31 +289,6 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     return MinimalityReport(mode, trials, trials_passed, min_delta,
                             max_violation, kernel_kept, solution.energy,
                             pinv_energy, rel_gap, passed)
-
-
-def _qr_svd(a: np.ndarray):
-    """SVD of a matrix of any shape from its Householder QR, a = Q R, R = U S V^T.
-
-    Factors `a` in place (pass an F-ordered array the caller can lose) and
-    never forms Q.  Returns every singular value s, the U columns and V^T rows
-    with s > 1e-12 * s[0], and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
-    Q^T @ x for the economic Q, applied from the reflectors by LAPACK's dormqr.
-    """
-    (h, tau), r = qr(a, overwrite_a=True, mode="raw")
-    h = h[:, :tau.size]          # a wide `a` has fewer reflectors than columns
-    u_r, s_vals, vt = np.linalg.svd(r)
-    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
-
-    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
-        c = np.zeros((h.shape[0], x.shape[1]), order="F")
-        c[:x.shape[0]] = x
-        lwork = int(dormqr("L", trans, h, tau, c, -1, overwrite_c=True)[1][0])
-        c, _, info = dormqr("L", trans, h, tau, c, lwork, overwrite_c=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-        return c if trans == "N" else c[:h.shape[1]]
-
-    return s_vals, u_r[:, :rank], vt[:rank], q_mul
 
 
 # -- state-restriction variant (for cost-comparison properties) --------------

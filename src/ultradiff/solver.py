@@ -348,8 +348,8 @@ class _InputMap:
                                               epsilon_cutoff=self.epsilon)
 
     def factor(self) -> np.ndarray:
-        return np.einsum("ip,pq->piq", self.d, self.kernel * np.sqrt(self.weights)
-                         ).reshape(-1, self.d.shape[0] * self.nodes)
+        return np.einsum("ip,pq->piq", self.d, self.kernel * np.sqrt(self.weights),
+                         order="C").reshape(-1, self.d.shape[0] * self.nodes)
 
 
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,

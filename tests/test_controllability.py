@@ -6,6 +6,7 @@ reciprocal-gamma table, actuator row from the hand closed form).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,68 @@ def test_stacked_observation_map_matches_per_bucket_sum():
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW,
                             time_samples=time_samples)
     assert report.stacked_rank == _rank(reference, RANK_RTOL)
+
+
+def _stacked_map_for(basis, region, acts, time_samples=64):
+    """The stacked observation map exactly as `strategic_test` builds it."""
+    order = default_order(basis)
+    taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
+    return _stacked_observation_map(
+        actuator_coefficients(acts, basis, order),
+        gradient_gram(basis, region, order).matrix,
+        _ml_matrix(0.7, basis.lams, taus),
+        np.array([mode.bucket for mode in basis.modes]))
+
+
+def _unit_square_modal():
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 4)
+    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
+                             for i, mode in enumerate(basis.modes)))
+    return basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)), acts, len(basis.modes)
+
+
+def _quadrant_zone():
+    """One zone actuator on the quadrant of [-1, 1]^2: one direction per
+    distinct k^2 + l^2 over odd k, l."""
+    basis = SpectralBasis(SQUARE, 4, "whole-wave")
+    quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
+    acts = ActuatorSet((Actuator(quadrant, lambda p: np.ones(p.shape[0]), "zone"),))
+    rank = len({k * k + l * l for k, l in (mode.index for mode in basis.modes)
+                if k % 2 == 1 and l % 2 == 1})
+    return basis, quadrant, acts, rank
+
+
+@pytest.mark.parametrize("setup", [_unit_square_modal, _quadrant_zone],
+                         ids=["full-rank", "rank-deficient"])
+def test_stacked_rank_from_qr_matches_svd(setup):
+    basis, region, acts, expected_rank = setup()
+    s = np.linalg.svd(_stacked_map_for(basis, region, acts), compute_uv=False)
+    svd_rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    assert svd_rank == expected_rank
+    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
+    assert report.stacked_rank == svd_rank
+
+
+def test_dense_maps_are_built_in_the_layout_qr_overwrites():
+    """A transposed C-ordered factor and the stacked map are F-ordered, so the
+    in-place QR factors them with no hidden copy."""
+    basis, region, acts, _ = _unit_square_modal()
+    gramian = assemble_gramian(basis, region, acts, 0.7, WINDOW)
+    input_map = gramian.input_map
+    tracemalloc.start()
+    try:
+        factor = input_map.factor()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.flags.c_contiguous and factor.T.flags.f_contiguous
+    assert peak < 1.5 * factor.nbytes    # the reshape is a view, not a copy
+    reference = np.einsum("ip,pq->piq", input_map.d,
+                          input_map.kernel * np.sqrt(input_map.weights)).reshape(
+        -1, input_map.d.shape[0] * input_map.nodes)
+    assert np.array_equal(factor, reference)
+    assert _stacked_map_for(basis, region, acts).flags.f_contiguous
 
 
 def test_verdict_threshold_semantics():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.controllability import GradientGramian, assemble_gramian
-from ultradiff.hum import (PINV_NODES, HumProblem, _qr_svd, energy, g_norm,
-                           solve_hum, solve_state_hum, state_restriction_gram,
+from ultradiff.controllability import (GradientGramian, _qr_svd,
+                                       assemble_gramian)
+from ultradiff.hum import (PINV_NODES, HumProblem, energy, g_norm, solve_hum,
+                           solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import ControlSignal, EnergyDivergenceError
@@ -190,26 +191,41 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["tall", "wide"])
-def test_qr_svd_matches_svd_on_tall_and_wide_input(shape):
-    """A rank-25 matrix: a wide one has fewer reflectors than columns."""
+@pytest.mark.parametrize("shape, rank", [
+    ((60, 40), 25), ((40, 60), 25),
+    ((200, 7), 7), ((7, 200), 7), ((90, 45), 45), ((90, 45), 20),
+    ((1, 30), 1), ((30, 1), 1), ((40, 60), 0),
+], ids=["tall", "wide", "tall-below-block", "wide-below-block",
+        "partial-block", "partial-block-deficient", "one-row", "one-column",
+        "zero"])
+def test_qr_svd_matches_svd_on_tall_and_wide_input(shape, rank):
+    """A rank-`rank` matrix: a wide one has fewer reflectors than columns, and
+    min(shape) below or off a multiple of the 32-column block exercises the
+    last, partial block of the compact-WY factors."""
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((shape[0], 25)) @ rng.standard_normal((25, shape[1]))
+    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    k = min(shape)
     u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    scale = s_ref[0] if rank else 1.0
     s_vals, u_k, vt_k, q_mul = _qr_svd(a.copy(order="F"))
-    assert u_k.shape[1] == vt_k.shape[0] == 25
-    assert_allclose(s_vals[:25], s_ref[:25], rtol=0, atol=1e-12 * s_ref[0])
-    # Q U spans the column space; Q^T a is R = U S V^T
+    assert u_k.shape == (k, rank) and vt_k.shape == (rank, shape[1])
+    assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * scale)
+    # Q U spans the column space; Q^T a is R = U S V^T, upper trapezoidal
     y = rng.standard_normal((shape[0], 3))
     assert_allclose(q_mul(u_k @ (u_k.T @ q_mul(y, "T"))),
-                    u_ref[:, :25] @ (u_ref[:, :25].T @ y), rtol=0, atol=1e-10)
-    assert_allclose(q_mul(a, "T"), (u_k * s_vals[:25]) @ vt_k, rtol=0,
-                    atol=1e-12 * s_ref[0])
+                    u_ref[:, :rank] @ (u_ref[:, :rank].T @ y), rtol=0, atol=1e-10)
+    r = q_mul(a, "T")
+    assert_allclose(r, (u_k * s_vals[:rank]) @ vt_k, rtol=0, atol=1e-12 * scale)
+    assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12 * scale)
+    assert_allclose(q_mul(r), a, rtol=0, atol=1e-12 * scale)
     # the minimal-norm solve of a^T x = rhs, as verify_minimality takes it
     rhs = rng.standard_normal(shape[1])
-    x = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:25])[:, None]).ravel()
+    x = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:rank])[:, None]).ravel()
     x_ref = np.linalg.pinv(a.T, rcond=1e-12) @ rhs
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    if rank:
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    else:
+        assert not np.any(x) and not np.any(x_ref)
 
 
 def test_minimality_cross_check_with_more_modes_than_nodes():
