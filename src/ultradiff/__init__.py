@@ -37,7 +37,6 @@ from .controllability import (
     ControllabilityVerdict,
     GradientGramian,
     approx_controllability_verdict,
-    apply_H_adjoint,
     assemble_gramian,
     strategic_test,
     worked_example_mode_means,
@@ -83,7 +82,6 @@ __all__ = [
     "ControllabilityVerdict",
     "GradientGramian",
     "approx_controllability_verdict",
-    "apply_H_adjoint",
     "assemble_gramian",
     "strategic_test",
     "worked_example_mode_means",

@@ -120,22 +120,6 @@ class Scenario:
     seed: int = 0
     out: str | None = None
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["domain"] = [list(b) for b in self.domain]
-        d["window"] = list(self.window)
-        d["region"] = [[list(p) for p in box] for box in self.region]
-        d["actuators"] = [dict(support=[[list(p) for p in box] for box in a.support],
-                               profile=a.profile,
-                               coefficients=list(a.coefficients), label=a.label)
-                          for a in self.actuators]
-        d["target"] = None if self.target is None else {
-            "kind": self.target.kind,
-            "values": None if self.target.values is None else list(self.target.values),
-            "seed": self.target.seed, "scale": self.target.scale}
-        d["y0"] = None if self.y0 is None else list(self.y0)
-        return d
-
 
 # -- parsing ------------------------------------------------------------------
 
@@ -481,9 +465,7 @@ def write_report(report: dict, out_dir: str, *, fmt: str = "json",
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(header)
-                for row in rows:
-                    writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                                     else v for v in row])
+                writer.writerows(rows)
 
 
 def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
@@ -500,7 +482,7 @@ def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
         quadrature.update(kernel_nodes=kernel_map.nodes,
                           residual_nodes=residual_map.nodes,
                           quadrature_rel_change=change / norm if norm else 0.0)
-    return {"tool_version": __version__, "scenario": scenario.to_dict(),
+    return {"tool_version": __version__, "scenario": dataclasses.asdict(scenario),
             "quadrature": quadrature}
 
 
@@ -657,9 +639,7 @@ def _verdict_at_cutoff(scenario: Scenario, cutoff: int) -> str:
 
 
 def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
-                      epsilon: float | None = 1e-3,
-                      margin_requirement: float = 1e-8,
-                      compare_cutoffs: tuple[int, int] = (2, 8)) -> dict:
+                      epsilon: float | None = 1e-3) -> dict:
     """Run the built-in worked-example checks; discrepancies become rows.
 
     Returns a dict with a `checks` list (name, passed, measured values), the
@@ -709,10 +689,9 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
     checks.append({"name": "subregion-controllable",
                    "measured": {"verdict": verdict_sub.verdict,
                                 "relative_margin": verdict_sub.relative_margin},
-                   "required": f"verdict CONTROLLABLE, relative margin > "
-                               f"{margin_requirement:g}",
+                   "required": "verdict CONTROLLABLE, relative margin > 1e-08",
                    "passed": (verdict_sub.controllable and
-                              verdict_sub.relative_margin > margin_requirement)})
+                              verdict_sub.relative_margin > 1e-8)})
 
     strategic = strategic_test(basis, region, actuators, alpha=scenario.alpha,
                                window=window, gram=gramian_sub.gram,
@@ -735,13 +714,11 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                    "required": "every stated-parity pairing integral nonzero",
                    "passed": nonzero})
 
-    lo_verdict = _verdict_at_cutoff(scenario, compare_cutoffs[0])
-    hi_verdict = _verdict_at_cutoff(scenario, compare_cutoffs[1])
+    verdicts = {f"K={k}": _verdict_at_cutoff(scenario, k) for k in (2, 8)}
     checks.append({"name": "truncation-stable-verdict",
-                   "measured": {f"K={compare_cutoffs[0]}": lo_verdict,
-                                f"K={compare_cutoffs[1]}": hi_verdict},
+                   "measured": verdicts,
                    "required": "identical verdicts at both truncations",
-                   "passed": lo_verdict == hi_verdict})
+                   "passed": len(set(verdicts.values())) == 1})
 
     return {
         "family": family,
@@ -758,15 +735,11 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
     }
 
 
-def run_reproduce(scenario: Scenario | None, out_dir: str, fmt: str,
-                  cutoff: int | None, epsilon: float | None) -> tuple[int, dict]:
-    base = scenario or reproduction_scenario()
-    chosen_cutoff = cutoff if cutoff is not None else base.cutoff
-    chosen_eps = epsilon if epsilon is not None else base.epsilon_cutoff
-    result = reproduce_example(chosen_cutoff, family=base.family,
-                               epsilon=chosen_eps)
+def run_reproduce(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
+    result = reproduce_example(scenario.cutoff, family=scenario.family,
+                               epsilon=scenario.epsilon_cutoff)
     report = {"tool_version": __version__, "task": "reproduce-example",
-              "scenario": base.to_dict()}
+              "scenario": dataclasses.asdict(scenario)}
     report.update(result)
 
     if "basis_guard" in result:
@@ -874,30 +847,28 @@ def main(argv=None) -> int:
     if args.verb == "selftest":
         return run_selftest()
 
-    scenario = None
     try:
         if args.scenario is not None:
             scenario = parse_scenario(args.scenario)
-        elif args.verb != "reproduce-example":
+        elif args.verb == "reproduce-example":
+            scenario = reproduction_scenario()
+        else:
             print(f"ultradiff {args.verb}: --scenario is required",
                   file=sys.stderr)
             return 1
-        if scenario is not None:
-            overrides = {}
-            if args.cutoff is not None:
-                overrides["cutoff"] = args.cutoff
-            if args.epsilon is not None:
-                overrides["epsilon_cutoff"] = args.epsilon
-            if overrides:
-                scenario = dataclasses.replace(scenario, **overrides)
-            verb_task = args.verb
-            if scenario.task != verb_task and args.verb != "reproduce-example":
-                logger.info("scenario task %r overridden by the %r verb",
-                            scenario.task, verb_task)
-                scenario = dataclasses.replace(scenario, task=verb_task)
+        overrides = {}
+        if args.cutoff is not None:
+            overrides["cutoff"] = args.cutoff
+        if args.epsilon is not None:
+            overrides["epsilon_cutoff"] = args.epsilon
+        if scenario.task != args.verb and args.verb != "reproduce-example":
+            logger.info("scenario task %r overridden by the %r verb",
+                        scenario.task, args.verb)
+            overrides["task"] = args.verb
+        if overrides:
+            scenario = dataclasses.replace(scenario, **overrides)
 
-        out_dir = args.out or (scenario.out if scenario else None) \
-            or "./ultradiff-out"
+        out_dir = args.out or scenario.out or "./ultradiff-out"
         started = time.perf_counter()
         if args.verb == "simulate":
             code, _ = run_simulate(scenario, out_dir, args.fmt)
@@ -906,8 +877,7 @@ def main(argv=None) -> int:
         elif args.verb == "synthesize":
             code, _ = run_synthesize(scenario, out_dir, args.fmt)
         else:
-            code, _ = run_reproduce(scenario, out_dir, args.fmt,
-                                    args.cutoff, args.epsilon)
+            code, _ = run_reproduce(scenario, out_dir, args.fmt)
         timing = {"wall_seconds": time.perf_counter() - started,
                   "verb": args.verb}
         with open(os.path.join(out_dir, "report.timing.json"), "w",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +32,9 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .logtime import LogTimeWindow
 from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
-from .spectral import (ActuatorSet, GradientBasisGram, Region, SpectralBasis,
-                       actuator_coefficients, box_quadrature, default_order,
-                       gradient_gram, region_inner_product)
+from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
+                       SpectralBasis, actuator_coefficients, gradient_gram,
+                       region_inner_product)
 
 logger = logging.getLogger(__name__)
 
@@ -99,30 +99,32 @@ def _qr_svd(a: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class GradientGramian:
-    """Truncated controllability Gramian on the subregion gradient space."""
+    """Truncated controllability Gramian on the subregion gradient space.
 
-    basis: SpectralBasis
-    region: Region
-    actuators: ActuatorSet
-    alpha: float
-    window: LogTimeWindow
-    coefficient_matrix: np.ndarray     # (m, n_modes) actuator-mode couplings
+    Holds Gamma and the input map that sums W; the fractional order, the
+    epsilon cutoff and the couplings are read from that map.
+    """
+
     gram: GradientBasisGram            # Gamma
-    matrix: np.ndarray                 # W
-    epsilon_cutoff: float | None = None
-    input_map: _InputMap | None = None   # the map W was summed on
+    input_map: _InputMap               # W, and the synthesis and its checks
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.matrix, dtype=float)
-        if not np.allclose(w, w.T, atol=1e-12 * max(1.0, float(np.max(np.abs(w))))):
-            raise ValueError("Gramian kernel factor is not symmetric")
-        w = 0.5 * (w + w.T)
-        w.setflags(write=False)
-        object.__setattr__(self, "matrix", w)
-        if self.input_map is None and (self.alpha > 0.5 or self.epsilon_cutoff):
-            object.__setattr__(self, "input_map", _InputMap(
-                self.coefficient_matrix, self.basis.lams, self.alpha, self.window,
-                KERNEL_NODES, self.epsilon_cutoff))
+    @property
+    def matrix(self) -> np.ndarray:
+        """W, read-only."""
+        return self.input_map.matrix
+
+    @property
+    def alpha(self) -> float:
+        return self.input_map.alpha
+
+    @property
+    def epsilon_cutoff(self) -> float | None:
+        return self.input_map.epsilon
+
+    @property
+    def coefficient_matrix(self) -> np.ndarray:
+        """(m, n_modes) actuator-mode couplings."""
+        return self.input_map.d
 
     @property
     def kernel_nodes(self) -> int:
@@ -177,11 +179,8 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
     if gram is None:
         gram = gradient_gram(basis, region)
 
-    input_map = _InputMap(coefficient_matrix, basis.lams, alpha, window,
-                          KERNEL_NODES, epsilon)
-    return GradientGramian(basis, region, actuators, alpha, window,
-                           coefficient_matrix, gram, input_map.matrix,
-                           epsilon_cutoff=epsilon, input_map=input_map)
+    return GradientGramian(gram, _InputMap(coefficient_matrix, basis.lams, alpha,
+                                           window, KERNEL_NODES, epsilon))
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class ControllabilityVerdict:
     condition_number: float
     exact_constant: float         # (smallest singular value)^(-1/2), truncated
     threshold: float
-    cutoff_modes: int
     epsilon_cutoff: float | None
 
 
@@ -219,37 +217,8 @@ def approx_controllability_verdict(gramian: GradientGramian,
         condition_number=gramian.condition_number,
         exact_constant=constant,
         threshold=threshold,
-        cutoff_modes=len(gramian.basis.modes),
         epsilon_cutoff=gramian.epsilon_cutoff,
     )
-
-
-def apply_H_adjoint(coefficients, basis: SpectralBasis, alpha: float,
-                    window: LogTimeWindow, t, *,
-                    actuators: ActuatorSet | None = None,
-                    coefficient_matrix: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint observation: channel values (1/t) tau^(a-1) sum_p E_p(tau) d_ip v_p.
-
-    Singular at t = b for alpha < 1.  Returns shape (m,) for scalar t, else
-    (m, len(t)).
-    """
-    alpha = float(alpha)
-    if coefficient_matrix is None:
-        if actuators is None:
-            raise ValueError("need actuators or a precomputed coefficient matrix")
-        coefficient_matrix = actuator_coefficients(actuators, basis)
-    v = np.asarray(coefficients, dtype=float)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if alpha < 1.0 and np.any(t_arr >= window.b * (1 - 1e-15)):
-        raise ValueError(f"adjoint observation is singular at t = b = {window.b:g} "
-                         f"for alpha < 1")
-    for ti in t_arr:
-        window.require_inside(ti, open_end=alpha < 1.0)
-    taus = np.log(window.b / t_arr)
-    kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, nt)
-    profile = taus ** (alpha - 1.0) / t_arr if alpha < 1.0 else 1.0 / t_arr
-    out = (coefficient_matrix @ (kernel * v[:, None])) * profile
-    return out[:, 0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 # -- strategic actuator test -------------------------------------------------
@@ -263,7 +232,6 @@ class StrategicBucket:
     direction_ranks: tuple[int, ...]
     block_rank: int
     passes: bool
-    direction_matrices: tuple = field(repr=False, default=())
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +249,12 @@ class StrategicReport:
 
 def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet, *,
                    alpha: float = 0.7, window: LogTimeWindow | None = None,
-                   time_samples: int = 64, rank_rtol: float = RANK_RTOL,
-                   order: int | None = None,
                    gram: GradientBasisGram | None = None,
                    coefficient_matrix: np.ndarray | None = None) -> StrategicReport:
     """Rank test for actuator adequacy on the subregion.
+
+    Each coupling d_ip is scaled by mode p's restricted gradient norm in
+    each direction, read from the Gram pass (`gram.direction_norms`).
 
     1D: the exact criterion — enough channels for the largest eigenvalue
     multiplicity, and every per-eigenvalue coefficient block of full rank.
@@ -303,21 +272,14 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     {(3,5),(5,3)} pass that way.  The Gramian sees one direction in each of
     them, and the 1-D rule would require m >= multiplicity.
     """
-    order = default_order(basis) if order is None else order
     if coefficient_matrix is None:
-        coefficient_matrix = actuator_coefficients(actuators, basis, order)
+        coefficient_matrix = actuator_coefficients(actuators, basis)
+    if gram is None:
+        gram = gradient_gram(basis, region)
     m = coefficient_matrix.shape[0]
     ndim = basis.domain.ndim
     n_modes = len(basis.modes)
-
-    # per-direction restricted gradient norms of each mode
-    direction_norms = np.zeros((ndim, n_modes))
-    for box in region.boxes:
-        points, weights = box_quadrature(box, order)
-        for component in range(ndim):
-            d = basis.gradient_component_matrix(points, component)
-            direction_norms[component] += (d * d) @ weights
-    direction_norms = np.sqrt(np.maximum(direction_norms, 0.0))
+    direction_norms = gram.direction_norms
 
     bucket_ids = sorted({mode.bucket for mode in basis.modes})
     mode_buckets = np.array([mode.bucket for mode in basis.modes])
@@ -335,12 +297,12 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     for b_id, mats in zip(bucket_ids, bucket_mats):
         idx = np.nonzero(mode_buckets == b_id)[0]
         r_k = idx.size
-        ranks = tuple(_rank(mat, rank_rtol, scale) for mat in mats)
-        block_rank = _rank(np.vstack(mats), rank_rtol, scale)
+        ranks = tuple(_rank(mat, RANK_RTOL, scale) for mat in mats)
+        block_rank = _rank(np.vstack(mats), RANK_RTOL, scale)
         buckets.append(StrategicBucket(
             bucket=b_id, eigenvalue=float(basis.modes[idx[0]].lam),
             multiplicity=r_k, direction_ranks=ranks, block_rank=block_rank,
-            passes=block_rank == r_k, direction_matrices=mats))
+            passes=block_rank == r_k))
 
     sup_r = max(bucket.multiplicity for bucket in buckets)
     m_sufficient = m >= sup_r
@@ -352,14 +314,12 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
                                "exact", None, None, strategic,
                                "STRATEGIC" if strategic else "NOT")
 
-    if gram is None:
-        gram = gradient_gram(basis, region, order)
     length = window.length if window is not None else 1.0
-    taus = np.geomspace(length * 1e-4, length, time_samples)
+    taus = np.geomspace(length * 1e-4, length, 64)
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
     stacked = _stacked_observation_map(coefficient_matrix, gram.matrix, kernel,
                                        mode_buckets)
-    stacked_rank = _count_rank(_qr_svd(stacked)[0], rank_rtol)
+    stacked_rank = _count_rank(_qr_svd(stacked)[0], RANK_RTOL)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
@@ -415,12 +375,8 @@ class PairingRow:
 def worked_example_mode_means(basis: SpectralBasis, region: Region,
                               order: int | None = None) -> np.ndarray:
     """Means of each mode over a region: the zone-actuator coupling column."""
-    order = default_order(basis) if order is None else order
-    means = np.zeros(len(basis.modes))
-    for box in region.boxes:
-        points, weights = box_quadrature(box, order)
-        means += basis.value_matrix(points) @ weights
-    return means
+    zone = ActuatorSet((Actuator(region, lambda pts: np.ones(len(pts)), "zone"),))
+    return actuator_coefficients(zone, basis, order)[0]
 
 
 def worked_example_pairing_table(basis: SpectralBasis, region: Region,

@@ -180,8 +180,6 @@ def g_norm(g_coefficients, gramian: GradientGramian) -> float:
     Gramian quadratic form of the same element (an identity the test suite
     checks rather than assumes).
     """
-    if gramian.alpha <= 0.5 and gramian.epsilon_cutoff is None:
-        raise EnergyDivergenceError(gramian.alpha, "the squared-observation integrand")
     gamma = np.asarray(g_coefficients, dtype=float)
     return gramian.input_map.energy(gramian.gram.matrix @ gamma)
 

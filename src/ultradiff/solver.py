@@ -89,10 +89,8 @@ class SpectralState:
         return self.basis.value_matrix(points).T @ self.coefficients
 
     def gradient_values(self, points) -> np.ndarray:
-        ndim = self.basis.domain.ndim
-        cols = [self.basis.gradient_component_matrix(points, comp).T @ self.coefficients
-                for comp in range(ndim)]
-        return np.column_stack(cols)
+        return sum(c * mode.gradient(points)
+                   for c, mode in zip(self.coefficients, self.basis.modes))
 
 
 @lru_cache(maxsize=32)
@@ -330,8 +328,11 @@ class _InputMap:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        """W, exactly symmetric and read-only."""
         w = (self.d.T @ self.d) * ((self.kernel * self.weights) @ self.kernel.T)
-        return 0.5 * (w + w.T)
+        w = 0.5 * (w + w.T)
+        w.setflags(write=False)
+        return w
 
     def energy(self, datum: np.ndarray) -> float:
         outputs = self.d @ (self.kernel * datum[:, None])       # (m, nq)

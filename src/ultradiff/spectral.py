@@ -316,16 +316,20 @@ class GradientBasisGram:
 
     matrix[p, q] = <grad alpha_p, grad alpha_q> over the region; the
     coordinates of every gradient-space computation downstream.
+    direction_norms[l, p] = ||d(alpha_p)/dx_l|| over the region, summed in
+    the same pass; the strategic rank test scales the couplings by them.
     """
 
     basis: SpectralBasis
     region: Region
     matrix: np.ndarray
+    direction_norms: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name in ("matrix", "direction_norms"):
+            m = np.asarray(getattr(self, name), dtype=float)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
 
 def gradient_gram(basis: SpectralBasis, region: Region,
@@ -333,13 +337,15 @@ def gradient_gram(basis: SpectralBasis, region: Region,
     n_modes = len(basis.modes)
     order = default_order(basis) if order is None else order
     gram = np.zeros((n_modes, n_modes))
+    squares = np.zeros((basis.domain.ndim, n_modes))
     for box in region.boxes:
         points, weights = box_quadrature(box, order)
         for component in range(basis.domain.ndim):
             d = basis.gradient_component_matrix(points, component)
             gram += (d * weights) @ d.T
+            squares[component] += (d * d) @ weights
     gram = 0.5 * (gram + gram.T)
-    return GradientBasisGram(basis, region, gram)
+    return GradientBasisGram(basis, region, gram, np.sqrt(squares))
 
 
 @dataclass(frozen=True, eq=False)

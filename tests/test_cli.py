@@ -7,6 +7,7 @@ through the closed synthesis formula.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -64,7 +65,8 @@ def single_mode_scenario(tmp_path, **overrides):
 def test_shipped_scenarios_round_trip():
     for path in SHIPPED:
         scenario = parse_scenario(path)
-        assert scenario_from_dict(scenario.to_dict()) == scenario
+        as_json = json.loads(json.dumps(dataclasses.asdict(scenario)))
+        assert scenario_from_dict(as_json) == scenario
 
 
 def test_invalid_scenario_reports_every_violation():
@@ -249,6 +251,16 @@ def test_reproduce_example_reports_honest_rows(tmp_path, capsys):
     assert by_name["pairing-quadrature-nonzero"]["passed"] is True
     assert by_name["truncation-stable-verdict"]["passed"] is True
     assert by_name["subregion-controllable"]["measured"]["verdict"] == "NOT"
+
+
+def test_reproduce_example_report_names_the_overrides_it_ran(tmp_path, capsys):
+    code = main(["reproduce-example", "--cutoff", "5", "--epsilon", "0.01",
+                 "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["cutoff"] == report["scenario"]["cutoff"] == 5
+    assert report["epsilon_cutoff"] == report["scenario"]["epsilon_cutoff"] == 0.01
 
 
 def test_reproduce_example_canonical_family_guard(tmp_path, capsys):

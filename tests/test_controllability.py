@@ -5,6 +5,7 @@ squared-kernel integrand (series kernel evaluation with a precomputed
 reciprocal-gamma table, actuator row from the hand closed form).
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,21 +14,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff._quadrature import kernel_rule
-from ultradiff.controllability import (RANK_RTOL, GradientGramian,
+from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
+                                       StrategicReport, _count_rank, _qr_svd,
                                        _rank, _stacked_observation_map,
                                        approx_controllability_verdict,
-                                       apply_H_adjoint,
                                        assemble_gramian, pinv_solve_symmetric,
                                        strategic_test, symmetric_square_root,
                                        worked_example_mode_means,
                                        worked_example_pairing_table)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
-from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
-                              _ml_matrix, forced_solution)
+from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
+                              _InputMap, _ml_matrix, forced_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, actuator_coefficients,
-                                default_order, gradient_gram)
+                                box_quadrature, default_order, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
@@ -61,15 +62,9 @@ def test_gramian_is_symmetric_psd():
     pencil = g.pencil_eigenvalues
     assert pencil.min() >= -1e-12 * max(pencil.max(), 1.0)
     assert g.largest_eigenvalue >= g.smallest_eigenvalue
-    with pytest.raises(ValueError, match="not symmetric"):
-        GradientGramian(basis, Region.whole(DOMAIN_1D), acts, 0.7, WINDOW,
-                        g.coefficient_matrix, g.gram,
-                        np.array([[1.0, 2.0], [0.0, 1.0]]))
-    # a Gramian built by hand sums its own input map on the same rule
-    rebuilt = GradientGramian(basis, Region.whole(DOMAIN_1D), acts, 0.7, WINDOW,
-                              g.coefficient_matrix, g.gram, g.matrix)
-    assert rebuilt.kernel_nodes == g.kernel_nodes == 160
-    assert np.array_equal(rebuilt.input_map.matrix, g.matrix)
+    # W is the input map's own read-only array, summed once on its rule
+    assert g.matrix is g.input_map.matrix and not g.matrix.flags.writeable
+    assert g.kernel_nodes == 160
 
 
 def test_divergence_refusal_and_epsilon_validation():
@@ -130,6 +125,7 @@ def test_input_to_state_duality():
 
 
 def test_adjoint_observation_profile_and_refusal():
+    # the input map's control is H* v: (1/t) tau^(a-1) D (E_aa(-lam tau^a) o v)
     basis, acts = single_zone_setup()
     d = actuator_coefficients(acts, basis)
     v = np.array([0.8, -0.3])
@@ -138,19 +134,16 @@ def test_adjoint_observation_profile_and_refusal():
     tau = math.log(WINDOW.b / t)
     E = ml_on_negative_axis(alpha, alpha, -basis.lams * tau ** alpha)
     expected = (d @ (E * v)) * tau ** (alpha - 1.0) / t
-    got = apply_H_adjoint(v, basis, alpha, WINDOW, t, actuators=acts)
-    assert got.shape == (1,)
-    assert_allclose(got, expected, rtol=1e-13)
-    arr = apply_H_adjoint(v, basis, alpha, WINDOW, np.array([1.5, 1.8, 2.2]),
-                          coefficient_matrix=d)
-    assert arr.shape == (1, 3)
-    with pytest.raises(ValueError, match="singular at t = b"):
-        apply_H_adjoint(v, basis, alpha, WINDOW, WINDOW.b, actuators=acts)
+    control = _InputMap(d, basis.lams, alpha, WINDOW, KERNEL_NODES).control(v)
+    got = control.evaluate_time(np.array([1.5, t, 2.2]))
+    assert got.shape == (1, 3)
+    assert_allclose(got[:, 1], expected, rtol=1e-13)
+    with pytest.raises(ValueError, match="tau <= 0"):
+        control.evaluate_time(np.array([WINDOW.b]))
     # no singular prefactor in the classical limit
-    classical = apply_H_adjoint(v, basis, 1.0, WINDOW, WINDOW.b, actuators=acts)
-    assert_allclose(classical, (d @ v) / WINDOW.b, rtol=1e-13)
-    with pytest.raises(ValueError, match="actuators"):
-        apply_H_adjoint(v, basis, alpha, WINDOW, 1.5)
+    classical = _InputMap(d, basis.lams, 1.0, WINDOW, KERNEL_NODES).control(v)
+    assert_allclose(classical.smooth_at_tau(np.array([0.0]))[:, 0],
+                    (d @ v) / WINDOW.b, rtol=1e-13)
 
 
 def test_adding_actuators_never_shrinks_the_margin():
@@ -280,8 +273,7 @@ def test_stacked_observation_map_matches_per_bucket_sum():
     jittered = kernel * np.random.default_rng(5).uniform(0.5, 1.5, kernel.shape)
     assert_allclose(_stacked_observation_map(d, gram, jittered, mode_buckets),
                     per_bucket_sum(jittered), rtol=1e-12)
-    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW,
-                            time_samples=time_samples)
+    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert report.stacked_rank == _rank(reference, RANK_RTOL)
 
 
@@ -324,6 +316,84 @@ def test_stacked_rank_from_qr_matches_svd(setup):
     assert svd_rank == expected_rank
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert report.stacked_rank == svd_rank
+
+
+def _strategic_test_reference(basis, region, acts):
+    """strategic_test as it was when it integrated the direction norms itself,
+    in a second pass over the region's gradient tables."""
+    order = default_order(basis)
+    d = actuator_coefficients(acts, basis, order)
+    ndim, n_modes = basis.domain.ndim, len(basis.modes)
+    direction_norms = np.zeros((ndim, n_modes))
+    for box in region.boxes:
+        points, weights = box_quadrature(box, order)
+        for component in range(ndim):
+            g = basis.gradient_component_matrix(points, component)
+            direction_norms[component] += (g * g) @ weights
+    direction_norms = np.sqrt(np.maximum(direction_norms, 0.0))
+
+    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    bucket_ids = sorted({mode.bucket for mode in basis.modes})
+    bucket_mats = [tuple(d[:, mode_buckets == b] * direction_norms[l, mode_buckets == b]
+                         for l in range(ndim)) for b in bucket_ids]
+    scale = max(float(np.max(np.abs(mat))) for mats in bucket_mats for mat in mats)
+    buckets = []
+    for b_id, mats in zip(bucket_ids, bucket_mats):
+        idx = np.nonzero(mode_buckets == b_id)[0]
+        block_rank = _rank(np.vstack(mats), RANK_RTOL, scale)
+        buckets.append(StrategicBucket(
+            b_id, float(basis.modes[idx[0]].lam), idx.size,
+            tuple(_rank(mat, RANK_RTOL, scale) for mat in mats), block_rank,
+            block_rank == idx.size))
+    m = d.shape[0]
+    sup_r = max(bucket.multiplicity for bucket in buckets)
+    if ndim == 1:
+        strategic = m >= sup_r and all(
+            bucket.direction_ranks[0] == bucket.multiplicity for bucket in buckets)
+        return direction_norms, StrategicReport(
+            tuple(buckets), m, sup_r, m >= sup_r, "exact", None, None, strategic,
+            "STRATEGIC" if strategic else "NOT")
+    taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, 64)
+    stacked = _stacked_observation_map(d, gradient_gram(basis, region, order).matrix,
+                                       _ml_matrix(0.7, basis.lams, taus), mode_buckets)
+    stacked_rank = _count_rank(_qr_svd(stacked)[0], RANK_RTOL)
+    strategic = stacked_rank == n_modes
+    return direction_norms, StrategicReport(
+        tuple(buckets), m, sup_r, m >= sup_r, "generic", stacked_rank, n_modes,
+        strategic, "STRATEGIC" if strategic else "NOT")
+
+
+def _interval_two_boxes():
+    basis = SpectralBasis(DOMAIN_1D, 4)
+    region = Region(DOMAIN_1D, (((0.1, 0.4),), ((0.5, 0.9),)))
+    acts = ActuatorSet((
+        Actuator(Region.box(DOMAIN_1D, (0.0, 0.6)), lambda p: np.ones(p.shape[0]), "a"),
+        Actuator(Region.box(DOMAIN_1D, (0.3, 1.0)), lambda p: p[:, 0], "b")))
+    return basis, region, acts
+
+
+def _square_two_boxes():
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 4)
+    region = Region(domain, (((0.1, 0.5), (0.2, 0.9)), ((0.6, 0.9), (0.0, 0.4))))
+    acts = ActuatorSet((
+        Actuator(Region.box(domain, (0.0, 0.5), (0.0, 0.5)),
+                 lambda p: np.ones(p.shape[0]), "zone-a"),
+        Actuator(Region.box(domain, (0.3, 1.0), (0.4, 1.0)),
+                 lambda p: p[:, 0] + 2.0 * p[:, 1], "zone-b")))
+    return basis, region, acts
+
+
+@pytest.mark.parametrize("setup", [_interval_two_boxes, _square_two_boxes,
+                                   lambda: _quadrant_zone()[:3]],
+                         ids=["interval", "two-box-square", "quadrant"])
+def test_strategic_test_reads_the_gram_pass_direction_norms(setup):
+    basis, region, acts = setup()
+    norms, reference = _strategic_test_reference(basis, region, acts)
+    gram = gradient_gram(basis, region)
+    assert np.array_equal(gram.direction_norms, norms)
+    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
+    assert dataclasses.astuple(report) == dataclasses.astuple(reference)
 
 
 def test_dense_maps_are_built_in_the_layout_qr_overwrites():

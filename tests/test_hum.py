@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.controllability import (GradientGramian, _qr_svd,
-                                       assemble_gramian)
+from ultradiff.controllability import _qr_svd, assemble_gramian
 from ultradiff.hum import (PINV_NODES, HumProblem, energy, g_norm, solve_hum,
                            solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
-from ultradiff.solver import ControlSignal, EnergyDivergenceError
+from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
+                              _InputMap)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis)
 
@@ -323,17 +323,10 @@ def test_epsilon_cutoff_synthesis():
 
 
 def test_divergence_refusals():
+    # no input map, hence no Gramian for g_norm to read, without a cutoff
     basis = SpectralBasis(DOMAIN, 2)
-    region = Region.box(DOMAIN, (0.1, 0.9))
-    acts = ActuatorSet((Actuator(Region.box(DOMAIN, (0.0, 0.7)),
-                                 lambda p: np.ones(p.shape[0]), "z"),))
-    with_eps = assemble_gramian(basis, region, acts, 0.4, WINDOW, epsilon=1e-3)
-    # same matrices, cutoff stripped: the squared-observation norm must refuse
-    bare = GradientGramian(basis, region, acts, 0.4, WINDOW,
-                           with_eps.coefficient_matrix, with_eps.gram,
-                           with_eps.matrix)
-    with pytest.raises(EnergyDivergenceError):
-        g_norm(np.array([1.0, 0.0]), bare)
+    with pytest.raises(ValueError, match="non-integrable"):
+        _InputMap(np.ones((1, 2)), basis.lams, 0.4, WINDOW, KERNEL_NODES)
 
     u = ControlSignal.from_smooth_part(
         lambda tau: np.cos(tau)[None, :], WINDOW, 0.4)
