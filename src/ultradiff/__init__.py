@@ -49,7 +49,6 @@ from .hum import (
     energy,
     g_norm,
     solve_hum,
-    solve_state_hum,
     verify_minimality,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "energy",
     "g_norm",
     "solve_hum",
-    "solve_state_hum",
     "verify_minimality",
     "__version__",
 ]

@@ -34,8 +34,7 @@ from .controllability import (GradientGramian, _qr_svd,
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                      _InputMap, free_solution)
-from .spectral import (ActuatorSet, Region, SpectralBasis, box_quadrature,
-                       default_order)
+from .spectral import ActuatorSet, Region, SpectralBasis
 
 logger = logging.getLogger(__name__)
 
@@ -187,28 +186,22 @@ def g_norm(g_coefficients, gramian: GradientGramian) -> float:
 def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:
     """Plain squared-norm cost of a control over the time window.
 
-    Singular (synthesized) signals integrate their tau^(2 alpha - 2) factor
-    through the weighted rule; for alpha <= 1/2 that integral diverges and the
-    signal must carry an epsilon cutoff.  A signal carries no decay rates for
-    the rule to follow, so the synthesis prices u* on its input map instead.
+    One weighted rule prices every signal from its exact evaluator: a singular
+    (synthesized) signal folds its tau^(2 alpha - 2) factor into the weight,
+    which for alpha <= 1/2 diverges unless the signal carries an epsilon
+    cutoff.  A signal carries no decay rates for the rule to follow, so the
+    synthesis prices u* on its input map instead.
     """
     window = u.window
-    if u.smooth_fn is not None:
-        # synthesized signal: integrate the (possibly singular) power factor
-        # through the weighted rule, re-evaluating the smooth part exactly
-        if u.alpha <= 0.5 and u.epsilon_cutoff is None:
-            raise EnergyDivergenceError(u.alpha, "the control energy integrand")
-        taus, weights = kernel_rule(u.alpha, 2.0 * (u.alpha - 1.0), n=nodes,
-                                    eps=u.epsilon_cutoff or 0.0,
-                                    length=window.length)
-        smooth = u.smooth_at_tau(taus)
-        jac = window.b * np.exp(-taus) if u.clock == "from-end" \
-            else window.a * np.exp(taus)
-        return float(np.sum(weights * jac * np.sum(smooth ** 2, axis=0)))
-    taus = u.tau_grid
+    if u.is_singular and u.alpha <= 0.5 and u.epsilon_cutoff is None:
+        raise EnergyDivergenceError(u.alpha, "the control energy integrand")
+    alpha, power = (u.alpha, 2.0 * (u.alpha - 1.0)) if u.is_singular else (1.0, 0.0)
+    taus, weights = kernel_rule(alpha, power, n=nodes, eps=u.epsilon_cutoff or 0.0,
+                                length=window.length)
+    smooth = u.smooth_at_tau(taus)
     jac = window.b * np.exp(-taus) if u.clock == "from-end" \
         else window.a * np.exp(taus)
-    return float(np.sum(u.weights * jac * np.sum(u.values ** 2, axis=0)))
+    return float(np.sum(weights * jac * np.sum(smooth ** 2, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -288,55 +281,3 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
                             max_violation, kernel_kept, solution.energy,
                             pinv_energy, rel_gap, passed)
 
-
-# -- state-restriction variant (for cost-comparison properties) --------------
-
-
-@dataclass(frozen=True, eq=False)
-class StateRestrictionSolution:
-    adjoint_datum: np.ndarray
-    control: ControlSignal
-    energy: float
-    residual_relative: float
-
-
-def state_restriction_gram(basis: SpectralBasis, region: Region,
-                           order: int | None = None) -> np.ndarray:
-    """Gram matrix of the eigenfunctions themselves restricted to the region."""
-    order = default_order(basis) if order is None else order
-    gram = np.zeros((len(basis.modes),) * 2)
-    for box in region.boxes:
-        points, weights = box_quadrature(box, order)
-        values = basis.value_matrix(points)
-        gram += (values * weights) @ values.T
-    return 0.5 * (gram + gram.T)
-
-
-def solve_state_hum(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
-                    alpha: float, window: LogTimeWindow,
-                    state_target_coefficients, *, y0_coefficients=None,
-                    epsilon: float | None = None) -> StateRestrictionSolution:
-    """Minimum-energy steering of the STATE restriction (no gradient).
-
-    Same kernel factor W, same synthesis path; the region Gram of the
-    eigenfunctions replaces the gradient Gram for the residual metric.  Kept
-    for priced comparisons of the two steering notions.
-    """
-    gramian = assemble_gramian(basis, region, actuators, alpha, window,
-                               epsilon=epsilon)
-    target = np.asarray(state_target_coefficients, dtype=float)
-    if y0_coefficients is None:
-        free = np.zeros(len(basis.modes))
-    else:
-        free = free_solution(y0_coefficients, basis, alpha, window,
-                             window.b).coefficients
-    rhs = target - free
-    datum, _, _ = pinv_solve_symmetric(gramian.matrix, rhs, rtol=SOLVER_RTOL)
-    input_map = gramian.input_map
-    gap = input_map.with_nodes(RESIDUAL_NODES).matrix @ datum + free - target
-    state_gram = state_restriction_gram(basis, region)
-    denom = float(target @ state_gram @ target)
-    gap2 = max(0.0, float(gap @ state_gram @ gap))
-    residual = math.sqrt(gap2 / denom) if denom > 0 else math.sqrt(gap2)
-    return StateRestrictionSolution(datum, input_map.control(datum),
-                                    input_map.energy(datum), residual)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._quadrature import kernel_rule
 from .logtime import LogTimeWindow, graded_grid
@@ -93,107 +93,69 @@ class SpectralState:
                    for c, mode in zip(self.coefficients, self.basis.modes))
 
 
-@lru_cache(maxsize=32)
-def _cardinal_weights(grid_key: tuple) -> np.ndarray:
-    """Integrals over [0, grid[-1]] of the cubic-spline cardinal functions.
-
-    The grid excludes 0; the head [0, grid[0]] uses the spline's natural
-    extrapolation, which is accurate because the graded grid makes that head
-    interval tiny.  Valid for SMOOTH integrands sampled on the grid only —
-    singular factors must be integrated analytically, never through these.
-    """
-    grid = np.array(grid_key)
-    n = grid.size
-    weights = np.empty(n)
-    unit = np.zeros(n)
-    for j in range(n):
-        unit[j] = 1.0
-        weights[j] = CubicSpline(grid, unit).integrate(0.0, grid[-1])
-        unit[j] = 0.0
-    weights.setflags(write=False)
-    return weights
-
-
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """Vector control sampled on a graded log-time grid.
+    """Vector control held by an exact evaluator on a log-time clock.
 
-    `clock` fixes the meaning of the grid variable tau: "from-end" means
-    tau = log(b/t) (the natural clock for synthesized controls, singular end
-    at t = b), "from-start" means tau = log(t/a).
-
-    When `smooth_fn` is present the signal is u = tau^(alpha-1) * smooth_fn(tau),
-    held by an exact evaluator of its smooth factor (tau-array -> (m, n)) so
-    the singular endpoint never has to be represented numerically and the
-    control is re-evaluated exactly at foreign quadrature nodes; `values` then
-    holds the raw product at the grid nodes for export and plotting.
+    `clock` fixes the meaning of tau: "from-end" means tau = log(b/t) (the
+    natural clock for synthesized controls, singular end at t = b),
+    "from-start" means tau = log(t/a).  `smooth_fn` maps a tau-array to an
+    (m, tau.size) array f(tau); the control is u = tau^(alpha-1) * f(tau) when
+    `singular` is set and u = f(tau) otherwise, so the singular endpoint never
+    has to be represented numerically and every quadrature evaluates u
+    exactly at its own nodes.  `tau_grid` (graded toward tau = 0) and the raw
+    `values` of u there are computed once, for export and plotting only.
     """
 
     window: LogTimeWindow
     alpha: float
-    tau_grid: np.ndarray
-    values: np.ndarray
+    smooth_fn: Callable[[np.ndarray], np.ndarray]
     clock: str = "from-end"
+    singular: bool = False
     epsilon_cutoff: float | None = None
-    smooth_fn: object | None = None
+    n: int = DEFAULT_CONTROL_NODES
+    tau_grid: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        alpha = _check_alpha(self.alpha)
         if self.clock not in CLOCKS:
             raise ValueError(f"clock must be one of {CLOCKS}, got {self.clock!r}")
-        grid = np.array(self.tau_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 8:
-            raise ValueError("tau grid must be 1-D with at least 8 nodes")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("tau grid must be strictly increasing")
-        L = self.window.length
-        if grid[0] <= 0 or grid[-1] > L * (1 + 1e-12):
-            raise ValueError(f"tau grid must lie in (0, {L:.6g}]")
-        values = np.atleast_2d(np.array(self.values, dtype=float))
-        if values.shape[1] != grid.size:
+        if self.n < 8:
+            raise ValueError(f"control grid needs at least 8 nodes, got n={self.n}")
+        if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
+            raise ValueError("epsilon cutoff must be positive when given")
+        grid = graded_grid(self.window.length, n=self.n, exponent=2.0 / alpha)
+        values = np.atleast_2d(np.array(self.smooth_fn(grid), dtype=float))
+        if values.ndim != 2 or values.shape[1] != grid.size:
             raise ValueError(f"values shape {values.shape} does not match "
                              f"{grid.size} grid nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite control values")
-        if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
-            raise ValueError("epsilon cutoff must be positive when given")
+        if self.singular:
+            values = grid ** (alpha - 1.0) * values
         grid.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "values", values)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def sample(cls, fn, window: LogTimeWindow, alpha: float, *,
-               clock: str = "from-end", n: int = DEFAULT_CONTROL_NODES,
-               grading: float | None = None) -> "ControlSignal":
-        """Sample a callable tau-array -> (m, n) or (n,) of raw control values."""
-        alpha = _check_alpha(alpha)
-        grid = graded_grid(window.length, n=n,
-                           exponent=grading if grading is not None else 2.0 / alpha)
-        return cls(window, alpha, grid, np.atleast_2d(np.asarray(fn(grid), dtype=float)),
-                   clock=clock)
-
-    @classmethod
     def constant(cls, levels, window: LogTimeWindow, alpha: float, *,
                  clock: str = "from-end", n: int = DEFAULT_CONTROL_NODES) -> "ControlSignal":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        return cls.sample(lambda tau: np.tile(levels[:, None], (1, tau.size)),
-                          window, alpha, clock=clock, n=n)
+        return cls(window, alpha, lambda tau: np.tile(levels[:, None], (1, tau.size)),
+                   clock=clock, n=n)
 
     @classmethod
     def from_smooth_part(cls, fn, window: LogTimeWindow, alpha: float, *,
                          clock: str = "from-end", n: int = DEFAULT_CONTROL_NODES,
                          epsilon_cutoff: float | None = None) -> "ControlSignal":
         """Build u = tau^(alpha-1) * fn(tau) from its smooth factor."""
-        alpha = _check_alpha(alpha)
-        grid = graded_grid(window.length, n=n, exponent=2.0 / alpha)
-        smooth = np.atleast_2d(np.asarray(fn(grid), dtype=float))
-        values = grid ** (alpha - 1.0) * smooth
-        return cls(window, alpha, grid, values, clock=clock,
-                   epsilon_cutoff=epsilon_cutoff, smooth_fn=fn)
+        return cls(window, alpha, fn, clock=clock, singular=True,
+                   epsilon_cutoff=epsilon_cutoff, n=n)
 
     def with_epsilon(self, epsilon: float) -> "ControlSignal":
         return replace(self, epsilon_cutoff=float(epsilon))
@@ -205,38 +167,23 @@ class ControlSignal:
         return self.values.shape[0]
 
     @property
-    def n_nodes(self) -> int:
-        return self.tau_grid.size
-
-    @property
     def is_singular(self) -> bool:
         """True when the signal carries an explicit tau^(alpha-1) factor."""
-        return self.smooth_fn is not None and self.alpha < 1.0
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Per-node weights integrating smooth samples over tau in [0, L]."""
-        return _cardinal_weights(tuple(self.tau_grid))
+        return self.singular and self.alpha < 1.0
 
     # -- evaluation ---------------------------------------------------------
 
-    @cached_property
-    def _splines(self):
-        return [CubicSpline(self.tau_grid, row) for row in self.values]
-
     def smooth_at_tau(self, tau) -> np.ndarray:
-        """The smooth factor at given tau values (raw values if not singular)."""
+        """The smooth factor f at given tau values (u itself if not singular)."""
         tau = np.asarray(tau, dtype=float)
         self._check_tau_range(tau)
-        if self.smooth_fn is not None:
-            return np.atleast_2d(np.asarray(self.smooth_fn(tau), dtype=float))
-        return np.vstack([sp(tau) for sp in self._splines])
+        return np.atleast_2d(np.asarray(self.smooth_fn(tau), dtype=float))
 
     def evaluate_tau(self, tau) -> np.ndarray:
         """Raw control values u(tau), shape (m, tau.size)."""
         tau = np.asarray(tau, dtype=float)
         out = self.smooth_at_tau(tau)
-        if self.smooth_fn is not None:
+        if self.singular:
             if np.any(tau <= 0):
                 raise ValueError("singular control cannot be evaluated at tau <= 0")
             out = out * tau ** (self.alpha - 1.0)
@@ -264,27 +211,18 @@ class ControlSignal:
     def __add__(self, other: "ControlSignal") -> "ControlSignal":
         if not isinstance(other, ControlSignal):
             return NotImplemented
-        if (self.clock != other.clock or self.m != other.m
-                or self.alpha != other.alpha
-                or not np.array_equal(self.tau_grid, other.tau_grid)):
+        if ((self.window, self.clock, self.alpha, self.singular, self.n, self.m)
+                != (other.window, other.clock, other.alpha, other.singular,
+                    other.n, other.m)):
             raise ValueError("can only add controls on the same grid/clock/order")
-        fn = None
-        if self.smooth_fn is not None and other.smooth_fn is not None:
-            first, second = self.smooth_fn, other.smooth_fn
-            fn = lambda tau: np.asarray(first(tau)) + np.asarray(second(tau))
+        first, second = self.smooth_fn, other.smooth_fn
         eps = self.epsilon_cutoff if self.epsilon_cutoff is not None else other.epsilon_cutoff
-        return ControlSignal(self.window, self.alpha, self.tau_grid,
-                             self.values + other.values, clock=self.clock,
-                             epsilon_cutoff=eps, smooth_fn=fn)
+        return replace(self, epsilon_cutoff=eps, smooth_fn=lambda tau: (
+            np.asarray(first(tau)) + np.asarray(second(tau))))
 
     def __mul__(self, scalar: float) -> "ControlSignal":
-        fn = None
-        if self.smooth_fn is not None:
-            base = self.smooth_fn
-            fn = lambda tau: scalar * np.asarray(base(tau))
-        return ControlSignal(self.window, self.alpha, self.tau_grid,
-                             scalar * self.values, clock=self.clock,
-                             epsilon_cutoff=self.epsilon_cutoff, smooth_fn=fn)
+        base = self.smooth_fn
+        return replace(self, smooth_fn=lambda tau: scalar * np.asarray(base(tau)))
 
     __rmul__ = __mul__
 

@@ -438,8 +438,8 @@ def test_classical_limit_regression():
         assert_allclose(adjoint_solution([0.7], basis, 1.0, window, t).coefficients,
                         [0.7 * math.exp(-lam * back)], rtol=1e-9)
 
-    u_const = ControlSignal.sample(lambda tau: np.full((1, np.size(tau)), 0.9),
-                                   window, 1.0)
+    u_const = ControlSignal(window, 1.0,
+                            lambda tau: np.full((1, np.size(tau)), 0.9))
     for t in ts[1:]:
         tau = math.log(t / window.a)
         forced = forced_solution(acts, basis, u_const, 1.0, window, t)

@@ -10,18 +10,24 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.cli import (ScenarioError, main, parse_scenario,
+from ultradiff.cli import (ScenarioError, build_objects, main, parse_scenario,
                            scenario_from_dict)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis)
+                                SpectralBasis, actuator_coefficients)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SHIPPED = ("scenarios/divergence-guard.json", "scenarios/hum-demo.json",
            "scenarios/subregion-positive.json",
@@ -234,6 +240,38 @@ def test_mode_profiles_resolve_lazily(tmp_path, capsys):
     assert main(["analyze", *argv, "--out", str(tmp_path / "an")]) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_polynomial_and_sine_profiles_couple_in_closed_form():
+    # canonical unit interval, modes sqrt(2) sin(k pi x): the profile
+    # 2 sin(k pi x) couples to mode k alone, and the profile x to every mode
+    # with int x sqrt(2) sin(k pi x) dx = sqrt(2) (-1)^(k+1) / (k pi)
+    scenario = scenario_from_dict({
+        "name": "profiles", "task": "analyze", "domain": [[0.0, 1.0]],
+        "cutoff": 6, "alpha": 0.7, "window": [1.0, 2.5],
+        "region": [[[0.0, 1.0]]],
+        "actuators": [
+            {"support": [[[0.0, 1.0]]], "profile": "product-of-sines",
+             "coefficients": [2.0, 3.0]},
+            {"support": [[[0.0, 1.0]]], "profile": "polynomial",
+             "coefficients": [1.0, 1.0]},
+        ]})
+    _, basis, _, actuators = build_objects(scenario)
+    d = actuator_coefficients(actuators, basis)
+    ks = np.array([mode.index[0] for mode in basis.modes])
+    assert_allclose(d[0], np.where(ks == 3, math.sqrt(2.0), 0.0),
+                    rtol=1e-13, atol=1e-14)
+    assert_allclose(d[1], math.sqrt(2.0) * (-1.0) ** (ks + 1) / (ks * math.pi),
+                    rtol=1e-13)
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    probe = "import ultradiff.cli, sys; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_reproduce_example_reports_honest_rows(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_input_to_state_duality():
     for _ in range(20):
         a0, a1, a2 = rng.uniform(-1.0, 1.0, 3)
         fn = lambda tau: a0 + a1 * np.cos(tau) + a2 * tau ** 2
-        u = ControlSignal.sample(fn, WINDOW, 0.7, clock="from-end")
+        u = ControlSignal(WINDOW, 0.7, fn, clock="from-end")
         v = rng.standard_normal(len(basis.modes))
         lhs = float(forced_solution(acts, basis, u, 0.7, WINDOW,
                                     WINDOW.b).coefficients @ v)

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from ultradiff.controllability import _qr_svd, assemble_gramian
 from ultradiff.hum import (PINV_NODES, HumProblem, energy, g_norm, solve_hum,
-                           solve_state_hum, state_restriction_gram,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
@@ -263,20 +262,6 @@ def test_synthesis_is_linear_in_the_target():
                     rtol=1e-10, atol=1e-11)
 
 
-def test_state_restriction_prices_the_same_mode_data():
-    # the state variant shares the kernel factor, so identical mode-coordinate
-    # right-hand sides must produce the identical control and cost
-    basis, region, acts = steering_setup()
-    target = np.array([0.4, -0.9, 0.25])
-    grad_sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW, target))
-    state_sol = solve_state_hum(basis, region, acts, 0.7, WINDOW, target)
-    assert_allclose(state_sol.energy, grad_sol.energy, rtol=1e-12)
-    assert_allclose(state_sol.adjoint_datum, grad_sol.adjoint_datum, rtol=1e-12)
-    assert state_sol.residual_relative <= 1e-6
-    gram = state_restriction_gram(basis, region)
-    assert np.all(np.linalg.eigvalsh(gram) > 0)
-
-
 def test_classical_limit_closed_forms():
     # one mode, constant profile on the whole interval: everything elementary
     basis = SpectralBasis(DOMAIN, 1)
@@ -337,9 +322,21 @@ def test_divergence_refusals():
 
 
 def test_energy_of_unit_control_is_the_window_length():
-    for clock in ("from-end", "from-start"):
+    # int cos^2(tau) e^(s tau) dtau over [0, L] times the clock's time scale
+    # (t = b e^-tau from the end, t = a e^tau from the start)
+    L = WINDOW.length
+
+    def cos_squared_energy(scale, s):
+        return scale * ((math.exp(s * L) - 1.0) / (2.0 * s)
+                        + (math.exp(s * L) * (s * math.cos(2 * L) + 2 * math.sin(2 * L))
+                           - s) / (2.0 * (s * s + 4.0)))
+
+    for clock, scale, s in (("from-end", WINDOW.b, -1.0),
+                            ("from-start", WINDOW.a, 1.0)):
         u = ControlSignal.constant(1.0, WINDOW, 0.7, clock=clock)
         assert_allclose(energy(u), WINDOW.b - WINDOW.a, rtol=1e-11)
+        u = ControlSignal(WINDOW, 0.7, np.cos, clock=clock)
+        assert_allclose(energy(u), cos_squared_energy(scale, s), rtol=1e-13)
 
 
 def test_ill_posed_synthesis_is_flagged():

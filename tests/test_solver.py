@@ -39,7 +39,7 @@ def two_channel_setup():
         Actuator(Region.box(DOMAIN_1D, (0.3, 0.9)), lambda p: p[:, 0], "ramp"),
     ))
     fn = lambda tau: np.vstack([np.sin(tau), np.exp(-tau) * (1.0 + tau / 2.0)])
-    u = ControlSignal.sample(fn, WINDOW, 0.7, clock="from-start")
+    u = ControlSignal(WINDOW, 0.7, fn, clock="from-start")
     return basis, acts, u
 
 
@@ -63,8 +63,8 @@ def test_forced_solution_superposition():
     basis, acts, _ = two_channel_setup()
     f1 = lambda tau: np.vstack([np.sin(tau), np.cos(tau)])
     f2 = lambda tau: np.vstack([tau ** 2, np.exp(-tau)])
-    u1 = ControlSignal.sample(f1, WINDOW, 0.7, clock="from-start")
-    u2 = ControlSignal.sample(f2, WINDOW, 0.7, clock="from-start")
+    u1 = ControlSignal(WINDOW, 0.7, f1, clock="from-start")
+    u2 = ControlSignal(WINDOW, 0.7, f2, clock="from-start")
     separate = (forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2).coefficients
                 + forced_solution(acts, basis, u2, 0.7, WINDOW, 2.2).coefficients)
     combined = forced_solution(acts, basis, u1 + u2, 0.7, WINDOW, 2.2).coefficients
@@ -233,7 +233,7 @@ def test_control_signal_times_round_trip():
     fn = lambda tau: np.vstack([np.sin(tau), np.cos(tau)])
     # times() loses one ulp of tau through exp/log, so allow a tiny atol
     for clock in ("from-end", "from-start"):
-        sig = ControlSignal.sample(fn, WINDOW, 0.7, clock=clock)
+        sig = ControlSignal(WINDOW, 0.7, fn, clock=clock)
         assert_allclose(sig.evaluate_time(sig.times()), sig.values,
                         rtol=1e-13, atol=1e-12)
     # the singular factor amplifies that ulp by |alpha-1|/tau at the first
@@ -241,15 +241,6 @@ def test_control_signal_times_round_trip():
     singular = singular_signal(0.7, levels=(2.0,))
     assert_allclose(singular.evaluate_time(singular.times()), singular.values,
                     rtol=1e-9)
-
-
-def test_control_signal_weights_integrate_smooth_samples():
-    sig = ControlSignal.sample(lambda tau: np.cos(tau), WINDOW, 0.7)
-    L = WINDOW.length
-    assert_allclose(float(sig.weights @ np.cos(sig.tau_grid)), math.sin(L),
-                    rtol=0, atol=1e-10)
-    assert_allclose(float(sig.weights @ sig.tau_grid ** 3), L ** 4 / 4.0,
-                    rtol=0, atol=1e-12)
 
 
 def test_control_signal_algebra_and_epsilon():
@@ -268,33 +259,24 @@ def test_control_signal_algebra_and_epsilon():
     assert with_eps.epsilon_cutoff == 1e-4
     assert np.array_equal(with_eps.values, u1.values)
 
-    other_grid = ControlSignal.sample(lambda tau: np.ones((2, tau.size)),
-                                      WINDOW, 0.6, n=64)
+    other_grid = ControlSignal(WINDOW, 0.6, lambda tau: np.ones((2, tau.size)),
+                               singular=True, n=64)
     with pytest.raises(ValueError, match="same grid"):
         u1 + other_grid
 
 
 def test_control_signal_validation():
-    grid = np.linspace(0.1, WINDOW.length, 16)
-    vals = np.ones((1, 16))
+    ones = lambda tau: np.ones((1, tau.size))
     with pytest.raises(ValueError, match="at least 8"):
-        ControlSignal(WINDOW, 0.7, grid[:4], vals[:, :4])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        bad = grid.copy()
-        bad[3] = bad[5]
-        ControlSignal(WINDOW, 0.7, bad, vals)
-    with pytest.raises(ValueError, match="grid must lie"):
-        ControlSignal(WINDOW, 0.7, grid + WINDOW.length, vals)
+        ControlSignal(WINDOW, 0.7, ones, n=4)
     with pytest.raises(ValueError, match="does not match"):
-        ControlSignal(WINDOW, 0.7, grid, np.ones((1, 9)))
+        ControlSignal(WINDOW, 0.7, lambda tau: np.ones((1, 9)))
     with pytest.raises(ValueError, match="non-finite"):
-        nanvals = vals.copy()
-        nanvals[0, 3] = np.nan
-        ControlSignal(WINDOW, 0.7, grid, nanvals)
+        ControlSignal(WINDOW, 0.7, lambda tau: np.where(tau > 0.5, np.nan, 1.0))
     with pytest.raises(ValueError, match="clock"):
-        ControlSignal(WINDOW, 0.7, grid, vals, clock="sideways")
+        ControlSignal(WINDOW, 0.7, ones, clock="sideways")
     with pytest.raises(ValueError, match="alpha"):
-        ControlSignal(WINDOW, 1.5, grid, vals)
+        ControlSignal(WINDOW, 1.5, ones)
     with pytest.raises(ValueError, match="tau <= 0"):
         singular_signal(0.6).evaluate_tau(np.array([0.0, 0.1]))
 
