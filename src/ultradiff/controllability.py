@@ -68,23 +68,19 @@ def pinv_solve_symmetric(matrix: np.ndarray, rhs: np.ndarray,
     return solution, int(np.count_nonzero(keep)), cond
 
 
-def _qr_svd(a: np.ndarray):
-    """SVD of a matrix of any shape from its Householder QR, a = Q R, R = U S V^T.
+def _qr(a: np.ndarray):
+    """Householder QR a = Q R, in place, of an F-ordered `a` the caller can lose.
 
-    Factors `a` in place (pass an F-ordered array the caller can lose) with
-    LAPACK's blocked compact-WY dgeqrt, whose recursive panels run at level-3
-    speed where dgeqrf's are level-2, and never forms Q.  Returns every
-    singular value s, the U columns and V^T rows with s > 1e-12 * s[0], and
-    q_mul: q_mul(y) = Q @ y and q_mul(x, "T") = Q^T @ x for the economic Q,
-    applied from the reflectors and their block factors by dgemqrt.
+    LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
+    level-2) overwrites `a` with the reflectors; Q is never formed.  Returns
+    the upper-trapezoidal R and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
+    Q^T @ x for the economic Q, applied from the reflectors by dgemqrt.
     """
     k = min(a.shape)
     a, t, info = dgeqrt(min(32, k), a, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
     v = a[:, :k]                 # a wide `a` has fewer reflectors than columns
-    u_r, s_vals, vt = np.linalg.svd(np.triu(a[:k]))
-    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
 
     def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
         c = np.zeros((v.shape[0], x.shape[1]), order="F")
@@ -94,6 +90,15 @@ def _qr_svd(a: np.ndarray):
             raise np.linalg.LinAlgError(f"dgemqrt failed with info={info}")
         return c if trans == "N" else c[:k]
 
+    return np.triu(a[:k]), q_mul
+
+
+def _qr_svd(a: np.ndarray):
+    """SVD R = U S V^T of `_qr`'s R: every s, the U columns and V^T rows with
+    s > 1e-12 * s[0], and q_mul."""
+    r, q_mul = _qr(a)
+    u_r, s_vals, vt = np.linalg.svd(r)
+    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
     return s_vals, u_r[:, :rank], vt[:rank], q_mul
 
 
@@ -283,19 +288,15 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
 
     bucket_ids = sorted({mode.bucket for mode in basis.modes})
     mode_buckets = np.array([mode.bucket for mode in basis.modes])
-    bucket_mats = [
-        tuple(coefficient_matrix[:, np.nonzero(mode_buckets == b_id)[0]]
-              * direction_norms[l, np.nonzero(mode_buckets == b_id)[0]]
-              for l in range(ndim))
-        for b_id in bucket_ids
-    ]
+    bucket_idx = [np.nonzero(mode_buckets == b_id)[0] for b_id in bucket_ids]
+    bucket_mats = [tuple(coefficient_matrix[:, idx] * direction_norms[l, idx]
+                         for l in range(ndim)) for idx in bucket_idx]
     # rank decisions share one scale across buckets: an eigenvalue block whose
     # couplings are pure roundoff must count as dropped, not as full rank
     scale = max((float(np.max(np.abs(mat))) for mats in bucket_mats
                  for mat in mats if mat.size), default=0.0)
     buckets: list[StrategicBucket] = []
-    for b_id, mats in zip(bucket_ids, bucket_mats):
-        idx = np.nonzero(mode_buckets == b_id)[0]
+    for b_id, idx, mats in zip(bucket_ids, bucket_idx, bucket_mats):
         r_k = idx.size
         ranks = tuple(_rank(mat, RANK_RTOL, scale) for mat in mats)
         block_rank = _rank(np.vstack(mats), RANK_RTOL, scale)
@@ -317,42 +318,36 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     length = window.length if window is not None else 1.0
     taus = np.geomspace(length * 1e-4, length, 64)
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
-    stacked = _stacked_observation_map(coefficient_matrix, gram.matrix, kernel,
-                                       mode_buckets)
-    stacked_rank = _count_rank(_qr_svd(stacked)[0], RANK_RTOL)
+    # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
+    r_s = _qr(_stacked_observation_map(coefficient_matrix, kernel, mode_buckets))[0]
+    stacked_rank = _rank(r_s @ gram.matrix, RANK_RTOL)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
                            "STRATEGIC" if strategic else "NOT")
 
 
-def _stacked_observation_map(coefficient_matrix: np.ndarray,
-                             gram_matrix: np.ndarray, kernel: np.ndarray,
+def _stacked_observation_map(coefficient_matrix: np.ndarray, kernel: np.ndarray,
                              mode_buckets: np.ndarray) -> np.ndarray:
-    """Time-sampled observation map, (n_taus * m, n_modes), F-ordered.
+    """Time-sampled scaled couplings S, (n_taus * m, n_modes), F-ordered.
 
     Every mode of a bucket uses the kernel row of the bucket's first mode,
-    kappa[p], so the rows for time sample t are (D * kappa[:, t]) @ Gamma.
-    Built as (Gamma S^T)^T from the C-ordered stack S of those scaled
-    couplings, so `_qr_svd` factors it in place with no copy.
+    kappa[p], so the rows for time sample t are D * kappa[:, t]; the
+    observation map is S Gamma.  Built as the transpose of a C-ordered
+    array, so `_qr` factors it in place with no copy.
     """
     _, first, inverse = np.unique(mode_buckets, return_index=True,
                                   return_inverse=True)
     kappa = kernel[first[inverse]]                        # (n_modes, n_taus)
-    n_modes = coefficient_matrix.shape[1]
-    scaled = np.multiply(coefficient_matrix[None, :, :], kappa.T[:, None, :],
-                         order="C")
-    return (gram_matrix @ scaled.reshape(-1, n_modes).T).T
+    return np.multiply(coefficient_matrix.T[:, None, :], kappa[:, :, None]).reshape(
+        kappa.shape[0], -1).T
 
 
 def _rank(matrix: np.ndarray, rtol: float, scale: float | None = None) -> int:
+    """Singular values above rtol times scale, or the largest singular value."""
     if matrix.size == 0:
         return 0
-    return _count_rank(svd(matrix, compute_uv=False), rtol, scale)
-
-
-def _count_rank(s: np.ndarray, rtol: float, scale: float | None = None) -> int:
-    """Singular values s (largest first) above rtol times scale, or s[0]."""
+    s = svd(matrix, compute_uv=False)
     reference = s[0] if scale is None else scale
     return int(np.count_nonzero(s > rtol * reference)) if reference > 0 else 0
 

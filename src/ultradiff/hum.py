@@ -231,32 +231,32 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     Both checks work on an input map's factor A (A A^T = W), whose columns are
     the nodes whitened by their energy metric: a control's energy is a squared
-    norm there, and u* = A^T c.  Each factors A^T once with `_qr_svd`
-    (blocked Householder QR, LAPACK dgeqrt), A^T = Q R, R = U S V^T, and never
-    forms Q.  The trials project all draws off the row space Q U as one block;
-    the cross-check's control is Q U S^-1 V^T rhs over s > 1e-12 s[0], the
-    rule of np.linalg.pinv(rcond=1e-12).
+    norm there, and u* = A^T c.  Each factors A^T once, in place, with
+    `_qr_svd`, A^T = Q R, R = U S V^T, and never forms Q.  The trials project
+    all draws off the row space Q U as one block and take A phi from D, kappa
+    and w; the cross-check's energy is |S^-1 V^T rhs|^2 over s > 1e-12 s[0]
+    (its control Q U S^-1 V^T rhs, the rule of np.linalg.pinv(rcond=1e-12)).
     """
     input_map, rhs = solution.gramian.input_map, solution.rhs
 
     # whitened map on the solution's own quadrature resolution
     factor = input_map.factor()                           # (n_modes, m*nq)
-    u_star = factor.T @ solution.adjoint_datum
+    u_star, n_cols = factor.T @ solution.adjoint_datum, factor.shape[1]
     kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        # factor a copy: factor.T is F-ordered, so the QR would overwrite the
-        # factor the constraint check reads below
-        _, u_range, _, q_mul = _qr_svd(factor.T.copy(order="F"))
-        kernel_kept = factor.shape[1] - u_range.shape[1]
+        _, u_range, _, q_mul = _qr_svd(factor.T)           # overwrites the factor
+        factor = None
+        kernel_kept = n_cols - u_range.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            phi = np.random.default_rng(seed).standard_normal((trials, factor.shape[1]))
+            phi = np.random.default_rng(seed).standard_normal((trials, n_cols))
             phi -= q_mul(u_range @ (u_range.T @ q_mul(phi.T, "T"))).T
             scale = np.linalg.norm(phi, axis=1)
             phi /= np.where(scale > 0, scale, 1.0)[:, None]
-            max_violation = float(np.linalg.norm(phi @ factor.T, axis=1).max()) / rhs_scale
+            max_violation = float(np.linalg.norm(input_map.apply_factor(phi),
+                                                 axis=1).max()) / rhs_scale
             delta = 2.0 * (phi @ u_star) + np.sum(phi * phi, axis=1)
             min_delta = float(delta.min())
             trials_passed = int(np.count_nonzero(delta >= -1e-9))
@@ -269,9 +269,9 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     # minimal-norm discrete control on an independent resolution:
     # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
     whitened = input_map.with_nodes(PINV_NODES).factor()
-    s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T)
-    minimal = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
-    pinv_energy = float(minimal @ minimal)
+    s_vals, _, vt_k, _ = _qr_svd(whitened.T)
+    coefficients = (vt_k @ rhs) / s_vals[:vt_k.shape[0]]
+    pinv_energy = float(coefficients @ coefficients)
     denom = max(solution.energy, pinv_energy)
     rel_gap = abs(solution.energy - pinv_energy) / denom if denom > 0 else 0.0
 

@@ -290,6 +290,11 @@ class _InputMap:
         return np.einsum("ip,pq->piq", self.d, self.kernel * np.sqrt(self.weights),
                          order="C").reshape(-1, self.d.shape[0] * self.nodes)
 
+    def apply_factor(self, phi: np.ndarray) -> np.ndarray:
+        """phi @ A^T for rows phi over the columns iq of A, without forming A."""
+        rows = self.d.T @ phi.reshape(len(phi), self.d.shape[0], self.nodes)
+        return np.einsum("tpq,pq->tp", rows, self.kernel * np.sqrt(self.weights))
+
 
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
                   window: LogTimeWindow, t: float) -> SpectralState:

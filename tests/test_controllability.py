@@ -15,8 +15,8 @@ from numpy.testing import assert_allclose
 
 from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
-                                       StrategicReport, _count_rank, _qr_svd,
-                                       _rank, _stacked_observation_map,
+                                       StrategicReport, _qr, _rank,
+                                       _stacked_observation_map,
                                        approx_controllability_verdict,
                                        assemble_gramian, pinv_solve_symmetric,
                                        strategic_test, symmetric_square_root,
@@ -267,25 +267,27 @@ def test_stacked_observation_map_matches_per_bucket_sum():
         return stacked
 
     reference = per_bucket_sum(kernel)
-    assert_allclose(_stacked_observation_map(d, gram, kernel, mode_buckets),
+    # the helper returns the scaled couplings S; the observation map is S Gamma
+    assert_allclose(_stacked_observation_map(d, kernel, mode_buckets) @ gram,
                     reference, rtol=1e-12)
     # rows that differ within a bucket: only the first one may be used
     jittered = kernel * np.random.default_rng(5).uniform(0.5, 1.5, kernel.shape)
-    assert_allclose(_stacked_observation_map(d, gram, jittered, mode_buckets),
+    assert_allclose(_stacked_observation_map(d, jittered, mode_buckets) @ gram,
                     per_bucket_sum(jittered), rtol=1e-12)
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert report.stacked_rank == _rank(reference, RANK_RTOL)
 
 
 def _stacked_map_for(basis, region, acts, time_samples=64):
-    """The stacked observation map exactly as `strategic_test` builds it."""
+    """The scaled couplings S exactly as `strategic_test` builds them, and the
+    gradient Gram matrix Gamma; the stacked observation map is S Gamma."""
     order = default_order(basis)
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
-    return _stacked_observation_map(
+    stacked = _stacked_observation_map(
         actuator_coefficients(acts, basis, order),
-        gradient_gram(basis, region, order).matrix,
         _ml_matrix(0.7, basis.lams, taus),
         np.array([mode.bucket for mode in basis.modes]))
+    return stacked, gradient_gram(basis, region, order).matrix
 
 
 def _unit_square_modal():
@@ -307,15 +309,30 @@ def _quadrant_zone():
     return basis, quadrant, acts, rank
 
 
-@pytest.mark.parametrize("setup", [_unit_square_modal, _quadrant_zone],
-                         ids=["full-rank", "rank-deficient"])
+def _square_two_boxes_ranked():
+    """Two zone actuators against 16 modes: S Gamma has rank 13, with a clean
+    gap (s_12 = 2.8e-7 s_0, s_13 = 6.6e-17 s_0)."""
+    return _square_two_boxes() + (13,)
+
+
+@pytest.mark.parametrize("setup", [_unit_square_modal, _square_two_boxes_ranked,
+                                   _quadrant_zone],
+                         ids=["full-rank", "two-box-square", "rank-deficient"])
 def test_stacked_rank_from_qr_matches_svd(setup):
+    """S Gamma = Q_S (R_S Gamma): the small product that strategic_test
+    factors has the singular values of the stacked observation map, and so
+    its rank."""
     basis, region, acts, expected_rank = setup()
-    s = np.linalg.svd(_stacked_map_for(basis, region, acts), compute_uv=False)
-    svd_rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    assert svd_rank == expected_rank
+    stacked, gram = _stacked_map_for(basis, region, acts)
+    product = stacked @ gram
+    s = np.linalg.svd(product, compute_uv=False)
+    assert _rank(product, RANK_RTOL) == expected_rank
+    r_s = _qr(stacked)[0]
+    assert r_s.shape == (len(basis.modes), len(basis.modes))
+    assert_allclose(np.linalg.svd(r_s @ gram, compute_uv=False), s,
+                    rtol=0, atol=1e-12 * s[0])
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
-    assert report.stacked_rank == svd_rank
+    assert report.stacked_rank == expected_rank
 
 
 def _strategic_test_reference(basis, region, acts):
@@ -354,9 +371,11 @@ def _strategic_test_reference(basis, region, acts):
             tuple(buckets), m, sup_r, m >= sup_r, "exact", None, None, strategic,
             "STRATEGIC" if strategic else "NOT")
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, 64)
-    stacked = _stacked_observation_map(d, gradient_gram(basis, region, order).matrix,
-                                       _ml_matrix(0.7, basis.lams, taus), mode_buckets)
-    stacked_rank = _count_rank(_qr_svd(stacked)[0], RANK_RTOL)
+    stacked = _stacked_observation_map(d, _ml_matrix(0.7, basis.lams, taus),
+                                       mode_buckets)
+    # the explicit product S Gamma, not the R_S Gamma strategic_test factors
+    stacked_rank = _rank(stacked @ gradient_gram(basis, region, order).matrix,
+                         RANK_RTOL)
     strategic = stacked_rank == n_modes
     return direction_norms, StrategicReport(
         tuple(buckets), m, sup_r, m >= sup_r, "generic", stacked_rank, n_modes,
@@ -414,7 +433,31 @@ def test_dense_maps_are_built_in_the_layout_qr_overwrites():
                           input_map.kernel * np.sqrt(input_map.weights)).reshape(
         -1, input_map.d.shape[0] * input_map.nodes)
     assert np.array_equal(factor, reference)
-    assert _stacked_map_for(basis, region, acts).flags.f_contiguous
+    stacked, _ = _stacked_map_for(basis, region, acts)
+    assert stacked.flags.f_contiguous
+
+
+def test_strategic_test_holds_one_stacked_map():
+    """The strategic test factors S in place and multiplies its small R by
+    Gamma: with the couplings and Gamma passed in, its traced peak stays
+    below 1.5 times the bytes of S, where forming S Gamma next to S takes 2."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 8)
+    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
+                             for i, mode in enumerate(basis.modes)))
+    region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
+    d = actuator_coefficients(acts, basis)
+    gram = gradient_gram(basis, region)
+    stacked_bytes = 64 * d.size * d.itemsize          # 64 time samples
+    tracemalloc.start()
+    try:
+        report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW,
+                                gram=gram, coefficient_matrix=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stacked_rank == len(basis.modes)
+    assert peak < 1.5 * stacked_bytes
 
 
 def test_verdict_threshold_semantics():

@@ -7,6 +7,7 @@ elementary expression.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,37 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     pinv_energy = float(x_ref @ x_ref)
     gap_ref = abs(sol.energy - pinv_energy) / max(sol.energy, pinv_energy)
     assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
+
+
+def test_input_map_applies_its_factor_without_forming_it():
+    """The trials' constraint check A phi, read from D, kappa and w."""
+    basis, region, acts, _ = _modal_plus_zone_setup()
+    input_map = assemble_gramian(basis, region, acts, 0.7, WINDOW).input_map
+    factor = input_map.factor()
+    phi = np.random.default_rng(2).standard_normal((7, factor.shape[1]))
+    assert_allclose(input_map.apply_factor(phi), phi @ factor.T, rtol=1e-13)
+
+
+def test_minimality_trials_factor_the_map_in_place():
+    """K = 8 modal actuators on the unit square: 64 modes, 64 channels, so the
+    160-node factor is 64 x 10240 doubles.  The trials factor it in place;
+    a second copy of it would put the traced peak above twice its bytes."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 8)
+    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
+                             for i, mode in enumerate(basis.modes)))
+    sol = solve_hum(HumProblem(basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)),
+                               acts, 0.7, WINDOW,
+                               np.random.default_rng(11).standard_normal(64)))
+    factor_bytes = sol.gramian.input_map.factor().nbytes
+    tracemalloc.start()
+    try:
+        report = verify_minimality(sol, trials=12, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mode == "kernel+pinv" and report.passed
+    assert peak < 2.0 * factor_bytes
 
 
 @pytest.mark.parametrize("shape, rank", [
