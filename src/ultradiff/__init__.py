@@ -20,7 +20,6 @@ from .spectral import (
     SpectralBasis,
     actuator_coefficients,
     adjoint_gradient_coefficients,
-    dirichlet_eigenpairs,
     gradient_gram,
     region_inner_product,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SpectralBasis",
     "actuator_coefficients",
     "adjoint_gradient_coefficients",
-    "dirichlet_eigenpairs",
     "gradient_gram",
     "region_inner_product",
     "ControlSignal",

@@ -66,7 +66,7 @@ from .hum import (RESIDUAL_NODES, HumProblem, energy, g_norm, solve_hum,
                   verify_minimality)
 from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
-                     EnergyDivergenceError, free_solution)
+                     EnergyDivergenceError, final_gradient, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
                        SpectralBasis, default_order)
 
@@ -505,7 +505,6 @@ def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]
     for j, t in enumerate(times):
         series[j] = free_solution(y0, basis, scenario.alpha, window, t).coefficients
 
-    from .solver import final_gradient
     state = free_solution(y0, basis, scenario.alpha, window, window.b)
     grad = final_gradient(state, region, window=window)
 
@@ -538,15 +537,7 @@ def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
                           gramian.input_map.with_nodes(RESIDUAL_NODES))
     report.update({
         "task": "analyze",
-        "verdict": verdict.verdict,
-        "controllable": verdict.controllable,
-        "margin": verdict.margin,
-        "largest_eigenvalue": verdict.largest_eigenvalue,
-        "relative_margin": verdict.relative_margin,
-        "condition_number": verdict.condition_number,
-        "exact_constant": verdict.exact_constant,
-        "threshold": verdict.threshold,
-        "epsilon_cutoff": verdict.epsilon_cutoff,
+        **dataclasses.asdict(verdict),
         "strategic": {
             "verdict": strategic.verdict,
             "criterion": strategic.criterion,
@@ -789,7 +780,7 @@ def run_selftest() -> int:
           abs(float(np.sum(weights)) - 2.0 ** 0.7 / 0.7), 1e-10)
 
     window = LogTimeWindow(1.0, math.e)
-    u1 = ControlSignal.constant([1.0], window, 0.7, clock="from-end", n=256)
+    u1 = ControlSignal.constant([1.0], window, 0.7, n=256)
     check("constant-control-energy",
           abs(energy(u1) - (window.b - window.a)), 1e-9)
 

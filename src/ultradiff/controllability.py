@@ -253,7 +253,7 @@ class StrategicReport:
 
 
 def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet, *,
-                   alpha: float = 0.7, window: LogTimeWindow | None = None,
+                   alpha: float, window: LogTimeWindow,
                    gram: GradientBasisGram | None = None,
                    coefficient_matrix: np.ndarray | None = None) -> StrategicReport:
     """Rank test for actuator adequacy on the subregion.
@@ -269,6 +269,8 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     restricted-gradient span (test fields sum_p zeta_p grad alpha_p on the
     region, coupled through the gradient Gram matrix).  A finite time sample
     certifies injectivity only generically, so the verdict is "generic".
+    `alpha` and `window` fix the kernel's order and the sampled interval;
+    the 1-D criterion does not read them.
 
     Open question: what a 2-D bucket's `passes` means is not settled.  Its
     block stacks one row per gradient direction, so one actuator can reach
@@ -315,8 +317,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
                                "exact", None, None, strategic,
                                "STRATEGIC" if strategic else "NOT")
 
-    length = window.length if window is not None else 1.0
-    taus = np.geomspace(length * 1e-4, length, 64)
+    taus = np.geomspace(window.length * 1e-4, window.length, 64)
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
     r_s = _qr(_stacked_observation_map(coefficient_matrix, kernel, mode_buckets))[0]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -101,14 +100,8 @@ class HumSolution:
     energy: float
     residual_relative: float
     diagnostics: HumDiagnostics
-    residual_map: _InputMap | None = None   # the rule the residual is summed on
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        """Mode-coordinate right-hand side the datum was solved from."""
-        target = self.problem.target_gradient_coefficients
-        free = _free_final_coefficients(self.problem)
-        return target - free
+    residual_map: _InputMap        # the rule the residual is summed on
+    rhs: np.ndarray                # mode-coordinate vector c was solved from
 
 
 def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
@@ -169,7 +162,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
         kept_rank=kept, dropped_directions=n_modes - kept,
         solve_condition_number=cond, energy_identity_gap=identity_gap)
     return HumSolution(problem, gramian, g_coeffs, datum, control,
-                       cost, residual, diagnostics, residual_map)
+                       cost, residual, diagnostics, residual_map, rhs)
 
 
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:
@@ -199,8 +192,7 @@ def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:
     taus, weights = kernel_rule(alpha, power, n=nodes, eps=u.epsilon_cutoff or 0.0,
                                 length=window.length)
     smooth = u.smooth_at_tau(taus)
-    jac = window.b * np.exp(-taus) if u.clock == "from-end" \
-        else window.a * np.exp(taus)
+    jac = window.b * np.exp(-taus)
     return float(np.sum(weights * jac * np.sum(smooth ** 2, axis=0)))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +29,10 @@ import numpy as np
 from ._quadrature import kernel_rule
 from .logtime import LogTimeWindow, graded_grid
 from .mittag_leffler import ml_on_negative_axis
-from .spectral import ActuatorSet, SpectralBasis, actuator_coefficients
+from .spectral import (ActuatorSet, SpectralBasis, actuator_coefficients,
+                       gradient_gram)
 
 logger = logging.getLogger(__name__)
-
-CLOCKS = ("from-end", "from-start")
 
 DEFAULT_CONTROL_NODES = 256
 KERNEL_NODES = 160
@@ -95,11 +94,10 @@ class SpectralState:
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """Vector control held by an exact evaluator on a log-time clock.
+    """Vector control held by an exact evaluator on the clock tau = log(b/t).
 
-    `clock` fixes the meaning of tau: "from-end" means tau = log(b/t) (the
-    natural clock for synthesized controls, singular end at t = b),
-    "from-start" means tau = log(t/a).  `smooth_fn` maps a tau-array to an
+    tau runs back from the final time, so a synthesized control's singular
+    end t = b sits at tau = 0.  `smooth_fn` maps a tau-array to an
     (m, tau.size) array f(tau); the control is u = tau^(alpha-1) * f(tau) when
     `singular` is set and u = f(tau) otherwise, so the singular endpoint never
     has to be represented numerically and every quadrature evaluates u
@@ -110,7 +108,6 @@ class ControlSignal:
     window: LogTimeWindow
     alpha: float
     smooth_fn: Callable[[np.ndarray], np.ndarray]
-    clock: str = "from-end"
     singular: bool = False
     epsilon_cutoff: float | None = None
     n: int = DEFAULT_CONTROL_NODES
@@ -119,8 +116,6 @@ class ControlSignal:
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
-        if self.clock not in CLOCKS:
-            raise ValueError(f"clock must be one of {CLOCKS}, got {self.clock!r}")
         if self.n < 8:
             raise ValueError(f"control grid needs at least 8 nodes, got n={self.n}")
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
@@ -144,21 +139,18 @@ class ControlSignal:
 
     @classmethod
     def constant(cls, levels, window: LogTimeWindow, alpha: float, *,
-                 clock: str = "from-end", n: int = DEFAULT_CONTROL_NODES) -> "ControlSignal":
+                 n: int = DEFAULT_CONTROL_NODES) -> "ControlSignal":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         return cls(window, alpha, lambda tau: np.tile(levels[:, None], (1, tau.size)),
-                   clock=clock, n=n)
+                   n=n)
 
     @classmethod
     def from_smooth_part(cls, fn, window: LogTimeWindow, alpha: float, *,
-                         clock: str = "from-end", n: int = DEFAULT_CONTROL_NODES,
+                         n: int = DEFAULT_CONTROL_NODES,
                          epsilon_cutoff: float | None = None) -> "ControlSignal":
         """Build u = tau^(alpha-1) * fn(tau) from its smooth factor."""
-        return cls(window, alpha, fn, clock=clock, singular=True,
-                   epsilon_cutoff=epsilon_cutoff, n=n)
-
-    def with_epsilon(self, epsilon: float) -> "ControlSignal":
-        return replace(self, epsilon_cutoff=float(epsilon))
+        return cls(window, alpha, fn, singular=True, epsilon_cutoff=epsilon_cutoff,
+                   n=n)
 
     # -- shape ------------------------------------------------------------
 
@@ -191,40 +183,16 @@ class ControlSignal:
 
     def evaluate_time(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        if self.clock == "from-end":
-            tau = np.log(self.window.b / times)
-        else:
-            tau = np.log(times / self.window.a)
-        return self.evaluate_tau(tau)
+        return self.evaluate_tau(np.log(self.window.b / times))
 
     def times(self) -> np.ndarray:
         """Actual time instants of the grid nodes (same order as the grid)."""
-        if self.clock == "from-end":
-            return self.window.b * np.exp(-self.tau_grid)
-        return self.window.a * np.exp(self.tau_grid)
+        return self.window.b * np.exp(-self.tau_grid)
 
     def _check_tau_range(self, tau: np.ndarray) -> None:
         if tau.size and (np.min(tau) < -1e-12 or
                          np.max(tau) > self.window.length * (1 + 1e-9) + 1e-12):
             raise ValueError(f"tau outside [0, {self.window.length:.6g}]")
-
-    def __add__(self, other: "ControlSignal") -> "ControlSignal":
-        if not isinstance(other, ControlSignal):
-            return NotImplemented
-        if ((self.window, self.clock, self.alpha, self.singular, self.n, self.m)
-                != (other.window, other.clock, other.alpha, other.singular,
-                    other.n, other.m)):
-            raise ValueError("can only add controls on the same grid/clock/order")
-        first, second = self.smooth_fn, other.smooth_fn
-        eps = self.epsilon_cutoff if self.epsilon_cutoff is not None else other.epsilon_cutoff
-        return replace(self, epsilon_cutoff=eps, smooth_fn=lambda tau: (
-            np.asarray(first(tau)) + np.asarray(second(tau))))
-
-    def __mul__(self, scalar: float) -> "ControlSignal":
-        base = self.smooth_fn
-        return replace(self, smooth_fn=lambda tau: scalar * np.asarray(base(tau)))
-
-    __rmul__ = __mul__
 
 
 def _ml_matrix(alpha: float, lams, taus) -> np.ndarray:
@@ -319,7 +287,7 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
     The mode integrals use `kernel_rule` in y = s^alpha with its nodes placed
     for the largest decay rate, so the Mittag-Leffler factors are smooth on
     every piece of the rule.  The only special case is a synthesized
-    (singular, from-end clock) control evaluated at t = b, where the control's
+    (singular) control evaluated at t = b, where the control's
     own tau^(alpha-1) folds into the weight — that product is non-integrable
     for alpha <= 1/2 and refuses without an epsilon cutoff.
     """
@@ -333,7 +301,7 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
     horizon = window.tau_from_start(t)
 
     at_final = abs(t - window.b) <= 1e-12 * window.b
-    if u.is_singular and u.clock == "from-end" and at_final:
+    if u.is_singular and at_final:
         cutoff = epsilon if epsilon is not None else (u.epsilon_cutoff or 0.0)
         if alpha <= 0.5 and cutoff == 0.0:
             raise EnergyDivergenceError(alpha, "the control-times-kernel integrand")
@@ -391,8 +359,6 @@ def final_gradient(state: SpectralState, region, *, window: LogTimeWindow | None
     state coefficients against the restricted-gradient basis; the Gram matrix
     carries the geometry.
     """
-    from .spectral import gradient_gram
-
     if window is not None and abs(state.t - window.b) > 1e-9 * window.b:
         raise ValueError(f"state is at t = {state.t:g}, not the final time "
                          f"{window.b:g}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -110,13 +110,21 @@ def _boxes_overlap(b1: Box, b2: Box) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """One normalized Laplacian eigenfunction with its gradient evaluator."""
+    """One normalized Laplacian eigenfunction, evaluated through its basis."""
 
     index: tuple[int, ...]
     lam: float
     bucket: int
-    value: object   # callable: points (N, ndim) -> (N,)
-    gradient: object  # callable: points (N, ndim) -> (N, ndim)
+    basis: SpectralBasis = field(repr=False)
+
+    def value(self, points) -> np.ndarray:
+        """(N,) values at points (N, ndim)."""
+        return self.basis._rows(points, (self.index,))[0]
+
+    def gradient(self, points) -> np.ndarray:
+        """(N, ndim) gradient at points (N, ndim)."""
+        return np.column_stack([self.basis._rows(points, (self.index,), component)[0]
+                                for component in range(self.basis.domain.ndim)])
 
 
 class SpectralBasis:
@@ -136,6 +144,9 @@ class SpectralBasis:
         self.domain = domain
         self.cutoff = int(cutoff)
         self.family = family
+        # each axis factor is sin(k pi (x - origin) / period) * sqrt(2 / length)
+        self._axes = tuple((lo, hi - lo) if family == "canonical" else (0.0, 1.0)
+                           for lo, hi in domain.bounds)
 
         ndim = domain.ndim
         axis_indices = np.arange(1, cutoff + 1)
@@ -153,103 +164,51 @@ class SpectralBasis:
             if prev_lam is None or lam - prev_lam > BUCKET_RTOL * lam:
                 bucket += 1
             prev_lam = lam
-            modes.append(Eigenpair(index, lam, bucket,
-                                   self._make_value(index), self._make_gradient(index)))
+            modes.append(Eigenpair(index, lam, bucket, self))
         self.modes: tuple[Eigenpair, ...] = tuple(modes)
         self.lams = np.array([m.lam for m in modes])
 
     # -- per-axis factors ---------------------------------------------------
 
     def _axis_lam(self, axis: int, k: int) -> float:
-        lo, hi = self.domain.bounds[axis]
-        if self.family == "canonical":
-            return (k * math.pi / (hi - lo)) ** 2
-        return (k * math.pi) ** 2
+        return (k * math.pi / self._axes[axis][1]) ** 2
 
-    def axis_value(self, axis: int, k: int, x) -> np.ndarray:
+    def _axis_factor(self, axis: int, k: int, x: np.ndarray,
+                     derivative: bool) -> np.ndarray:
+        """sin(k pi (x - origin) / period) * sqrt(2 / length), or its x-derivative."""
         lo, hi = self.domain.bounds[axis]
-        length = hi - lo
-        x = np.asarray(x, dtype=float)
-        if self.family == "canonical":
-            return math.sqrt(2.0 / length) * np.sin(k * math.pi * (x - lo) / length)
-        return math.sqrt(2.0 / length) * np.sin(k * math.pi * x)
+        origin, period = self._axes[axis]
+        if derivative:
+            w = k * math.pi / period
+            return math.sqrt(2.0 / (hi - lo)) * w * np.cos(w * (x - origin))
+        return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
-    def axis_derivative(self, axis: int, k: int, x) -> np.ndarray:
-        lo, hi = self.domain.bounds[axis]
-        length = hi - lo
-        x = np.asarray(x, dtype=float)
-        if self.family == "canonical":
-            w = k * math.pi / length
-            return math.sqrt(2.0 / length) * w * np.cos(w * (x - lo))
-        w = k * math.pi
-        return math.sqrt(2.0 / length) * w * np.cos(w * x)
-
-    def _make_value(self, index: tuple[int, ...]):
-        def value(points):
-            points = _as_points(points, self.domain.ndim)
-            out = np.ones(points.shape[0])
+    def _rows(self, points, indices, component: int | None = None) -> np.ndarray:
+        """(len(indices), N) products of per-axis factors, in axis order from
+        ones, with the derivative factor on axis `component`.  Each factor
+        is evaluated once per call, and only if some row uses it."""
+        points = _as_points(points, self.domain.ndim)
+        factors: list[dict[int, np.ndarray]] = [{} for _ in self._axes]
+        rows = np.empty((len(indices), points.shape[0]))
+        for r, index in enumerate(indices):
+            row = np.ones(points.shape[0])
             for ax, k in enumerate(index):
-                out = out * self.axis_value(ax, k, points[:, ax])
-            return out
-        return value
-
-    def _make_gradient(self, index: tuple[int, ...]):
-        def gradient(points):
-            points = _as_points(points, self.domain.ndim)
-            n, ndim = points.shape
-            axis_vals = [self.axis_value(ax, k, points[:, ax])
-                         for ax, k in enumerate(index)]
-            axis_ders = [self.axis_derivative(ax, k, points[:, ax])
-                         for ax, k in enumerate(index)]
-            grad = np.empty((n, ndim))
-            for component in range(ndim):
-                g = np.ones(n)
-                for ax in range(ndim):
-                    g = g * (axis_ders[ax] if ax == component else axis_vals[ax])
-                grad[:, component] = g
-            return grad
-        return gradient
+                if k not in factors[ax]:
+                    factors[ax][k] = self._axis_factor(ax, k, points[:, ax],
+                                                       ax == component)
+                row = row * factors[ax][k]
+            rows[r] = row
+        return rows
 
     # -- batch evaluation ---------------------------------------------------
 
     def value_matrix(self, points) -> np.ndarray:
         """(n_modes, n_points) eigenfunction values."""
-        points = _as_points(points, self.domain.ndim)
-        axis_tables = self._axis_tables(points, derivative=False)
-        return self._combine(axis_tables, None)
+        return self._rows(points, [mode.index for mode in self.modes])
 
     def gradient_component_matrix(self, points, component: int) -> np.ndarray:
         """(n_modes, n_points) values of d(alpha_p)/dx_component."""
-        points = _as_points(points, self.domain.ndim)
-        vals = self._axis_tables(points, derivative=False)
-        ders = self._axis_tables(points, derivative=True)
-        return self._combine(vals, (component, ders))
-
-    def _axis_tables(self, points, derivative: bool):
-        tables = []
-        fn = self.axis_derivative if derivative else self.axis_value
-        for ax in range(self.domain.ndim):
-            table = {k: fn(ax, k, points[:, ax]) for k in range(1, self.cutoff + 1)}
-            tables.append(table)
-        return tables
-
-    def _combine(self, value_tables, derivative_spec):
-        rows = []
-        for mode in self.modes:
-            row = np.ones(next(iter(value_tables[0].values())).shape[0])
-            for ax, k in enumerate(mode.index):
-                if derivative_spec is not None and ax == derivative_spec[0]:
-                    row = row * derivative_spec[1][ax][k]
-                else:
-                    row = row * value_tables[ax][k]
-            rows.append(row)
-        return np.vstack(rows)
-
-
-def dirichlet_eigenpairs(domain: RectDomain, cutoff: int,
-                         family: str = "canonical") -> list[Eigenpair]:
-    """Tensor-sine eigenpairs sorted by eigenvalue, bucketed by multiplicity."""
-    return list(SpectralBasis(domain, cutoff, family).modes)
+        return self._rows(points, [mode.index for mode in self.modes], component)
 
 
 def _as_points(points, ndim: int) -> np.ndarray:

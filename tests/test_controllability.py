@@ -115,7 +115,7 @@ def test_input_to_state_duality():
     for _ in range(20):
         a0, a1, a2 = rng.uniform(-1.0, 1.0, 3)
         fn = lambda tau: a0 + a1 * np.cos(tau) + a2 * tau ** 2
-        u = ControlSignal(WINDOW, 0.7, fn, clock="from-end")
+        u = ControlSignal(WINDOW, 0.7, fn)
         v = rng.standard_normal(len(basis.modes))
         lhs = float(forced_solution(acts, basis, u, 0.7, WINDOW,
                                     WINDOW.b).coefficients @ v)
@@ -176,7 +176,7 @@ def test_one_dimensional_rank_and_spectral_verdicts_agree():
                                       lambda p, c0=c0, c1=c1: c0 + c1 * p[:, 0],
                                       f"a{i}"))
         acts = ActuatorSet(tuple(actuators))
-        report = strategic_test(basis, region, acts)
+        report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
         verdict = approx_controllability_verdict(
             assemble_gramian(basis, region, acts, 0.7, WINDOW))
         assert report.criterion == "exact"
@@ -192,7 +192,7 @@ def test_mode_orthogonal_actuator_fails_both_tests():
     acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D),
                                  lambda p: np.sin(2.0 * math.pi * p[:, 0]),
                                  "orthogonal"),))
-    report = strategic_test(basis, region, acts)
+    report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert not report.strategic
     assert report.verdict == "NOT"
     assert any(b.direction_ranks[0] < b.multiplicity for b in report.buckets)
@@ -209,14 +209,14 @@ def test_two_dimensional_strategic_patterns():
          for b in strategic_test(
              basis, region,
              ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0]), "z"),)),
-             window=WINDOW).buckets}.values())
+             alpha=0.7, window=WINDOW).buckets}.values())
     assert mults == [1, 1, 2]
 
     # one channel cannot dominate a two-fold eigenvalue
     single = strategic_test(
         basis, region,
         ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0]), "z"),)),
-        window=WINDOW)
+        alpha=0.7, window=WINDOW)
     assert single.criterion == "generic"
     assert single.sup_multiplicity == 2
     assert not single.m_sufficient
@@ -227,7 +227,7 @@ def test_two_dimensional_strategic_patterns():
         basis, region,
         ActuatorSet(tuple(Actuator(Region.whole(SQUARE), m.value, f"m{i}")
                           for i, m in enumerate(basis.modes))),
-        window=WINDOW)
+        alpha=0.7, window=WINDOW)
     assert modal.m_sufficient
     assert modal.stacked_rank == modal.required_rank == len(basis.modes)
     assert modal.strategic

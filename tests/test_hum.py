@@ -350,12 +350,15 @@ def test_divergence_refusals():
     with pytest.raises(EnergyDivergenceError) as err:
         energy(u)
     assert err.value.alpha == 0.4
-    assert math.isfinite(energy(u.with_epsilon(1e-3)))
+    u = ControlSignal.from_smooth_part(
+        lambda tau: np.cos(tau)[None, :], WINDOW, 0.4, epsilon_cutoff=1e-3)
+    assert math.isfinite(energy(u))
 
 
 def test_energy_of_unit_control_is_the_window_length():
-    # int cos^2(tau) e^(s tau) dtau over [0, L] times the clock's time scale
-    # (t = b e^-tau from the end, t = a e^tau from the start)
+    # int cos^2(sigma) e^(s sigma) dsigma over [0, L] times a time scale:
+    # cos(tau) with t = b e^-tau, and cos(L - tau), which is cos(sigma) at
+    # sigma = log(t/a), with t = a e^sigma
     L = WINDOW.length
 
     def cos_squared_energy(scale, s):
@@ -363,11 +366,11 @@ def test_energy_of_unit_control_is_the_window_length():
                         + (math.exp(s * L) * (s * math.cos(2 * L) + 2 * math.sin(2 * L))
                            - s) / (2.0 * (s * s + 4.0)))
 
-    for clock, scale, s in (("from-end", WINDOW.b, -1.0),
-                            ("from-start", WINDOW.a, 1.0)):
-        u = ControlSignal.constant(1.0, WINDOW, 0.7, clock=clock)
-        assert_allclose(energy(u), WINDOW.b - WINDOW.a, rtol=1e-11)
-        u = ControlSignal(WINDOW, 0.7, np.cos, clock=clock)
+    u = ControlSignal.constant(1.0, WINDOW, 0.7)
+    assert_allclose(energy(u), WINDOW.b - WINDOW.a, rtol=1e-11)
+    for fn, scale, s in ((np.cos, WINDOW.b, -1.0),
+                         (lambda tau: np.cos(L - tau), WINDOW.a, 1.0)):
+        u = ControlSignal(WINDOW, 0.7, fn)
         assert_allclose(energy(u), cos_squared_energy(scale, s), rtol=1e-13)
 
 

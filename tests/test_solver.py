@@ -38,8 +38,12 @@ def two_channel_setup():
                  lambda p: np.ones(p.shape[0]), "zone"),
         Actuator(Region.box(DOMAIN_1D, (0.3, 0.9)), lambda p: p[:, 0], "ramp"),
     ))
-    fn = lambda tau: np.vstack([np.sin(tau), np.exp(-tau) * (1.0 + tau / 2.0)])
-    u = ControlSignal(WINDOW, 0.7, fn, clock="from-start")
+
+    def fn(tau):
+        s = WINDOW.length - tau     # log(t/a), the clock the oracle was built on
+        return np.vstack([np.sin(s), np.exp(-s) * (1.0 + s / 2.0)])
+
+    u = ControlSignal(WINDOW, 0.7, fn)
     return basis, acts, u
 
 
@@ -61,15 +65,18 @@ def test_forced_solution_node_count_converged():
 
 def test_forced_solution_superposition():
     basis, acts, _ = two_channel_setup()
-    f1 = lambda tau: np.vstack([np.sin(tau), np.cos(tau)])
-    f2 = lambda tau: np.vstack([tau ** 2, np.exp(-tau)])
-    u1 = ControlSignal(WINDOW, 0.7, f1, clock="from-start")
-    u2 = ControlSignal(WINDOW, 0.7, f2, clock="from-start")
+    L = WINDOW.length
+    f1 = lambda tau: np.vstack([np.sin(L - tau), np.cos(L - tau)])
+    f2 = lambda tau: np.vstack([(L - tau) ** 2, np.exp(-(L - tau))])
+    u1 = ControlSignal(WINDOW, 0.7, f1)
+    u2 = ControlSignal(WINDOW, 0.7, f2)
     separate = (forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2).coefficients
                 + forced_solution(acts, basis, u2, 0.7, WINDOW, 2.2).coefficients)
-    combined = forced_solution(acts, basis, u1 + u2, 0.7, WINDOW, 2.2).coefficients
+    total = ControlSignal(WINDOW, 0.7, lambda tau: f1(tau) + f2(tau))
+    combined = forced_solution(acts, basis, total, 0.7, WINDOW, 2.2).coefficients
     assert_allclose(combined, separate, rtol=1e-12)
-    doubled = forced_solution(acts, basis, 2.0 * u1, 0.7, WINDOW, 2.2).coefficients
+    scaled = ControlSignal(WINDOW, 0.7, lambda tau: 2.0 * f1(tau))
+    doubled = forced_solution(acts, basis, scaled, 0.7, WINDOW, 2.2).coefficients
     assert_allclose(doubled,
                     2.0 * forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2).coefficients,
                     rtol=1e-13)
@@ -192,7 +199,8 @@ def test_singular_control_divergence_refusal_and_cutoff():
     assert err.value.alpha == 0.4
     assert "epsilon" in str(err.value)
     # an explicit cutoff makes the same evaluation finite
-    state = forced_solution(acts, basis, u.with_epsilon(1e-3), 0.4, WINDOW, WINDOW.b)
+    state = forced_solution(acts, basis, singular_signal(0.4, epsilon=1e-3), 0.4,
+                            WINDOW, WINDOW.b)
     assert np.all(np.isfinite(state.coefficients))
     # interior times never touch the singular endpoint
     interior = forced_solution(acts, basis, u, 0.4, WINDOW, 2.0)
@@ -230,10 +238,11 @@ def test_kernel_rule_moments():
 # --- control signal mechanics ------------------------------------------------
 
 def test_control_signal_times_round_trip():
-    fn = lambda tau: np.vstack([np.sin(tau), np.cos(tau)])
+    L = WINDOW.length
     # times() loses one ulp of tau through exp/log, so allow a tiny atol
-    for clock in ("from-end", "from-start"):
-        sig = ControlSignal(WINDOW, 0.7, fn, clock=clock)
+    for fn in (lambda tau: np.vstack([np.sin(tau), np.cos(tau)]),
+               lambda tau: np.vstack([np.sin(L - tau), np.cos(L - tau)])):
+        sig = ControlSignal(WINDOW, 0.7, fn)
         assert_allclose(sig.evaluate_time(sig.times()), sig.values,
                         rtol=1e-13, atol=1e-12)
     # the singular factor amplifies that ulp by |alpha-1|/tau at the first
@@ -241,28 +250,6 @@ def test_control_signal_times_round_trip():
     singular = singular_signal(0.7, levels=(2.0,))
     assert_allclose(singular.evaluate_time(singular.times()), singular.values,
                     rtol=1e-9)
-
-
-def test_control_signal_algebra_and_epsilon():
-    u1 = singular_signal(0.6, levels=(1.0, -2.0))
-    u2 = singular_signal(0.6, levels=(0.5, 0.25))
-    total = u1 + u2
-    assert_allclose(total.values, u1.values + u2.values, rtol=1e-15)
-    tau_probe = np.array([0.1, 0.4])
-    assert_allclose(total.smooth_at_tau(tau_probe),
-                    u1.smooth_at_tau(tau_probe) + u2.smooth_at_tau(tau_probe),
-                    rtol=1e-14)
-    scaled = 3.0 * u1
-    assert_allclose(scaled.values, 3.0 * u1.values, rtol=1e-15)
-    assert scaled.is_singular
-    with_eps = u1.with_epsilon(1e-4)
-    assert with_eps.epsilon_cutoff == 1e-4
-    assert np.array_equal(with_eps.values, u1.values)
-
-    other_grid = ControlSignal(WINDOW, 0.6, lambda tau: np.ones((2, tau.size)),
-                               singular=True, n=64)
-    with pytest.raises(ValueError, match="same grid"):
-        u1 + other_grid
 
 
 def test_control_signal_validation():
@@ -273,8 +260,6 @@ def test_control_signal_validation():
         ControlSignal(WINDOW, 0.7, lambda tau: np.ones((1, 9)))
     with pytest.raises(ValueError, match="non-finite"):
         ControlSignal(WINDOW, 0.7, lambda tau: np.where(tau > 0.5, np.nan, 1.0))
-    with pytest.raises(ValueError, match="clock"):
-        ControlSignal(WINDOW, 0.7, ones, clock="sideways")
     with pytest.raises(ValueError, match="alpha"):
         ControlSignal(WINDOW, 1.5, ones)
     with pytest.raises(ValueError, match="tau <= 0"):

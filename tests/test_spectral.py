@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, actuator_coefficients,
                                 adjoint_gradient_coefficients, box_quadrature,
-                                default_order, dirichlet_eigenpairs,
+                                default_order,
                                 gradient_gram, region_inner_product)
 
 
@@ -78,18 +78,49 @@ def test_gradient_evaluator_matches_finite_difference():
             assert_allclose(grad[:, component], fd, rtol=0, atol=5e-5)
 
 
-def test_value_and_gradient_matrices_agree_with_mode_evaluators():
-    domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
-    basis = SpectralBasis(domain, 3, "whole-wave")
+def reference_axis_factor(domain, family, axis, k, x, derivative):
+    """One per-axis sine factor or its derivative, written out per family."""
+    lo, hi = domain.bounds[axis]
+    length = hi - lo
+    if family == "canonical":
+        if derivative:
+            w = k * math.pi / length
+            return math.sqrt(2.0 / length) * w * np.cos(w * (x - lo))
+        return math.sqrt(2.0 / length) * np.sin(k * math.pi * (x - lo) / length)
+    if derivative:
+        w = k * math.pi
+        return math.sqrt(2.0 / length) * w * np.cos(w * x)
+    return math.sqrt(2.0 / length) * np.sin(k * math.pi * x)
+
+
+@pytest.mark.parametrize("domain,family", [
+    (RectDomain.rectangle((0.3, 1.7), (-0.4, 0.9)), "canonical"),
+    (RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0)), "whole-wave"),
+], ids=["canonical", "whole-wave"])
+def test_mode_evaluators_match_per_axis_reference(domain, family):
+    # every evaluator multiplies the same factors in axis order from ones,
+    # so each agrees with the written-out product bit for bit
+    basis = SpectralBasis(domain, 3, family)
     rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.9, 0.9, size=(25, 2))
+    pts = np.column_stack([rng.uniform(lo, hi, 25) for lo, hi in domain.bounds])
+
+    def reference(index, component=None):
+        row = np.ones(len(pts))
+        for ax, k in enumerate(index):
+            row = row * reference_axis_factor(domain, family, ax, k, pts[:, ax],
+                                              ax == component)
+        return row
+
     vm = basis.value_matrix(pts)
     for p, mode in enumerate(basis.modes):
-        assert_allclose(vm[p], mode.value(pts), rtol=1e-13)
+        assert np.array_equal(vm[p], reference(mode.index))
+        assert np.array_equal(mode.value(pts), reference(mode.index))
     for component in range(2):
         dm = basis.gradient_component_matrix(pts, component)
         for p, mode in enumerate(basis.modes):
-            assert_allclose(dm[p], mode.gradient(pts)[:, component], rtol=1e-13)
+            assert np.array_equal(dm[p], reference(mode.index, component))
+            assert np.array_equal(mode.gradient(pts)[:, component],
+                                  reference(mode.index, component))
 
 
 def test_gradient_gram_symmetric_psd():
@@ -294,5 +325,5 @@ def test_construction_validation():
         SpectralBasis(domain, 2, "fourier")
     with pytest.raises(ValueError, match="integer axis endpoints"):
         SpectralBasis(RectDomain.interval(0.0, 1.5), 2, "whole-wave")
-    pairs = dirichlet_eigenpairs(domain, 3)
+    pairs = SpectralBasis(domain, 3).modes
     assert [m.index for m in pairs] == [(1,), (2,), (3,)]
