@@ -68,7 +68,7 @@ from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, final_gradient, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
-                       SpectralBasis, default_order)
+                       SpectralBasis, default_order, gradient_gram)
 
 logger = logging.getLogger(__name__)
 
@@ -783,6 +783,14 @@ def run_selftest() -> int:
     u1 = ControlSignal.constant([1.0], window, 0.7, n=256)
     check("constant-control-energy",
           abs(energy(u1) - (window.b - window.a)), 1e-9)
+
+    # integration by parts: <grad a_p, grad a_q> over the whole box is lam_p delta_pq
+    square = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(square, 4)
+    gram = gradient_gram(basis, Region.whole(square)).matrix
+    check("gradient-gram-closed-form",
+          float(np.max(np.abs(gram - np.diag(basis.lams)))) / float(basis.lams.max()),
+          1e-12)
 
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 4)

@@ -88,8 +88,10 @@ class SpectralState:
         return self.basis.value_matrix(points).T @ self.coefficients
 
     def gradient_values(self, points) -> np.ndarray:
-        return sum(c * mode.gradient(points)
-                   for c, mode in zip(self.coefficients, self.basis.modes))
+        """(N, ndim) gradient of the field at points (N, ndim)."""
+        return np.column_stack([
+            self.basis.gradient_component_matrix(points, component).T @ self.coefficients
+            for component in range(self.basis.domain.ndim)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,9 @@ Everything spatial lives here: eigenpairs of the Dirichlet Laplacian on an
 interval or rectangle (assembled analytically from tensor sines), axis-aligned
 subregions, actuator coefficient vectors, and the Gram matrix of restricted
 eigenfunction gradients that coordinatizes gradient fields on a subregion.
+Box integrals against the modes contract per-axis 1-D factor tables one axis
+at a time; the (n_modes, N) tables of `value_matrix` and
+`gradient_component_matrix` serve pointwise evaluation only.
 
 Two mode families:
 
@@ -173,7 +176,7 @@ class SpectralBasis:
     def _axis_lam(self, axis: int, k: int) -> float:
         return (k * math.pi / self._axes[axis][1]) ** 2
 
-    def _axis_factor(self, axis: int, k: int, x: np.ndarray,
+    def _axis_factor(self, axis: int, k: int | np.ndarray, x: np.ndarray,
                      derivative: bool) -> np.ndarray:
         """sin(k pi (x - origin) / period) * sqrt(2 / length), or its x-derivative."""
         lo, hi = self.domain.bounds[axis]
@@ -239,6 +242,37 @@ def box_quadrature(box: Box, order: int):
     return points, weights
 
 
+def _axis_tables(basis: SpectralBasis, box: Box, order: int):
+    """Per axis of `box`: the 1-D Gauss weights w (order,) and the (K, order)
+    tables of the value and derivative factors k = 1..K at its nodes.
+
+    Every mode is a product of one factor per axis and `box_quadrature` is
+    the tensor product of these 1-D rules, so every box integral against the
+    modes contracts one axis at a time with these tables.
+    """
+    k = np.arange(1, basis.cutoff + 1)[:, None]
+    tables = []
+    for ax, (lo, hi) in enumerate(box):
+        x, w = _box_rule_1d(lo, hi, order)
+        tables.append((w, basis._axis_factor(ax, k, x, False),
+                       basis._axis_factor(ax, k, x, True)))
+    return tables
+
+
+def _axis_index(basis: SpectralBasis) -> tuple[np.ndarray, ...]:
+    """Per axis, each mode's 0-based row in the axis tables."""
+    return tuple(np.array([mode.index for mode in basis.modes]).T - 1)
+
+
+def _contract(grid: np.ndarray, weighted: list[np.ndarray]) -> np.ndarray:
+    """Sum over the nodes of grid (batch, n_1, ..., n_d) times the weighted
+    factor tables (K, n_ax) of each axis: (batch, K, ..., K)."""
+    for table in reversed(weighted):
+        flat = grid.reshape(-1, grid.shape[-1]) @ table.T
+        grid = np.moveaxis(flat.reshape(grid.shape[:-1] + (table.shape[0],)), -1, 1)
+    return grid
+
+
 def default_order(basis: SpectralBasis) -> int:
     # NOTE: products of two cutoff-K modes need comfortably more than 2K
     # Gauss points per axis once gradient factors enter; 4K+12 holds the
@@ -293,16 +327,30 @@ class GradientBasisGram:
 
 def gradient_gram(basis: SpectralBasis, region: Region,
                   order: int | None = None) -> GradientBasisGram:
+    """Gram of the restricted gradients, one axis at a time.
+
+    On each box the gradient's component l pairs as a product of 1-D Grams:
+    <d_l alpha_p, d_l alpha_q> = prod over axes of M[k_p, k_q], where M is
+    the axis's derivative Gram (F'w) F'^T on axis l and its value Gram
+    (F w) F^T on the others.  The direction norms are the square roots of
+    those terms' diagonals.
+    """
     n_modes = len(basis.modes)
     order = default_order(basis) if order is None else order
+    index = _axis_index(basis)
     gram = np.zeros((n_modes, n_modes))
     squares = np.zeros((basis.domain.ndim, n_modes))
     for box in region.boxes:
-        points, weights = box_quadrature(box, order)
+        grams = [((value * w) @ value.T, (slope * w) @ slope.T)
+                 for w, value, slope in _axis_tables(basis, box, order)]
         for component in range(basis.domain.ndim):
-            d = basis.gradient_component_matrix(points, component)
-            gram += (d * weights) @ d.T
-            squares[component] += (d * d) @ weights
+            term, diagonal = 1.0, 1.0
+            for ax, (k, (value_gram, slope_gram)) in enumerate(zip(index, grams)):
+                m = slope_gram if ax == component else value_gram
+                term = term * m[np.ix_(k, k)]
+                diagonal = diagonal * np.diag(m)[k]
+            gram += term
+            squares[component] += diagonal
     gram = 0.5 * (gram + gram.T)
     return GradientBasisGram(basis, region, gram, np.sqrt(squares))
 
@@ -334,10 +382,14 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
                           order: int | None = None) -> np.ndarray:
     """Matrix of <profile_i, alpha_p> over each support; shape (m, n_modes).
 
-    Cost: one `value_matrix` table (n_modes x order^ndim) per distinct support
-    box, plus one profile evaluation and one matrix-vector product per
-    actuator box.  Boxes are visited one at a time, so a single table is
-    alive at once; each actuator's boxes are summed in support order.
+    Cost: per distinct support box, each of its users' profiles is evaluated
+    once on the box's tensor Gauss points and stacked into a
+    (users, order, ..., order) array P.  With one K x order weighted value
+    table F_ax per axis (`_axis_tables`), C = F_1 P F_2^T is contracted one
+    axis at a time: one GEMM of 2 users order^ndim K flops, then (in 2-D) one
+    of 2 users order K^2, where an n_modes x order^ndim value table would
+    take 2 users n_modes order^ndim and is never built.  Each coupling is C
+    at its mode's (k, l); each actuator's boxes are summed in support order.
     """
     order = default_order(basis) if order is None else order
     by_box: dict[Box, list[tuple[int, int]]] = {}
@@ -347,15 +399,17 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
             raise ValueError(f"actuator {i} support lives on a different domain")
         for j, box in enumerate(actuator.support.boxes):
             by_box.setdefault(box, []).append((i, j))
+    index = _axis_index(basis)
     parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
     for box, users in by_box.items():
-        points, weights = box_quadrature(box, order)
-        values = basis.value_matrix(points)
-        for i, j in users:
-            profile = np.asarray(actuators.actuators[i].distribution(points),
-                                 dtype=float)
-            parts[i][j] = values @ (weights * profile)
-        del values      # free this table before the next box builds its own
+        points, _ = box_quadrature(box, order)
+        profiles = np.stack([np.asarray(actuators.actuators[i].distribution(points),
+                                        dtype=float) for i, _ in users])
+        tables = _axis_tables(basis, box, order)
+        grid = profiles.reshape((len(users),) + tuple(w.size for w, _, _ in tables))
+        couplings = _contract(grid, [value * w for w, value, _ in tables])
+        for (i, j), row in zip(users, couplings[(slice(None),) + index]):
+            parts[i][j] = row
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, row in enumerate(parts):
         for part in row:
@@ -375,15 +429,20 @@ def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
     """
     order = default_order(basis) if order is None else order
     if callable(g):
+        index = _axis_index(basis)
         c = np.zeros(len(basis.modes))
         for box in region.boxes:
-            points, weights = box_quadrature(box, order)
+            points, _ = box_quadrature(box, order)
             field = np.asarray(g(points), dtype=float)
             if field.ndim != 2 or field.shape[1] != basis.domain.ndim:
                 raise ValueError("vector field must return shape (N, ndim)")
+            tables = _axis_tables(basis, box, order)
+            shape = (basis.domain.ndim,) + tuple(w.size for w, _, _ in tables)
+            grids = field.T.reshape(shape)
             for component in range(basis.domain.ndim):
-                d = basis.gradient_component_matrix(points, component)
-                c += d @ (weights * field[:, component])
+                weighted = [(slope if ax == component else value) * w
+                            for ax, (w, value, slope) in enumerate(tables)]
+                c += _contract(grids[component][None], weighted)[(0,) + index]
         return c
     gamma = np.asarray(g, dtype=float)
     if gram is None:

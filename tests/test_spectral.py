@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ultradiff import spectral
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, actuator_coefficients,
                                 adjoint_gradient_coefficients, box_quadrature,
@@ -259,17 +260,79 @@ def test_actuator_coefficients_share_one_table_per_box(domain, boxes,
     expected = _per_actuator_coefficients(acts, basis)
 
     calls = []
-    value_matrix = SpectralBasis.value_matrix
+    axis_tables = spectral._axis_tables
 
-    def counted(self, points):
-        calls.append(1)
-        return value_matrix(self, points)
+    def counted(basis, box, order):
+        calls.append(box)
+        return axis_tables(basis, box, order)
 
-    monkeypatch.setattr(SpectralBasis, "value_matrix", counted)
+    monkeypatch.setattr(spectral, "_axis_tables", counted)
     got = actuator_coefficients(acts, basis)
     distinct = {box for a in acts.actuators for box in a.support.boxes}
     assert len(calls) == len(distinct) == 5
-    assert np.array_equal(got, expected)
+    # the per-axis sums run in another order than the N-point products
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _n_point_reference(basis, region, acts, field):
+    """Couplings, Gamma, direction norms and <field, grad alpha_p> from
+    (n_modes, N) tables on the tensor points of each box."""
+    order = default_order(basis)
+    ndim, n_modes = basis.domain.ndim, len(basis.modes)
+    gram = np.zeros((n_modes, n_modes))
+    squares = np.zeros((ndim, n_modes))
+    adjoint = np.zeros(n_modes)
+    for box in region.boxes:
+        points, weights = box_quadrature(box, order)
+        values = field(points)
+        for component in range(ndim):
+            d = basis.gradient_component_matrix(points, component)
+            gram += (d * weights) @ d.T
+            squares[component] += (d * d) @ weights
+            adjoint += d @ (weights * values[:, component])
+    return (_per_actuator_coefficients(acts, basis), gram, np.sqrt(squares),
+            adjoint)
+
+
+def _nonseparable_field(points):
+    return np.column_stack([(c + 1.0) * _bumpy(points) + points[:, c]
+                            for c in range(points.shape[1])])
+
+
+@pytest.mark.parametrize("domain,family,boxes", [
+    (RectDomain.interval(0.0, 1.0), "canonical",
+     (((0.1, 0.4),), ((0.5, 0.9),))),
+    (RectDomain.rectangle((0.3, 1.7), (-0.4, 0.9)), "canonical",
+     (((0.4, 0.8), (-0.4, 0.1)), ((0.9, 1.6), (0.2, 0.9)))),
+    (RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0)), "whole-wave",
+     (((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-0.5, 0.5)))),
+], ids=["interval", "two-box-rectangle", "whole-wave-square"])
+def test_separable_box_integrals_match_n_point_reference(domain, family, boxes,
+                                                         monkeypatch):
+    """Couplings, Gamma, its direction norms and the callable adjoint path
+    contract per-axis tables and build no (n_modes, N) table, and agree
+    with the N-point sums to roundoff."""
+    basis = SpectralBasis(domain, 6, family)
+    region = Region(domain, boxes)
+    acts = ActuatorSet((
+        Actuator(Region.whole(domain), basis.modes[2].value, "mode"),
+        Actuator(region, _bumpy, "non-separable"),
+        Actuator(Region(domain, boxes[1:]), _ones, "zone"),
+    ))
+    reference = _n_point_reference(basis, region, acts, _nonseparable_field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an (n_modes, N) table was built")
+
+    monkeypatch.setattr(SpectralBasis, "value_matrix", refuse)
+    monkeypatch.setattr(SpectralBasis, "gradient_component_matrix", refuse)
+    gram = gradient_gram(basis, region)
+    got = (actuator_coefficients(acts, basis), gram.matrix, gram.direction_norms,
+           adjoint_gradient_coefficients(_nonseparable_field, basis, region))
+    for name, value, expected in zip(("couplings", "gram", "norms", "adjoint"),
+                                     got, reference):
+        err = np.max(np.abs(value - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected)), name
 
 
 def test_actuator_domain_mismatch_raises():
