@@ -757,6 +757,7 @@ def run_reproduce(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict
 
 def run_selftest() -> int:
     from ._quadrature import kernel_rule
+    from .controllability import _khatri_rao_qr, _khatri_rao_rows
     from .mittag_leffler import ml_on_negative_axis
 
     failures = 0
@@ -791,6 +792,13 @@ def run_selftest() -> int:
     check("gradient-gram-closed-form",
           float(np.max(np.abs(gram - np.diag(basis.lams)))) / float(basis.lams.max()),
           1e-12)
+
+    # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
+    rng = np.random.default_rng(3)
+    d, table = rng.standard_normal((12, 30)), rng.standard_normal((160, 30))
+    s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
+    s_qr = np.linalg.svd(_khatri_rao_qr(d, table, False)[0], compute_uv=False)
+    check("khatri-rao-qr", float(np.max(np.abs(s_qr - s_map))) / s_map[0], 1e-12)
 
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 4)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, svd
-from scipy.linalg.lapack import dgemqrt, dgeqrt
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
 
 from .logtime import LogTimeWindow
 from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
@@ -39,6 +39,7 @@ from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
 logger = logging.getLogger(__name__)
 
 RANK_RTOL = 1e-10
+_GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
 
 
 def symmetric_square_root(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
@@ -75,6 +76,7 @@ def _qr(a: np.ndarray):
     level-2) overwrites `a` with the reflectors; Q is never formed.  Returns
     the upper-trapezoidal R and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
     Q^T @ x for the economic Q, applied from the reflectors by dgemqrt.
+    The checks' tall maps reach it one group of rows at a time.
     """
     k = min(a.shape)
     a, t, info = dgeqrt(min(32, k), a, overwrite_a=True)
@@ -93,10 +95,69 @@ def _qr(a: np.ndarray):
     return np.triu(a[:k]), q_mul
 
 
-def _qr_svd(a: np.ndarray):
-    """SVD R = U S V^T of `_qr`'s R: every s, the U columns and V^T rows with
-    s > 1e-12 * s[0], and q_mul."""
-    r, q_mul = _qr(a)
+def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows (j, q) of M[(j, q), p] = r_d[j, p] table[q, p], F-ordered."""
+    return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
+
+
+def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, with_q: bool):
+    """`_qr` of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, never built.
+
+    With D = Q_D R_D (economic), T = (Q_D x I) M, where block row j of M is
+    table * R_D[j] and vanishes left of column j.  The first group of block
+    rows (at least n_modes rows) goes through `_qr`; each later group only
+    meets the trailing triangle R[j0:, j0:] and is folded into it by the
+    triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
+    Langou, SIAM J. Sci. Comput. 34, 2012), about a third of the flops of a
+    dense QR of T when m >= n_modes.  A map of at most one group of rows is
+    built and factored by `_qr` directly.  Returns R and, with `with_q`,
+    `_qr`'s q_mul for T's economic Q (applied with dtpmqrt, the first group's
+    dgemqrt and Q_D); without it the reflectors are dropped as they go.
+    """
+    (m, n), nq = d.shape, table.shape[0]
+    if m * nq <= _GROUP_ROWS:
+        return _qr(_khatri_rao_rows(d, table))
+    q_d, r_d = np.linalg.qr(d)
+    step = max(1, _GROUP_ROWS // nq)
+    first = min(r_d.shape[0], max(step, -(-n // nq)))
+    r, q_first = _qr(_khatri_rao_rows(r_d[:first], table))
+    sweep = []
+    for j0 in range(first, r_d.shape[0], step):
+        rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
+        top, v, t, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
+                                 overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
+        r[j0:, j0:] = top
+        if with_q:
+            sweep.append((j0, v, t))
+    if not with_q:
+        return r, None
+
+    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
+        if trans == "N":
+            z = np.zeros((r_d.shape[0] * nq, x.shape[1]))
+            z[:x.shape[0]] = x
+        else:
+            z = (q_d.T @ x.reshape(m, -1)).reshape(-1, x.shape[1])
+            z[:r.shape[0]] = q_first(z[:first * nq], "T")
+        for j0, v, t in (reversed(sweep) if trans == "N" else sweep):
+            block = slice(j0 * nq, j0 * nq + v.shape[0])
+            z[j0:n], z[block], info = dtpmqrt(0, v, t, z[j0:n], z[block], "L", trans)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtpmqrt failed with info={info}")
+        if trans != "N":
+            return z[:r.shape[0]]
+        z[:first * nq] = q_first(z[:r.shape[0]])
+        return (q_d @ z.reshape(q_d.shape[1], -1)).reshape(m * nq, -1)
+
+    return r, q_mul
+
+
+def _qr_svd(d: np.ndarray, table: np.ndarray, with_q: bool = True):
+    """SVD R = U S V^T of the R of `_khatri_rao_qr(d, table, with_q)`: every s,
+    the U columns and V^T rows with s > 1e-12 * s[0], and q_mul."""
+    r, q_mul = _khatri_rao_qr(d, table, with_q)
     u_r, s_vals, vt = np.linalg.svd(r)
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
     return s_vals, u_r[:, :rank], vt[:rank], q_mul
@@ -269,6 +330,9 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     restricted-gradient span (test fields sum_p zeta_p grad alpha_p on the
     region, coupled through the gradient Gram matrix).  A finite time sample
     certifies injectivity only generically, so the verdict is "generic".
+    The time-sampled scaled couplings S are the Khatri-Rao product of D and
+    the bucketed kernel table; `_khatri_rao_qr` gives S = Q_S R_S without
+    building S, and the rank is read from the small R_S Gamma.
     `alpha` and `window` fix the kernel's order and the sampled interval;
     the 1-D criterion does not read them.
 
@@ -319,29 +383,15 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
 
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
+    # every mode of a bucket uses the kernel row of the bucket's first mode
+    first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _qr(_stacked_observation_map(coefficient_matrix, kernel, mode_buckets))[0]
+    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T, False)[0]
     stacked_rank = _rank(r_s @ gram.matrix, RANK_RTOL)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
                            "STRATEGIC" if strategic else "NOT")
-
-
-def _stacked_observation_map(coefficient_matrix: np.ndarray, kernel: np.ndarray,
-                             mode_buckets: np.ndarray) -> np.ndarray:
-    """Time-sampled scaled couplings S, (n_taus * m, n_modes), F-ordered.
-
-    Every mode of a bucket uses the kernel row of the bucket's first mode,
-    kappa[p], so the rows for time sample t are D * kappa[:, t]; the
-    observation map is S Gamma.  Built as the transpose of a C-ordered
-    array, so `_qr` factors it in place with no copy.
-    """
-    _, first, inverse = np.unique(mode_buckets, return_index=True,
-                                  return_inverse=True)
-    kappa = kernel[first[inverse]]                        # (n_modes, n_taus)
-    return np.multiply(coefficient_matrix.T[:, None, :], kappa[:, :, None]).reshape(
-        kappa.shape[0], -1).T
 
 
 def _rank(matrix: np.ndarray, rtol: float, scale: float | None = None) -> int:

@@ -11,7 +11,8 @@ builds the control from the adjoint datum c,
     u*_i(t) = (1/t) (log b/t)^(alpha-1) sum_p E_{aa}(-lam_p (log b/t)^alpha) d_ip c_p,
 
 and reports an honest residual: the state u* reaches, W c, summed on a second
-kernel rule.  Every quantity is read from a discrete input map.  Solving
+kernel rule.  Every quantity is read from a discrete input map; the
+optimality check factors its tall factor as a Khatri-Rao product.  Solving
 for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
 identities independent of the Gram matrix conditioning; the gradient-basis
@@ -223,27 +224,28 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     Both checks work on an input map's factor A (A A^T = W), whose columns are
     the nodes whitened by their energy metric: a control's energy is a squared
-    norm there, and u* = A^T c.  Each factors A^T once, in place, with
-    `_qr_svd`, A^T = Q R, R = U S V^T, and never forms Q.  The trials project
-    all draws off the row space Q U as one block and take A phi from D, kappa
-    and w; the cross-check's energy is |S^-1 V^T rhs|^2 over s > 1e-12 s[0]
-    (its control Q U S^-1 V^T rhs, the rule of np.linalg.pinv(rcond=1e-12)).
+    norm there, and u* = A^T c = D (kappa sqrt(w) o c).  A^T is the Khatri-Rao
+    product of D and the table kappa sqrt(w); each check factors it once with
+    `_qr_svd`, A^T = Q R, R = U S V^T, without building A or forming Q (only
+    the trials keep Q's reflectors).  The trials project all draws off the row
+    space Q U as one block and take A phi from D, kappa and w; the
+    cross-check's energy is |S^-1 V^T rhs|^2 over s > 1e-12 s[0] (its control
+    Q U S^-1 V^T rhs, the rule of np.linalg.pinv(rcond=1e-12)).
     """
     input_map, rhs = solution.gramian.input_map, solution.rhs
 
     # whitened map on the solution's own quadrature resolution
-    factor = input_map.factor()                           # (n_modes, m*nq)
-    u_star, n_cols = factor.T @ solution.adjoint_datum, factor.shape[1]
+    d, table = input_map.d, input_map.table                # A^T = d (x) table
+    u_star = (d @ (table.T * solution.adjoint_datum[:, None])).ravel()
     kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        _, u_range, _, q_mul = _qr_svd(factor.T)           # overwrites the factor
-        factor = None
-        kernel_kept = n_cols - u_range.shape[1]
+        _, u_range, _, q_mul = _qr_svd(d, table)
+        kernel_kept = u_star.size - u_range.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            phi = np.random.default_rng(seed).standard_normal((trials, n_cols))
+            phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
             phi -= q_mul(u_range @ (u_range.T @ q_mul(phi.T, "T"))).T
             scale = np.linalg.norm(phi, axis=1)
             phi /= np.where(scale > 0, scale, 1.0)[:, None]
@@ -255,13 +257,12 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
-    # free the first map and its factors before the second factorization below
-    factor = phi = q_mul = None
+    # free the first map's factors before the second factorization below
+    phi = q_mul = None
 
     # minimal-norm discrete control on an independent resolution:
     # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
-    whitened = input_map.with_nodes(PINV_NODES).factor()
-    s_vals, _, vt_k, _ = _qr_svd(whitened.T)
+    s_vals, _, vt_k, _ = _qr_svd(d, input_map.with_nodes(PINV_NODES).table, False)
     coefficients = (vt_k @ rhs) / s_vals[:vt_k.shape[0]]
     pinv_energy = float(coefficients @ coefficients)
     denom = max(solution.energy, pinv_energy)

@@ -256,14 +256,15 @@ class _InputMap:
         return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
                                               epsilon_cutoff=self.epsilon)
 
-    def factor(self) -> np.ndarray:
-        return np.einsum("ip,pq->piq", self.d, self.kernel * np.sqrt(self.weights),
-                         order="C").reshape(-1, self.d.shape[0] * self.nodes)
+    @property
+    def table(self) -> np.ndarray:
+        """(nq, n_modes) table kappa_pq sqrt(w_q): A^T[(i, q), p] = d_ip table_qp."""
+        return (self.kernel * np.sqrt(self.weights)).T
 
     def apply_factor(self, phi: np.ndarray) -> np.ndarray:
         """phi @ A^T for rows phi over the columns iq of A, without forming A."""
         rows = self.d.T @ phi.reshape(len(phi), self.d.shape[0], self.nodes)
-        return np.einsum("tpq,pq->tp", rows, self.kernel * np.sqrt(self.weights))
+        return np.einsum("tpq,pq->tp", rows, self.table.T)
 
 
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,

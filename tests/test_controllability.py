@@ -15,13 +15,14 @@ from numpy.testing import assert_allclose
 
 from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
-                                       StrategicReport, _qr, _rank,
-                                       _stacked_observation_map,
+                                       StrategicReport, _khatri_rao_qr, _qr,
+                                       _qr_svd, _rank,
                                        approx_controllability_verdict,
                                        assemble_gramian, pinv_solve_symmetric,
                                        strategic_test, symmetric_square_root,
                                        worked_example_mode_means,
                                        worked_example_pairing_table)
+from ultradiff.hum import HumProblem, solve_hum, verify_minimality
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
@@ -233,6 +234,22 @@ def test_two_dimensional_strategic_patterns():
     assert modal.strategic
 
 
+def _bucketed_table(kernel, mode_buckets):
+    """(n_taus, n_modes) kernel table, every mode of a bucket on the kernel
+    row of the bucket's first mode."""
+    _, first, inverse = np.unique(mode_buckets, return_index=True,
+                                  return_inverse=True)
+    return kernel[first[inverse]].T
+
+
+def _stacked_observation_map(coefficient_matrix, kernel, mode_buckets):
+    """The time-sampled scaled couplings S, (n_taus * m, n_modes), dense:
+    row (t, i) is D[i] * table[t]."""
+    return np.einsum("ip,tp->tip", coefficient_matrix,
+                     _bucketed_table(kernel, mode_buckets)).reshape(
+        -1, coefficient_matrix.shape[1])
+
+
 def test_stacked_observation_map_matches_per_bucket_sum():
     # canonical modes on the unit square: lam_kl = lam_lk gives double buckets
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
@@ -307,15 +324,17 @@ def _n_point_gram(basis, region):
 
 
 def _stacked_map_for(basis, region, acts, time_samples=64):
-    """The scaled couplings S exactly as `strategic_test` builds them, and the
-    gradient Gram matrix Gamma; the stacked observation map is S Gamma."""
+    """The scaled couplings S with the inputs `strategic_test` factors them
+    from, and the gradient Gram matrix Gamma: S Gamma is the stacked
+    observation map, and S is a row permutation of the Khatri-Rao map of D
+    and the bucketed kernel table."""
     order = default_order(basis)
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
-    stacked = _stacked_observation_map(
-        actuator_coefficients(acts, basis, order),
-        _ml_matrix(0.7, basis.lams, taus),
-        np.array([mode.bucket for mode in basis.modes]))
-    return stacked, gradient_gram(basis, region, order).matrix
+    d, kernel = actuator_coefficients(acts, basis, order), _ml_matrix(0.7, basis.lams, taus)
+    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    return (_stacked_observation_map(d, kernel, mode_buckets),
+            gradient_gram(basis, region, order).matrix, d,
+            _bucketed_table(kernel, mode_buckets))
 
 
 def _unit_square_modal():
@@ -351,11 +370,11 @@ def test_stacked_rank_from_qr_matches_svd(setup):
     factors has the singular values of the stacked observation map, and so
     its rank."""
     basis, region, acts, expected_rank = setup()
-    stacked, gram = _stacked_map_for(basis, region, acts)
+    stacked, gram, d, table = _stacked_map_for(basis, region, acts)
     product = stacked @ gram
     s = np.linalg.svd(product, compute_uv=False)
     assert _rank(product, RANK_RTOL) == expected_rank
-    r_s = _qr(stacked)[0]
+    r_s = _khatri_rao_qr(d, table, False)[0]
     assert r_s.shape == (len(basis.modes), len(basis.modes))
     assert_allclose(np.linalg.svd(r_s @ gram, compute_uv=False), s,
                     rtol=0, atol=1e-12 * s[0])
@@ -438,26 +457,87 @@ def test_strategic_test_reads_the_gram_pass_direction_norms(setup):
     assert dataclasses.astuple(report) == dataclasses.astuple(reference)
 
 
-def test_dense_maps_are_built_in_the_layout_qr_overwrites():
-    """A transposed C-ordered factor and the stacked map are F-ordered, so the
-    in-place QR factors them with no hidden copy."""
-    basis, region, acts, _ = _unit_square_modal()
-    gramian = assemble_gramian(basis, region, acts, 0.7, WINDOW)
-    input_map = gramian.input_map
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        factor = input_map.factor()
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert factor.flags.c_contiguous and factor.T.flags.f_contiguous
-    assert peak < 1.5 * factor.nbytes    # the reshape is a view, not a copy
-    reference = np.einsum("ip,pq->piq", input_map.d,
-                          input_map.kernel * np.sqrt(input_map.weights)).reshape(
-        -1, input_map.d.shape[0] * input_map.nodes)
-    assert np.array_equal(factor, reference)
-    stacked, _ = _stacked_map_for(basis, region, acts)
-    assert stacked.flags.f_contiguous
+
+
+def test_structured_qr_peaks_below_the_dense_maps():
+    """K = 12 modal actuators on the unit square: 144 modes and channels, so
+    the dense 160-node map A^T is 23040 x 144 doubles and S is 9216 x 144.
+    Neither is built: the trials keep the reflectors of about half of A^T,
+    and the strategic test keeps one group of S's rows at a time."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 12)
+    n_modes = len(basis.modes)
+    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
+                             for i, mode in enumerate(basis.modes)))
+    region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
+    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
+                               np.random.default_rng(11).standard_normal(n_modes)))
+    report, peak = _traced_peak(lambda: verify_minimality(sol, trials=12, seed=4))
+    assert report.mode == "kernel+pinv" and report.passed
+    assert peak < 1.0 * (n_modes * acts.m * KERNEL_NODES * 8)
+    report, peak = _traced_peak(lambda: strategic_test(
+        basis, region, acts, alpha=0.7, window=WINDOW, gram=sol.gramian.gram,
+        coefficient_matrix=sol.gramian.coefficient_matrix))
+    assert report.stacked_rank == n_modes
+    assert peak < 0.5 * (64 * acts.m * n_modes * 8)
+
+
+def _khatri_rao_map(d, table):
+    """T[(i, q), p] = d_ip table_qp, built."""
+    return np.einsum("ip,qp->iqp", d, table).reshape(-1, d.shape[1])
+
+
+def _rank_deficient(d, table):
+    d[3] = 0.0                     # an actuator that couples to nothing
+    d[7] = d[2]                    # a duplicated actuator
+    return d, table
+
+
+def _twin_columns(d, table):
+    table[:, 1::2] = table[:, 0:-1:2]     # bucket pairs share a kernel column
+    return d, table
+
+
+@pytest.mark.parametrize("m, n_modes, nq, edit", [
+    (5, 40, 160, None), (20, 20, 96, None), (30, 12, 64, None),
+    (16, 90, 50, None), (12, 30, 160, None), (2, 700, 330, None),
+    (12, 30, 160, _rank_deficient), (20, 20, 96, _twin_columns),
+    (4, 37, 160, None),
+], ids=["m<n", "m=n", "m>n", "nq<n", "nq>n", "wide", "deficient-d",
+        "twin-columns", "one-group"])
+def test_khatri_rao_qr_matches_svd_of_the_built_map(m, n_modes, nq, edit):
+    """Shapes off every multiple of the 32 block and of the row group; the
+    `wide` map has m nq < n_modes, and `one-group` is factored built."""
+    rng = np.random.default_rng(m * n_modes + nq)
+    d, table = rng.standard_normal((m, n_modes)), rng.standard_normal((nq, n_modes))
+    if edit is not None:
+        d, table = edit(d, table)
+    t_map = _khatri_rao_map(d, table)
+    u_ref, s_ref, _ = np.linalg.svd(t_map, full_matrices=False)
+    r, q_mul = _khatri_rao_qr(d, table, True)
+    assert r.shape == (min(m * nq, n_modes), n_modes)
+    assert np.array_equal(_khatri_rao_qr(d, table, False)[0], r)
+    s_vals = np.linalg.svd(r, compute_uv=False)
+    assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+    # Q U U^T Q^T is the projector onto T's column space
+    _, u_k, _, q_mul_k = _qr_svd(d, table)
+    rank = u_k.shape[1]
+    assert rank == np.count_nonzero(s_ref > 1e-12 * s_ref[0])
+    y = rng.standard_normal((m * nq, 3))
+    assert_allclose(q_mul_k(u_k @ (u_k.T @ q_mul_k(y, "T"))),
+                    u_ref[:, :rank] @ (u_ref[:, :rank].T @ y), rtol=0, atol=1e-10)
+    assert_allclose(q_mul(r), t_map, rtol=0, atol=1e-12 * s_ref[0])
+    assert_allclose(np.tril(q_mul(t_map, "T"), -1), 0.0, rtol=0,
+                    atol=1e-12 * s_ref[0])
+    if m * nq <= 640:
+        assert np.array_equal(r, _qr(t_map.copy(order="F"))[0])
 
 
 def test_strategic_test_holds_one_stacked_map():

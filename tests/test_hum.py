@@ -91,13 +91,20 @@ def test_minimality_pinv_only_mode():
     assert report.passed
 
 
+def _dense_factor(input_map):
+    """The whitened factor A[p, (i, q)] = d_ip kappa_pq sqrt(w_q), A A^T = W, built."""
+    return np.einsum("ip,pq->piq", input_map.d,
+                     input_map.kernel * np.sqrt(input_map.weights)).reshape(
+        -1, input_map.d.shape[0] * input_map.nodes)
+
+
 def _svd_reference_trials(solution, trials, seed):
     """The kernel-perturbation trials, one draw at a time, from the SVD of the
     whole whitened factor of the discrete map.  Returns the factor, its
     singular values and row space, and the trials' pass count, least energy
     increase and worst violation."""
     input_map, window = solution.gramian.input_map, solution.problem.window
-    factor = input_map.factor()
+    factor = _dense_factor(input_map)
     # the control at the nodes, scaled by the square root of the energy metric
     # w_q b e^-tau_q (the map's weights carry w_q e^tau_q / b)
     u_star = (solution.control.smooth_at_tau(input_map.taus)
@@ -148,7 +155,7 @@ def _quadrant_zone_setup():
 
 def _whitened_pinv_map(solution):
     """The cross-check's map on its own resolution, whitened by the time metric."""
-    return solution.gramian.input_map.with_nodes(PINV_NODES).factor()
+    return _dense_factor(solution.gramian.input_map.with_nodes(PINV_NODES))
 
 
 @pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
@@ -162,7 +169,8 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
         _svd_reference_trials(sol, 12, seed=4))
     assert v_ref.shape[0] == expected_rank
 
-    s_vals, u_range, _, q_mul = _qr_svd(factor.T.copy(order="F"))
+    input_map = sol.gramian.input_map
+    s_vals, u_range, _, q_mul = _qr_svd(input_map.d, input_map.table)
     assert u_range.shape[1] == expected_rank
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
     phi = rng.standard_normal(factor.shape[1])
@@ -182,7 +190,8 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     whitened = _whitened_pinv_map(sol)
     x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
     s_full = np.linalg.svd(whitened, compute_uv=False)
-    s_vals, u_k, vt_k, q_mul = _qr_svd(whitened.T.copy(order="F"))
+    s_vals, u_k, vt_k, q_mul = _qr_svd(input_map.d,
+                                       input_map.with_nodes(PINV_NODES).table)
     assert u_k.shape[1] == vt_k.shape[0] == np.count_nonzero(s_full > 1e-12 * s_full[0])
     x = q_mul(u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -195,15 +204,16 @@ def test_input_map_applies_its_factor_without_forming_it():
     """The trials' constraint check A phi, read from D, kappa and w."""
     basis, region, acts, _ = _modal_plus_zone_setup()
     input_map = assemble_gramian(basis, region, acts, 0.7, WINDOW).input_map
-    factor = input_map.factor()
+    factor = _dense_factor(input_map)
     phi = np.random.default_rng(2).standard_normal((7, factor.shape[1]))
     assert_allclose(input_map.apply_factor(phi), phi @ factor.T, rtol=1e-13)
 
 
 def test_minimality_trials_factor_the_map_in_place():
     """K = 8 modal actuators on the unit square: 64 modes, 64 channels, so the
-    160-node factor is 64 x 10240 doubles.  The trials factor it in place;
-    a second copy of it would put the traced peak above twice its bytes."""
+    160-node factor is 64 x 10240 doubles.  The trials factor it without
+    building it; two dense copies would put the traced peak above twice its
+    bytes."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 8)
     acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
@@ -211,7 +221,7 @@ def test_minimality_trials_factor_the_map_in_place():
     sol = solve_hum(HumProblem(basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)),
                                acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(64)))
-    factor_bytes = sol.gramian.input_map.factor().nbytes
+    factor_bytes = _dense_factor(sol.gramian.input_map).nbytes
     tracemalloc.start()
     try:
         report = verify_minimality(sol, trials=12, seed=4)
@@ -232,13 +242,14 @@ def test_minimality_trials_factor_the_map_in_place():
 def test_qr_svd_matches_svd_on_tall_and_wide_input(shape, rank):
     """A rank-`rank` matrix: a wide one has fewer reflectors than columns, and
     min(shape) below or off a multiple of the 32-column block exercises the
-    last, partial block of the compact-WY factors."""
+    last, partial block of the compact-WY factors.  Any matrix is the
+    Khatri-Rao product of a ones row with itself, a map `_qr` factors built."""
     rng = np.random.default_rng(5)
     a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
     k = min(shape)
     u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
     scale = s_ref[0] if rank else 1.0
-    s_vals, u_k, vt_k, q_mul = _qr_svd(a.copy(order="F"))
+    s_vals, u_k, vt_k, q_mul = _qr_svd(np.ones((1, shape[1])), a)
     assert u_k.shape == (k, rank) and vt_k.shape == (rank, shape[1])
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * scale)
     # Q U spans the column space; Q^T a is R = U S V^T, upper trapezoidal
