@@ -124,22 +124,33 @@ class Scenario:
 # -- parsing ------------------------------------------------------------------
 
 
+def _numbers(raw, path, bad, expected="a list of finite numbers", length=None):
+    """`raw` as a tuple of floats, or None with a violation appended: it must
+    be a list (of `length` entries, if given) of finite JSON numbers."""
+    if isinstance(raw, (list, tuple)) and length in (None, len(raw)) and not any(
+            isinstance(v, (str, bytes, bool)) for v in raw):
+        try:
+            values = tuple(float(v) for v in raw)
+        except (TypeError, OverflowError):      # a list, or an int past float range
+            values = (math.nan,)
+        if all(map(math.isfinite, values)):
+            return values
+    bad.append(f"{path}: expected {expected}")
+    return None
+
+
 def _pair(raw, path, bad, *, positive=False, ordered=True):
-    try:
-        lo, hi = float(raw[0]), float(raw[1])
-    except (TypeError, ValueError, IndexError):
-        bad.append(f"{path}: expected a [lo, hi] pair")
+    pair = _numbers(raw, path, bad, "a [lo, hi] pair of finite numbers", 2)
+    if pair is None:
         return None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad.append(f"{path}: endpoints must be finite")
-        return None
+    lo, hi = pair
     if positive and lo <= 0:
         bad.append(f"{path}: left endpoint must be positive")
         return None
     if ordered and hi <= lo:
         bad.append(f"{path}: right endpoint must exceed the left")
         return None
-    return (lo, hi)
+    return pair
 
 
 def _box(raw, path, ndim, domain, bad):
@@ -178,11 +189,8 @@ def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
     if profile not in PROFILES:
         bad.append(f"{path}.profile: expected one of {', '.join(PROFILES)}")
         profile = "constant"
-    coeffs_raw = raw.get("coefficients", [1.0])
-    try:
-        coeffs = tuple(float(c) for c in coeffs_raw)
-    except (TypeError, ValueError):
-        bad.append(f"{path}.coefficients: expected a list of numbers")
+    coeffs = _numbers(raw.get("coefficients", [1.0]), f"{path}.coefficients", bad)
+    if coeffs is None:
         coeffs = (1.0,)
     if profile == "polynomial" and (not coeffs or len(coeffs) % (1 + ndim)):
         bad.append(f"{path}.coefficients: polynomial profile needs flat groups "
@@ -206,11 +214,8 @@ def _parse_target(raw, n_modes, bad) -> TargetSpec | None:
         return None
     kind = raw.get("kind")
     if kind == "coefficients":
-        values = raw.get("values")
-        try:
-            values = tuple(float(v) for v in values)
-        except (TypeError, ValueError):
-            bad.append("target.values: expected a list of numbers")
+        values = _numbers(raw.get("values"), "target.values", bad)
+        if values is None:
             return None
         if n_modes is not None and len(values) != n_modes:
             bad.append(f"target.values: expected {n_modes} coefficients "
@@ -311,14 +316,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     y0 = data.get("y0")
     if y0 is not None:
-        try:
-            y0 = tuple(float(v) for v in y0)
-        except (TypeError, ValueError):
-            bad.append("y0: expected a list of numbers or null")
-            y0 = None
-        else:
-            if n_modes is not None and len(y0) != n_modes:
-                bad.append(f"y0: expected {n_modes} coefficients, got {len(y0)}")
+        y0 = _numbers(y0, "y0", bad, "a list of finite numbers or null")
+        if y0 is not None and n_modes is not None and len(y0) != n_modes:
+            bad.append(f"y0: expected {n_modes} coefficients, got {len(y0)}")
 
     eps = data.get("epsilon_cutoff")
     if eps is not None:
@@ -796,9 +796,12 @@ def run_selftest() -> int:
     # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
     rng = np.random.default_rng(3)
     d, table = rng.standard_normal((12, 30)), rng.standard_normal((160, 30))
-    s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
-    s_qr = np.linalg.svd(_khatri_rao_qr(d, table, False)[0], compute_uv=False)
+    t_map = _khatri_rao_rows(d, table)
+    s_map = np.linalg.svd(t_map, compute_uv=False)
+    r, qt_map = _khatri_rao_qr(d, table, t_map)
+    s_qr = np.linalg.svd(r, compute_uv=False)
     check("khatri-rao-qr", float(np.max(np.abs(s_qr - s_map))) / s_map[0], 1e-12)
+    check("khatri-rao-qt", float(np.max(np.abs(qt_map - r))) / s_map[0], 1e-12)
 
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 4)

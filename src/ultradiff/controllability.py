@@ -69,30 +69,27 @@ def pinv_solve_symmetric(matrix: np.ndarray, rhs: np.ndarray,
     return solution, int(np.count_nonzero(keep)), cond
 
 
-def _qr(a: np.ndarray):
+def _qr(a: np.ndarray, x: np.ndarray | None = None):
     """Householder QR a = Q R, in place, of an F-ordered `a` the caller can lose.
 
     LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
     level-2) overwrites `a` with the reflectors; Q is never formed.  Returns
-    the upper-trapezoidal R and q_mul: q_mul(y) = Q @ y and q_mul(x, "T") =
-    Q^T @ x for the economic Q, applied from the reflectors by dgemqrt.
-    The checks' tall maps reach it one group of rows at a time.
+    the upper-trapezoidal R and, for a block `x` of a's row count, Q^T x for
+    the economic Q (its first min(a.shape) rows), applied once from the
+    reflectors by dgemqrt; without `x`, None.  The checks' tall maps reach
+    it one group of rows at a time.
     """
     k = min(a.shape)
     a, t, info = dgeqrt(min(32, k), a, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
-    v = a[:, :k]                 # a wide `a` has fewer reflectors than columns
-
-    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
-        c = np.zeros((v.shape[0], x.shape[1]), order="F")
-        c[:x.shape[0]] = x
-        c, info = dgemqrt(v, t, c, "L", trans, overwrite_c=True)
+    if x is not None:
+        # a wide `a` has fewer reflectors than columns
+        x, info = dgemqrt(a[:, :k], t, x, "L", "T")
         if info != 0:
             raise np.linalg.LinAlgError(f"dgemqrt failed with info={info}")
-        return c if trans == "N" else c[:k]
-
-    return np.triu(a[:k]), q_mul
+        x = x[:k]
+    return np.triu(a[:k]), x
 
 
 def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -100,7 +97,7 @@ def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
 
 
-def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, with_q: bool):
+def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, x: np.ndarray | None = None):
     """`_qr` of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, never built.
 
     With D = Q_D R_D (economic), T = (Q_D x I) M, where block row j of M is
@@ -110,18 +107,22 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, with_q: bool):
     triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 34, 2012), about a third of the flops of a
     dense QR of T when m >= n_modes.  A map of at most one group of rows is
-    built and factored by `_qr` directly.  Returns R and, with `with_q`,
-    `_qr`'s q_mul for T's economic Q (applied with dtpmqrt, the first group's
-    dgemqrt and Q_D); without it the reflectors are dropped as they go.
+    built and factored by `_qr` directly.  Returns R and Q^T x for T's
+    economic Q, or None without a block `x` of T's row count: x is rotated
+    by Q_D^T x I, its first group goes through `_qr`, and each fold's
+    reflectors are applied to it by dtpmqrt as soon as they are made, then
+    dropped.  R does not depend on x.
     """
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
-        return _qr(_khatri_rao_rows(d, table))
+        return _qr(_khatri_rao_rows(d, table), x)
     q_d, r_d = np.linalg.qr(d)
+    if x is not None:
+        x = (q_d.T @ x.reshape(m, -1)).reshape(-1, x.shape[1])
     step = max(1, _GROUP_ROWS // nq)
     first = min(r_d.shape[0], max(step, -(-n // nq)))
-    r, q_first = _qr(_khatri_rao_rows(r_d[:first], table))
-    sweep = []
+    r, qt_x = _qr(_khatri_rao_rows(r_d[:first], table),
+                  None if x is None else x[:first * nq])
     for j0 in range(first, r_d.shape[0], step):
         rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
         top, v, t, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
@@ -129,38 +130,21 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, with_q: bool):
         if info != 0:
             raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
         r[j0:, j0:] = top
-        if with_q:
-            sweep.append((j0, v, t))
-    if not with_q:
-        return r, None
-
-    def q_mul(x: np.ndarray, trans: str = "N") -> np.ndarray:
-        if trans == "N":
-            z = np.zeros((r_d.shape[0] * nq, x.shape[1]))
-            z[:x.shape[0]] = x
-        else:
-            z = (q_d.T @ x.reshape(m, -1)).reshape(-1, x.shape[1])
-            z[:r.shape[0]] = q_first(z[:first * nq], "T")
-        for j0, v, t in (reversed(sweep) if trans == "N" else sweep):
-            block = slice(j0 * nq, j0 * nq + v.shape[0])
-            z[j0:n], z[block], info = dtpmqrt(0, v, t, z[j0:n], z[block], "L", trans)
+        if x is not None:
+            qt_x[j0:], _, info = dtpmqrt(0, v, t, qt_x[j0:],
+                                         x[j0 * nq:j0 * nq + v.shape[0]], "L", "T")
             if info != 0:
                 raise np.linalg.LinAlgError(f"dtpmqrt failed with info={info}")
-        if trans != "N":
-            return z[:r.shape[0]]
-        z[:first * nq] = q_first(z[:r.shape[0]])
-        return (q_d @ z.reshape(q_d.shape[1], -1)).reshape(m * nq, -1)
-
-    return r, q_mul
+    return r, qt_x
 
 
-def _qr_svd(d: np.ndarray, table: np.ndarray, with_q: bool = True):
-    """SVD R = U S V^T of the R of `_khatri_rao_qr(d, table, with_q)`: every s,
-    the U columns and V^T rows with s > 1e-12 * s[0], and q_mul."""
-    r, q_mul = _khatri_rao_qr(d, table, with_q)
+def _qr_svd(d: np.ndarray, table: np.ndarray, x: np.ndarray | None = None):
+    """SVD R = U S V^T of the R of `_khatri_rao_qr(d, table, x)`: every s, the
+    U columns and V^T rows with s > 1e-12 * s[0], and Q^T x (or None)."""
+    r, qt_x = _khatri_rao_qr(d, table, x)
     u_r, s_vals, vt = np.linalg.svd(r)
     rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
-    return s_vals, u_r[:, :rank], vt[:rank], q_mul
+    return s_vals, u_r[:, :rank], vt[:rank], qt_x
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +370,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     # every mode of a bucket uses the kernel row of the bucket's first mode
     first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T, False)[0]
+    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T)[0]
     stacked_rank = _rank(r_s @ gram.matrix, RANK_RTOL)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,

@@ -226,9 +226,12 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     the nodes whitened by their energy metric: a control's energy is a squared
     norm there, and u* = A^T c = D (kappa sqrt(w) o c).  A^T is the Khatri-Rao
     product of D and the table kappa sqrt(w); each check factors it once with
-    `_qr_svd`, A^T = Q R, R = U S V^T, without building A or forming Q (only
-    the trials keep Q's reflectors).  The trials project all draws off the row
-    space Q U as one block and take A phi from D, kappa and w; the
+    `_qr_svd`, A^T = Q R, R = U S V^T, without building A or keeping Q.  The
+    trials hand their draws to the first sweep, which applies Q^T to them as
+    it goes; with z = U_k^T Q^T phi, the draw's part off the row space Q U_k
+    is phi_null = phi - Q U_k z, so |phi_null|^2 = |phi|^2 - |z|^2,
+    phi_null . u* = phi . u* - z . S_k V_k^T c (as U_k^T R c = S_k V_k^T c) and
+    A phi_null = A phi - V_k S_k z, with A phi taken from D, kappa and w.  The
     cross-check's energy is |S^-1 V^T rhs|^2 over s > 1e-12 s[0] (its control
     Q U S^-1 V^T rhs, the rule of np.linalg.pinv(rcond=1e-12)).
     """
@@ -236,33 +239,34 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     # whitened map on the solution's own quadrature resolution
     d, table = input_map.d, input_map.table                # A^T = d (x) table
-    u_star = (d @ (table.T * solution.adjoint_datum[:, None])).ravel()
+    c = solution.adjoint_datum
+    u_star = (d @ (table.T * c[:, None])).ravel()
     kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        _, u_range, _, q_mul = _qr_svd(d, table)
-        kernel_kept = u_star.size - u_range.shape[1]
+        phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
+        s_vals, u_k, vt_k, qt_phi = _qr_svd(d, table, phi.T)
+        kernel_kept = u_star.size - u_k.shape[1]
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
-            phi -= q_mul(u_range @ (u_range.T @ q_mul(phi.T, "T"))).T
-            scale = np.linalg.norm(phi, axis=1)
-            phi /= np.where(scale > 0, scale, 1.0)[:, None]
-            max_violation = float(np.linalg.norm(input_map.apply_factor(phi),
-                                                 axis=1).max()) / rhs_scale
-            delta = 2.0 * (phi @ u_star) + np.sum(phi * phi, axis=1)
+            z = qt_phi.T @ u_k                             # one row per draw
+            s_z = z * s_vals[:u_k.shape[1]]
+            null_sq = np.maximum(np.sum(phi * phi, axis=1) - np.sum(z * z, axis=1), 0.0)
+            scale = np.sqrt(np.where(null_sq > 0, null_sq, 1.0))
+            violation = np.linalg.norm(input_map.apply_factor(phi) - s_z @ vt_k, axis=1)
+            max_violation = float((violation / scale).max()) / rhs_scale
+            delta = (2.0 * (phi @ u_star - s_z @ (vt_k @ c)) / scale
+                     + null_sq / scale ** 2)
             min_delta = float(delta.min())
             trials_passed = int(np.count_nonzero(delta >= -1e-9))
         else:
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
-    # free the first map's factors before the second factorization below
-    phi = q_mul = None
 
     # minimal-norm discrete control on an independent resolution:
     # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
-    s_vals, _, vt_k, _ = _qr_svd(d, input_map.with_nodes(PINV_NODES).table, False)
+    s_vals, _, vt_k, _ = _qr_svd(d, input_map.with_nodes(PINV_NODES).table)
     coefficients = (vt_k @ rhs) / s_vals[:vt_k.shape[0]]
     pinv_energy = float(coefficients @ coefficients)
     denom = max(solution.energy, pinv_energy)

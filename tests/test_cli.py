@@ -48,7 +48,7 @@ ORACLE_U = np.array([
 ])
 
 
-def single_mode_scenario(tmp_path, **overrides):
+def _single_mode_dict(**overrides):
     data = {
         "name": "single-mode",
         "task": "synthesize",
@@ -63,8 +63,12 @@ def single_mode_scenario(tmp_path, **overrides):
         "target": {"kind": "coefficients", "values": [0.8]},
     }
     data.update(overrides)
+    return data
+
+
+def single_mode_scenario(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_single_mode_dict(**overrides)))
     return path
 
 
@@ -105,6 +109,50 @@ def test_invalid_scenario_reports_every_violation():
                             "actuators": [{"support": [[[0.0, 0.5]]],
                                            "profile": "constant"}]})
     assert any(v.startswith("domain[1]:") for v in err.value.violations)
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("window", "14", "window:"),
+    ("domain", ["01"], "domain[0]:"),
+    ("region", [["01"]], "region[0][0]:"),
+    ("actuators", [{"support": [["01"]], "profile": "constant"}],
+     "actuators[0].support[0][0]:"),
+], ids=["window", "domain", "region", "support"])
+def test_string_pairs_are_violations(field, value, needle):
+    """A two-character string indexes like a pair: "14" once ran as (1, 4)."""
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_single_mode_dict(**{field: value}))
+    assert any(v.startswith(needle) for v in err.value.violations), \
+        err.value.violations
+
+
+@pytest.mark.parametrize("overrides, needle", [
+    ({"actuators": [{"support": [[[0.0, 1.0]]], "profile": "constant",
+                     "coefficients": "3"}]}, "actuators[0].coefficients:"),
+    ({"target": {"kind": "coefficients", "values": "8"}}, "target.values:"),
+    ({"y0": "1"}, "y0:"),
+    ({"y0": [1e999]}, "y0:"),
+], ids=["coefficients", "target-values", "y0", "y0-infinite"])
+def test_number_lists_must_be_lists_of_finite_numbers(overrides, needle):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_single_mode_dict(**overrides))
+    assert any(v.startswith(needle) for v in err.value.violations), \
+        err.value.violations
+
+
+@pytest.mark.parametrize("index", [math.inf, math.nan], ids=["infinity", "nan"])
+def test_non_finite_mode_index_is_a_scenario_error(tmp_path, capsys, index):
+    """Python's json reads Infinity and NaN; a mode index of either once
+    reached int() and left the CLI with a traceback."""
+    scenario = single_mode_scenario(
+        tmp_path, task="analyze", target=None,
+        actuators=[{"support": [[[0.0, 1.0]]], "profile": "mode",
+                    "coefficients": [index]}])
+    assert main(["analyze", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and "actuators[0].coefficients:" in err
+    assert "Traceback" not in err and "Error:" not in err
 
 
 def test_missing_scenario_inputs(tmp_path, capsys):

@@ -170,12 +170,12 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     assert v_ref.shape[0] == expected_rank
 
     input_map = sol.gramian.input_map
-    s_vals, u_range, _, q_mul = _qr_svd(input_map.d, input_map.table)
+    phi = rng.standard_normal(factor.shape[1])
+    s_vals, u_range, _, qt = _qr_svd(input_map.d, input_map.table,
+                                     np.column_stack([phi, v_ref.T @ (v_ref @ phi)]))
     assert u_range.shape[1] == expected_rank
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
-    phi = rng.standard_normal(factor.shape[1])
-    assert_allclose(q_mul(u_range @ (u_range.T @ q_mul(phi[:, None], "T"))).ravel(),
-                    v_ref.T @ (v_ref @ phi), rtol=0, atol=1e-10)
+    assert_allclose(u_range @ (u_range.T @ qt[:, 0]), qt[:, 1], rtol=0, atol=1e-10)
 
     report = verify_minimality(sol, trials=12, seed=4)
     assert report.mode == "kernel+pinv"
@@ -190,11 +190,13 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     whitened = _whitened_pinv_map(sol)
     x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
     s_full = np.linalg.svd(whitened, compute_uv=False)
-    s_vals, u_k, vt_k, q_mul = _qr_svd(input_map.d,
-                                       input_map.with_nodes(PINV_NODES).table)
+    # x_ref lies in the column space Q U, so Q^T x_ref must be U S^-1 V^T rhs
+    s_vals, u_k, vt_k, qt_x_ref = _qr_svd(input_map.d,
+                                          input_map.with_nodes(PINV_NODES).table,
+                                          x_ref[:, None])
     assert u_k.shape[1] == vt_k.shape[0] == np.count_nonzero(s_full > 1e-12 * s_full[0])
-    x = q_mul(u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])[:, None]).ravel()
-    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    x = u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])
+    assert np.linalg.norm(x - qt_x_ref[:, 0]) <= 1e-10 * np.linalg.norm(x_ref)
     pinv_energy = float(x_ref @ x_ref)
     gap_ref = abs(sol.energy - pinv_energy) / max(sol.energy, pinv_energy)
     assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
@@ -249,23 +251,24 @@ def test_qr_svd_matches_svd_on_tall_and_wide_input(shape, rank):
     k = min(shape)
     u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
     scale = s_ref[0] if rank else 1.0
-    s_vals, u_k, vt_k, q_mul = _qr_svd(np.ones((1, shape[1])), a)
+    y = rng.standard_normal((shape[0], 3))
+    p_ref_y = u_ref[:, :rank] @ (u_ref[:, :rank].T @ y)
+    rhs = rng.standard_normal(shape[1])
+    x_ref = np.linalg.pinv(a.T, rcond=1e-12) @ rhs
+    s_vals, u_k, vt_k, qt = _qr_svd(np.ones((1, shape[1])), a,
+                                    np.hstack([y, p_ref_y, x_ref[:, None], a]))
     assert u_k.shape == (k, rank) and vt_k.shape == (rank, shape[1])
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * scale)
     # Q U spans the column space; Q^T a is R = U S V^T, upper trapezoidal
-    y = rng.standard_normal((shape[0], 3))
-    assert_allclose(q_mul(u_k @ (u_k.T @ q_mul(y, "T"))),
-                    u_ref[:, :rank] @ (u_ref[:, :rank].T @ y), rtol=0, atol=1e-10)
-    r = q_mul(a, "T")
+    assert_allclose(u_k @ (u_k.T @ qt[:, :3]), qt[:, 3:6], rtol=0, atol=1e-10)
+    r = qt[:, 7:]
     assert_allclose(r, (u_k * s_vals[:rank]) @ vt_k, rtol=0, atol=1e-12 * scale)
     assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12 * scale)
-    assert_allclose(q_mul(r), a, rtol=0, atol=1e-12 * scale)
-    # the minimal-norm solve of a^T x = rhs, as verify_minimality takes it
-    rhs = rng.standard_normal(shape[1])
-    x = q_mul(u_k @ ((vt_k @ rhs) / s_vals[:rank])[:, None]).ravel()
-    x_ref = np.linalg.pinv(a.T, rcond=1e-12) @ rhs
+    # the minimal-norm solve of a^T x = rhs, as verify_minimality takes it:
+    # x_ref lies in the column space Q U, so Q^T x_ref must be U S^-1 V^T rhs
+    x = u_k @ ((vt_k @ rhs) / s_vals[:rank])
     if rank:
-        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(x - qt[:, 6]) <= 1e-10 * np.linalg.norm(x_ref)
     else:
         assert not np.any(x) and not np.any(x_ref)
 
