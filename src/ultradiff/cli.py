@@ -139,6 +139,21 @@ def _numbers(raw, path, bad, expected="a list of finite numbers", length=None):
     return None
 
 
+def _scalar(raw, path, bad, expected="a finite number"):
+    """`raw` as a float under `_numbers`' rule, or None with a violation."""
+    values = _numbers([raw], path, bad, expected)
+    return None if values is None else values[0]
+
+
+def _integer(raw, path, bad):
+    """`raw` as a non-negative int (a seed), or None with a violation."""
+    value = _scalar(raw, path, [])
+    if value is not None and value >= 0 and value.is_integer():
+        return int(raw)
+    bad.append(f"{path}: expected a non-negative integer")
+    return None
+
+
 def _pair(raw, path, bad, *, positive=False, ordered=True):
     pair = _numbers(raw, path, bad, "a [lo, hi] pair of finite numbers", 2)
     if pair is None:
@@ -222,11 +237,9 @@ def _parse_target(raw, n_modes, bad) -> TargetSpec | None:
                        f"(cutoff^ndim), got {len(values)}")
         return TargetSpec("coefficients", values=values)
     if kind == "random-span":
-        try:
-            seed = int(raw.get("seed", 0))
-            scale = float(raw.get("scale", 1.0))
-        except (TypeError, ValueError):
-            bad.append("target.seed / target.scale: expected numbers")
+        seed = _integer(raw.get("seed", 0), "target.seed", bad)
+        scale = _scalar(raw.get("scale", 1.0), "target.scale", bad)
+        if seed is None or scale is None:
             return None
         return TargetSpec("random-span", seed=seed, scale=scale)
     bad.append("target.kind: expected \"coefficients\" or \"random-span\"")
@@ -270,15 +283,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         cutoff = 6
     n_modes = cutoff ** ndim if ndim else None
 
-    try:
-        alpha = float(data.get("alpha"))
-    except (TypeError, ValueError):
-        bad.append("alpha: expected a number")
-        alpha = 0.7
-    else:
-        if not 0.0 < alpha < 1.0:
-            bad.append("alpha: must lie strictly inside (0, 1)")
-            alpha = min(max(alpha, 0.1), 0.9) if math.isfinite(alpha) else 0.7
+    alpha = _scalar(data.get("alpha"), "alpha", bad)
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        bad.append("alpha: must lie strictly inside (0, 1)")
 
     window_raw = data.get("window")
     window = _pair(window_raw, "window", bad, positive=True) \
@@ -322,32 +329,15 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     eps = data.get("epsilon_cutoff")
     if eps is not None:
-        try:
-            eps = float(eps)
-        except (TypeError, ValueError):
-            bad.append("epsilon_cutoff: expected a number or null")
-            eps = None
-        else:
-            horizon = math.log(window[1] / window[0]) if window else None
-            if eps <= 0 or (horizon is not None and eps >= horizon):
-                bad.append("epsilon_cutoff: must lie in (0, log(b/a))")
-                eps = None
+        eps = _scalar(eps, "epsilon_cutoff", bad, "a finite number or null")
+        horizon = math.log(window[1] / window[0]) if window else None
+        if eps is not None and (eps <= 0 or (horizon is not None and eps >= horizon)):
+            bad.append("epsilon_cutoff: must lie in (0, log(b/a))")
 
-    try:
-        threshold = float(data.get("threshold", 1e-10))
-    except (TypeError, ValueError):
-        bad.append("threshold: expected a number")
-        threshold = 1e-10
-    else:
-        if not threshold > 0:
-            bad.append("threshold: must be positive")
-            threshold = 1e-10
-
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError):
-        bad.append("seed: expected an integer")
-        seed = 0
+    threshold = _scalar(data.get("threshold", 1e-10), "threshold", bad)
+    if threshold is not None and not threshold > 0:
+        bad.append("threshold: must be positive")
+    seed = _integer(data.get("seed", 0), "seed", bad)
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):
@@ -785,13 +775,13 @@ def run_selftest() -> int:
     check("constant-control-energy",
           abs(energy(u1) - (window.b - window.a)), 1e-9)
 
-    # integration by parts: <grad a_p, grad a_q> over the whole box is lam_p delta_pq
+    # integration by parts: over the whole box the Gram factor's R^T R is diag(lam)
     square = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(square, 4)
-    gram = gradient_gram(basis, Region.whole(square)).matrix
-    check("gradient-gram-closed-form",
-          float(np.max(np.abs(gram - np.diag(basis.lams)))) / float(basis.lams.max()),
-          1e-12)
+    factor = gradient_gram(basis, Region.whole(square)).factor
+    check("gradient-gram-factor",
+          float(np.max(np.abs(factor.T @ factor - np.diag(basis.lams))))
+          / float(basis.lams.max()), 1e-12)
 
     # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
     rng = np.random.default_rng(3)

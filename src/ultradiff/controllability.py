@@ -15,8 +15,10 @@ truncated gradient basis, factors as the pair (Gamma, W):
   (`solver._InputMap`) that the synthesis and its checks reuse.
 
 Verdicts are read from the eigenvalues of the symmetric coordinate operator
-Gamma^(1/2) W Gamma^(1/2), whose Rayleigh quotients are exactly those of the
-Gramian operator on the (non-orthonormal) restricted-gradient span.
+R_Gamma W R_Gamma^T, where R_Gamma^T R_Gamma = Gamma is the Gram pass's
+triangular factor.  It has the spectrum of Gamma^(1/2) W Gamma^(1/2), whose
+Rayleigh quotients are exactly those of the Gramian operator on the
+(non-orthonormal) restricted-gradient span.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ logger = logging.getLogger(__name__)
 
 RANK_RTOL = 1e-10
 _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
-
-
-def symmetric_square_root(matrix: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """PSD square root through an eigendecomposition with relative clipping."""
-    vals, vecs = eigh(0.5 * (matrix + matrix.T))
-    top = max(vals[-1], 0.0)
-    clipped = np.where(vals > rtol * top, vals, 0.0)
-    return (vecs * np.sqrt(clipped)) @ vecs.T
 
 
 def pinv_solve_symmetric(matrix: np.ndarray, rhs: np.ndarray,
@@ -182,9 +176,8 @@ class GradientGramian:
 
     @cached_property
     def symmetric_operator(self) -> np.ndarray:
-        """Gamma^(1/2) W Gamma^(1/2): the Gramian in orthonormalized coordinates."""
-        half = symmetric_square_root(self.gram.matrix)
-        m = half @ self.matrix @ half
+        """R_Gamma W R_Gamma^T: the Gramian in orthonormalized coordinates."""
+        m = self.gram.factor @ self.matrix @ self.gram.factor.T
         return 0.5 * (m + m.T)
 
     @cached_property

@@ -15,8 +15,9 @@ kernel rule.  Every quantity is read from a discrete input map; the
 optimality check factors its tall factor as a Khatri-Rao product.  Solving
 for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
-identities independent of the Gram matrix conditioning; the gradient-basis
-representation of the dual element is recovered afterwards for reporting only.
+identities independent of the Gram matrix conditioning.  Gamma enters only
+through its triangular factor R (R^T R = Gamma): norms are |R x|, and the
+reported gradient-basis dual weights Gamma^-1 c take two triangular solves.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ._quadrature import kernel_rule
 from .controllability import (GradientGramian, _qr_svd,
@@ -139,18 +141,16 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
         logger.warning("Gramian kernel factor numerically rank-deficient: "
                        "kept %d of %d directions", kept, n_modes)
 
-    g_coeffs, _, _ = pinv_solve_symmetric(gramian.gram.matrix, datum,
-                                          rtol=SOLVER_RTOL)
+    r_gamma = gramian.gram.factor
+    g_coeffs = solve_triangular(r_gamma, solve_triangular(r_gamma, datum, trans="T"))
     input_map = gramian.input_map
     control = input_map.control(datum)
 
     residual_map = input_map.with_nodes(RESIDUAL_NODES)
     gap = residual_map.matrix @ datum + free - problem.target_gradient_coefficients
-    gram = gramian.gram.matrix
-    target_norm2 = float(problem.target_gradient_coefficients
-                         @ gram @ problem.target_gradient_coefficients)
-    gap_norm2 = max(0.0, float(gap @ gram @ gap))
-    residual = math.sqrt(gap_norm2 / target_norm2 if target_norm2 > 0 else gap_norm2)
+    target_norm = float(np.linalg.norm(r_gamma @ problem.target_gradient_coefficients))
+    gap_norm = float(np.linalg.norm(r_gamma @ gap))
+    residual = gap_norm / target_norm if target_norm > 0 else gap_norm
 
     cost = input_map.energy(datum)
     quadratic = float(datum @ gramian.matrix @ datum)
@@ -169,12 +169,14 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:
     """Squared-observation norm of a dual element, by direct time quadrature.
 
-    Input is the element's gradient-basis weights; the value equals the
+    Input is the element's gradient-basis weights gamma, whose datum
+    Gamma gamma is taken as R_Gamma^T (R_Gamma gamma); the value equals the
     Gramian quadratic form of the same element (an identity the test suite
     checks rather than assumes).
     """
     gamma = np.asarray(g_coefficients, dtype=float)
-    return gramian.input_map.energy(gramian.gram.matrix @ gamma)
+    r_gamma = gramian.gram.factor
+    return gramian.input_map.energy(r_gamma.T @ (r_gamma @ gamma))
 
 
 def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:

@@ -344,14 +344,14 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
 
 @dataclass(frozen=True, eq=False)
 class FinalGradient:
-    """Restricted gradient of a final-time state, in gradient-Gram coordinates."""
+    """Restricted gradient of a final-time state, in gradient-Gram coordinates;
+    its norm over the region is |R_Gamma z| for the Gram factor R_Gamma."""
 
     coefficients: np.ndarray
     gram: object  # GradientBasisGram
 
     def norm(self) -> float:
-        return float(math.sqrt(max(0.0,
-                     self.coefficients @ self.gram.matrix @ self.coefficients)))
+        return float(np.linalg.norm(self.gram.factor @ self.coefficients))
 
 
 def final_gradient(state: SpectralState, region, *, window: LogTimeWindow | None = None,

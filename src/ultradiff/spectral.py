@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -305,54 +305,68 @@ def region_inner_product(f, g, region: Region, order: int = 48) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GradientBasisGram:
-    """Gram matrix of restricted eigenfunction gradients over a region.
+    """Gram matrix Gamma of restricted eigenfunction gradients over a region.
 
-    matrix[p, q] = <grad alpha_p, grad alpha_q> over the region; the
-    coordinates of every gradient-space computation downstream.
-    direction_norms[l, p] = ||d(alpha_p)/dx_l|| over the region, summed in
-    the same pass; the strategic rank test scales the couplings by them.
+    Gamma[p, q] = <grad alpha_p, grad alpha_q> over the region is held as its
+    upper triangular factor R_Gamma (R_Gamma^T R_Gamma = Gamma), which every
+    gradient-space norm and solve reads; `matrix` is the product, formed on
+    first use.  direction_norms[l, p] = ||d(alpha_p)/dx_l|| over the region,
+    from the same pass; the strategic rank test scales the couplings by them.
     """
 
     basis: SpectralBasis
     region: Region
-    matrix: np.ndarray
+    factor: np.ndarray
     direction_norms: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("matrix", "direction_norms"):
+        for name in ("factor", "direction_norms"):
             m = np.asarray(getattr(self, name), dtype=float)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Gamma = R_Gamma^T R_Gamma, read-only."""
+        gram = self.factor.T @ self.factor
+        gram.setflags(write=False)
+        return gram
+
 
 def gradient_gram(basis: SpectralBasis, region: Region,
                   order: int | None = None) -> GradientBasisGram:
-    """Gram of the restricted gradients, one axis at a time.
+    """Triangular factor of the Gram of the restricted gradients, from QRs of
+    the per-axis tables.
 
     On each box the gradient's component l pairs as a product of 1-D Grams:
-    <d_l alpha_p, d_l alpha_q> = prod over axes of M[k_p, k_q], where M is
-    the axis's derivative Gram (F'w) F'^T on axis l and its value Gram
-    (F w) F^T on the others.  The direction norms are the square roots of
-    those terms' diagonals.
+    <d_l alpha_p, d_l alpha_q> = prod over axes of M[k_p, k_q], M = A^T A with
+    A = (F' sqrt(w))^T on axis l and (F sqrt(w))^T on the others.  With
+    A = Q T (T is K x K upper triangular) that term is B^T B, where column p
+    of B is the Kronecker product of the axes' T columns at mode p's indices.
+    R_Gamma is the R of one QR of every box's and component's B, stacked, and
+    cond R_Gamma = sqrt(cond Gamma).  The direction norms are the roots of
+    B's column sums of squares, per component, summed over the boxes.
     """
+    if region.is_empty:
+        raise ValueError(f"gradient_gram: region {region.boxes} is empty")
     n_modes = len(basis.modes)
     order = default_order(basis) if order is None else order
     index = _axis_index(basis)
-    gram = np.zeros((n_modes, n_modes))
+    blocks = []
     squares = np.zeros((basis.domain.ndim, n_modes))
     for box in region.boxes:
-        grams = [((value * w) @ value.T, (slope * w) @ slope.T)
-                 for w, value, slope in _axis_tables(basis, box, order)]
+        triangles = [tuple(np.linalg.qr((table * np.sqrt(w)).T, mode="r")
+                           for table in (value, slope))
+                     for w, value, slope in _axis_tables(basis, box, order)]
         for component in range(basis.domain.ndim):
-            term, diagonal = 1.0, 1.0
-            for ax, (k, (value_gram, slope_gram)) in enumerate(zip(index, grams)):
-                m = slope_gram if ax == component else value_gram
-                term = term * m[np.ix_(k, k)]
-                diagonal = diagonal * np.diag(m)[k]
-            gram += term
-            squares[component] += diagonal
-    gram = 0.5 * (gram + gram.T)
-    return GradientBasisGram(basis, region, gram, np.sqrt(squares))
+            block = np.ones((1, n_modes))
+            for ax, (k, (value_t, slope_t)) in enumerate(zip(index, triangles)):
+                t = slope_t if ax == component else value_t
+                block = (block[:, None] * t[:, k]).reshape(-1, n_modes)
+            squares[component] += np.einsum("ip,ip->p", block, block)
+            blocks.append(block)
+    factor = np.linalg.qr(np.vstack(blocks), mode="r")
+    return GradientBasisGram(basis, region, factor, np.sqrt(squares))
 
 
 @dataclass(frozen=True, eq=False)

@@ -417,6 +417,57 @@ def test_near_classical_order_synthesis_without_mpmath():
     assert run.stdout.strip() == "False"
 
 
+def _near_classical_k6(seed, pass_index):
+    """The benchmark's near-classical K=6 configuration at one (seed, pass):
+    36 whole-square modal actuators, the quadrant, alpha 0.98, window [1, b]."""
+    rng = np.random.default_rng([seed, pass_index])
+    b = rng.uniform(3.5, 4.5)
+    rng.standard_normal(1)                  # the K=1 configuration's target
+    basis = SpectralBasis(UNIT_SQUARE, 6)
+    whole = Region.whole(UNIT_SQUARE)
+    acts = ActuatorSet(tuple(Actuator(whole, mode.value, f"mode-{i}")
+                             for i, mode in enumerate(basis.modes)))
+    quadrant = Region.box(UNIT_SQUARE, (0.0, 0.5), (0.0, 0.5))
+    return HumProblem(basis, quadrant, acts, 0.98, LogTimeWindow(1.0, b),
+                      rng.standard_normal(36))
+
+
+def _zone_probe(cutoff, grid):
+    """A grid x grid array of product-of-sines box actuators, integer
+    frequencies from one generator, which then draws the target; the quadrant,
+    alpha 0.7, window [1, 4]."""
+    rng = np.random.default_rng(3)
+    acts = []
+    for i in range(grid):
+        for j in range(grid):
+            kx, ky = rng.integers(1, 7, size=2)
+            box = Region.box(UNIT_SQUARE, (i / grid, (i + 1) / grid),
+                             (j / grid, (j + 1) / grid))
+            acts.append(Actuator(box, (lambda kx, ky: lambda p: np.sin(
+                kx * math.pi * p[:, 0]) * np.sin(ky * math.pi * p[:, 1]))(kx, ky)))
+    basis = SpectralBasis(UNIT_SQUARE, cutoff)
+    quadrant = Region.box(UNIT_SQUARE, (0.0, 0.5), (0.0, 0.5))
+    return HumProblem(basis, quadrant, ActuatorSet(tuple(acts)), 0.7,
+                      LogTimeWindow(1.0, 4.0), rng.standard_normal(cutoff ** 2))
+
+
+@pytest.mark.parametrize("problem", [
+    lambda: _near_classical_k6(2, 0), lambda: _near_classical_k6(3, 0),
+    lambda: _zone_probe(6, 4),
+], ids=["near-classical-seed2-pass0", "near-classical-seed3-pass0", "zone6-4"])
+def test_energy_identity_survives_an_ill_conditioned_gram(problem):
+    """cond Gamma is ~4e11 on these quadrant problems.  The dual weights and
+    their norm go through the triangular Gram factor, whose condition is the
+    square root of Gamma's, so the identity holds to the synthesize gate."""
+    solution = solve_hum(problem())
+    gnorm2 = g_norm(solution.g_coefficients, solution.gramian)
+    identity_gap = abs(solution.energy - gnorm2) / max(solution.energy, gnorm2)
+    print(f"residual {solution.residual_relative:.3e}, energy-identity gap "
+          f"{identity_gap:.3e}  (bounds 1e-6)")
+    assert solution.residual_relative <= 1e-6
+    assert identity_gap <= 1e-6
+
+
 # -- 7: first-order limit reproduces the elementary exponential answers -------
 
 def test_classical_limit_regression():

@@ -155,6 +155,38 @@ def test_non_finite_mode_index_is_a_scenario_error(tmp_path, capsys, index):
     assert "Traceback" not in err and "Error:" not in err
 
 
+@pytest.mark.parametrize("overrides, needle", [
+    ({"alpha": "0.5"}, "alpha:"),
+    ({"threshold": "1e-10"}, "threshold:"),
+    ({"epsilon_cutoff": "0.001"}, "epsilon_cutoff:"),
+    ({"threshold": math.inf}, "threshold:"),
+    ({"epsilon_cutoff": math.nan}, "epsilon_cutoff:"),
+    ({"seed": math.inf}, "seed:"),
+    ({"seed": 1.5}, "seed:"),
+    ({"seed": "3"}, "seed:"),
+    ({"seed": True}, "seed:"),
+    ({"seed": -1}, "seed:"),
+    ({"target": {"kind": "random-span", "seed": 1.5}}, "target.seed:"),
+    ({"target": {"kind": "random-span", "seed": math.inf}}, "target.seed:"),
+    ({"target": {"kind": "random-span", "scale": "2"}}, "target.scale:"),
+    ({"target": {"kind": "random-span", "scale": math.nan}}, "target.scale:"),
+], ids=["alpha-string", "threshold-string", "epsilon-string", "threshold-infinite",
+        "epsilon-nan", "seed-infinite", "seed-fraction", "seed-string", "seed-bool",
+        "seed-negative", "target-seed-fraction", "target-seed-infinite",
+        "target-scale-string", "target-scale-nan"])
+def test_scalar_fields_must_be_finite_json_numbers(tmp_path, capsys, overrides,
+                                                   needle):
+    """Each bad scalar is a violation line and exit 1: strings once ran as
+    numbers, a fractional seed was truncated, and non-finite values left the
+    CLI with a traceback or ran to a verdict."""
+    scenario = single_mode_scenario(tmp_path, **overrides)
+    assert main(["synthesize", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and f"  - {needle}" in err, err
+    assert "Traceback" not in err and "Error:" not in err
+
+
 def test_missing_scenario_inputs(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
     assert "--scenario is required" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
                                        _qr_svd, _rank,
                                        approx_controllability_verdict,
                                        assemble_gramian, pinv_solve_symmetric,
-                                       strategic_test, symmetric_square_root,
+                                       strategic_test,
                                        worked_example_mode_means,
                                        worked_example_pairing_table)
 from ultradiff.hum import HumProblem, solve_hum, verify_minimality
@@ -633,12 +633,10 @@ def test_pairing_table_values_and_flags():
 
 # --- small linear-algebra helpers ---------------------------------------------
 
-def test_symmetric_square_root_and_pinv_solve():
+def test_pinv_solve_symmetric():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 3))
     w = a @ a.T                      # PSD, rank 3
-    half = symmetric_square_root(w)
-    assert_allclose(half @ half, w, rtol=0, atol=1e-12)
     # right-hand side in the range: consistent minimum-norm solution
     x_true = a @ rng.standard_normal(3)
     rhs = w @ x_true

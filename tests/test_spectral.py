@@ -311,7 +311,8 @@ def test_separable_box_integrals_match_n_point_reference(domain, family, boxes,
                                                          monkeypatch):
     """Couplings, Gamma, its direction norms and the callable adjoint path
     contract per-axis tables and build no (n_modes, N) table, and agree
-    with the N-point sums to roundoff."""
+    with the N-point sums to roundoff; Gamma is checked as the product
+    R^T R of its upper triangular factor."""
     basis = SpectralBasis(domain, 6, family)
     region = Region(domain, boxes)
     acts = ActuatorSet((
@@ -327,12 +328,22 @@ def test_separable_box_integrals_match_n_point_reference(domain, family, boxes,
     monkeypatch.setattr(SpectralBasis, "value_matrix", refuse)
     monkeypatch.setattr(SpectralBasis, "gradient_component_matrix", refuse)
     gram = gradient_gram(basis, region)
-    got = (actuator_coefficients(acts, basis), gram.matrix, gram.direction_norms,
+    factor = gram.factor
+    assert np.array_equal(factor, np.triu(factor))
+    got = (actuator_coefficients(acts, basis), factor.T @ factor,
+           gram.direction_norms,
            adjoint_gradient_coefficients(_nonseparable_field, basis, region))
     for name, value, expected in zip(("couplings", "gram", "norms", "adjoint"),
                                      got, reference):
         err = np.max(np.abs(value - expected))
         assert err <= 1e-14 * np.max(np.abs(expected)), name
+
+
+def test_gradient_gram_refuses_an_empty_region():
+    """An empty region has no Gram factor to solve with."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match="region .* is empty"):
+        gradient_gram(SpectralBasis(domain, 3), Region(domain, ()))
 
 
 def test_actuator_domain_mismatch_raises():
