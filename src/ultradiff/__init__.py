@@ -21,7 +21,6 @@ from .spectral import (
     actuator_coefficients,
     adjoint_gradient_coefficients,
     gradient_gram,
-    region_inner_product,
 )
 from .solver import (
     ControlSignal,
@@ -68,7 +67,6 @@ __all__ = [
     "actuator_coefficients",
     "adjoint_gradient_coefficients",
     "gradient_gram",
-    "region_inner_product",
     "ControlSignal",
     "EnergyDivergenceError",
     "SpectralState",

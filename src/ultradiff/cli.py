@@ -68,7 +68,8 @@ from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, final_gradient, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
-                       SpectralBasis, default_order, gradient_gram)
+                       SpectralBasis, default_order, gradient_gram,
+                       overlapping_pairs)
 
 logger = logging.getLogger(__name__)
 
@@ -186,20 +187,28 @@ def _box(raw, path, ndim, domain, bad):
     return tuple(out)
 
 
+def _disjoint(boxes, path, bad) -> tuple:
+    """The parsed boxes (None marks one that failed to parse), with a
+    violation appended for each pair whose interiors meet."""
+    kept = [i for i, box in enumerate(boxes) if box is not None]
+    for i, j in overlapping_pairs([boxes[i] for i in kept]):
+        bad.append(f"{path}: boxes {kept[i]} and {kept[j]} overlap")
+    return tuple(boxes[i] for i in kept)
+
+
 def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
     path = f"actuators[{idx}]"
     if not isinstance(raw, dict):
         bad.append(f"{path}: expected an object")
         return None
     support_raw = raw.get("support")
-    boxes = []
+    boxes = ()
     if not isinstance(support_raw, (list, tuple)) or not support_raw:
         bad.append(f"{path}.support: expected a non-empty list of boxes")
     else:
-        for j, box_raw in enumerate(support_raw):
-            box = _box(box_raw, f"{path}.support[{j}]", ndim, domain, bad)
-            if box is not None:
-                boxes.append(box)
+        boxes = _disjoint([_box(b, f"{path}.support[{j}]", ndim, domain, bad)
+                           for j, b in enumerate(support_raw)],
+                          f"{path}.support", bad)
     profile = raw.get("profile")
     if profile not in PROFILES:
         bad.append(f"{path}.profile: expected one of {', '.join(PROFILES)}")
@@ -217,7 +226,7 @@ def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
                               or coeffs[0] < 0):
         bad.append(f"{path}.coefficients: mode profile needs one "
                    f"non-negative integer index")
-    return ActuatorSpec(tuple(boxes), profile, coeffs,
+    return ActuatorSpec(boxes, profile, coeffs,
                         str(raw.get("label", "")))
 
 
@@ -298,9 +307,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(region_raw, (list, tuple)) or not region_raw:
         bad.append("region: expected a non-empty list of boxes")
     elif ndim is not None:
-        boxes = [_box(b, f"region[{i}]", ndim, domain, bad)
-                 for i, b in enumerate(region_raw)]
-        region = tuple(b for b in boxes if b is not None)
+        region = _disjoint([_box(b, f"region[{i}]", ndim, domain, bad)
+                            for i, b in enumerate(region_raw)], "region", bad)
 
     actuators = ()
     actuators_raw = data.get("actuators")
@@ -820,6 +828,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _positive(kind, expected):
+    """argparse type: `kind` of the text, which must be finite and > 0;
+    anything else is a usage error.  The window-dependent bound on epsilon
+    stays with `assemble_gramian`."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"expected {expected} > 0, got {text!r}")
+        return value
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ultradiff",
                      description="Ultra-slow diffusion: regional gradient "
@@ -830,8 +853,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--scenario", help="path to a scenario JSON file")
         p.add_argument("--out", help="output directory (default ./ultradiff-out)")
-        p.add_argument("--cutoff", type=int, help="override the truncation K")
-        p.add_argument("--epsilon", type=float,
+        p.add_argument("--cutoff", type=_positive(int, "an integer"),
+                       help="override the truncation K")
+        p.add_argument("--epsilon", type=_positive(float, "a finite number"),
                        help="override the endpoint cutoff epsilon")
         p.add_argument("--format", choices=("json", "csv", "both"),
                        default="both", dest="fmt")

@@ -35,8 +35,8 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
 from .logtime import LogTimeWindow
 from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
 from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
-                       SpectralBasis, actuator_coefficients, gradient_gram,
-                       region_inner_product)
+                       SpectralBasis, actuator_coefficients,
+                       adjoint_gradient_coefficients, gradient_gram)
 
 logger = logging.getLogger(__name__)
 
@@ -409,7 +409,9 @@ def worked_example_pairing_table(basis: SpectralBasis, region: Region,
 
     The quadrature column is the product of the zone-actuator mode mean over
     the region with the pairing of the target (as a first-direction field)
-    against the mode gradient, everything on unit-norm modes.  The closed-form
+    against the mode gradient, everything on unit-norm modes.  Each target's
+    pairings with every mode gradient come from one call of the callable
+    path of `adjoint_gradient_coefficients`.  The closed-form
     column evaluates the literal reference expression
     8p/(k l pi) (1/((k+p)pi) - 1/((k-p)pi)) (1/((l+q)pi) - 1/((l-q)pi)).
     The two disagree (normalization and sign conventions differ); both are
@@ -421,6 +423,9 @@ def worked_example_pairing_table(basis: SpectralBasis, region: Region,
     if basis.domain.ndim != 2:
         raise ValueError("pairing table is defined for 2-D configurations")
     means = worked_example_mode_means(basis, region, order)
+    pairings = {(p, q): adjoint_gradient_coefficients(
+        _first_direction_field(p, q), basis, region, order)
+        for p in ps for q in qs}
     mode_pos = {mode.index: pos for pos, mode in enumerate(basis.modes)}
     rows = []
     for k in ks:
@@ -430,10 +435,7 @@ def worked_example_pairing_table(basis: SpectralBasis, region: Region,
                     if (k, l) not in mode_pos:
                         raise ValueError(f"mode {(k, l)} beyond the basis cutoff")
                     pos = mode_pos[(k, l)]
-                    target = _first_direction_field(p, q)
-                    pairing = region_inner_product(
-                        target, basis.modes[pos].gradient, region, order)
-                    quad = means[pos] * pairing
+                    quad = means[pos] * pairings[(p, q)][pos]
                     in_parity = (k % 2 == 1 and l % 2 == 1
                                  and p % 2 == 0 and q % 2 == 0)
                     if k == p or l == q:

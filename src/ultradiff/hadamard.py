@@ -20,76 +20,16 @@ construction and the derivative identities remain independent checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
 
 from ._quadrature import power_weighted_rule
 from .logtime import LogTimeWindow
 
 
-@dataclass(frozen=True, eq=False)
-class SampledSignal:
-    """Scalar signal sampled on [a, b], interpolated cubically in log time.
-
-    Nodes must start at a and end at b and increase strictly.  `grading`
-    records the clustering exponent used to place the nodes (metadata for
-    reproducibility; 1.0 = uniform in log time).
-    """
-
-    window: LogTimeWindow
-    nodes: np.ndarray
-    values: np.ndarray
-    grading: float = 1.0
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be 1-D arrays of equal length")
-        if nodes.size < 4:
-            raise ValueError("need at least 4 samples for cubic interpolation")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must increase strictly")
-        if not (math.isclose(nodes[0], self.window.a, rel_tol=1e-12)
-                and math.isclose(nodes[-1], self.window.b, rel_tol=1e-12)):
-            raise ValueError(
-                f"nodes must span the window exactly: first={nodes[0]} "
-                f"(a={self.window.a}), last={nodes[-1]} (b={self.window.b})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("signal values must be finite")
-        if self.grading < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got {self.grading}")
-        nodes.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(np.log(self.nodes), self.values)
-
-    def __call__(self, t):
-        return self._spline(np.log(np.asarray(t, dtype=float)))
-
-    @classmethod
-    def from_callable(cls, f, window: LogTimeWindow, n: int = 129,
-                      grading: float = 1.0) -> "SampledSignal":
-        j = np.arange(n, dtype=float) / (n - 1)
-        xi = math.log(window.a) + window.length * j ** grading
-        nodes = np.exp(xi)
-        nodes[0], nodes[-1] = window.a, window.b
-        return cls(window, nodes, np.asarray(f(nodes), dtype=float), grading)
-
-
 def _as_evaluator(f):
-    """Accept a SampledSignal or a (preferably vectorized) callable."""
-    if isinstance(f, SampledSignal):
-        return f
-
+    """Wrap a (preferably vectorized) callable to return arrays shaped like t."""
     def evaluate(t):
         t = np.asarray(t, dtype=float)
         out = f(t)

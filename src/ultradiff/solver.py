@@ -56,12 +56,10 @@ class EnergyDivergenceError(ValueError):
             f"deliberately")
 
 
-def _check_alpha(alpha: float, *, strict_upper: bool = False) -> float:
+def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    upper_ok = alpha < 1.0 if strict_upper else alpha <= 1.0
-    if not (0.0 < alpha and upper_ok and math.isfinite(alpha)):
-        bound = "(0, 1)" if strict_upper else "(0, 1]"
-        raise ValueError(f"alpha must be in {bound}, got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return alpha
 
 

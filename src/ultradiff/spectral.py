@@ -20,7 +20,6 @@ Two mode families:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,8 +27,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._quadrature import gauss_legendre_01
-
-logger = logging.getLogger(__name__)
 
 BUCKET_RTOL = 1e-9
 
@@ -84,10 +81,8 @@ class Region:
             if not self.domain.contains_box(box):
                 raise ValueError(f"region box {i} {box} is not inside the domain "
                                  f"{self.domain.bounds}")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if _boxes_overlap(boxes[i], boxes[j]):
-                    raise ValueError(f"region boxes {i} and {j} overlap")
+        for i, j in overlapping_pairs(boxes):
+            raise ValueError(f"region boxes {i} and {j} overlap")
         object.__setattr__(self, "boxes", boxes)
 
     @classmethod
@@ -107,8 +102,11 @@ class Region:
         return len(self.boxes) == 0 or self.measure == 0.0
 
 
-def _boxes_overlap(b1: Box, b2: Box) -> bool:
-    return all(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2) in zip(b1, b2))
+def overlapping_pairs(boxes) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of boxes whose interiors intersect."""
+    return [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+            if all(lo1 < hi2 and lo2 < hi1
+                   for (lo1, hi1), (lo2, hi2) in zip(boxes[i], boxes[j]))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,34 +271,28 @@ def _contract(grid: np.ndarray, weighted: list[np.ndarray]) -> np.ndarray:
     return grid
 
 
+def _box_pairings(basis: SpectralBasis, box: Box, order: int, evaluate,
+                  derivative: int | None = None) -> np.ndarray:
+    """(batch, n_modes) integrals over `box` of each row of `evaluate` times
+    every mode, or times its derivative along axis `derivative`.
+
+    `evaluate` maps the box's tensor Gauss points (N, ndim) to (batch, N)
+    values; they are reshaped to the node grid, contracted one axis at a
+    time with the weighted factor tables, and gathered at the modes' indices.
+    """
+    points, _ = box_quadrature(box, order)
+    tables = _axis_tables(basis, box, order)
+    grid = evaluate(points).reshape((-1,) + tuple(w.size for w, _, _ in tables))
+    weighted = [(slope if ax == derivative else value) * w
+                for ax, (w, value, slope) in enumerate(tables)]
+    return _contract(grid, weighted)[(slice(None),) + _axis_index(basis)]
+
+
 def default_order(basis: SpectralBasis) -> int:
     # NOTE: products of two cutoff-K modes need comfortably more than 2K
     # Gauss points per axis once gradient factors enter; 4K+12 holds the
     # 1e-9 tolerances with margin.
     return 4 * basis.cutoff + 12
-
-
-def region_inner_product(f, g, region: Region, order: int = 48) -> float:
-    """Integral over the region of f*g (scalars) or f.g (vector fields).
-
-    Empty regions integrate to 0 (logged as a warning, since that usually
-    means a scenario mistake).
-    """
-    if region.is_empty:
-        logger.warning("region_inner_product over an empty region returns 0")
-        return 0.0
-    total = 0.0
-    for box in region.boxes:
-        points, weights = box_quadrature(box, order)
-        fv = np.asarray(f(points), dtype=float)
-        gv = np.asarray(g(points), dtype=float)
-        if fv.ndim == 1 and gv.ndim == 1:
-            total += float(weights @ (fv * gv))
-        elif fv.ndim == 2 and gv.ndim == 2:
-            total += float(weights @ np.sum(fv * gv, axis=1))
-        else:
-            raise ValueError("f and g must both be scalar or both vector fields")
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,16 +405,12 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
             raise ValueError(f"actuator {i} support lives on a different domain")
         for j, box in enumerate(actuator.support.boxes):
             by_box.setdefault(box, []).append((i, j))
-    index = _axis_index(basis)
     parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
     for box, users in by_box.items():
-        points, _ = box_quadrature(box, order)
-        profiles = np.stack([np.asarray(actuators.actuators[i].distribution(points),
-                                        dtype=float) for i, _ in users])
-        tables = _axis_tables(basis, box, order)
-        grid = profiles.reshape((len(users),) + tuple(w.size for w, _, _ in tables))
-        couplings = _contract(grid, [value * w for w, value, _ in tables])
-        for (i, j), row in zip(users, couplings[(slice(None),) + index]):
+        couplings = _box_pairings(basis, box, order, lambda points: np.stack(
+            [np.asarray(actuators.actuators[i].distribution(points), dtype=float)
+             for i, _ in users]))
+        for (i, j), row in zip(users, couplings):
             parts[i][j] = row
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, row in enumerate(parts):
@@ -443,20 +431,19 @@ def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
     """
     order = default_order(basis) if order is None else order
     if callable(g):
-        index = _axis_index(basis)
+        ndim = basis.domain.ndim
+
+        def component(points, l):
+            field = np.asarray(g(points), dtype=float)
+            if field.ndim != 2 or field.shape[1] != ndim:
+                raise ValueError("vector field must return shape (N, ndim)")
+            return np.ascontiguousarray(field[:, l])[None]
+
         c = np.zeros(len(basis.modes))
         for box in region.boxes:
-            points, _ = box_quadrature(box, order)
-            field = np.asarray(g(points), dtype=float)
-            if field.ndim != 2 or field.shape[1] != basis.domain.ndim:
-                raise ValueError("vector field must return shape (N, ndim)")
-            tables = _axis_tables(basis, box, order)
-            shape = (basis.domain.ndim,) + tuple(w.size for w, _, _ in tables)
-            grids = field.T.reshape(shape)
-            for component in range(basis.domain.ndim):
-                weighted = [(slope if ax == component else value) * w
-                            for ax, (w, value, slope) in enumerate(tables)]
-                c += _contract(grids[component][None], weighted)[(0,) + index]
+            for l in range(ndim):
+                c += _box_pairings(basis, box, order,
+                                   lambda points: component(points, l), l)[0]
         return c
     gamma = np.asarray(g, dtype=float)
     if gram is None:

@@ -187,6 +187,42 @@ def test_scalar_fields_must_be_finite_json_numbers(tmp_path, capsys, overrides,
     assert "Traceback" not in err and "Error:" not in err
 
 
+@pytest.mark.parametrize("overrides, needle", [
+    ({"region": [[[0.0, 0.6]], [[0.4, 1.0]]]}, "region: boxes 0 and 1 overlap"),
+    ({"actuators": [{"support": [[[0.0, 0.2]], [[0.5, 1.0]], [[0.1, 0.3]]],
+                     "profile": "constant"}]},
+     "actuators[0].support: boxes 0 and 2 overlap"),
+], ids=["region", "support"])
+def test_overlapping_boxes_are_violations(tmp_path, capsys, overrides, needle):
+    """Overlapping boxes once passed the parser, and building the region
+    then left the CLI with a ValueError and a logged traceback."""
+    scenario = single_mode_scenario(tmp_path, **overrides)
+    assert main(["synthesize", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and f"  - {needle}" in err, err
+    assert "Traceback" not in err and "Error:" not in err
+    # boxes that only share an edge do not overlap
+    scenario_from_dict(_single_mode_dict(region=[[[0.0, 0.5]], [[0.5, 1.0]]]))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--cutoff", "0"), ("--cutoff", "-3"), ("--epsilon", "nan"),
+    ("--epsilon", "0"), ("--epsilon", "-0.01"), ("--epsilon", "inf"),
+])
+def test_overrides_must_be_positive(tmp_path, capsys, option, value):
+    """--cutoff 0 and a non-positive or non-finite --epsilon once skipped the
+    scenario checks and ended in a ValueError with a traceback."""
+    scenario = single_mode_scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--scenario", str(scenario), option, value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: expected" in err, err
+    assert "Traceback" not in err and "ValueError" not in err
+
+
 def test_missing_scenario_inputs(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
     assert "--scenario is required" in capsys.readouterr().err
@@ -345,13 +381,25 @@ def test_polynomial_and_sine_profiles_couple_in_closed_form():
                     rtol=1e-13)
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    probe = "import ultradiff.cli, sys; print('scipy.interpolate' in sys.modules)"
+def _loads_scipy_interpolate(imports: str) -> bool:
+    """Whether `import <imports>` in a fresh interpreter loads scipy.interpolate."""
+    probe = f"import sys, {imports}; print('scipy.interpolate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert not _loads_scipy_interpolate("ultradiff.cli")
+
+
+def test_no_submodule_loads_scipy_interpolate():
+    modules = sorted(f"ultradiff.{path.stem}" for path in
+                     (SRC / "ultradiff").glob("*.py") if path.stem != "__init__")
+    assert "ultradiff.hadamard" in modules
+    assert not _loads_scipy_interpolate(", ".join(modules))
 
 
 def test_reproduce_example_reports_honest_rows(tmp_path, capsys):

@@ -27,8 +27,8 @@ from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                               _InputMap, _ml_matrix, forced_solution)
-from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis, actuator_coefficients,
+from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
+                                RectDomain, SpectralBasis, actuator_coefficients,
                                 box_quadrature, default_order, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
@@ -629,6 +629,35 @@ def test_pairing_table_values_and_flags():
     with pytest.raises(ValueError, match="cutoff"):
         worked_example_pairing_table(SpectralBasis(SQUARE, 2, "whole-wave"),
                                      quadrant)
+
+
+def test_pairing_table_contracts_the_axis_tables(monkeypatch):
+    # the reference sums target . grad alpha_kl over the 96^2 tensor points
+    basis = SpectralBasis(SQUARE, 6, "whole-wave")
+    quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
+    means = worked_example_mode_means(basis, quadrant, 96)
+    points, weights = box_quadrature(quadrant.boxes[0], 96)
+    mode_of = {mode.index: pos for pos, mode in enumerate(basis.modes)}
+    expected = {}
+    for k in (1, 3, 5):
+        for l in (1, 3, 5):
+            pos = mode_of[(k, l)]
+            gradient = basis.modes[pos].gradient(points)[:, 0]
+            for p in (2, 4):
+                for q in (2, 4):
+                    target = np.sin(p * math.pi * points[:, 0]) * \
+                        np.cos(q * math.pi * points[:, 1])
+                    expected[(k, l, p, q)] = means[pos] * (weights @ (target * gradient))
+
+    def pointwise(self, points):
+        raise AssertionError("the pairing table evaluated a mode gradient pointwise")
+
+    monkeypatch.setattr(Eigenpair, "gradient", pointwise)
+    rows = worked_example_pairing_table(basis, quadrant)
+    got = np.array([row.quadrature for row in rows])
+    want = np.array([expected[(r.k, r.l, r.p, r.q)] for r in rows])
+    assert len(rows) == len(expected)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # --- small linear-algebra helpers ---------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.hadamard import (SampledSignal, hadamard_caputo_left,
+from ultradiff.hadamard import (hadamard_caputo_left,
                                 hadamard_derivative_left,
                                 hadamard_derivative_right,
                                 hadamard_integral_left,
@@ -243,38 +243,6 @@ def test_node_count_stability():
             coarse = hadamard_integral_left(f, alpha, WINDOW, t, nodes=48)
             fine = hadamard_integral_left(f, alpha, WINDOW, t, nodes=96)
             assert_allclose(coarse, fine, rtol=1e-12)
-
-
-def test_sampled_signal_round_trip_and_integration():
-    f = lambda s: np.sin(1.7 * np.log(s)) + 0.25 * np.log(s) ** 2
-    sig = SampledSignal.from_callable(f, WINDOW, n=257)
-    t = interior_times(21)
-    assert_allclose(sig(t), f(t), rtol=0, atol=1e-9)
-    for alpha in (0.4, 0.8):
-        tt = interior_times(1, lo=0.7, hi=0.7)[0]
-        via_sig = hadamard_integral_left(sig, alpha, WINDOW, tt)
-        via_fn = hadamard_integral_left(f, alpha, WINDOW, tt)
-        assert_allclose(via_sig, via_fn, rtol=0, atol=1e-8)
-
-
-def test_sampled_signal_validation():
-    nodes = np.exp(np.linspace(math.log(WINDOW.a), math.log(WINDOW.b), 16))
-    nodes[0], nodes[-1] = WINDOW.a, WINDOW.b
-    vals = np.ones(16)
-    with pytest.raises(ValueError, match="at least 4"):
-        SampledSignal(WINDOW, nodes[:3], vals[:3])
-    with pytest.raises(ValueError, match="span the window"):
-        SampledSignal(WINDOW, nodes * 1.01, vals)
-    with pytest.raises(ValueError, match="increase strictly"):
-        shuffled = nodes.copy()
-        shuffled[5], shuffled[6] = shuffled[6], shuffled[5]
-        SampledSignal(WINDOW, shuffled, vals)
-    with pytest.raises(ValueError, match="finite"):
-        bad = vals.copy()
-        bad[7] = np.nan
-        SampledSignal(WINDOW, nodes, bad)
-    with pytest.raises(ValueError, match="grading"):
-        SampledSignal(WINDOW, nodes, vals, grading=0.5)
 
 
 def test_order_and_window_validation():

@@ -1,6 +1,5 @@
 """Eigenbasis geometry: orthonormality, Gram matrices, actuator projections."""
 
-import logging
 import math
 
 import numpy as np
@@ -8,11 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff import spectral
+from ultradiff.controllability import worked_example_mode_means
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, actuator_coefficients,
                                 adjoint_gradient_coefficients, box_quadrature,
-                                default_order,
-                                gradient_gram, region_inner_product)
+                                default_order, gradient_gram)
 
 
 def value_gram(basis, order=None):
@@ -146,34 +145,38 @@ def test_whole_domain_gradient_gram_is_diagonal_of_eigenvalues(domain, family):
                     atol=1e-9 * basis.lams.max())
 
 
-def test_region_inner_product_closed_form():
+def test_box_pairings_closed_form():
+    # canonical modes 2 sin(k pi x) sin(l pi y) on the unit square, paired
+    # over the quadrant [0, h]^2 with the profile 1 and with the field (x, y)
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
-    region = Region.box(domain, (0.0, 0.5), (0.0, 0.5))
-    got = region_inner_product(
-        lambda pts: np.sin(math.pi * pts[:, 0]) * np.sin(math.pi * pts[:, 1]),
-        lambda pts: np.ones(pts.shape[0]), region)
-    assert_allclose(got, 1.0 / math.pi ** 2, rtol=1e-12)
-    # vector fields pair through the dot product
-    got = region_inner_product(
-        lambda pts: np.column_stack([pts[:, 0], np.zeros(pts.shape[0])]),
-        lambda pts: np.column_stack([np.ones(pts.shape[0]), pts[:, 1]]),
-        region)
-    assert_allclose(got, 0.5 * 0.25 * 0.5, rtol=1e-12)
-    with pytest.raises(ValueError, match="scalar or both vector"):
-        region_inner_product(
-            lambda pts: np.ones(pts.shape[0]),
-            lambda pts: np.ones((pts.shape[0], 2)), region)
+    basis = SpectralBasis(domain, 3)
+    h = 0.5
+    region = Region.box(domain, (0.0, h), (0.0, h))
+    acts = ActuatorSet((Actuator(region, lambda pts: np.ones(pts.shape[0])),))
+    means = actuator_coefficients(acts, basis)[0]
+    pairings = adjoint_gradient_coefficients(lambda pts: pts.copy(), basis, region)
+
+    def sine(k):        # int_0^h sin(k pi x) dx
+        return (1.0 - math.cos(k * math.pi * h)) / (k * math.pi)
+
+    def slope(k):       # int_0^h x d/dx sin(k pi x) dx
+        return h * math.sin(k * math.pi * h) - sine(k)
+
+    for p, (k, l) in enumerate(mode.index for mode in basis.modes):
+        assert_allclose(means[p], 2.0 * sine(k) * sine(l), rtol=1e-13)
+        assert_allclose(pairings[p], 2.0 * (slope(k) * sine(l) + sine(k) * slope(l)),
+                        rtol=1e-12, atol=1e-15)
 
 
-def test_empty_region_integrates_to_zero(caplog):
+def test_empty_region_integrates_to_zero():
     domain = RectDomain.interval(0.0, 1.0)
     region = Region(domain, ())
     assert region.is_empty
-    with caplog.at_level(logging.WARNING, logger="ultradiff.spectral"):
-        value = region_inner_product(lambda p: np.ones(p.shape[0]),
-                                     lambda p: np.ones(p.shape[0]), region)
-    assert value == 0.0
-    assert any("empty region" in r.message for r in caplog.records)
+    basis = SpectralBasis(domain, 3)
+    acts = ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0])),))
+    assert np.all(actuator_coefficients(acts, basis) == 0.0)
+    field = lambda p: np.ones((p.shape[0], 1))
+    assert np.all(adjoint_gradient_coefficients(field, basis, region) == 0.0)
 
 
 def test_region_measure_and_containment():
@@ -384,11 +387,8 @@ def test_whole_wave_modes_have_zero_mean():
     # every whole-wave mode integrates to zero over the full box
     domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
     basis = SpectralBasis(domain, 4, "whole-wave")
-    whole = Region.whole(domain)
-    one = lambda pts: np.ones(pts.shape[0])
-    for mode in basis.modes:
-        mean = region_inner_product(mode.value, one, whole)
-        assert abs(mean) <= 1e-12
+    means = worked_example_mode_means(basis, Region.whole(domain))
+    assert np.max(np.abs(means)) <= 1e-12
 
 
 def test_construction_validation():
