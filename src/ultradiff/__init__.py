@@ -17,6 +17,7 @@ from .spectral import (
     GradientBasisGram,
     RectDomain,
     Region,
+    SeparableProfile,
     SpectralBasis,
     actuator_coefficients,
     adjoint_gradient_coefficients,
@@ -63,6 +64,7 @@ __all__ = [
     "GradientBasisGram",
     "RectDomain",
     "Region",
+    "SeparableProfile",
     "SpectralBasis",
     "actuator_coefficients",
     "adjoint_gradient_coefficients",

@@ -68,8 +68,8 @@ from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, final_gradient, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
-                       SpectralBasis, default_order, gradient_gram,
-                       overlapping_pairs)
+                       SeparableProfile, SpectralBasis, default_order,
+                       gradient_gram, overlapping_pairs)
 
 logger = logging.getLogger(__name__)
 
@@ -372,38 +372,23 @@ def parse_scenario(path: str) -> Scenario:
 # -- scenario -> library objects ----------------------------------------------
 
 
-def _profile_fn(spec: ActuatorSpec, domain: RectDomain, basis: SpectralBasis):
-    coeffs = spec.coefficients
+def _profile_fn(spec: ActuatorSpec, domain: RectDomain,
+                basis: SpectralBasis) -> SeparableProfile:
+    coeffs, ndim = spec.coefficients, domain.ndim
     if spec.profile == "constant":
         level = coeffs[0] if coeffs else 1.0
-        return lambda pts: np.full(len(pts), level)
+        return SeparableProfile(((level, (np.ones_like,) * ndim),))
     if spec.profile == "polynomial":
-        ndim = domain.ndim
-        terms = [(coeffs[j], coeffs[j + 1:j + 1 + ndim])
-                 for j in range(0, len(coeffs), 1 + ndim)]
-
-        def poly(pts):
-            out = np.zeros(len(pts))
-            for coef, powers in terms:
-                term = np.full(len(pts), coef)
-                for axis, power in enumerate(powers):
-                    term *= pts[:, axis] ** power
-                out += term
-            return out
-        return poly
+        return SeparableProfile(
+            (coeffs[j], tuple((lambda x, power=power: x ** power)
+                              for power in coeffs[j + 1:j + 1 + ndim]))
+            for j in range(0, len(coeffs), 1 + ndim))
     if spec.profile == "product-of-sines":
         amp, ks = coeffs[0], coeffs[1:]
-        bounds = domain.bounds
-
-        def sines(pts):
-            out = np.full(len(pts), amp)
-            for axis, k in enumerate(ks):
-                lo, hi = bounds[axis]
-                out *= np.sin(k * math.pi * (pts[:, axis] - lo) / (hi - lo))
-            return out
-        return sines
-    index = int(coeffs[0])
-    return lambda pts: basis.modes[index].value(pts)
+        return SeparableProfile(((amp, tuple(
+            (lambda x, k=k, lo=lo, hi=hi: np.sin(k * math.pi * (x - lo) / (hi - lo)))
+            for k, (lo, hi) in zip(ks, domain.bounds))),))
+    return basis.mode_profile(int(coeffs[0]))
 
 
 def build_objects(scenario: Scenario):
@@ -725,10 +710,14 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
 
 
 def run_reproduce(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
-    result = reproduce_example(scenario.cutoff, family=scenario.family,
-                               epsilon=scenario.epsilon_cutoff)
+    # only the cutoff, family and epsilon cutoff of `scenario` reach the run
+    ran = dataclasses.replace(reproduction_scenario(), cutoff=scenario.cutoff,
+                              family=scenario.family,
+                              epsilon_cutoff=scenario.epsilon_cutoff)
+    result = reproduce_example(ran.cutoff, family=ran.family,
+                               epsilon=ran.epsilon_cutoff)
     report = {"tool_version": __version__, "task": "reproduce-example",
-              "scenario": dataclasses.asdict(scenario)}
+              "scenario": dataclasses.asdict(ran)}
     report.update(result)
 
     if "basis_guard" in result:
@@ -805,9 +794,7 @@ def run_selftest() -> int:
     basis = SpectralBasis(domain, 4)
     region = Region.box(domain, (0.2, 0.9))
     acts = ActuatorSet(tuple(
-        Actuator(Region.whole(domain),
-                 (lambda p_idx: lambda pts: basis.modes[p_idx].value(pts))(p),
-                 f"mode-{p}")
+        Actuator(Region.whole(domain), basis.mode_profile(p), f"mode-{p}")
         for p in range(4)))
     target = np.array([0.4, -0.2, 0.1, 0.05])
     problem = HumProblem(basis, region, acts, 0.7, window, target)

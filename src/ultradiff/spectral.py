@@ -201,6 +201,14 @@ class SpectralBasis:
             rows[r] = row
         return rows
 
+    def mode_profile(self, index: int) -> SeparableProfile:
+        """The mode `modes[index]` as a separable profile.  The mode is looked
+        up when a factor is evaluated, so an index past the cutoff fails then."""
+        return SeparableProfile(((1.0, tuple(
+            lambda x, ax=ax: self._axis_factor(ax, self.modes[index].index[ax],
+                                               x, False)
+            for ax in range(self.domain.ndim))),))
+
     # -- batch evaluation ---------------------------------------------------
 
     def value_matrix(self, points) -> np.ndarray:
@@ -227,17 +235,17 @@ def _box_rule_1d(lo: float, hi: float, order: int):
     return lo + (hi - lo) * x, (hi - lo) * w
 
 
+def _tensor_points(nodes) -> np.ndarray:
+    """(N, ndim) tensor points of per-axis node arrays, the last axis fastest."""
+    return np.column_stack([x.ravel() for x in np.meshgrid(*nodes, indexing="ij")])
+
+
 def box_quadrature(box: Box, order: int):
     """Tensor Gauss-Legendre points (N, ndim) and weights (N,) for one box."""
-    axes = [_box_rule_1d(lo, hi, order) for lo, hi in box]
-    if len(axes) == 1:
-        return axes[0][0][:, None], axes[0][1].copy()
-    x1, w1 = axes[0]
-    x2, w2 = axes[1]
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    points = np.column_stack([X1.ravel(), X2.ravel()])
-    weights = np.outer(w1, w2).ravel()
-    return points, weights
+    nodes, weights = zip(*(_box_rule_1d(lo, hi, order) for lo, hi in box))
+    if len(weights) == 1:
+        return _tensor_points(nodes), weights[0].copy()
+    return _tensor_points(nodes), np.outer(*weights).ravel()
 
 
 def _axis_tables(basis: SpectralBasis, box: Box, order: int):
@@ -276,16 +284,16 @@ def _box_pairings(basis: SpectralBasis, box: Box, order: int, evaluate,
     """(batch, n_modes) integrals over `box` of each row of `evaluate` times
     every mode, or times its derivative along axis `derivative`.
 
-    `evaluate` maps the box's tensor Gauss points (N, ndim) to (batch, N)
-    values; they are reshaped to the node grid, contracted one axis at a
-    time with the weighted factor tables, and gathered at the modes' indices.
+    `evaluate` maps the box's per-axis Gauss nodes, one (n_ax,) array per
+    axis, to the (batch, n_1, ..., n_d) grid of values at their tensor
+    points; the grid is contracted one axis at a time with the weighted
+    factor tables and gathered at the modes' indices.
     """
-    points, _ = box_quadrature(box, order)
+    nodes = [_box_rule_1d(lo, hi, order)[0] for lo, hi in box]
     tables = _axis_tables(basis, box, order)
-    grid = evaluate(points).reshape((-1,) + tuple(w.size for w, _, _ in tables))
     weighted = [(slope if ax == derivative else value) * w
                 for ax, (w, value, slope) in enumerate(tables)]
-    return _contract(grid, weighted)[(slice(None),) + _axis_index(basis)]
+    return _contract(evaluate(nodes), weighted)[(slice(None),) + _axis_index(basis)]
 
 
 def default_order(basis: SpectralBasis) -> int:
@@ -362,11 +370,62 @@ def gradient_gram(basis: SpectralBasis, region: Region,
 
 
 @dataclass(frozen=True, eq=False)
+class SeparableProfile:
+    """Profile sum over `terms` of coef * f_1(x_1) * ... * f_d(x_d).
+
+    Each term is (coef, factors), one 1-D callable per axis in `factors`
+    (values (n,) -> (n,)).  It is callable on points (N, ndim) like any
+    profile.  `grid` evaluates each factor once on its axis's nodes and forms
+    the tensor grid with outer products.  Both multiply each term's
+    coefficient by axis 0, then axis 1, and add the terms in order, so the
+    grid equals the pointwise values at the tensor points bit for bit.
+    """
+
+    terms: tuple
+
+    def __post_init__(self) -> None:
+        terms = tuple((float(coef), tuple(factors)) for coef, factors in self.terms)
+        if len({len(factors) for _, factors in terms}) != 1:
+            raise ValueError("a separable profile needs terms with one factor "
+                             "per axis each")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.terms[0][1])
+
+    def _sum(self, axis_values, combine):
+        total = 0
+        for coef, factors in self.terms:
+            term = np.float64(coef)
+            for f, x in zip(factors, axis_values):
+                term = combine(term, f(x))
+            total = total + term
+        return total
+
+    def __call__(self, points) -> np.ndarray:
+        """(N,) values at points (N, ndim)."""
+        return self._sum(_as_points(points, self.ndim).T, np.multiply)
+
+    def grid(self, nodes) -> np.ndarray:
+        """(n_1, ..., n_d) values at the tensor points of per-axis nodes."""
+        grid = self._sum(nodes, np.multiply.outer)
+        if len(nodes) != self.ndim or grid.shape != tuple(x.size for x in nodes):
+            raise ValueError(f"expected {self.ndim} node arrays and one factor "
+                             f"value per node, got grid {grid.shape}")
+        return grid
+
+
+@dataclass(frozen=True, eq=False)
 class Actuator:
-    """Distributed actuator: spatial profile `distribution` on `support`."""
+    """Distributed actuator: spatial profile `distribution` on `support`.
+
+    `distribution` maps points (N, ndim) to (N,) values; a `SeparableProfile`
+    has its couplings formed from per-axis node values.
+    """
 
     support: Region
-    distribution: object  # callable points (N, ndim) -> (N,)
+    distribution: object
     label: str = ""
 
 
@@ -388,14 +447,16 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
                           order: int | None = None) -> np.ndarray:
     """Matrix of <profile_i, alpha_p> over each support; shape (m, n_modes).
 
-    Cost: per distinct support box, each of its users' profiles is evaluated
-    once on the box's tensor Gauss points and stacked into a
-    (users, order, ..., order) array P.  With one K x order weighted value
-    table F_ax per axis (`_axis_tables`), C = F_1 P F_2^T is contracted one
-    axis at a time: one GEMM of 2 users order^ndim K flops, then (in 2-D) one
-    of 2 users order K^2, where an n_modes x order^ndim value table would
-    take 2 users n_modes order^ndim and is never built.  Each coupling is C
-    at its mode's (k, l); each actuator's boxes are summed in support order.
+    Cost: per distinct support box, its users' profiles are evaluated on
+    the box's Gauss nodes into one (users, order, ..., order) grid P.  A
+    `SeparableProfile` evaluates each 1-D factor at one axis's `order` nodes
+    and forms P with outer products; any other profile is called once on the
+    order^ndim tensor points.  With one K x order weighted value table F_ax
+    per axis (`_axis_tables`), C = F_1 P F_2^T is contracted one axis at a
+    time: one GEMM of 2 users order^ndim K flops, then (in 2-D) one of
+    2 users order K^2, where an n_modes x order^ndim value table would take
+    2 users n_modes order^ndim and is never built.  Each coupling is C at its
+    mode's (k, l); each actuator's boxes are summed in support order.
     """
     order = default_order(basis) if order is None else order
     by_box: dict[Box, list[tuple[int, int]]] = {}
@@ -407,9 +468,9 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
             by_box.setdefault(box, []).append((i, j))
     parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
     for box, users in by_box.items():
-        couplings = _box_pairings(basis, box, order, lambda points: np.stack(
-            [np.asarray(actuators.actuators[i].distribution(points), dtype=float)
-             for i, _ in users]))
+        profiles = [actuators.actuators[i].distribution for i, _ in users]
+        couplings = _box_pairings(basis, box, order,
+                                  lambda nodes: _profile_grid(profiles, nodes))
         for (i, j), row in zip(users, couplings):
             parts[i][j] = row
     coeffs = np.zeros((actuators.m, len(basis.modes)))
@@ -417,6 +478,22 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
         for part in row:
             coeffs[i] += part
     return coeffs
+
+
+def _profile_grid(profiles, nodes) -> np.ndarray:
+    """(len(profiles), n_1, ..., n_d) profile values at the tensor points of
+    the per-axis nodes; the points are built only for a non-separable one."""
+    shape = tuple(x.size for x in nodes)
+    grid = np.empty((len(profiles),) + shape)
+    points = None
+    for row, profile in zip(grid, profiles):
+        if isinstance(profile, SeparableProfile):
+            row[...] = profile.grid(nodes)
+            continue
+        if points is None:
+            points = _tensor_points(nodes)
+        row[...] = np.asarray(profile(points), dtype=float).reshape(shape)
+    return grid
 
 
 def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
@@ -433,17 +510,17 @@ def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
     if callable(g):
         ndim = basis.domain.ndim
 
-        def component(points, l):
-            field = np.asarray(g(points), dtype=float)
+        def component(nodes, l):
+            field = np.asarray(g(_tensor_points(nodes)), dtype=float)
             if field.ndim != 2 or field.shape[1] != ndim:
                 raise ValueError("vector field must return shape (N, ndim)")
-            return np.ascontiguousarray(field[:, l])[None]
+            return field[:, l].reshape((1,) + tuple(x.size for x in nodes))
 
         c = np.zeros(len(basis.modes))
         for box in region.boxes:
             for l in range(ndim):
                 c += _box_pairings(basis, box, order,
-                                   lambda points: component(points, l), l)[0]
+                                   lambda nodes: component(nodes, l), l)[0]
         return c
     gamma = np.asarray(g, dtype=float)
     if gram is None:

@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff.cli import (ScenarioError, build_objects, main, parse_scenario,
-                           scenario_from_dict)
+                           reproduction_scenario, scenario_from_dict)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
@@ -427,6 +427,26 @@ def test_reproduce_example_report_names_the_overrides_it_ran(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["cutoff"] == report["scenario"]["cutoff"] == 5
     assert report["epsilon_cutoff"] == report["scenario"]["epsilon_cutoff"] == 0.01
+
+
+def test_reproduce_example_reports_the_scenario_it_ran(tmp_path, capsys):
+    # the file sets the whole square as region and support; the run keeps the
+    # built-in quadrant example and takes only cutoff, family and epsilon
+    data = json.loads((SRC.parent / "scenarios" / "whole-domain-negative.json")
+                      .read_text())
+    data.update(epsilon_cutoff=0.002, alpha=0.6, window=[1.5, 3.0])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = main(["reproduce-example", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code in (0, 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    built_in = dataclasses.asdict(dataclasses.replace(
+        reproduction_scenario(), epsilon_cutoff=0.002))
+    assert report["scenario"] == json.loads(json.dumps(built_in))
+    assert report["scenario"]["region"] == [[[0.0, 1.0], [0.0, 1.0]]]
+    assert report["scenario"]["alpha"] == 0.5
 
 
 def test_reproduce_example_canonical_family_guard(tmp_path, capsys):

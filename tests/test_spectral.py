@@ -1,15 +1,19 @@
 """Eigenbasis geometry: orthonormality, Gram matrices, actuator projections."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff import spectral
+from ultradiff.cli import (build_objects, parse_scenario, reproduction_scenario,
+                           scenario_from_dict)
 from ultradiff.controllability import worked_example_mode_means
-from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis, actuator_coefficients,
+from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
+                                RectDomain, SeparableProfile, SpectralBasis,
+                                actuator_coefficients,
                                 adjoint_gradient_coefficients, box_quadrature,
                                 default_order, gradient_gram)
 
@@ -401,3 +405,136 @@ def test_construction_validation():
         SpectralBasis(RectDomain.interval(0.0, 1.5), 2, "whole-wave")
     pairs = SpectralBasis(domain, 3).modes
     assert [m.index for m in pairs] == [(1,), (2,), (3,)]
+
+
+# -- separable profiles: grids from per-axis node values ---------------------
+
+PROFILE_COEFFICIENTS = {   # per kind, the scenario coefficients in 1-D and 2-D
+    "constant": ([0.8], [0.8]),
+    "polynomial": ([1.5, 2.0, -0.7, 3.0, 0.3, 5.0],
+                   [1.5, 2.0, 1.0, -0.7, 0.0, 3.0, 0.3, 5.0, 2.0]),
+    "product-of-sines": ([1.3, 2.0], [1.3, 2.0, 3.0]),
+    "mode": ([3.0], [3.0]),
+}
+
+PROFILE_DOMAINS = {        # domain, two disjoint boxes inside it
+    "1d": ([[0.2, 1.4]], [[[0.3, 0.8]], [[0.9, 1.4]]]),
+    "2d": ([[0.0, 1.0], [-0.5, 0.5]],
+           [[[0.1, 0.6], [-0.5, 0.2]], [[0.6, 1.0], [0.0, 0.5]]]),
+}
+
+
+def _cli_actuators(kind, dim, supports):
+    """basis and CLI-built actuators of profile `kind`, one per support."""
+    bounds, _ = PROFILE_DOMAINS[dim]
+    coeffs = PROFILE_COEFFICIENTS[kind][dim == "2d"]
+    scenario = scenario_from_dict({
+        "name": "profiles", "task": "analyze", "domain": bounds,
+        "cutoff": 5, "alpha": 0.7, "window": [1.0, 2.5], "region": [bounds],
+        "actuators": [{"support": support, "profile": kind,
+                       "coefficients": coeffs} for support in supports]})
+    _, basis, _, acts = build_objects(scenario)
+    return basis, acts
+
+
+def _pointwise(actuators):
+    """The same actuators with every profile behind an opaque callable, so
+    its couplings come from values at the tensor points."""
+    return ActuatorSet(tuple(
+        Actuator(a.support, (lambda f: lambda points: f(points))(a.distribution),
+                 a.label) for a in actuators.actuators))
+
+
+def _assert_couplings_match(kind, got, expected):
+    if kind in ("constant", "polynomial"):
+        assert np.array_equal(got, expected)
+    else:   # sin may take another SIMD path on strided points
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
+@pytest.mark.parametrize("kind", sorted(PROFILE_COEFFICIENTS))
+def test_separable_grid_couplings_equal_pointwise(kind, dim):
+    """One-box, multi-box and whole-domain supports: the node-grid couplings
+    equal those of the same profile evaluated at the tensor points."""
+    bounds, (a, b) = PROFILE_DOMAINS[dim]
+    basis, acts = _cli_actuators(kind, dim, [[a], [a, b], [b, a], [bounds]])
+    assert all(isinstance(x.distribution, SeparableProfile)
+               for x in acts.actuators)
+    got = actuator_coefficients(acts, basis)
+    assert np.max(np.abs(got)) > 1e-2
+    _assert_couplings_match(kind, got, actuator_coefficients(_pointwise(acts),
+                                                             basis))
+
+
+@pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
+@pytest.mark.parametrize("kind", sorted(PROFILE_COEFFICIENTS))
+def test_box_shared_by_separable_and_opaque_users(kind, dim):
+    bounds, (a, b) = PROFILE_DOMAINS[dim]
+    basis, acts = _cli_actuators(kind, dim, [[a], [a, b]])
+    domain = basis.domain
+    opaque = (Actuator(Region(domain, (a,)), _bumpy, "opaque"),
+              Actuator(Region(domain, (b, a)), _ones, "opaque-two-box"))
+    mixed = ActuatorSet(acts.actuators + opaque)
+    reference = ActuatorSet(_pointwise(acts).actuators + opaque)
+    got = actuator_coefficients(mixed, basis)
+    expected = actuator_coefficients(reference, basis)
+    _assert_couplings_match(kind, got[:2], expected[:2])
+    assert np.array_equal(got[2:], expected[2:])
+
+
+@pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
+def test_separable_profiles_match_their_closed_forms(dim):
+    """Pointwise values: coefficient first, then axis 0, then axis 1."""
+    bounds, (box, _) = PROFILE_DOMAINS[dim]
+    points, _ = box_quadrature(tuple(map(tuple, box)), 7)
+    basis, _ = _cli_actuators("constant", dim, [[box]])
+    profiles = {kind: _cli_actuators(kind, dim, [[box]])[1].actuators[0]
+                .distribution for kind in PROFILE_COEFFICIENTS}
+    assert np.array_equal(profiles["constant"](points), np.full(len(points), 0.8))
+    poly = PROFILE_COEFFICIENTS["polynomial"][dim == "2d"]
+    ndim = len(bounds)
+    expected = 0.0
+    for j in range(0, len(poly), 1 + ndim):
+        term = np.full(len(points), poly[j])
+        for ax in range(ndim):
+            term = term * points[:, ax] ** poly[j + 1 + ax]
+        expected = expected + term
+    assert np.array_equal(profiles["polynomial"](points), expected)
+    amp, *ks = PROFILE_COEFFICIENTS["product-of-sines"][dim == "2d"]
+    sines = amp * np.prod([np.sin(k * math.pi * (points[:, ax] - lo) / (hi - lo))
+                           for ax, (k, (lo, hi)) in enumerate(zip(ks, bounds))],
+                          axis=0)
+    assert_allclose(profiles["product-of-sines"](points), sines,
+                    rtol=1e-15, atol=1e-15)
+    assert_allclose(profiles["mode"](points), basis.modes[3].value(points),
+                    rtol=1e-15, atol=1e-15)
+
+
+def test_separable_profile_validates_its_axes():
+    with pytest.raises(ValueError, match="one factor per axis"):
+        SeparableProfile(((1.0, (np.ones_like,)), (1.0, (np.ones_like,) * 2)))
+    profile = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+    with pytest.raises(ValueError, match="2 node arrays"):
+        profile.grid([np.ones(3)])
+    scalar = SeparableProfile(((1.0, (np.ones_like, lambda y: 1.0)),))
+    with pytest.raises(ValueError, match="one factor value per node"):
+        scalar.grid([np.ones(3), np.ones(3)])
+
+
+def test_cli_profiles_need_neither_mode_values_nor_tensor_points(monkeypatch):
+    """hum-demo's mode actuators and the worked example's constant zone
+    actuator couple from per-axis node values alone."""
+    repo = Path(__file__).resolve().parents[1]
+    objects = (build_objects(parse_scenario(str(repo / "scenarios" / "hum-demo.json"))),
+               build_objects(reproduction_scenario()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated at the tensor points")
+
+    monkeypatch.setattr(Eigenpair, "value", refuse)
+    monkeypatch.setattr(spectral, "_tensor_points", refuse)
+    for _, basis, _, acts in objects:
+        coeffs = actuator_coefficients(acts, basis)
+        assert coeffs.shape == (acts.m, len(basis.modes))
+        assert np.all(np.isfinite(coeffs)) and np.max(np.abs(coeffs)) > 0.1
