@@ -28,7 +28,6 @@ from .solver import (
     EnergyDivergenceError,
     SpectralState,
     adjoint_solution,
-    final_gradient,
     forced_solution,
     free_solution,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "EnergyDivergenceError",
     "SpectralState",
     "adjoint_solution",
-    "final_gradient",
     "forced_solution",
     "free_solution",
     "ControllabilityVerdict",

@@ -6,7 +6,7 @@ simulate            free evolution of the initial coefficients; state tables
 analyze             Gramian verdict + strategic actuator test (exit 2 on NOT)
 synthesize          minimum-energy control for the scenario target
 reproduce-example   built-in worked-example checks with golden comparisons
-selftest            quick internal consistency battery, no scenario needed
+selftest            quick internal consistency battery; takes no options
 
 Scenario schema (JSON object; every length in domain units, every time > 0):
 
@@ -60,13 +60,12 @@ import numpy as np
 
 from . import __version__
 from .controllability import (approx_controllability_verdict, assemble_gramian,
-                              strategic_test, worked_example_mode_means,
-                              worked_example_pairing_table)
+                              strategic_test, worked_example_pairing_table)
 from .hum import (RESIDUAL_NODES, HumProblem, energy, g_norm, solve_hum,
                   verify_minimality)
 from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
-                     EnergyDivergenceError, final_gradient, free_solution)
+                     EnergyDivergenceError, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
                        SeparableProfile, SpectralBasis, default_order,
                        gradient_gram, overlapping_pairs)
@@ -433,22 +432,19 @@ def _jsonable(obj):
     return obj
 
 
-def write_report(report: dict, out_dir: str, *, fmt: str = "json",
-                 tables: dict | None = None) -> None:
+def write_report(report: dict, out_dir: str, tables: dict) -> None:
+    """report.json and one CSV per table (name -> (header, rows)) in out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    if fmt in ("json", "both"):
-        payload = json.dumps(_jsonable(report), sort_keys=True, indent=2,
-                             allow_nan=False)
-        with open(os.path.join(out_dir, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    if fmt in ("csv", "both") and tables:
-        for table_name, (header, rows) in tables.items():
-            path = os.path.join(out_dir, f"{table_name}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+    payload = json.dumps(_jsonable(report), sort_keys=True, indent=2,
+                         allow_nan=False)
+    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+    for table_name, (header, rows) in tables.items():
+        path = os.path.join(out_dir, f"{table_name}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
@@ -469,10 +465,21 @@ def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
             "quadrature": quadrature}
 
 
-# -- task runners ---------------------------------------------------------------
+# -- task runners: scenario -> (exit code, report, tables) ----------------------
 
 
-def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
+def analysis(scenario: Scenario):
+    """Scenario -> (basis, region, actuators, Gramian, verdict): the assembly
+    and verdict that `analyze` and the worked-example checks share."""
+    _, basis, region, actuators = build_objects(scenario)
+    gramian = assemble_gramian(basis, region, actuators, scenario.alpha,
+                               LogTimeWindow(*scenario.window),
+                               epsilon=scenario.epsilon_cutoff)
+    verdict = approx_controllability_verdict(gramian, scenario.threshold)
+    return basis, region, actuators, gramian, verdict
+
+
+def run_simulate(scenario: Scenario) -> tuple[int, dict, dict]:
     _, basis, region, _ = build_objects(scenario)
     window = LogTimeWindow(*scenario.window)
     n_modes = len(basis.modes)
@@ -487,15 +494,14 @@ def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]
     series = np.empty((n_samples, n_modes))
     for j, t in enumerate(times):
         series[j] = free_solution(y0, basis, scenario.alpha, window, t).coefficients
-
-    state = free_solution(y0, basis, scenario.alpha, window, window.b)
-    grad = final_gradient(state, region, window=window)
+    # the state at b is series[-1]; its gradient's norm over the region is |R_Gamma z|
+    seminorm = float(np.linalg.norm(gradient_gram(basis, region).factor @ series[-1]))
 
     report = _base_report(scenario, basis)
     report.update({
         "task": "simulate",
         "final_coefficients": series[-1],
-        "final_gradient_seminorm_on_region": grad.norm(),
+        "final_gradient_seminorm_on_region": seminorm,
         "sample_times": times,
     })
     tables = {
@@ -503,18 +509,14 @@ def run_simulate(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]
             ["t"] + [f"c_{p}" for p in range(n_modes)],
             np.column_stack((times, series)).tolist()),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables)
-    return 0, report
+    return 0, report, tables
 
 
-def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
-    _, basis, region, actuators = build_objects(scenario)
-    window = LogTimeWindow(*scenario.window)
-    gramian = assemble_gramian(basis, region, actuators, scenario.alpha, window,
-                               epsilon=scenario.epsilon_cutoff)
-    verdict = approx_controllability_verdict(gramian, scenario.threshold)
+def run_analyze(scenario: Scenario) -> tuple[int, dict, dict]:
+    basis, region, actuators, gramian, verdict = analysis(scenario)
     strategic = strategic_test(basis, region, actuators, alpha=scenario.alpha,
-                               window=window, gram=gramian.gram,
+                               window=LogTimeWindow(*scenario.window),
+                               gram=gramian.gram,
                                coefficient_matrix=gramian.coefficient_matrix)
     report = _base_report(scenario, basis, gramian.input_map,
                           gramian.input_map.with_nodes(RESIDUAL_NODES))
@@ -536,11 +538,10 @@ def run_analyze(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
             ["index", "coordinate_operator_eigenvalue"],
             [[i, v] for i, v in enumerate(eigs.tolist())]),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables)
-    return (0 if verdict.controllable else 2), report
+    return (0 if verdict.controllable else 2), report, tables
 
 
-def run_synthesize(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
+def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
     _, basis, region, actuators = build_objects(scenario)
     window = LogTimeWindow(*scenario.window)
     n_modes = len(basis.modes)
@@ -584,8 +585,7 @@ def run_synthesize(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dic
             ["t", "tau"] + [f"u_{i + 1}" for i in range(u.m)],
             np.vstack((times, taus, values)).T.tolist()),
     }
-    write_report(report, out_dir, fmt=fmt, tables=tables)
-    return 0, report
+    return 0, report, tables
 
 
 # -- worked-example reproduction ------------------------------------------------
@@ -601,15 +601,6 @@ def reproduction_scenario() -> Scenario:
         region=quadrant,
         actuators=(ActuatorSpec(quadrant, "constant", (1.0,), "zone"),),
         epsilon_cutoff=1e-3)
-
-
-def _verdict_at_cutoff(scenario: Scenario, cutoff: int) -> str:
-    trial = dataclasses.replace(scenario, cutoff=cutoff)
-    _, basis, region, actuators = build_objects(trial)
-    gramian = assemble_gramian(basis, region, actuators, trial.alpha,
-                               LogTimeWindow(*trial.window),
-                               epsilon=trial.epsilon_cutoff)
-    return approx_controllability_verdict(gramian, trial.threshold).verdict
 
 
 def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
@@ -633,23 +624,16 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
             "all_passed": True,
         }
 
-    _, basis, region, actuators = build_objects(scenario)
-    window = LogTimeWindow(*scenario.window)
     checks = []
 
-    means = worked_example_mode_means(basis, Region.whole(basis.domain))
-    worst_mean = float(np.max(np.abs(means)))
+    # a constant zone actuator on the whole domain couples to each mode's mean
+    whole = dataclasses.replace(scenario, region=(scenario.domain,), actuators=(
+        ActuatorSpec((scenario.domain,), "constant", (1.0,), "zone-whole"),))
+    _, _, _, gramian_whole, verdict_whole = analysis(whole)
+    worst_mean = float(np.max(np.abs(gramian_whole.coefficient_matrix[0])))
     checks.append({"name": "mode-means-vanish-on-domain",
                    "measured": {"max_abs_mean": worst_mean},
                    "required": "<= 1e-10", "passed": worst_mean <= 1e-10})
-
-    whole = Region.whole(basis.domain)
-    acts_whole = ActuatorSet((Actuator(whole, lambda pts: np.ones(len(pts)),
-                                       "zone-whole"),))
-    gramian_whole = assemble_gramian(basis, whole, acts_whole, scenario.alpha,
-                                     window, epsilon=epsilon)
-    verdict_whole = approx_controllability_verdict(gramian_whole,
-                                                   scenario.threshold)
     checks.append({"name": "whole-domain-not-controllable",
                    "measured": {"verdict": verdict_whole.verdict,
                                 "largest_eigenvalue": verdict_whole.largest_eigenvalue},
@@ -657,9 +641,7 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                    "passed": (not verdict_whole.controllable and
                               verdict_whole.largest_eigenvalue <= 1e-20)})
 
-    gramian_sub = assemble_gramian(basis, region, actuators, scenario.alpha,
-                                   window, epsilon=epsilon)
-    verdict_sub = approx_controllability_verdict(gramian_sub, scenario.threshold)
+    basis, region, actuators, gramian_sub, verdict_sub = analysis(scenario)
     checks.append({"name": "subregion-controllable",
                    "measured": {"verdict": verdict_sub.verdict,
                                 "relative_margin": verdict_sub.relative_margin},
@@ -668,7 +650,8 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                               verdict_sub.relative_margin > 1e-8)})
 
     strategic = strategic_test(basis, region, actuators, alpha=scenario.alpha,
-                               window=window, gram=gramian_sub.gram,
+                               window=LogTimeWindow(*scenario.window),
+                               gram=gramian_sub.gram,
                                coefficient_matrix=gramian_sub.coefficient_matrix)
     checks.append({"name": "eigenvalue-multiplicities-all-one",
                    "measured": {"sup_multiplicity": strategic.sup_multiplicity,
@@ -688,7 +671,8 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                    "required": "every stated-parity pairing integral nonzero",
                    "passed": nonzero})
 
-    verdicts = {f"K={k}": _verdict_at_cutoff(scenario, k) for k in (2, 8)}
+    verdicts = {f"K={k}": analysis(dataclasses.replace(scenario, cutoff=k))[-1].verdict
+                for k in (2, 8)}
     checks.append({"name": "truncation-stable-verdict",
                    "measured": verdicts,
                    "required": "identical verdicts at both truncations",
@@ -709,7 +693,7 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
     }
 
 
-def run_reproduce(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict]:
+def run_reproduce(scenario: Scenario) -> tuple[int, dict, dict]:
     # only the cutoff, family and epsilon cutoff of `scenario` reach the run
     ran = dataclasses.replace(reproduction_scenario(), cutoff=scenario.cutoff,
                               family=scenario.family,
@@ -735,8 +719,11 @@ def run_reproduce(scenario: Scenario, out_dir: str, fmt: str) -> tuple[int, dict
             [[r["k"], r["l"], r["p"], r["q"],
               r["closed_form"], r["quadrature"], r["rel_discrepancy"],
               r["in_stated_parity"]] for r in result["pairing_table"]])
-    write_report(report, out_dir, fmt=fmt, tables=tables)
-    return (0 if result["all_passed"] else 2), report
+    return (0 if result["all_passed"] else 2), report, tables
+
+
+RUNNERS = {"simulate": run_simulate, "analyze": run_analyze,
+           "synthesize": run_synthesize, "reproduce-example": run_reproduce}
 
 
 # -- selftest --------------------------------------------------------------------
@@ -835,8 +822,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Ultra-slow diffusion: regional gradient "
                                  "controllability analysis and synthesis")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("simulate", "analyze", "synthesize", "reproduce-example",
-                 "selftest"):
+    for verb in RUNNERS:
         p = sub.add_parser(verb)
         p.add_argument("--scenario", help="path to a scenario JSON file")
         p.add_argument("--out", help="output directory (default ./ultradiff-out)")
@@ -844,8 +830,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the truncation K")
         p.add_argument("--epsilon", type=_positive(float, "a finite number"),
                        help="override the endpoint cutoff epsilon")
-        p.add_argument("--format", choices=("json", "csv", "both"),
-                       default="both", dest="fmt")
+    sub.add_parser("selftest")              # takes no options
     return parser
 
 
@@ -881,14 +866,8 @@ def main(argv=None) -> int:
 
         out_dir = args.out or scenario.out or "./ultradiff-out"
         started = time.perf_counter()
-        if args.verb == "simulate":
-            code, _ = run_simulate(scenario, out_dir, args.fmt)
-        elif args.verb == "analyze":
-            code, _ = run_analyze(scenario, out_dir, args.fmt)
-        elif args.verb == "synthesize":
-            code, _ = run_synthesize(scenario, out_dir, args.fmt)
-        else:
-            code, _ = run_reproduce(scenario, out_dir, args.fmt)
+        code, report, tables = RUNNERS[args.verb](scenario)
+        write_report(report, out_dir, tables)
         timing = {"wall_seconds": time.perf_counter() - started,
                   "verb": args.verb}
         with open(os.path.join(out_dir, "report.timing.json"), "w",

@@ -33,7 +33,8 @@ from scipy.linalg import eigh, svd
 from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
 
 from .logtime import LogTimeWindow
-from .solver import KERNEL_NODES, EnergyDivergenceError, _InputMap, _ml_matrix
+from .solver import (KERNEL_NODES, EnergyDivergenceError, _check_alpha,
+                     _InputMap, _ml_matrix)
 from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
                        SpectralBasis, actuator_coefficients,
                        adjoint_gradient_coefficients, gradient_gram)
@@ -175,29 +176,13 @@ class GradientGramian:
         return self.input_map.nodes
 
     @cached_property
-    def symmetric_operator(self) -> np.ndarray:
-        """R_Gamma W R_Gamma^T: the Gramian in orthonormalized coordinates."""
-        m = self.gram.factor @ self.matrix @ self.gram.factor.T
-        return 0.5 * (m + m.T)
-
-    @cached_property
     def pencil_eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.symmetric_operator)
+        """Ascending, read-only eigenvalues of R_Gamma W R_Gamma^T: the
+        Gramian in orthonormalized coordinates."""
+        m = self.gram.factor @ self.matrix @ self.gram.factor.T
+        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
         vals.setflags(write=False)
         return vals
-
-    @property
-    def smallest_eigenvalue(self) -> float:
-        return float(self.pencil_eigenvalues[0])
-
-    @property
-    def largest_eigenvalue(self) -> float:
-        return float(self.pencil_eigenvalues[-1])
-
-    @property
-    def condition_number(self) -> float:
-        small, large = self.smallest_eigenvalue, self.largest_eigenvalue
-        return large / small if small > 0 else math.inf
 
 
 def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
@@ -210,9 +195,7 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
     Refuses for alpha <= 1/2 without an explicit epsilon cutoff: the kernel
     integrand tau^(2 alpha - 2) is non-integrable there.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     if alpha <= 0.5 and epsilon is None:
         raise EnergyDivergenceError(alpha, "the controllability Gramian integrand")
     if epsilon is not None and not 0 < epsilon < window.length:
@@ -246,8 +229,7 @@ def approx_controllability_verdict(gramian: GradientGramian,
     The exact-steering constant is reported as a truncated estimate only: a
     finite mode cutoff can never certify the infinite-dimensional property.
     """
-    smallest = gramian.smallest_eigenvalue
-    largest = gramian.largest_eigenvalue
+    smallest, largest = (float(v) for v in gramian.pencil_eigenvalues[[0, -1]])
     relative = smallest / largest if largest > 0 else 0.0
     controllable = largest > 0 and smallest > threshold * largest
     constant = smallest ** -0.5 if smallest > 0 else math.inf
@@ -257,7 +239,7 @@ def approx_controllability_verdict(gramian: GradientGramian,
         margin=smallest,
         largest_eigenvalue=largest,
         relative_margin=relative,
-        condition_number=gramian.condition_number,
+        condition_number=largest / smallest if smallest > 0 else math.inf,
         exact_constant=constant,
         threshold=threshold,
         epsilon_cutoff=gramian.epsilon_cutoff,

@@ -19,7 +19,6 @@ so the power singularities at s = 0 are handled by the weights, never sampled.
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,8 +28,7 @@ import numpy as np
 from ._quadrature import kernel_rule
 from .logtime import LogTimeWindow, graded_grid
 from .mittag_leffler import ml_on_negative_axis
-from .spectral import (ActuatorSet, SpectralBasis, actuator_coefficients,
-                       gradient_gram)
+from .spectral import ActuatorSet, SpectralBasis, actuator_coefficients
 
 logger = logging.getLogger(__name__)
 
@@ -338,31 +336,3 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
     if alpha < 1.0:
         kernel = tau ** (alpha - 1.0) * kernel
     return SpectralState(basis, kernel * c, t)
-
-
-@dataclass(frozen=True, eq=False)
-class FinalGradient:
-    """Restricted gradient of a final-time state, in gradient-Gram coordinates;
-    its norm over the region is |R_Gamma z| for the Gram factor R_Gamma."""
-
-    coefficients: np.ndarray
-    gram: object  # GradientBasisGram
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.gram.factor @ self.coefficients))
-
-
-def final_gradient(state: SpectralState, region, *, window: LogTimeWindow | None = None,
-                   gram=None, order: int | None = None) -> FinalGradient:
-    """Represent the region-restricted gradient of the state's field.
-
-    The field is sum_p z_p alpha_p, so its restricted gradient has exactly the
-    state coefficients against the restricted-gradient basis; the Gram matrix
-    carries the geometry.
-    """
-    if window is not None and abs(state.t - window.b) > 1e-9 * window.b:
-        raise ValueError(f"state is at t = {state.t:g}, not the final time "
-                         f"{window.b:g}")
-    if gram is None:
-        gram = gradient_gram(state.basis, region, order)
-    return FinalGradient(state.coefficients.copy(), gram)

@@ -497,32 +497,25 @@ def _profile_grid(profiles, nodes) -> np.ndarray:
 
 
 def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
-                                  order: int | None = None,
-                                  gram: GradientBasisGram | None = None) -> np.ndarray:
-    """Spectral coordinates c_p = <g, grad alpha_p> over the region.
+                                  order: int | None = None) -> np.ndarray:
+    """Spectral coordinates c_p = <g, grad alpha_p> over the region of a
+    vector-field callable g, points (N, ndim) -> values (N, ndim).
 
-    `g` is either a coefficient vector in the restricted-gradient basis
-    (then c = Gram @ g, no quadrature) or a raw vector-field callable on the
-    region.  Either way c equals the mode coefficients of the divergence-form
-    adjoint datum, obtained by integration by parts — no Poisson solve.
+    c equals the mode coefficients of the divergence-form adjoint datum,
+    obtained by integration by parts — no Poisson solve.  For
+    g = sum_q gamma_q grad alpha_q it is Gamma gamma, Gamma the gradient Gram
+    matrix over the region.  g is called once per box, on its tensor Gauss
+    points; each component's contraction reads its own column.
     """
     order = default_order(basis) if order is None else order
-    if callable(g):
-        ndim = basis.domain.ndim
-
-        def component(nodes, l):
-            field = np.asarray(g(_tensor_points(nodes)), dtype=float)
-            if field.ndim != 2 or field.shape[1] != ndim:
-                raise ValueError("vector field must return shape (N, ndim)")
-            return field[:, l].reshape((1,) + tuple(x.size for x in nodes))
-
-        c = np.zeros(len(basis.modes))
-        for box in region.boxes:
-            for l in range(ndim):
-                c += _box_pairings(basis, box, order,
-                                   lambda nodes: component(nodes, l), l)[0]
-        return c
-    gamma = np.asarray(g, dtype=float)
-    if gram is None:
-        gram = gradient_gram(basis, region, order)
-    return gram.matrix @ gamma
+    ndim = basis.domain.ndim
+    c = np.zeros(len(basis.modes))
+    for box in region.boxes:
+        nodes = [_box_rule_1d(lo, hi, order)[0] for lo, hi in box]
+        field = np.asarray(g(_tensor_points(nodes)), dtype=float)
+        if field.ndim != 2 or field.shape[1] != ndim:
+            raise ValueError("vector field must return shape (N, ndim)")
+        grid = field.T.reshape((ndim, 1) + tuple(x.size for x in nodes))
+        for l in range(ndim):
+            c += _box_pairings(basis, box, order, lambda _: grid[l], l)[0]
+    return c

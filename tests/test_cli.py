@@ -237,6 +237,23 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--out", "DIR"],
+    ["analyze", "--scenario", "scenarios/hum-demo.json", "--out", "DIR",
+     "--format", "json"],
+])
+def test_options_no_verb_reads_are_usage_errors(tmp_path, capsys, argv):
+    """selftest takes no options, and no verb takes --format: every run
+    writes report.json and its CSV tables."""
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ultradiff") and "error: unrecognized arguments" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_analyze_exit_codes(tmp_path):
     # negative verdict on the whole domain is the documented exit 2
     assert main(["analyze", "--scenario", "scenarios/whole-domain-negative.json",

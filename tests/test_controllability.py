@@ -62,7 +62,7 @@ def test_gramian_is_symmetric_psd():
     assert np.array_equal(g.matrix, g.matrix.T)
     pencil = g.pencil_eigenvalues
     assert pencil.min() >= -1e-12 * max(pencil.max(), 1.0)
-    assert g.largest_eigenvalue >= g.smallest_eigenvalue
+    assert pencil[-1] >= pencil[0] and not pencil.flags.writeable
     # W is the input map's own read-only array, summed once on its rule
     assert g.matrix is g.input_map.matrix and not g.matrix.flags.writeable
     assert g.kernel_nodes == 160
@@ -568,10 +568,11 @@ def test_verdict_threshold_semantics():
     g = assemble_gramian(basis, Region.whole(DOMAIN_1D), acts, 0.7, WINDOW)
     verdict = approx_controllability_verdict(g, threshold=1e-10)
     assert verdict.controllable
-    assert verdict.margin == g.smallest_eigenvalue
-    assert verdict.relative_margin == pytest.approx(
-        g.smallest_eigenvalue / g.largest_eigenvalue)
-    assert verdict.exact_constant == pytest.approx(g.smallest_eigenvalue ** -0.5)
+    smallest, largest = g.pencil_eigenvalues[[0, -1]]
+    assert verdict.margin == smallest and verdict.largest_eigenvalue == largest
+    assert verdict.relative_margin == pytest.approx(smallest / largest)
+    assert verdict.condition_number == largest / smallest
+    assert verdict.exact_constant == pytest.approx(smallest ** -0.5)
     # an absurdly demanding threshold flips the call
     assert not approx_controllability_verdict(g, threshold=1.0).controllable
 

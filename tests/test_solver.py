@@ -11,10 +11,10 @@ from ultradiff.hadamard import hadamard_derivative_left
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
-                              SpectralState, adjoint_solution, final_gradient,
-                              forced_solution, free_solution)
+                              SpectralState, adjoint_solution, forced_solution,
+                              free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis)
+                                SpectralBasis, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
@@ -289,13 +289,11 @@ def test_spectral_state_field_and_gradient_values():
 
 
 def test_final_gradient_norm_against_eigenvalue_identity():
-    # over the whole domain the restricted-gradient Gram is diag(lams)
+    # over the whole domain the restricted-gradient Gram is diag(lams), so the
+    # final state's gradient seminorm |R_Gamma z| is sqrt(sum lam_p z_p^2)
     basis = SpectralBasis(DOMAIN_1D, 4)
     coeffs = np.array([0.5, -0.25, 0.125, 0.0625])
     state = SpectralState(basis, coeffs, WINDOW.b)
-    fg = final_gradient(state, Region.whole(DOMAIN_1D), window=WINDOW)
+    factor = gradient_gram(basis, Region.whole(DOMAIN_1D)).factor
     exact = math.sqrt(float(np.sum(basis.lams * coeffs ** 2)))
-    assert_allclose(fg.norm(), exact, rtol=1e-11)
-    bad_state = SpectralState(basis, coeffs, 1.7)
-    with pytest.raises(ValueError, match="final time"):
-        final_gradient(bad_state, Region.whole(DOMAIN_1D), window=WINDOW)
+    assert_allclose(np.linalg.norm(factor @ state.coefficients), exact, rtol=1e-11)

@@ -369,11 +369,8 @@ def test_adjoint_gradient_coefficients_both_entry_points():
     gram = gradient_gram(basis, region)
     rng = np.random.default_rng(11)
     gamma = rng.standard_normal(len(basis.modes))
-    # coefficient-vector entry point is pure linear algebra
-    c_vec = adjoint_gradient_coefficients(gamma, basis, region, gram=gram)
-    assert_allclose(c_vec, gram.matrix @ gamma, rtol=1e-14)
 
-    # callable entry point quadratures the same field
+    # for g = sum_q gamma_q grad alpha_q the callable path gives Gamma gamma
     def field(points):
         out = np.zeros((points.shape[0], 2))
         for p, mode in enumerate(basis.modes):
@@ -381,10 +378,29 @@ def test_adjoint_gradient_coefficients_both_entry_points():
         return out
 
     c_fn = adjoint_gradient_coefficients(field, basis, region)
-    assert_allclose(c_fn, c_vec, rtol=0, atol=1e-8)
+    assert_allclose(c_fn, gram.matrix @ gamma, rtol=0, atol=1e-8)
     with pytest.raises(ValueError, match="shape"):
         adjoint_gradient_coefficients(lambda p: np.ones(p.shape[0]),
                                       basis, region)
+
+
+def test_adjoint_field_is_called_once_per_box():
+    # both gradient components of a 2-D box read one evaluation of the field
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 3)
+    region = Region(domain, (((0.0, 0.5), (0.0, 1.0)), ((0.5, 1.0), (0.25, 0.75))))
+    calls = []
+
+    def field(points):
+        calls.append(points.shape)
+        return np.column_stack((points[:, 1], points[:, 0] ** 2))
+
+    pairings = adjoint_gradient_coefficients(field, basis, region)
+    assert calls == [(default_order(basis) ** 2, 2)] * 2
+    # the same pairings, box by box
+    assert_allclose(pairings, sum(
+        adjoint_gradient_coefficients(field, basis, Region(domain, (box,)))
+        for box in region.boxes), rtol=1e-14, atol=1e-15)
 
 
 def test_whole_wave_modes_have_zero_mean():
