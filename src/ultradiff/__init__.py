@@ -37,7 +37,6 @@ from .controllability import (
     approx_controllability_verdict,
     assemble_gramian,
     strategic_test,
-    worked_example_mode_means,
     worked_example_pairing_table,
 )
 from .hum import (
@@ -79,7 +78,6 @@ __all__ = [
     "approx_controllability_verdict",
     "assemble_gramian",
     "strategic_test",
-    "worked_example_mode_means",
     "worked_example_pairing_table",
     "HumProblem",
     "HumSolution",

@@ -770,12 +770,9 @@ def run_selftest() -> int:
     # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
     rng = np.random.default_rng(3)
     d, table = rng.standard_normal((12, 30)), rng.standard_normal((160, 30))
-    t_map = _khatri_rao_rows(d, table)
-    s_map = np.linalg.svd(t_map, compute_uv=False)
-    r, qt_map = _khatri_rao_qr(d, table, t_map)
-    s_qr = np.linalg.svd(r, compute_uv=False)
+    s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
+    s_qr = np.linalg.svd(_khatri_rao_qr(d, table), compute_uv=False)
     check("khatri-rao-qr", float(np.max(np.abs(s_qr - s_map))) / s_map[0], 1e-12)
-    check("khatri-rao-qt", float(np.max(np.abs(qt_map - r))) / s_map[0], 1e-12)
 
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 4)
@@ -787,6 +784,10 @@ def run_selftest() -> int:
     problem = HumProblem(basis, region, acts, 0.7, window, target)
     solution = solve_hum(problem)
     check("synthesis-residual", solution.residual_relative, 1e-6)
+    minimality = verify_minimality(solution, trials=12, seed=0)
+    check("minimality-pinv-gap", minimality.rel_pinv_gap, 1e-4)
+    check("minimality-failed-trials",
+          minimality.trials_requested - minimality.trials_passed, 0)
 
     print("selftest:", "all passed" if failures == 0 else f"{failures} failed")
     return 0 if failures == 0 else 1

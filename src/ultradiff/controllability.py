@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, svd
-from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
+from scipy.linalg import svd
+from scipy.linalg.lapack import dgeqrt, dtpqrt
 
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, EnergyDivergenceError, _check_alpha,
                      _InputMap, _ml_matrix)
 from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
-                       SpectralBasis, actuator_coefficients,
+                       SeparableProfile, SpectralBasis, actuator_coefficients,
                        adjoint_gradient_coefficients, gradient_gram)
 
 logger = logging.getLogger(__name__)
@@ -45,46 +45,18 @@ RANK_RTOL = 1e-10
 _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
 
 
-def pinv_solve_symmetric(matrix: np.ndarray, rhs: np.ndarray,
-                         rtol: float = 1e-12):
-    """Least-squares solve of a symmetric system via eigendecomposition.
-
-    Returns (solution, kept_count, condition_number_of_kept_part).
-    """
-    vals, vecs = eigh(0.5 * (matrix + matrix.T))
-    scale = np.max(np.abs(vals)) if vals.size else 0.0
-    keep = np.abs(vals) > rtol * scale
-    if not np.any(keep):
-        return np.zeros_like(rhs), 0, math.inf
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    solution = vecs @ (inv * (vecs.T @ rhs))
-    kept = vals[keep]
-    cond = float(np.max(np.abs(kept)) / np.min(np.abs(kept)))
-    return solution, int(np.count_nonzero(keep)), cond
-
-
-def _qr(a: np.ndarray, x: np.ndarray | None = None):
-    """Householder QR a = Q R, in place, of an F-ordered `a` the caller can lose.
+def _qr(a: np.ndarray) -> np.ndarray:
+    """Upper-trapezoidal R of a = Q R, by Householder QR in place on an
+    F-ordered `a` the caller can lose.
 
     LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
-    level-2) overwrites `a` with the reflectors; Q is never formed.  Returns
-    the upper-trapezoidal R and, for a block `x` of a's row count, Q^T x for
-    the economic Q (its first min(a.shape) rows), applied once from the
-    reflectors by dgemqrt; without `x`, None.  The checks' tall maps reach
-    it one group of rows at a time.
+    level-2) overwrites `a` with the reflectors; Q is never formed.
     """
     k = min(a.shape)
-    a, t, info = dgeqrt(min(32, k), a, overwrite_a=True)
+    a, _, info = dgeqrt(min(32, k), a, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
-    if x is not None:
-        # a wide `a` has fewer reflectors than columns
-        x, info = dgemqrt(a[:, :k], t, x, "L", "T")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgemqrt failed with info={info}")
-        x = x[:k]
-    return np.triu(a[:k]), x
+    return np.triu(a[:k])
 
 
 def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -92,8 +64,8 @@ def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
 
 
-def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, x: np.ndarray | None = None):
-    """`_qr` of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, never built.
+def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """R of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, never built.
 
     With D = Q_D R_D (economic), T = (Q_D x I) M, where block row j of M is
     table * R_D[j] and vanishes left of column j.  The first group of block
@@ -101,45 +73,25 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray, x: np.ndarray | None = None
     meets the trailing triangle R[j0:, j0:] and is folded into it by the
     triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 34, 2012), about a third of the flops of a
-    dense QR of T when m >= n_modes.  A map of at most one group of rows is
-    built and factored by `_qr` directly.  Returns R and Q^T x for T's
-    economic Q, or None without a block `x` of T's row count: x is rotated
-    by Q_D^T x I, its first group goes through `_qr`, and each fold's
-    reflectors are applied to it by dtpmqrt as soon as they are made, then
-    dropped.  R does not depend on x.
+    dense QR of T when m >= n_modes.  Each fold's reflectors are dropped as
+    soon as it is made.  A map of at most one group of rows is built and
+    factored by `_qr` directly.
     """
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
-        return _qr(_khatri_rao_rows(d, table), x)
-    q_d, r_d = np.linalg.qr(d)
-    if x is not None:
-        x = (q_d.T @ x.reshape(m, -1)).reshape(-1, x.shape[1])
+        return _qr(_khatri_rao_rows(d, table))
+    r_d = np.linalg.qr(d, mode="r")
     step = max(1, _GROUP_ROWS // nq)
     first = min(r_d.shape[0], max(step, -(-n // nq)))
-    r, qt_x = _qr(_khatri_rao_rows(r_d[:first], table),
-                  None if x is None else x[:first * nq])
+    r = _qr(_khatri_rao_rows(r_d[:first], table))
     for j0 in range(first, r_d.shape[0], step):
         rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
-        top, v, t, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
+        top, _, _, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
                                  overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
         r[j0:, j0:] = top
-        if x is not None:
-            qt_x[j0:], _, info = dtpmqrt(0, v, t, qt_x[j0:],
-                                         x[j0 * nq:j0 * nq + v.shape[0]], "L", "T")
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dtpmqrt failed with info={info}")
-    return r, qt_x
-
-
-def _qr_svd(d: np.ndarray, table: np.ndarray, x: np.ndarray | None = None):
-    """SVD R = U S V^T of the R of `_khatri_rao_qr(d, table, x)`: every s, the
-    U columns and V^T rows with s > 1e-12 * s[0], and Q^T x (or None)."""
-    r, qt_x = _khatri_rao_qr(d, table, x)
-    u_r, s_vals, vt = np.linalg.svd(r)
-    rank = int(np.count_nonzero(s_vals > 1e-12 * s_vals[0])) if s_vals.size else 0
-    return s_vals, u_r[:, :rank], vt[:rank], qt_x
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +297,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     # every mode of a bucket uses the kernel row of the bucket's first mode
     first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T)[0]
+    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T)
     stacked_rank = _rank(r_s @ gram.matrix, RANK_RTOL)
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
@@ -377,13 +329,6 @@ class PairingRow:
     in_stated_parity: bool
 
 
-def worked_example_mode_means(basis: SpectralBasis, region: Region,
-                              order: int | None = None) -> np.ndarray:
-    """Means of each mode over a region: the zone-actuator coupling column."""
-    zone = ActuatorSet((Actuator(region, lambda pts: np.ones(len(pts)), "zone"),))
-    return actuator_coefficients(zone, basis, order)[0]
-
-
 def worked_example_pairing_table(basis: SpectralBasis, region: Region,
                                  ks=(1, 3, 5), ls=(1, 3, 5), ps=(2, 4), qs=(2, 4),
                                  order: int = 96) -> list[PairingRow]:
@@ -404,7 +349,9 @@ def worked_example_pairing_table(basis: SpectralBasis, region: Region,
     """
     if basis.domain.ndim != 2:
         raise ValueError("pairing table is defined for 2-D configurations")
-    means = worked_example_mode_means(basis, region, order)
+    constant = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+    zone = ActuatorSet((Actuator(region, constant, "zone"),))
+    means = actuator_coefficients(zone, basis, order)[0]
     pairings = {(p, q): adjoint_gradient_coefficients(
         _first_direction_field(p, q), basis, region, order)
         for p in ps for q in qs}

@@ -11,8 +11,8 @@ builds the control from the adjoint datum c,
     u*_i(t) = (1/t) (log b/t)^(alpha-1) sum_p E_{aa}(-lam_p (log b/t)^alpha) d_ip c_p,
 
 and reports an honest residual: the state u* reaches, W c, summed on a second
-kernel rule.  Every quantity is read from a discrete input map; the
-optimality check factors its tall factor as a Khatri-Rao product.  Solving
+kernel rule.  Every quantity is read from a discrete input map, and the solve
+and its optimality checks read W's eigenpairs under one rank rule.  Solving
 for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
 identities independent of the Gram matrix conditioning.  Gamma enters only
@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
 from ._quadrature import kernel_rule
-from .controllability import (GradientGramian, _qr_svd,
-                              approx_controllability_verdict, assemble_gramian,
-                              pinv_solve_symmetric)
+from .controllability import (GradientGramian, approx_controllability_verdict,
+                              assemble_gramian)
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                      _InputMap, free_solution)
@@ -44,6 +43,15 @@ RESIDUAL_NODES = 192
 PINV_NODES = 96
 PINV_TOLERANCE = 1e-4
 SOLVER_RTOL = 1e-12
+
+
+def kept_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam_k, V_k) of a symmetric PSD matrix with lam above
+    SOLVER_RTOL times the largest |lam|, ascending: the one rank rule of the
+    synthesis and of both its minimality checks."""
+    vals, vecs = eigh(matrix)
+    keep = vals > SOLVER_RTOL * np.max(np.abs(vals))
+    return vals[keep], vecs[:, keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +113,7 @@ class HumSolution:
     diagnostics: HumDiagnostics
     residual_map: _InputMap        # the rule the residual is summed on
     rhs: np.ndarray                # mode-coordinate vector c was solved from
+    eigenpairs: tuple[np.ndarray, np.ndarray]   # W's kept (lam_k, V_k)
 
 
 def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
@@ -134,7 +143,10 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
 
     free = _free_final_coefficients(problem)
     rhs = problem.target_gradient_coefficients - free
-    datum, kept, cond = pinv_solve_symmetric(gramian.matrix, rhs, rtol=SOLVER_RTOL)
+    lams, vecs = eigenpairs = kept_eigenpairs(gramian.matrix)
+    datum = vecs @ ((1.0 / lams) * (vecs.T @ rhs))
+    kept = lams.size
+    cond = float(lams[-1] / lams[0]) if kept else math.inf
     n_modes = len(basis.modes)
     ill_posed = (not verdict.controllable) or kept < n_modes
     if kept < n_modes:
@@ -163,7 +175,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
         kept_rank=kept, dropped_directions=n_modes - kept,
         solve_condition_number=cond, energy_identity_gap=identity_gap)
     return HumSolution(problem, gramian, g_coeffs, datum, control,
-                       cost, residual, diagnostics, residual_map, rhs)
+                       cost, residual, diagnostics, residual_map, rhs, eigenpairs)
 
 
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:
@@ -226,39 +238,38 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     Both checks work on an input map's factor A (A A^T = W), whose columns are
     the nodes whitened by their energy metric: a control's energy is a squared
-    norm there, and u* = A^T c = D (kappa sqrt(w) o c).  A^T is the Khatri-Rao
-    product of D and the table kappa sqrt(w); each check factors it once with
-    `_qr_svd`, A^T = Q R, R = U S V^T, without building A or keeping Q.  The
-    trials hand their draws to the first sweep, which applies Q^T to them as
-    it goes; with z = U_k^T Q^T phi, the draw's part off the row space Q U_k
-    is phi_null = phi - Q U_k z, so |phi_null|^2 = |phi|^2 - |z|^2,
-    phi_null . u* = phi . u* - z . S_k V_k^T c (as U_k^T R c = S_k V_k^T c) and
-    A phi_null = A phi - V_k S_k z, with A phi taken from D, kappa and w.  The
-    cross-check's energy is |S^-1 V^T rhs|^2 over s > 1e-12 s[0] (its control
-    Q U S^-1 V^T rhs, the rule of np.linalg.pinv(rcond=1e-12)).
+    norm there, and u* = A^T c = D (kappa sqrt(w) o c).  Neither builds A.
+    Each reads W's kept eigenpairs (lam_k, V_k) under the solve's rule
+    (`kept_eigenpairs`), so A's row space is spanned by the orthonormal
+    columns A^T V_k lam_k^-1/2 and S_k = lam_k^1/2 are its singular values.
+    The trials reuse the solve's pairs: with A phi from `apply_factor` and
+    z = (A phi) V_k / S_k, the draw's part off the row space has
+    |phi_null|^2 = |phi|^2 - |z|^2, pairs with u* as
+    phi . u* - (S_k z) . (V_k^T c), and violates the solve's constraint by
+    |V_k^T A phi - S_k z|.  The cross-check's energy is |S_k^-1 V_k^T rhs|^2
+    over the pairs of the 96-node W.
     """
     input_map, rhs = solution.gramian.input_map, solution.rhs
-
-    # whitened map on the solution's own quadrature resolution
-    d, table = input_map.d, input_map.table                # A^T = d (x) table
-    c = solution.adjoint_datum
-    u_star = (d @ (table.T * c[:, None])).ravel()
     kernel_kept, trials_passed, min_delta, max_violation = 0, 0, math.inf, 0.0
     mode = "pinv-only"
     if trials > 0:
-        phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
-        s_vals, u_k, vt_k, qt_phi = _qr_svd(d, table, phi.T)
-        kernel_kept = u_star.size - u_k.shape[1]
+        lams, vecs = solution.eigenpairs
+        c = solution.adjoint_datum
+        u_star = (input_map.d @ (input_map.table.T * c[:, None])).ravel()
+        kernel_kept = u_star.size - lams.size
         if kernel_kept > 0:
             mode = "kernel+pinv"
             rhs_scale = float(np.linalg.norm(rhs)) or 1.0
-            z = qt_phi.T @ u_k                             # one row per draw
-            s_z = z * s_vals[:u_k.shape[1]]
+            phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
+            s_vals = np.sqrt(lams)
+            a_phi = input_map.apply_factor(phi) @ vecs     # one row per draw
+            z = a_phi / s_vals
+            s_z = z * s_vals
             null_sq = np.maximum(np.sum(phi * phi, axis=1) - np.sum(z * z, axis=1), 0.0)
             scale = np.sqrt(np.where(null_sq > 0, null_sq, 1.0))
-            violation = np.linalg.norm(input_map.apply_factor(phi) - s_z @ vt_k, axis=1)
+            violation = np.linalg.norm(a_phi - s_z, axis=1)
             max_violation = float((violation / scale).max()) / rhs_scale
-            delta = (2.0 * (phi @ u_star - s_z @ (vt_k @ c)) / scale
+            delta = (2.0 * (phi @ u_star - s_z @ (vecs.T @ c)) / scale
                      + null_sq / scale ** 2)
             min_delta = float(delta.min())
             trials_passed = int(np.count_nonzero(delta >= -1e-9))
@@ -266,10 +277,10 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
             logger.warning("discretized map has no null space on this grid; "
                            "falling back to the pseudo-inverse comparison only")
 
-    # minimal-norm discrete control on an independent resolution:
-    # whitened = V S U^T Q^T, so its pseudo-inverse applied to rhs is Q U S^-1 V^T rhs
-    s_vals, _, vt_k, _ = _qr_svd(d, input_map.with_nodes(PINV_NODES).table)
-    coefficients = (vt_k @ rhs) / s_vals[:vt_k.shape[0]]
+    # minimal-norm discrete control on an independent resolution: its
+    # coordinates on the orthonormal row-space basis are S_k^-1 V_k^T rhs
+    lams, vecs = kept_eigenpairs(input_map.with_nodes(PINV_NODES).matrix)
+    coefficients = (vecs.T @ rhs) / np.sqrt(lams)
     pinv_energy = float(coefficients @ coefficients)
     denom = max(solution.energy, pinv_energy)
     rel_gap = abs(solution.energy - pinv_energy) / denom if denom > 0 else 0.0
@@ -279,4 +290,3 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     return MinimalityReport(mode, trials, trials_passed, min_delta,
                             max_violation, kernel_kept, solution.energy,
                             pinv_energy, rel_gap, passed)
-

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 
 from ultradiff.controllability import (approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
-                                       worked_example_mode_means,
                                        worked_example_pairing_table)
 from ultradiff.hadamard import (hadamard_caputo_left, hadamard_derivative_left,
                                 hadamard_derivative_right,
@@ -28,7 +27,8 @@ from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
                               adjoint_solution, forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, RectDomain, Region,
-                                SpectralBasis)
+                                SeparableProfile, SpectralBasis,
+                                actuator_coefficients)
 
 SQUARE = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
 UNIT_SQUARE = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
@@ -53,7 +53,9 @@ def test_whole_domain_zero_mean_modes_not_controllable():
 
     # a uniform actuator cannot couple to any whole-wave mode: every mean is
     # an integral of full sine periods
-    means = worked_example_mode_means(basis, whole)
+    uniform = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+    means = actuator_coefficients(
+        ActuatorSet((Actuator(whole, uniform, "uniform"),)), basis)[0]
     worst_mean = float(np.max(np.abs(means)))
     print(f"largest |actuator-mode coupling| over 8x8 modes: {worst_mean:.3e}"
           f"  (bound 1e-10)")

@@ -294,6 +294,45 @@ def test_synthesize_report_matches_oracle(tmp_path):
     assert report["verdict"] == "CONTROLLABLE"
 
 
+def _zone_probe_dict(cutoff, grid):
+    """The zone probe: a grid x grid tiling of the unit square by
+    product-of-sines boxes, each axis's frequency drawn from default_rng(3),
+    steering the quadrant's gradient to a target drawn after them."""
+    rng = np.random.default_rng(3)
+    actuators = []
+    for i in range(grid):
+        for j in range(grid):
+            freqs = rng.integers(1, 7, size=2)
+            box = [[i / grid, (i + 1) / grid], [j / grid, (j + 1) / grid]]
+            actuators.append({
+                "support": [box],
+                "profile": "product-of-sines",
+                "coefficients": [1.0, float(freqs[0]), float(freqs[1])],
+                "label": f"box-{i}-{j}"})
+    return {"name": f"zone{cutoff}-{grid}", "task": "synthesize",
+            "domain": [[0.0, 1.0], [0.0, 1.0]], "family": "canonical",
+            "cutoff": cutoff, "alpha": 0.7, "window": [1.0, 4.0],
+            "region": [[[0.0, 0.5], [0.0, 0.5]]], "actuators": actuators,
+            "target": {"kind": "coefficients", "values": [
+                float(v) for v in rng.standard_normal(cutoff * cutoff)]}}
+
+
+def test_zone_probe_minimality_checks_the_solved_problem(tmp_path):
+    """zone12-4: the solve keeps W's eigenvalues above 1e-12 lam_max and drops
+    the rest, so the target is out of reach (residual ~0.73).  u* is still the
+    minimum-norm control of the problem solved, and the checks, which read W
+    under the same rule, must say so."""
+    path = tmp_path / "zone12-4.json"
+    path.write_text(json.dumps(_zone_probe_dict(12, 4)))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+    minimality = json.loads((out / "report.json").read_text())["minimality"]
+    assert minimality["mode"] == "kernel+pinv"
+    assert minimality["trials_passed"] == minimality["trials_requested"] == 12
+    assert minimality["rel_pinv_gap"] <= 1e-6
+    assert minimality["passed"] is True
+
+
 def test_synthesized_control_matches_oracle_samples():
     basis = SpectralBasis(RectDomain.interval(0.0, 1.0), 1)
     whole = Region.whole(basis.domain)

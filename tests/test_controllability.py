@@ -16,19 +16,18 @@ from numpy.testing import assert_allclose
 from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
                                        StrategicReport, _khatri_rao_qr, _qr,
-                                       _qr_svd, _rank,
-                                       approx_controllability_verdict,
-                                       assemble_gramian, pinv_solve_symmetric,
-                                       strategic_test,
-                                       worked_example_mode_means,
+                                       _rank, approx_controllability_verdict,
+                                       assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
-from ultradiff.hum import HumProblem, solve_hum, verify_minimality
+from ultradiff.hum import (HumProblem, kept_eigenpairs, solve_hum,
+                           verify_minimality)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                               _InputMap, _ml_matrix, forced_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
-                                RectDomain, SpectralBasis, actuator_coefficients,
+                                RectDomain, SeparableProfile, SpectralBasis,
+                                actuator_coefficients,
                                 box_quadrature, default_order, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
@@ -374,7 +373,7 @@ def test_stacked_rank_from_qr_matches_svd(setup):
     product = stacked @ gram
     s = np.linalg.svd(product, compute_uv=False)
     assert _rank(product, RANK_RTOL) == expected_rank
-    r_s = _khatri_rao_qr(d, table)[0]
+    r_s = _khatri_rao_qr(d, table)
     assert r_s.shape == (len(basis.modes), len(basis.modes))
     assert_allclose(np.linalg.svd(r_s @ gram, compute_uv=False), s,
                     rtol=0, atol=1e-12 * s[0])
@@ -469,9 +468,8 @@ def _traced_peak(call):
 def test_structured_qr_peaks_below_the_dense_maps():
     """K = 12 modal actuators on the unit square: 144 modes and channels, so
     the dense 160-node map A^T is 23040 x 144 doubles and S is 9216 x 144.
-    Neither is built, and both keep one group of rows at a time: the trials
-    apply each group's reflectors to their draws as the sweep makes them.
-    Keeping them all (about half of A^T) traced 0.84 times A^T's bytes."""
+    Neither is built: the minimality checks read eigenpairs of the 144 x 144
+    W, and the strategic test's QR keeps one group of rows of S at a time."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 12)
     n_modes = len(basis.modes)
@@ -521,23 +519,13 @@ def test_khatri_rao_qr_matches_svd_of_the_built_map(m, n_modes, nq, edit):
     if edit is not None:
         d, table = edit(d, table)
     t_map = _khatri_rao_map(d, table)
-    u_ref, s_ref, _ = np.linalg.svd(t_map, full_matrices=False)
-    r, qt_map = _khatri_rao_qr(d, table, t_map)
+    s_ref = np.linalg.svd(t_map, compute_uv=False)
+    r = _khatri_rao_qr(d, table)
     assert r.shape == (min(m * nq, n_modes), n_modes)
-    assert np.array_equal(_khatri_rao_qr(d, table)[0], r)
     s_vals = np.linalg.svd(r, compute_uv=False)
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
-    # the Q^T that the sweep applies takes the built map back to R
-    assert_allclose(qt_map, r, rtol=0, atol=1e-12 * s_ref[0])
-    # Q U U^T Q^T is the projector onto T's column space
-    rank = int(np.count_nonzero(s_ref > 1e-12 * s_ref[0]))
-    y = rng.standard_normal((m * nq, 3))
-    p_ref_y = u_ref[:, :rank] @ (u_ref[:, :rank].T @ y)
-    _, u_k, _, qt = _qr_svd(d, table, np.hstack([y, p_ref_y]))
-    assert u_k.shape[1] == rank
-    assert_allclose(u_k @ (u_k.T @ qt[:, :3]), qt[:, 3:], rtol=0, atol=1e-10)
     if m * nq <= 640:
-        assert np.array_equal(r, _qr(t_map.copy(order="F"))[0])
+        assert np.array_equal(r, _qr(t_map.copy(order="F")))
 
 
 def test_strategic_test_holds_one_stacked_map():
@@ -579,9 +567,17 @@ def test_verdict_threshold_semantics():
 
 # --- worked-example tables ---------------------------------------------------
 
+def _zone_means(basis, region, order=None):
+    """Means of each mode over a region: the couplings of one constant zone
+    actuator, built as the CLI builds a `constant` profile."""
+    constant = SeparableProfile(((1.0, (np.ones_like,) * basis.domain.ndim),))
+    zone = ActuatorSet((Actuator(region, constant, "zone"),))
+    return actuator_coefficients(zone, basis, order)[0]
+
+
 def test_whole_wave_mode_means_vanish_on_the_full_box():
     basis = SpectralBasis(SQUARE, 6, "whole-wave")
-    means = worked_example_mode_means(basis, Region.whole(SQUARE))
+    means = _zone_means(basis, Region.whole(SQUARE))
     assert np.max(np.abs(means)) <= 1e-12
 
 
@@ -589,7 +585,7 @@ def test_quadrant_mode_means_closed_form():
     # mean of sin(k pi x) sin(l pi y) over [0,1]^2: product of (1-cos(k pi))/(k pi)
     basis = SpectralBasis(SQUARE, 3, "whole-wave")
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
-    means = worked_example_mode_means(basis, quadrant)
+    means = _zone_means(basis, quadrant)
     for pos, mode in enumerate(basis.modes):
         k, l = mode.index
         exact = ((1.0 - math.cos(k * math.pi)) / (k * math.pi)
@@ -636,7 +632,7 @@ def test_pairing_table_contracts_the_axis_tables(monkeypatch):
     # the reference sums target . grad alpha_kl over the 96^2 tensor points
     basis = SpectralBasis(SQUARE, 6, "whole-wave")
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
-    means = worked_example_mode_means(basis, quadrant, 96)
+    means = _zone_means(basis, quadrant, 96)
     points, weights = box_quadrature(quadrant.boxes[0], 96)
     mode_of = {mode.index: pos for pos, mode in enumerate(basis.modes)}
     expected = {}
@@ -670,7 +666,10 @@ def test_pinv_solve_symmetric():
     # right-hand side in the range: consistent minimum-norm solution
     x_true = a @ rng.standard_normal(3)
     rhs = w @ x_true
-    x, rank, cond = pinv_solve_symmetric(w, rhs)
+    # the synthesis solve: x = V_k lam_k^-1 V_k^T rhs over the kept pairs
+    lams, vecs = kept_eigenpairs(w)
+    x = vecs @ ((1.0 / lams) * (vecs.T @ rhs))
+    rank, cond = lams.size, lams[-1] / lams[0]
     assert rank == 3
     assert cond >= 1.0 and math.isfinite(cond)
     assert_allclose(w @ x, rhs, rtol=0, atol=1e-10)

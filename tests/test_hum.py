@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.controllability import _qr_svd, assemble_gramian
+from ultradiff import hum
+from ultradiff.controllability import _qr, assemble_gramian
 from ultradiff.hum import (PINV_NODES, HumProblem, energy, g_norm, solve_hum,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
@@ -165,17 +166,18 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     rng = np.random.default_rng(11)
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                rng.standard_normal(len(basis.modes))))
-    factor, s_ref, v_ref, (passed_ref, min_delta_ref, violation_ref) = (
+    factor, _, v_ref, (passed_ref, min_delta_ref, violation_ref) = (
         _svd_reference_trials(sol, 12, seed=4))
     assert v_ref.shape[0] == expected_rank
 
-    input_map = sol.gramian.input_map
+    # the solve's kept pairs span the same row space: A^T V_k lam_k^-1/2 is an
+    # orthonormal basis of it
+    lams, vecs = sol.eigenpairs
+    assert lams.size == expected_rank
+    row_basis = factor.T @ vecs / np.sqrt(lams)
     phi = rng.standard_normal(factor.shape[1])
-    s_vals, u_range, _, qt = _qr_svd(input_map.d, input_map.table,
-                                     np.column_stack([phi, v_ref.T @ (v_ref @ phi)]))
-    assert u_range.shape[1] == expected_rank
-    assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
-    assert_allclose(u_range @ (u_range.T @ qt[:, 0]), qt[:, 1], rtol=0, atol=1e-10)
+    assert_allclose(row_basis @ (row_basis.T @ phi), v_ref.T @ (v_ref @ phi),
+                    rtol=0, atol=1e-10)
 
     report = verify_minimality(sol, trials=12, seed=4)
     assert report.mode == "kernel+pinv"
@@ -187,19 +189,30 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
     assert violation_ref <= 1e-9
 
     # the cross-check's minimal-norm control against np.linalg.pinv
-    whitened = _whitened_pinv_map(sol)
-    x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
-    s_full = np.linalg.svd(whitened, compute_uv=False)
-    # x_ref lies in the column space Q U, so Q^T x_ref must be U S^-1 V^T rhs
-    s_vals, u_k, vt_k, qt_x_ref = _qr_svd(input_map.d,
-                                          input_map.with_nodes(PINV_NODES).table,
-                                          x_ref[:, None])
-    assert u_k.shape[1] == vt_k.shape[0] == np.count_nonzero(s_full > 1e-12 * s_full[0])
-    x = u_k @ ((vt_k @ sol.rhs) / s_vals[:u_k.shape[1]])
-    assert np.linalg.norm(x - qt_x_ref[:, 0]) <= 1e-10 * np.linalg.norm(x_ref)
+    x_ref = np.linalg.pinv(_whitened_pinv_map(sol), rcond=1e-12) @ sol.rhs
     pinv_energy = float(x_ref @ x_ref)
     gap_ref = abs(sol.energy - pinv_energy) / max(sol.energy, pinv_energy)
     assert abs(report.rel_pinv_gap - gap_ref) <= 1e-12
+
+
+def test_synthesis_decomposes_w_once_per_node_count(monkeypatch):
+    """The solve and the trials share one eigh of the 160-node W; the
+    cross-check takes one of the 96-node W.  Nothing else decomposes W."""
+    basis, region, acts, _ = _modal_plus_zone_setup()
+    calls, eigh = [], hum.eigh
+
+    def counted(matrix):
+        calls.append(matrix.copy())
+        return eigh(matrix)
+
+    monkeypatch.setattr(hum, "eigh", counted)
+    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
+                               np.random.default_rng(11).standard_normal(9)))
+    assert verify_minimality(sol, trials=12, seed=4).passed
+    input_map = sol.gramian.input_map
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], input_map.matrix)
+    assert np.array_equal(calls[1], input_map.with_nodes(PINV_NODES).matrix)
 
 
 def test_input_map_applies_its_factor_without_forming_it():
@@ -213,9 +226,9 @@ def test_input_map_applies_its_factor_without_forming_it():
 
 def test_minimality_trials_factor_the_map_in_place():
     """K = 8 modal actuators on the unit square: 64 modes, 64 channels, so the
-    160-node factor is 64 x 10240 doubles.  The trials factor it without
-    building it; two dense copies would put the traced peak above twice its
-    bytes."""
+    160-node factor is 64 x 10240 doubles.  The trials read the solve's
+    eigenpairs of W and never build it; two dense copies would put the traced
+    peak above twice its bytes."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 8)
     acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
@@ -244,38 +257,26 @@ def test_minimality_trials_factor_the_map_in_place():
 def test_qr_svd_matches_svd_on_tall_and_wide_input(shape, rank):
     """A rank-`rank` matrix: a wide one has fewer reflectors than columns, and
     min(shape) below or off a multiple of the 32-column block exercises the
-    last, partial block of the compact-WY factors.  Any matrix is the
-    Khatri-Rao product of a ones row with itself, a map `_qr` factors built."""
+    last, partial block of the compact-WY factors.  `_qr` gives the R whose
+    singular values are the matrix's."""
     rng = np.random.default_rng(5)
     a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
     k = min(shape)
-    u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    s_ref = np.linalg.svd(a, compute_uv=False)
     scale = s_ref[0] if rank else 1.0
-    y = rng.standard_normal((shape[0], 3))
-    p_ref_y = u_ref[:, :rank] @ (u_ref[:, :rank].T @ y)
-    rhs = rng.standard_normal(shape[1])
-    x_ref = np.linalg.pinv(a.T, rcond=1e-12) @ rhs
-    s_vals, u_k, vt_k, qt = _qr_svd(np.ones((1, shape[1])), a,
-                                    np.hstack([y, p_ref_y, x_ref[:, None], a]))
-    assert u_k.shape == (k, rank) and vt_k.shape == (rank, shape[1])
+    r = _qr(np.array(a, order="F"))
+    assert r.shape == (k, shape[1])
+    s_vals = np.linalg.svd(r, compute_uv=False)
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * scale)
-    # Q U spans the column space; Q^T a is R = U S V^T, upper trapezoidal
-    assert_allclose(u_k @ (u_k.T @ qt[:, :3]), qt[:, 3:6], rtol=0, atol=1e-10)
-    r = qt[:, 7:]
-    assert_allclose(r, (u_k * s_vals[:rank]) @ vt_k, rtol=0, atol=1e-12 * scale)
+    assert np.count_nonzero(s_vals > 1e-12 * scale) == rank
+    # R is upper trapezoidal
     assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12 * scale)
-    # the minimal-norm solve of a^T x = rhs, as verify_minimality takes it:
-    # x_ref lies in the column space Q U, so Q^T x_ref must be U S^-1 V^T rhs
-    x = u_k @ ((vt_k @ rhs) / s_vals[:rank])
-    if rank:
-        assert np.linalg.norm(x - qt[:, 6]) <= 1e-10 * np.linalg.norm(x_ref)
-    else:
-        assert not np.any(x) and not np.any(x_ref)
 
 
 def test_minimality_cross_check_with_more_modes_than_nodes():
     """One zone actuator at cutoff 10 in 2-D: 100 modes against PINV_NODES = 96
-    time nodes, so the cross-check factors a wide matrix."""
+    time nodes, so the cross-check's W has more modes than its map has
+    columns."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 10)
     acts = ActuatorSet((Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
@@ -286,12 +287,12 @@ def test_minimality_cross_check_with_more_modes_than_nodes():
     report = verify_minimality(sol, trials=12, seed=4)
     whitened = _whitened_pinv_map(sol)
     assert whitened.shape[0] > whitened.shape[1]
-    x_ref = np.linalg.pinv(whitened, rcond=1e-12) @ sol.rhs
-    # the smallest kept singular value is ~1e-11 s[0], so rounding in either
-    # factorization moves the minimal-norm energy by up to ~eps s[0]/s_min ~ 2e-5
+    # the solve's rule: 1e-12 on W's eigenvalues is 1e-6 on A's singular values
+    x_ref = np.linalg.pinv(whitened, rcond=1e-6) @ sol.rhs
     assert_allclose(report.pinv_energy, float(x_ref @ x_ref), rtol=1e-4)
     assert report.trials_passed == 12
     assert report.max_constraint_violation <= 1e-9
+    assert report.passed
 
 
 def test_synthesis_is_linear_in_the_target():

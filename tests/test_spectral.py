@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from ultradiff import spectral
 from ultradiff.cli import (build_objects, parse_scenario, reproduction_scenario,
                            scenario_from_dict)
-from ultradiff.controllability import worked_example_mode_means
 from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
                                 RectDomain, SeparableProfile, SpectralBasis,
                                 actuator_coefficients,
@@ -407,7 +406,9 @@ def test_whole_wave_modes_have_zero_mean():
     # every whole-wave mode integrates to zero over the full box
     domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
     basis = SpectralBasis(domain, 4, "whole-wave")
-    means = worked_example_mode_means(basis, Region.whole(domain))
+    constant = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+    means = actuator_coefficients(
+        ActuatorSet((Actuator(Region.whole(domain), constant, "zone"),)), basis)[0]
     assert np.max(np.abs(means)) <= 1e-12
 
 
