@@ -29,7 +29,7 @@ Scenario schema (JSON object; every length in domain units, every time > 0):
     out              null | str, default output directory
 
 Actuator profiles: "constant" takes [c]; "polynomial" takes flat groups of
-1 + ndim numbers (coefficient, then one integer power per axis);
+1 + ndim numbers (coefficient, then one non-negative integer power per axis);
 "product-of-sines" takes [amplitude, k_1, ..., k_ndim] for
 amp * prod sin(k_i pi (x_i - lo_i) / len_i); "mode" takes [p] and resolves to
 the p-th basis eigenfunction (0-based, in the basis ordering).
@@ -67,8 +67,8 @@ from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, free_solution)
 from .spectral import (Actuator, ActuatorSet, RectDomain, Region,
-                       SeparableProfile, SpectralBasis, default_order,
-                       gradient_gram, overlapping_pairs)
+                       SeparableProfile, SpectralBasis, actuator_coefficients,
+                       default_order, gradient_gram, overlapping_pairs)
 
 logger = logging.getLogger(__name__)
 
@@ -218,6 +218,10 @@ def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
     if profile == "polynomial" and (not coeffs or len(coeffs) % (1 + ndim)):
         bad.append(f"{path}.coefficients: polynomial profile needs flat groups "
                    f"of {1 + ndim} numbers (coefficient + {ndim} powers)")
+    elif profile == "polynomial" and any(p != int(p) or p < 0 for j, p in
+                                         enumerate(coeffs) if j % (1 + ndim)):
+        bad.append(f"{path}.coefficients: polynomial powers must be "
+                   f"non-negative integers")
     if profile == "product-of-sines" and len(coeffs) != 1 + ndim:
         bad.append(f"{path}.coefficients: product-of-sines profile needs "
                    f"[amplitude, k_1..k_{ndim}]")
@@ -766,6 +770,16 @@ def run_selftest() -> int:
     check("gradient-gram-factor",
           float(np.max(np.abs(factor.T @ factor - np.diag(basis.lams))))
           / float(basis.lams.max()), 1e-12)
+
+    # a two-term separable profile on a sub-box couples through 1-D integrals;
+    # behind an opaque callable it is contracted at the tensor points
+    profile = SeparableProfile(((1.5, (np.cos, np.square)),
+                                (-0.7, (np.negative, np.exp))))
+    box = Region.box(square, (0.1, 0.6), (0.3, 0.9))
+    pair = actuator_coefficients(ActuatorSet((
+        Actuator(box, profile), Actuator(box, lambda points: profile(points)))), basis)
+    check("separable-couplings", float(np.max(np.abs(pair[0] - pair[1])))
+          / float(np.max(np.abs(pair[1]))), 2e-15)
 
     # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
     rng = np.random.default_rng(3)

@@ -80,15 +80,6 @@ class SpectralState:
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "t", float(self.t))
 
-    def field_values(self, points) -> np.ndarray:
-        return self.basis.value_matrix(points).T @ self.coefficients
-
-    def gradient_values(self, points) -> np.ndarray:
-        """(N, ndim) gradient of the field at points (N, ndim)."""
-        return np.column_stack([
-            self.basis.gradient_component_matrix(points, component).T @ self.coefficients
-            for component in range(self.basis.domain.ndim)])
-
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:

@@ -21,7 +21,7 @@ Two mode families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -111,21 +111,12 @@ def overlapping_pairs(boxes) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """One normalized Laplacian eigenfunction, evaluated through its basis."""
+    """One normalized Laplacian eigenfunction: its per-axis indices, its
+    eigenvalue and the bucket of equal eigenvalues it belongs to."""
 
     index: tuple[int, ...]
     lam: float
     bucket: int
-    basis: SpectralBasis = field(repr=False)
-
-    def value(self, points) -> np.ndarray:
-        """(N,) values at points (N, ndim)."""
-        return self.basis._rows(points, (self.index,))[0]
-
-    def gradient(self, points) -> np.ndarray:
-        """(N, ndim) gradient at points (N, ndim)."""
-        return np.column_stack([self.basis._rows(points, (self.index,), component)[0]
-                                for component in range(self.basis.domain.ndim)])
 
 
 class SpectralBasis:
@@ -165,7 +156,7 @@ class SpectralBasis:
             if prev_lam is None or lam - prev_lam > BUCKET_RTOL * lam:
                 bucket += 1
             prev_lam = lam
-            modes.append(Eigenpair(index, lam, bucket, self))
+            modes.append(Eigenpair(index, lam, bucket))
         self.modes: tuple[Eigenpair, ...] = tuple(modes)
         self.lams = np.array([m.lam for m in modes])
 
@@ -249,8 +240,8 @@ def box_quadrature(box: Box, order: int):
 
 
 def _axis_tables(basis: SpectralBasis, box: Box, order: int):
-    """Per axis of `box`: the 1-D Gauss weights w (order,) and the (K, order)
-    tables of the value and derivative factors k = 1..K at its nodes.
+    """Per axis of `box`: the 1-D Gauss nodes x and weights w (order,) and
+    the (K, order) tables of the value and derivative factors k = 1..K at x.
 
     Every mode is a product of one factor per axis and `box_quadrature` is
     the tensor product of these 1-D rules, so every box integral against the
@@ -260,7 +251,7 @@ def _axis_tables(basis: SpectralBasis, box: Box, order: int):
     tables = []
     for ax, (lo, hi) in enumerate(box):
         x, w = _box_rule_1d(lo, hi, order)
-        tables.append((w, basis._axis_factor(ax, k, x, False),
+        tables.append((x, w, basis._axis_factor(ax, k, x, False),
                        basis._axis_factor(ax, k, x, True)))
     return tables
 
@@ -279,21 +270,21 @@ def _contract(grid: np.ndarray, weighted: list[np.ndarray]) -> np.ndarray:
     return grid
 
 
-def _box_pairings(basis: SpectralBasis, box: Box, order: int, evaluate,
+def _box_pairings(tables, index, values: np.ndarray,
                   derivative: int | None = None) -> np.ndarray:
-    """(batch, n_modes) integrals over `box` of each row of `evaluate` times
+    """(batch, n_modes) integrals over a box of each row of `values` times
     every mode, or times its derivative along axis `derivative`.
 
-    `evaluate` maps the box's per-axis Gauss nodes, one (n_ax,) array per
-    axis, to the (batch, n_1, ..., n_d) grid of values at their tensor
-    points; the grid is contracted one axis at a time with the weighted
-    factor tables and gathered at the modes' indices.
+    `tables` are the box's `_axis_tables` and `index` the modes'
+    `_axis_index`; the rows of `values` (batch, N) are taken at the tensor
+    points of the tables' nodes, the last axis fastest.  Their grid is
+    contracted one axis at a time with the weighted factor tables and
+    gathered at the modes' indices.
     """
-    nodes = [_box_rule_1d(lo, hi, order)[0] for lo, hi in box]
-    tables = _axis_tables(basis, box, order)
+    grid = values.reshape((len(values),) + tuple(x.size for x, _, _, _ in tables))
     weighted = [(slope if ax == derivative else value) * w
-                for ax, (w, value, slope) in enumerate(tables)]
-    return _contract(evaluate(nodes), weighted)[(slice(None),) + _axis_index(basis)]
+                for ax, (_, w, value, slope) in enumerate(tables)]
+    return _contract(grid, weighted)[(slice(None),) + index]
 
 
 def default_order(basis: SpectralBasis) -> int:
@@ -357,7 +348,7 @@ def gradient_gram(basis: SpectralBasis, region: Region,
     for box in region.boxes:
         triangles = [tuple(np.linalg.qr((table * np.sqrt(w)).T, mode="r")
                            for table in (value, slope))
-                     for w, value, slope in _axis_tables(basis, box, order)]
+                     for _, w, value, slope in _axis_tables(basis, box, order)]
         for component in range(basis.domain.ndim):
             block = np.ones((1, n_modes))
             for ax, (k, (value_t, slope_t)) in enumerate(zip(index, triangles)):
@@ -375,10 +366,8 @@ class SeparableProfile:
 
     Each term is (coef, factors), one 1-D callable per axis in `factors`
     (values (n,) -> (n,)).  It is callable on points (N, ndim) like any
-    profile.  `grid` evaluates each factor once on its axis's nodes and forms
-    the tensor grid with outer products.  Both multiply each term's
-    coefficient by axis 0, then axis 1, and add the terms in order, so the
-    grid equals the pointwise values at the tensor points bit for bit.
+    profile; its couplings are products of 1-D integrals
+    (`actuator_coefficients`), so no factor is evaluated at tensor points.
     """
 
     terms: tuple
@@ -394,26 +383,17 @@ class SeparableProfile:
     def ndim(self) -> int:
         return len(self.terms[0][1])
 
-    def _sum(self, axis_values, combine):
+    def __call__(self, points) -> np.ndarray:
+        """(N,) values at points (N, ndim): each term's coefficient times
+        axis 0, then axis 1, and the terms added in order."""
+        axes = _as_points(points, self.ndim).T
         total = 0
         for coef, factors in self.terms:
             term = np.float64(coef)
-            for f, x in zip(factors, axis_values):
-                term = combine(term, f(x))
+            for f, x in zip(factors, axes):
+                term = term * f(x)
             total = total + term
         return total
-
-    def __call__(self, points) -> np.ndarray:
-        """(N,) values at points (N, ndim)."""
-        return self._sum(_as_points(points, self.ndim).T, np.multiply)
-
-    def grid(self, nodes) -> np.ndarray:
-        """(n_1, ..., n_d) values at the tensor points of per-axis nodes."""
-        grid = self._sum(nodes, np.multiply.outer)
-        if len(nodes) != self.ndim or grid.shape != tuple(x.size for x in nodes):
-            raise ValueError(f"expected {self.ndim} node arrays and one factor "
-                             f"value per node, got grid {grid.shape}")
-        return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,7 +401,7 @@ class Actuator:
     """Distributed actuator: spatial profile `distribution` on `support`.
 
     `distribution` maps points (N, ndim) to (N,) values; a `SeparableProfile`
-    has its couplings formed from per-axis node values.
+    has its couplings formed from 1-D integrals on each axis.
     """
 
     support: Region
@@ -447,18 +427,19 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
                           order: int | None = None) -> np.ndarray:
     """Matrix of <profile_i, alpha_p> over each support; shape (m, n_modes).
 
-    Cost: per distinct support box, its users' profiles are evaluated on
-    the box's Gauss nodes into one (users, order, ..., order) grid P.  A
-    `SeparableProfile` evaluates each 1-D factor at one axis's `order` nodes
-    and forms P with outer products; any other profile is called once on the
-    order^ndim tensor points.  With one K x order weighted value table F_ax
-    per axis (`_axis_tables`), C = F_1 P F_2^T is contracted one axis at a
-    time: one GEMM of 2 users order^ndim K flops, then (in 2-D) one of
-    2 users order K^2, where an n_modes x order^ndim value table would take
-    2 users n_modes order^ndim and is never built.  Each coupling is C at its
-    mode's (k, l); each actuator's boxes are summed in support order.
+    Each distinct support box builds its `_axis_tables` once, for all its
+    users, and drops them before the next box: per axis, the Gauss rule
+    (x, w) and the K x order value table F.  A `SeparableProfile` term
+    coef * f_1(x_1) ... f_d(x_d) pairs with mode p as coef * prod over axes
+    of (F (w f(x)))[k_p], one K x order matvec per axis; each factor is
+    evaluated on its axis's nodes only.  Any other profile is called on the
+    box's order^ndim tensor points and contracted one axis at a time
+    (`_box_pairings`), one actuator at a time, so its row does not depend on
+    the box's other users.  Each actuator's boxes are summed in support
+    order.
     """
     order = default_order(basis) if order is None else order
+    index = _axis_index(basis)
     by_box: dict[Box, list[tuple[int, int]]] = {}
     for i, actuator in enumerate(actuators.actuators):
         if actuator.support.domain is not basis.domain and \
@@ -468,11 +449,15 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
             by_box.setdefault(box, []).append((i, j))
     parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
     for box, users in by_box.items():
-        profiles = [actuators.actuators[i].distribution for i, _ in users]
-        couplings = _box_pairings(basis, box, order,
-                                  lambda nodes: _profile_grid(profiles, nodes))
-        for (i, j), row in zip(users, couplings):
-            parts[i][j] = row
+        tables = _axis_tables(basis, box, order)
+        for i, j in users:
+            profile = actuators.actuators[i].distribution
+            if isinstance(profile, SeparableProfile):
+                parts[i][j] = _separable_pairings(profile, tables, index)
+                continue
+            points = _tensor_points([x for x, _, _, _ in tables])
+            values = np.asarray(profile(points), dtype=float)
+            parts[i][j] = _box_pairings(tables, index, values[None])[0]
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, row in enumerate(parts):
         for part in row:
@@ -480,20 +465,24 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
     return coeffs
 
 
-def _profile_grid(profiles, nodes) -> np.ndarray:
-    """(len(profiles), n_1, ..., n_d) profile values at the tensor points of
-    the per-axis nodes; the points are built only for a non-separable one."""
-    shape = tuple(x.size for x in nodes)
-    grid = np.empty((len(profiles),) + shape)
-    points = None
-    for row, profile in zip(grid, profiles):
-        if isinstance(profile, SeparableProfile):
-            row[...] = profile.grid(nodes)
-            continue
-        if points is None:
-            points = _tensor_points(nodes)
-        row[...] = np.asarray(profile(points), dtype=float).reshape(shape)
-    return grid
+def _separable_pairings(profile: SeparableProfile, tables, index) -> np.ndarray:
+    """(n_modes,) integrals over a box of `profile` times every mode, from
+    the box's `_axis_tables` and the modes' `_axis_index`."""
+    if profile.ndim != len(tables):
+        raise ValueError(f"a separable profile expected {profile.ndim} node "
+                         f"arrays, got {len(tables)} from its box")
+    total = 0
+    for coef, factors in profile.terms:
+        term = np.float64(coef)
+        for f, k, (x, w, value, _) in zip(factors, index, tables):
+            fx = f(x)
+            if np.shape(fx) != x.shape:
+                raise ValueError(f"a separable profile needs one factor value "
+                                 f"per node, got shape {np.shape(fx)} for "
+                                 f"{x.size} nodes")
+            term = term * (value @ (w * fx))[k]
+        total = total + term
+    return total
 
 
 def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
@@ -509,13 +498,14 @@ def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
     """
     order = default_order(basis) if order is None else order
     ndim = basis.domain.ndim
+    index = _axis_index(basis)
     c = np.zeros(len(basis.modes))
     for box in region.boxes:
-        nodes = [_box_rule_1d(lo, hi, order)[0] for lo, hi in box]
-        field = np.asarray(g(_tensor_points(nodes)), dtype=float)
+        tables = _axis_tables(basis, box, order)
+        field = np.asarray(g(_tensor_points([x for x, _, _, _ in tables])),
+                           dtype=float)
         if field.ndim != 2 or field.shape[1] != ndim:
             raise ValueError("vector field must return shape (N, ndim)")
-        grid = field.T.reshape((ndim, 1) + tuple(x.size for x in nodes))
         for l in range(ndim):
-            c += _box_pairings(basis, box, order, lambda _: grid[l], l)[0]
+            c += _box_pairings(tables, index, field.T[l:l + 1], l)[0]
     return c

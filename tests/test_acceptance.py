@@ -370,8 +370,8 @@ def test_modal_synthesis_accuracy_holds_as_the_cutoff_grows(cutoff):
     window = LogTimeWindow(1.0, 3.0)
     basis = SpectralBasis(UNIT_SQUARE, cutoff)
     whole = Region.whole(UNIT_SQUARE)
-    acts = ActuatorSet(tuple(Actuator(whole, mode.value, f"mode-{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(Actuator(whole, basis.mode_profile(i), f"mode-{i}")
+                             for i in range(len(basis.modes))))
     target = np.random.default_rng(cutoff).standard_normal(len(basis.modes))
     solution = solve_hum(HumProblem(basis, whole, acts, 0.7, window, target))
     print(f"K={cutoff}: residual {solution.residual_relative:.3e} (bound 1e-8), "
@@ -394,8 +394,7 @@ def test_near_classical_order_synthesis_without_mpmath():
     basis = SpectralBasis(UNIT_INTERVAL, 4)
     region = Region.box(UNIT_INTERVAL, (0.2, 0.9))
     acts = ActuatorSet(tuple(
-        Actuator(Region.whole(UNIT_INTERVAL),
-                 (lambda i: lambda p: basis.modes[i].value(p))(i), f"mode-{i}")
+        Actuator(Region.whole(UNIT_INTERVAL), basis.mode_profile(i), f"mode-{i}")
         for i in range(4)))
     target = np.array([0.4, -0.2, 0.1, 0.05])
     solution = solve_hum(HumProblem(basis, region, acts, 0.99, window, target))
@@ -427,8 +426,8 @@ def _near_classical_k6(seed, pass_index):
     rng.standard_normal(1)                  # the K=1 configuration's target
     basis = SpectralBasis(UNIT_SQUARE, 6)
     whole = Region.whole(UNIT_SQUARE)
-    acts = ActuatorSet(tuple(Actuator(whole, mode.value, f"mode-{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(Actuator(whole, basis.mode_profile(i), f"mode-{i}")
+                             for i in range(len(basis.modes))))
     quadrant = Region.box(UNIT_SQUARE, (0.0, 0.5), (0.0, 0.5))
     return HumProblem(basis, quadrant, acts, 0.98, LogTimeWindow(1.0, b),
                       rng.standard_normal(36))

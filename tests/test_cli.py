@@ -132,7 +132,9 @@ def test_string_pairs_are_violations(field, value, needle):
     ({"target": {"kind": "coefficients", "values": "8"}}, "target.values:"),
     ({"y0": "1"}, "y0:"),
     ({"y0": [1e999]}, "y0:"),
-], ids=["coefficients", "target-values", "y0", "y0-infinite"])
+    ({"actuators": [{"support": [[[0.0, 1.0]]], "profile": "polynomial",
+                     "coefficients": [1.0, 0.5]}]}, "actuators[0].coefficients:"),
+], ids=["coefficients", "target-values", "y0", "y0-infinite", "polynomial-power"])
 def test_number_lists_must_be_lists_of_finite_numbers(overrides, needle):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(_single_mode_dict(**overrides))

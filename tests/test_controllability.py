@@ -25,7 +25,7 @@ from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                               _InputMap, _ml_matrix, forced_solution)
-from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
+from ultradiff.spectral import (Actuator, ActuatorSet, Region,
                                 RectDomain, SeparableProfile, SpectralBasis,
                                 actuator_coefficients,
                                 box_quadrature, default_order, gradient_gram)
@@ -225,8 +225,8 @@ def test_two_dimensional_strategic_patterns():
     # one modal channel per mode is decisive
     modal = strategic_test(
         basis, region,
-        ActuatorSet(tuple(Actuator(Region.whole(SQUARE), m.value, f"m{i}")
-                          for i, m in enumerate(basis.modes))),
+        ActuatorSet(tuple(Actuator(Region.whole(SQUARE), basis.mode_profile(i),
+                                   f"m{i}") for i in range(len(basis.modes)))),
         alpha=0.7, window=WINDOW)
     assert modal.m_sufficient
     assert modal.stacked_rank == modal.required_rank == len(basis.modes)
@@ -339,8 +339,9 @@ def _stacked_map_for(basis, region, acts, time_samples=64):
 def _unit_square_modal():
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 4)
-    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
     return basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)), acts, len(basis.modes)
 
 
@@ -473,8 +474,9 @@ def test_structured_qr_peaks_below_the_dense_maps():
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 12)
     n_modes = len(basis.modes)
-    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
     region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(n_modes)))
@@ -534,8 +536,9 @@ def test_strategic_test_holds_one_stacked_map():
     below 1.5 times the bytes of S, where forming S Gamma next to S takes 2."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 8)
-    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
     region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
     d = actuator_coefficients(acts, basis)
     gram = gradient_gram(basis, region)
@@ -635,21 +638,22 @@ def test_pairing_table_contracts_the_axis_tables(monkeypatch):
     means = _zone_means(basis, quadrant, 96)
     points, weights = box_quadrature(quadrant.boxes[0], 96)
     mode_of = {mode.index: pos for pos, mode in enumerate(basis.modes)}
+    gradients = basis.gradient_component_matrix(points, 0)
     expected = {}
     for k in (1, 3, 5):
         for l in (1, 3, 5):
             pos = mode_of[(k, l)]
-            gradient = basis.modes[pos].gradient(points)[:, 0]
+            gradient = gradients[pos]
             for p in (2, 4):
                 for q in (2, 4):
                     target = np.sin(p * math.pi * points[:, 0]) * \
                         np.cos(q * math.pi * points[:, 1])
                     expected[(k, l, p, q)] = means[pos] * (weights @ (target * gradient))
 
-    def pointwise(self, points):
+    def pointwise(*args, **kwargs):
         raise AssertionError("the pairing table evaluated a mode gradient pointwise")
 
-    monkeypatch.setattr(Eigenpair, "gradient", pointwise)
+    monkeypatch.setattr(SpectralBasis, "_rows", pointwise)
     rows = worked_example_pairing_table(basis, quadrant)
     got = np.array([row.quadrature for row in rows])
     want = np.array([expected[(r.k, r.l, r.p, r.q)] for r in rows])

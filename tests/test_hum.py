@@ -134,8 +134,8 @@ def _modal_plus_zone_setup():
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 3)
     acts = ActuatorSet(
-        tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
-              for i, mode in enumerate(basis.modes))
+        tuple(Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+              for i in range(len(basis.modes)))
         + (Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
                     lambda p: np.ones(p.shape[0]), "zone"),))
     return basis, Region.box(domain, (0.0, 0.5), (0.0, 1.0)), acts, len(basis.modes)
@@ -231,8 +231,9 @@ def test_minimality_trials_factor_the_map_in_place():
     peak above twice its bytes."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 8)
-    acts = ActuatorSet(tuple(Actuator(Region.whole(domain), mode.value, f"m{i}")
-                             for i, mode in enumerate(basis.modes)))
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
     sol = solve_hum(HumProblem(basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)),
                                acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(64)))

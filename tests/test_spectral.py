@@ -1,6 +1,7 @@
 """Eigenbasis geometry: orthonormality, Gram matrices, actuator projections."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from ultradiff import spectral
 from ultradiff.cli import (build_objects, parse_scenario, reproduction_scenario,
                            scenario_from_dict)
-from ultradiff.spectral import (Actuator, ActuatorSet, Eigenpair, Region,
+from ultradiff.spectral import (Actuator, ActuatorSet, Region,
                                 RectDomain, SeparableProfile, SpectralBasis,
                                 actuator_coefficients,
                                 adjoint_gradient_coefficients, box_quadrature,
@@ -72,13 +73,13 @@ def test_gradient_evaluator_matches_finite_difference():
     rng = np.random.default_rng(7)
     pts = np.column_stack([rng.uniform(0.4, 1.6, 40), rng.uniform(-0.3, 0.8, 40)])
     h = 1e-6
-    for mode in basis.modes[:5]:
-        grad = mode.gradient(pts)
-        for component in range(2):
-            shift = np.zeros(2)
-            shift[component] = h
-            fd = (mode.value(pts + shift) - mode.value(pts - shift)) / (2.0 * h)
-            assert_allclose(grad[:, component], fd, rtol=0, atol=5e-5)
+    for component in range(2):
+        shift = np.zeros(2)
+        shift[component] = h
+        grad = basis.gradient_component_matrix(pts, component)[:5]
+        fd = (basis.value_matrix(pts + shift)[:5]
+              - basis.value_matrix(pts - shift)[:5]) / (2.0 * h)
+        assert_allclose(grad, fd, rtol=0, atol=5e-5)
 
 
 def reference_axis_factor(domain, family, axis, k, x, derivative):
@@ -117,13 +118,10 @@ def test_mode_evaluators_match_per_axis_reference(domain, family):
     vm = basis.value_matrix(pts)
     for p, mode in enumerate(basis.modes):
         assert np.array_equal(vm[p], reference(mode.index))
-        assert np.array_equal(mode.value(pts), reference(mode.index))
     for component in range(2):
         dm = basis.gradient_component_matrix(pts, component)
         for p, mode in enumerate(basis.modes):
             assert np.array_equal(dm[p], reference(mode.index, component))
-            assert np.array_equal(mode.gradient(pts)[:, component],
-                                  reference(mode.index, component))
 
 
 def test_gradient_gram_symmetric_psd():
@@ -194,8 +192,8 @@ def test_region_measure_and_containment():
 def test_actuator_coefficients_mode_profile_is_unit_row():
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 3)
-    target = basis.modes[4]
-    acts = ActuatorSet((Actuator(Region.whole(domain), target.value, "modal"),))
+    acts = ActuatorSet((Actuator(Region.whole(domain), basis.mode_profile(4),
+                                 "modal"),))
     row = actuator_coefficients(acts, basis)[0]
     expected = np.zeros(len(basis.modes))
     expected[4] = 1.0
@@ -237,18 +235,22 @@ def _bumpy(points):
     return 1.0 + np.prod(points, axis=1) ** 2
 
 
+def _mode_values(basis, q):
+    """Mode q behind an opaque callable: a row of `value_matrix`."""
+    return lambda points: basis.value_matrix(points)[q]
+
+
 def _shared_box_actuators(domain, basis, boxes):
     a, b, c, d = boxes        # a overlaps b; c and d are disjoint from a
     return ActuatorSet((
-        Actuator(Region.whole(domain), basis.modes[2].value, "mode"),
+        Actuator(Region.whole(domain), _mode_values(basis, 2), "mode"),
         Actuator(Region(domain, (a,)), _ones, "zone"),
         Actuator(Region(domain, (b,)), _bumpy, "overlapping"),
         Actuator(Region(domain, (a,)), _bumpy, "same-box"),
         Actuator(Region(domain, (c, a)), _ones, "two-box"),
         Actuator(Region(domain, (a, c, d)), _bumpy, "three-box"),
         Actuator(Region(domain, (d, c, a)), _bumpy, "three-box-reversed"),
-        Actuator(Region.whole(domain),
-                 (lambda q: lambda p: basis.modes[q].value(p))(3), "cli-mode"),
+        Actuator(Region.whole(domain), basis.mode_profile(3), "cli-mode"),
     ))
 
 
@@ -322,7 +324,7 @@ def test_separable_box_integrals_match_n_point_reference(domain, family, boxes,
     basis = SpectralBasis(domain, 6, family)
     region = Region(domain, boxes)
     acts = ActuatorSet((
-        Actuator(Region.whole(domain), basis.modes[2].value, "mode"),
+        Actuator(Region.whole(domain), basis.mode_profile(2), "mode"),
         Actuator(region, _bumpy, "non-separable"),
         Actuator(Region(domain, boxes[1:]), _ones, "zone"),
     ))
@@ -371,10 +373,8 @@ def test_adjoint_gradient_coefficients_both_entry_points():
 
     # for g = sum_q gamma_q grad alpha_q the callable path gives Gamma gamma
     def field(points):
-        out = np.zeros((points.shape[0], 2))
-        for p, mode in enumerate(basis.modes):
-            out += gamma[p] * mode.gradient(points)
-        return out
+        return np.column_stack([gamma @ basis.gradient_component_matrix(points, l)
+                                for l in range(2)])
 
     c_fn = adjoint_gradient_coefficients(field, basis, region)
     assert_allclose(c_fn, gram.matrix @ gamma, rtol=0, atol=1e-8)
@@ -424,7 +424,7 @@ def test_construction_validation():
     assert [m.index for m in pairs] == [(1,), (2,), (3,)]
 
 
-# -- separable profiles: grids from per-axis node values ---------------------
+# -- separable profiles: couplings from 1-D integrals ------------------------
 
 PROFILE_COEFFICIENTS = {   # per kind, the scenario coefficients in 1-D and 2-D
     "constant": ([0.8], [0.8]),
@@ -462,26 +462,23 @@ def _pointwise(actuators):
                  a.label) for a in actuators.actuators))
 
 
-def _assert_couplings_match(kind, got, expected):
-    if kind in ("constant", "polynomial"):
-        assert np.array_equal(got, expected)
-    else:   # sin may take another SIMD path on strided points
-        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+def _assert_couplings_match(got, expected):
+    # the 1-D integrals sum the nodes in another order than the contraction
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
 @pytest.mark.parametrize("kind", sorted(PROFILE_COEFFICIENTS))
 def test_separable_grid_couplings_equal_pointwise(kind, dim):
-    """One-box, multi-box and whole-domain supports: the node-grid couplings
-    equal those of the same profile evaluated at the tensor points."""
+    """One-box, multi-box and whole-domain supports: the couplings from 1-D
+    integrals equal those of the same profile evaluated at the tensor points."""
     bounds, (a, b) = PROFILE_DOMAINS[dim]
     basis, acts = _cli_actuators(kind, dim, [[a], [a, b], [b, a], [bounds]])
     assert all(isinstance(x.distribution, SeparableProfile)
                for x in acts.actuators)
     got = actuator_coefficients(acts, basis)
     assert np.max(np.abs(got)) > 1e-2
-    _assert_couplings_match(kind, got, actuator_coefficients(_pointwise(acts),
-                                                             basis))
+    _assert_couplings_match(got, actuator_coefficients(_pointwise(acts), basis))
 
 
 @pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
@@ -496,7 +493,7 @@ def test_box_shared_by_separable_and_opaque_users(kind, dim):
     reference = ActuatorSet(_pointwise(acts).actuators + opaque)
     got = actuator_coefficients(mixed, basis)
     expected = actuator_coefficients(reference, basis)
-    _assert_couplings_match(kind, got[:2], expected[:2])
+    _assert_couplings_match(got[:2], expected[:2])
     assert np.array_equal(got[2:], expected[2:])
 
 
@@ -524,19 +521,25 @@ def test_separable_profiles_match_their_closed_forms(dim):
                           axis=0)
     assert_allclose(profiles["product-of-sines"](points), sines,
                     rtol=1e-15, atol=1e-15)
-    assert_allclose(profiles["mode"](points), basis.modes[3].value(points),
+    assert_allclose(profiles["mode"](points), basis.value_matrix(points)[3],
                     rtol=1e-15, atol=1e-15)
 
 
 def test_separable_profile_validates_its_axes():
     with pytest.raises(ValueError, match="one factor per axis"):
         SeparableProfile(((1.0, (np.ones_like,)), (1.0, (np.ones_like,) * 2)))
+    interval = RectDomain.interval(0.0, 1.0)
     profile = SeparableProfile(((1.0, (np.ones_like,) * 2),))
     with pytest.raises(ValueError, match="2 node arrays"):
-        profile.grid([np.ones(3)])
+        actuator_coefficients(ActuatorSet((Actuator(Region.whole(interval),
+                                                    profile),)),
+                              SpectralBasis(interval, 3))
+    square = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     scalar = SeparableProfile(((1.0, (np.ones_like, lambda y: 1.0)),))
     with pytest.raises(ValueError, match="one factor value per node"):
-        scalar.grid([np.ones(3), np.ones(3)])
+        actuator_coefficients(ActuatorSet((Actuator(Region.whole(square),
+                                                    scalar),)),
+                              SpectralBasis(square, 3))
 
 
 def test_cli_profiles_need_neither_mode_values_nor_tensor_points(monkeypatch):
@@ -549,9 +552,32 @@ def test_cli_profiles_need_neither_mode_values_nor_tensor_points(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated at the tensor points")
 
-    monkeypatch.setattr(Eigenpair, "value", refuse)
+    monkeypatch.setattr(SpectralBasis, "_rows", refuse)
     monkeypatch.setattr(spectral, "_tensor_points", refuse)
     for _, basis, _, acts in objects:
         coeffs = actuator_coefficients(acts, basis)
         assert coeffs.shape == (acts.m, len(basis.modes))
         assert np.all(np.isfinite(coeffs)) and np.max(np.abs(coeffs)) > 0.1
+
+
+def test_modal_couplings_hold_no_profile_grid():
+    """K = 24 whole-square mode actuators (576 of them, order 108): the
+    couplings from 1-D integrals peak under 8 MiB, the 2.5 MiB output and
+    one row per actuator box, where one (users, order, order) profile grid
+    is 51 MiB."""
+    cutoff = 24
+    square = [[0.0, 1.0], [0.0, 1.0]]
+    scenario = scenario_from_dict({
+        "name": "modal", "task": "analyze", "domain": square, "cutoff": cutoff,
+        "alpha": 0.7, "window": [1.0, 4.0], "region": [square],
+        "actuators": [{"support": [square], "profile": "mode",
+                       "coefficients": [p]} for p in range(cutoff * cutoff)]})
+    _, basis, _, acts = build_objects(scenario)
+    tracemalloc.start()
+    try:
+        coeffs = actuator_coefficients(acts, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_allclose(coeffs, np.eye(acts.m), rtol=0, atol=1e-12)
+    assert peak < 8 * 2 ** 20
