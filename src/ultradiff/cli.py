@@ -46,7 +46,6 @@ Exit codes: 0 success, 1 error, 2 negative controllability verdict from
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -446,9 +445,8 @@ def write_report(report: dict, out_dir: str, tables: dict) -> None:
     for table_name, (header, rows) in tables.items():
         path = os.path.join(out_dir, f"{table_name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write("".join(",".join(map(str, row)) + "\n"
+                             for row in [header, *rows]))
 
 
 def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,

@@ -8,6 +8,7 @@ through the closed synthesis formula.
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -20,7 +21,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff.cli import (ScenarioError, build_objects, main, parse_scenario,
-                           reproduction_scenario, scenario_from_dict)
+                           reproduction_scenario, scenario_from_dict,
+                           write_report)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
@@ -367,6 +369,20 @@ def test_synthesize_csv_table(tmp_path):
                                LogTimeWindow(1.0, 2.5), [0.8]))
     assert_allclose(us, sol.control.values[0], rtol=1e-13)
     assert_allclose(taus, sol.control.tau_grid, rtol=0, atol=0)
+
+
+def test_write_report_tables_match_csv_writer(tmp_path):
+    """Every table holds plain header names, ints, bools and floats, which
+    csv.writer writes unquoted with str (repr for a float)."""
+    header = ["index", "value", "flag"]
+    floats = [0.1, 1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308]
+    rows = [[i, v, i % 2 == 0] for i, v in enumerate(floats)] + [[-3, 2, False]]
+    write_report({}, str(tmp_path), {"table": (header, rows)})
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert (tmp_path / "table.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

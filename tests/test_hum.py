@@ -197,13 +197,15 @@ def test_minimality_row_space_from_qr_matches_svd(setup):
 
 def test_synthesis_decomposes_w_once_per_node_count(monkeypatch):
     """The solve and the trials share one eigh of the 160-node W; the
-    cross-check takes one of the 96-node W.  Nothing else decomposes W."""
+    cross-check takes one of the 96-node W.  Nothing else decomposes W, and
+    both calls take the divide-and-conquer driver."""
     basis, region, acts, _ = _modal_plus_zone_setup()
-    calls, eigh = [], hum.eigh
+    calls, drivers, eigh = [], [], hum.eigh
 
-    def counted(matrix):
+    def counted(matrix, **kwargs):
         calls.append(matrix.copy())
-        return eigh(matrix)
+        drivers.append(kwargs)
+        return eigh(matrix, **kwargs)
 
     monkeypatch.setattr(hum, "eigh", counted)
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
@@ -213,6 +215,30 @@ def test_synthesis_decomposes_w_once_per_node_count(monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(calls[0], input_map.matrix)
     assert np.array_equal(calls[1], input_map.with_nodes(PINV_NODES).matrix)
+    assert drivers == [{"driver": "evd"}] * 2
+
+
+def test_paired_modal_spectrum_keeps_eigenvectors_orthonormal():
+    """K = 12 whole-square modal actuators: W's spectrum comes in equal pairs
+    (lam_kl = lam_lk).  Over window ends b in [3.5, 4.5], MRRR (dsyevr)
+    gives max|V^T V - I| from 4e-15 to 1e-13, varying with b and the BLAS
+    thread count; divide and conquer keeps every V orthonormal to 4e-15 and
+    solves W c = rhs to 3e-15."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 12)
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
+    target = np.random.default_rng(1).standard_normal(144)
+    for b in np.linspace(3.5, 4.5, 11):
+        sol = solve_hum(HumProblem(basis, Region.whole(domain), acts, 0.7,
+                                   LogTimeWindow(1.0, b), target))
+        w = sol.gramian.matrix
+        lams, vecs = hum.kept_eigenpairs(w)
+        assert lams.size == 144
+        assert np.abs(vecs.T @ vecs - np.eye(144)).max() <= 2e-14
+        assert (np.linalg.norm(w @ sol.adjoint_datum - sol.rhs)
+                <= 1e-14 * np.linalg.norm(sol.rhs))
 
 
 def test_input_map_applies_its_factor_without_forming_it():
