@@ -436,7 +436,8 @@ def _jsonable(obj):
 
 
 def write_report(report: dict, out_dir: str, tables: dict) -> None:
-    """report.json and one CSV per table (name -> (header, rows)) in out_dir."""
+    """report.json and one CSV per table (name -> (header, rows)) in out_dir.
+    Cells are ints, floats, bools and plain names, written unquoted by str."""
     os.makedirs(out_dir, exist_ok=True)
     payload = json.dumps(_jsonable(report), sort_keys=True, indent=2,
                          allow_nan=False)

@@ -48,9 +48,8 @@ SOLVER_RTOL = 1e-12
 def kept_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam_k, V_k) of a symmetric PSD matrix with lam above
     SOLVER_RTOL times the largest |lam|, ascending: the one rank rule of the
-    synthesis and of both its minimality checks.  Divide and conquer
-    (dsyevd): W's spectrum comes in equal pairs on modal actuators, where
-    MRRR is slower and loses orthogonality."""
+    synthesis and of both its minimality checks.  Divide and conquer: MRRR is
+    slower and loses orthogonality on W's equal pairs (modal actuators)."""
     vals, vecs = eigh(matrix, driver="evd")
     keep = vals > SOLVER_RTOL * np.max(np.abs(vals))
     return vals[keep], vecs[:, keep]
