@@ -419,6 +419,8 @@ def _target_coefficients(scenario: Scenario, n_modes: int) -> np.ndarray:
 
 
 def _jsonable(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -464,7 +466,7 @@ def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
         quadrature.update(kernel_nodes=kernel_map.nodes,
                           residual_nodes=residual_map.nodes,
                           quadrature_rel_change=change / norm if norm else 0.0)
-    return {"tool_version": __version__, "scenario": dataclasses.asdict(scenario),
+    return {"tool_version": __version__, "scenario": scenario,
             "quadrature": quadrature}
 
 
@@ -704,7 +706,7 @@ def run_reproduce(scenario: Scenario) -> tuple[int, dict, dict]:
     result = reproduce_example(ran.cutoff, family=ran.family,
                                epsilon=ran.epsilon_cutoff)
     report = {"tool_version": __version__, "task": "reproduce-example",
-              "scenario": dataclasses.asdict(ran)}
+              "scenario": ran}
     report.update(result)
 
     if "basis_guard" in result:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import svd
 from scipy.linalg.lapack import dgeqrt, dtpqrt
 
 from .logtime import LogTimeWindow
@@ -266,21 +265,23 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     bucket_ids = sorted({mode.bucket for mode in basis.modes})
     mode_buckets = np.array([mode.bucket for mode in basis.modes])
     bucket_idx = [np.nonzero(mode_buckets == b_id)[0] for b_id in bucket_ids]
-    bucket_mats = [tuple(coefficient_matrix[:, idx] * direction_norms[l, idx]
-                         for l in range(ndim)) for idx in bucket_idx]
+    scaled = coefficient_matrix * direction_norms[:, None, :]   # (ndim, m, n_modes)
     # rank decisions share one scale across buckets: an eigenvalue block whose
     # couplings are pure roundoff must count as dropped, not as full rank
-    scale = max((float(np.max(np.abs(mat))) for mats in bucket_mats
-                 for mat in mats if mat.size), default=0.0)
-    buckets: list[StrategicBucket] = []
-    for b_id, idx, mats in zip(bucket_ids, bucket_idx, bucket_mats):
-        r_k = idx.size
-        ranks = tuple(_rank(mat, RANK_RTOL, scale) for mat in mats)
-        block_rank = _rank(np.vstack(mats), RANK_RTOL, scale)
-        buckets.append(StrategicBucket(
-            bucket=b_id, eigenvalue=float(basis.modes[idx[0]].lam),
-            multiplicity=r_k, direction_ranks=ranks, block_rank=block_rank,
-            passes=block_rank == r_k))
+    scale = float(np.max(np.abs(scaled))) if scaled.size else 0.0
+    # one batched SVD per multiplicity r_k; a block joins its directions' rows
+    sizes = np.array([idx.size for idx in bucket_idx])
+    ranks = np.zeros((sizes.size, ndim + 1), dtype=int)  # direction ranks, block rank
+    for r_k in np.unique(sizes):
+        group = np.nonzero(sizes == r_k)[0]
+        cols = np.array([bucket_idx[pos] for pos in group])  # (n_b, r_k)
+        stacks = scaled[:, :, cols].transpose(2, 0, 1, 3)    # (n_b, ndim, m, r_k)
+        ranks[group, :ndim] = _ranks(stacks, RANK_RTOL, scale)
+        ranks[group, ndim] = _ranks(stacks.reshape(group.size, -1, r_k),
+                                    RANK_RTOL, scale)
+    buckets = [StrategicBucket(b_id, float(basis.modes[idx[0]].lam), idx.size,
+                               tuple(row[:ndim]), row[ndim], row[ndim] == idx.size)
+               for b_id, idx, row in zip(bucket_ids, bucket_idx, ranks.tolist())]
 
     sup_r = max(bucket.multiplicity for bucket in buckets)
     m_sufficient = m >= sup_r
@@ -298,20 +299,21 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
     r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T)
-    stacked_rank = _rank(r_s @ gram.matrix, RANK_RTOL)
+    stacked_rank = int(_ranks(r_s @ gram.matrix, RANK_RTOL))
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
                            "STRATEGIC" if strategic else "NOT")
 
 
-def _rank(matrix: np.ndarray, rtol: float, scale: float | None = None) -> int:
-    """Singular values above rtol times scale, or the largest singular value."""
-    if matrix.size == 0:
-        return 0
-    s = svd(matrix, compute_uv=False)
-    reference = s[0] if scale is None else scale
-    return int(np.count_nonzero(s > rtol * reference)) if reference > 0 else 0
+def _ranks(stack: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
+    """Ranks of a (..., rows, cols) stack of matrices: singular values above
+    rtol times scale, or each matrix's own largest singular value."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2], dtype=int)
+    s = np.linalg.svd(stack, compute_uv=False)
+    reference = s[..., :1] if scale is None else scale
+    return np.count_nonzero((s > rtol * reference) & (reference > 0), axis=-1)
 
 
 # -- worked reproduction example: coefficient tables -------------------------

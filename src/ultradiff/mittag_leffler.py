@@ -33,6 +33,9 @@ _MAX_TERMS = 10_000
 _ASYMPTOTIC_CUT = -50.0
 _ASYMPTOTIC_TERMS = 10
 _TINY_Z = 1e-8
+# the contour runs in blocks of this many columns through one reused buffer,
+# so its working memory is 33 x 2048 complex (~1 MiB) whatever the table size
+_CONTOUR_BLOCK = 2048
 
 
 class MLConvergenceError(ArithmeticError):
@@ -89,15 +92,21 @@ def _contour(alpha: float, beta: float, z) -> np.ndarray:
     mu = math.pi * N / 12.0
     u = np.arange(N + 1) * h
     zeta = mu * (1.0 + 1j * u) ** 2
-    pref = np.exp(zeta) * zeta ** (alpha - beta) * (1.0 + 1j * u)
-    g = pref[:, None] / (zeta[:, None] ** alpha - np.asarray(z, dtype=float)[None, :])
-    g[0] *= 0.5
-    # one fixed order of additions, so a value does not depend on its batch
-    # (numpy's axis-0 sum is pairwise for one column, row by row for several)
-    gr = g.real
-    acc = gr[0].copy()
-    for row in gr[1:]:
-        acc += row
+    pref = (np.exp(zeta) * zeta ** (alpha - beta) * (1.0 + 1j * u))[:, None]
+    zeta_alpha = (zeta ** alpha)[:, None]
+    acc = np.empty_like(z)
+    buf = np.empty((N + 1, min(z.size, _CONTOUR_BLOCK)), dtype=complex)
+    for start in range(0, z.size, _CONTOUR_BLOCK):
+        out = acc[start:start + _CONTOUR_BLOCK]
+        g = buf[:, :out.size]
+        np.subtract(zeta_alpha, z[start:start + out.size], out=g)
+        np.divide(pref, g, out=g)
+        g[0] *= 0.5
+        # one fixed order of additions, so a value does not depend on its batch
+        # (numpy's axis-0 sum is pairwise for one column, row by row for several)
+        out[:] = g.real[0]
+        for row in g.real[1:]:
+            out += row
     return (2.0 * mu * h / math.pi) * acc
 
 

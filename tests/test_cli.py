@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.cli import (ScenarioError, build_objects, main, parse_scenario,
-                           reproduction_scenario, scenario_from_dict,
-                           write_report)
+from ultradiff.cli import (ScenarioError, _jsonable, build_objects, main,
+                           parse_scenario, reproduction_scenario,
+                           scenario_from_dict, write_report)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
@@ -79,6 +79,14 @@ def test_shipped_scenarios_round_trip():
         scenario = parse_scenario(path)
         as_json = json.loads(json.dumps(dataclasses.asdict(scenario)))
         assert scenario_from_dict(as_json) == scenario
+
+
+def test_report_echoes_the_scenario_as_asdict_would():
+    # reports carry the Scenario itself; _jsonable reads it field by field
+    scenarios = [parse_scenario(path) for path in
+                 sorted((SRC.parent / "scenarios").glob("*.json"))]
+    for scenario in [*scenarios, reproduction_scenario()]:
+        assert _jsonable(scenario) == _jsonable(dataclasses.asdict(scenario))
 
 
 def test_invalid_scenario_reports_every_violation():

@@ -12,11 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import svd
 
 from ultradiff._quadrature import kernel_rule
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
                                        StrategicReport, _khatri_rao_qr, _qr,
-                                       _rank, approx_controllability_verdict,
+                                       approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
 from ultradiff.hum import (HumProblem, kept_eigenpairs, solve_hum,
@@ -233,6 +234,16 @@ def test_two_dimensional_strategic_patterns():
     assert modal.strategic
 
 
+def _rank(matrix, rtol, scale=None):
+    """Singular values above rtol times scale, or the largest singular value:
+    one SVD per matrix, the reference for strategic_test's batched ranks."""
+    if matrix.size == 0:
+        return 0
+    s = svd(matrix, compute_uv=False)
+    reference = s[0] if scale is None else scale
+    return int(np.count_nonzero(s > rtol * reference)) if reference > 0 else 0
+
+
 def _bucketed_table(kernel, mode_buckets):
     """(n_taus, n_modes) kernel table, every mode of a bucket on the kernel
     row of the bucket's first mode."""
@@ -382,14 +393,10 @@ def test_stacked_rank_from_qr_matches_svd(setup):
     assert report.stacked_rank == expected_rank
 
 
-def _strategic_test_reference(basis, region, acts):
-    """strategic_test as it was when it integrated the direction norms itself,
-    in a second pass over the region's N-point gradient tables."""
-    order = default_order(basis)
-    d = actuator_coefficients(acts, basis, order)
-    ndim, n_modes = basis.domain.ndim, len(basis.modes)
-    direction_norms = _n_point_gram(basis, region)[1]
-
+def _buckets_reference(basis, d, direction_norms):
+    """The per-bucket rank tests, one SVD per block: each direction's scaled
+    couplings, and the block that stacks them."""
+    ndim = basis.domain.ndim
     mode_buckets = np.array([mode.bucket for mode in basis.modes])
     bucket_ids = sorted({mode.bucket for mode in basis.modes})
     bucket_mats = [tuple(d[:, mode_buckets == b] * direction_norms[l, mode_buckets == b]
@@ -403,6 +410,19 @@ def _strategic_test_reference(basis, region, acts):
             b_id, float(basis.modes[idx[0]].lam), idx.size,
             tuple(_rank(mat, RANK_RTOL, scale) for mat in mats), block_rank,
             block_rank == idx.size))
+    return buckets
+
+
+def _strategic_test_reference(basis, region, acts):
+    """strategic_test as it was when it integrated the direction norms itself,
+    in a second pass over the region's N-point gradient tables."""
+    order = default_order(basis)
+    d = actuator_coefficients(acts, basis, order)
+    ndim, n_modes = basis.domain.ndim, len(basis.modes)
+    direction_norms = _n_point_gram(basis, region)[1]
+
+    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    buckets = _buckets_reference(basis, d, direction_norms)
     m = d.shape[0]
     sup_r = max(bucket.multiplicity for bucket in buckets)
     if ndim == 1:
@@ -455,6 +475,50 @@ def test_strategic_test_reads_the_gram_pass_direction_norms(setup):
     assert np.max(np.abs(gram.direction_norms - norms)) <= 1e-14 * np.max(norms)
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert dataclasses.astuple(report) == dataclasses.astuple(reference)
+
+
+def _unit_square_k8():
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(domain, 8)
+    return basis, Region.box(domain, (0.0, 0.5), (0.0, 0.5))
+
+
+def _modal_k8():
+    basis, quadrant = _unit_square_k8()
+    acts = ActuatorSet(tuple(
+        Actuator(Region.whole(basis.domain), basis.mode_profile(i), f"m{i}")
+        for i in range(len(basis.modes))))
+    return basis, quadrant, actuator_coefficients(acts, basis)
+
+
+def _random_couplings_k8():
+    basis, quadrant = _unit_square_k8()
+    return basis, quadrant, np.random.default_rng(11).standard_normal((3, 64))
+
+
+@pytest.mark.parametrize("setup", [_modal_k8, _random_couplings_k8],
+                         ids=["modal", "dense-random"])
+def test_batched_bucket_ranks_match_per_matrix_svds(setup):
+    # K=8 on the unit square: buckets of multiplicity 1, 2, 3 (k^2 + l^2 = 50:
+    # (1,7), (5,5), (7,1)) and 4 (65: (1,8), (8,1), (4,7), (7,4)), so every
+    # multiplicity class gets its own batched SVD
+    basis, region, d = setup()
+    sizes = np.bincount([mode.bucket for mode in basis.modes])
+    assert set(sizes[sizes > 0]) == {1, 2, 3, 4}
+    gram = gradient_gram(basis, region)
+    report = strategic_test(basis, region, None, alpha=0.7, window=WINDOW,
+                            gram=gram, coefficient_matrix=d)
+    reference = _buckets_reference(basis, d, gram.direction_norms)
+    assert len(report.buckets) == len(reference)
+    for bucket, expected in zip(report.buckets, reference):
+        assert (bucket.bucket, bucket.multiplicity) == (expected.bucket,
+                                                        expected.multiplicity)
+        assert bucket.direction_ranks == expected.direction_ranks
+        assert bucket.block_rank == expected.block_rank
+        assert bucket.passes is expected.passes
+    # with m = 3 random channels the bucket of four is short in each direction
+    ranks = {bucket.multiplicity: bucket.direction_ranks for bucket in report.buckets}
+    assert ranks[4] == (min(d.shape[0], 4),) * 2
 
 
 def _traced_peak(call):

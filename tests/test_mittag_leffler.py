@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from ultradiff.mittag_leffler import (MLConvergenceError, _series_f64,
-                                      mittag_leffler, ml_on_negative_axis)
+from ultradiff.mittag_leffler import (_CONTOUR_BLOCK, MLConvergenceError,
+                                      _series_f64, mittag_leffler,
+                                      ml_on_negative_axis)
 
 # (alpha, beta, z, E_{alpha,beta}(z)) — frozen 25-digit reference values
 ORACLE = [
@@ -205,6 +206,26 @@ def test_batched_values_match_one_element_calls(alpha, beta):
     batched = ml_on_negative_axis(alpha, beta, z)
     single = np.array([ml_on_negative_axis(alpha, beta, zz)[0] for zz in z])
     assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.7, 0.99])
+@pytest.mark.parametrize("beta_is_alpha", [True, False], ids=["beta=alpha", "beta=1"])
+def test_values_do_not_depend_on_their_contour_block(alpha, beta_is_alpha):
+    # the contour runs its columns in fixed blocks: over three blocks and a
+    # part, every value equals its evaluation in slices that cut the blocks
+    # anywhere (one-point slices on every 41st point and at the block edges,
+    # to keep the call count small)
+    beta = alpha if beta_is_alpha else 1.0
+    z = -np.random.default_rng(7).uniform(1e-3, 49.9, 3 * _CONTOUR_BLOCK + 5)
+    whole = ml_on_negative_axis(alpha, beta, z)
+    for width in (7, _CONTOUR_BLOCK - 1, _CONTOUR_BLOCK + 1):
+        sliced = np.concatenate([ml_on_negative_axis(alpha, beta, z[i:i + width])
+                                 for i in range(0, z.size, width)])
+        assert np.array_equal(whole, sliced), width
+    edges = np.arange(_CONTOUR_BLOCK, z.size, _CONTOUR_BLOCK)
+    points = np.union1d(np.arange(0, z.size, 41), np.concatenate([edges - 1, edges]))
+    single = [ml_on_negative_axis(alpha, beta, z[i:i + 1])[0] for i in points]
+    assert np.array_equal(whole[points], single)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.7, 0.7),

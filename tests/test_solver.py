@@ -1,6 +1,7 @@
 """Evolution maps: free/forced/adjoint propagation and control signals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from ultradiff.hadamard import hadamard_derivative_left
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
-                              SpectralState, adjoint_solution, forced_solution,
-                              free_solution)
+                              SpectralState, _ml_matrix, adjoint_solution,
+                              forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, gradient_gram)
 
@@ -233,6 +234,23 @@ def test_kernel_rule_moments():
             exact = (1.0 - ml_on_negative_axis(alpha, 1.0, -lam * L ** alpha)) / lam
             assert_allclose(w @ ml_on_negative_axis(alpha, alpha, -lam * tau ** alpha),
                             exact, rtol=1e-10)
+
+
+def test_kernel_table_working_memory_is_bounded():
+    # the K=16 modal residual table: 131 distinct decay rates of 256 modes on
+    # 192 nodes, 25k arguments; the contour runs them in fixed blocks, not as
+    # two 33 x 25k complex temporaries (16.4 MiB)
+    basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 16)
+    taus, _ = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=192, length=math.log(4.0),
+                          lam_max=float(np.max(basis.lams)))
+    tracemalloc.start()
+    try:
+        table = _ml_matrix(0.7, basis.lams, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (256, 192)
+    assert peak <= 4 * 2 ** 20
 
 
 # --- control signal mechanics ------------------------------------------------
