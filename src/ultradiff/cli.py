@@ -419,21 +419,21 @@ def _target_coefficients(scenario: Scenario, n_modes: int) -> np.ndarray:
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):          # np.float64 too; leaves first
         value = float(obj)
         return value if math.isfinite(value) else repr(value)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (str, int)) or obj is None:
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _jsonable(obj.item())
     return obj
 
 
@@ -736,7 +736,8 @@ RUNNERS = {"simulate": run_simulate, "analyze": run_analyze,
 
 def run_selftest() -> int:
     from ._quadrature import kernel_rule
-    from .controllability import _khatri_rao_qr, _khatri_rao_rows
+    from .controllability import (RANK_RTOL, _kernel_directions, _khatri_rao_qr,
+                                  _khatri_rao_rows)
     from .mittag_leffler import ml_on_negative_axis
 
     failures = 0
@@ -788,6 +789,10 @@ def run_selftest() -> int:
     s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
     s_qr = np.linalg.svd(_khatri_rao_qr(d, table), compute_uv=False)
     check("khatri-rao-qr", float(np.max(np.abs(s_qr - s_map))) / s_map[0], 1e-12)
+    s_cut = np.linalg.svd(_khatri_rao_qr(d, _kernel_directions(table)), compute_uv=False)
+    same_rank = np.sum(s_cut > RANK_RTOL * s_cut[0]) == np.sum(s_qr > RANK_RTOL * s_qr[0])
+    check("stacked-compression", float(np.max(np.abs(s_cut - s_qr))) / s_qr[0]
+          if same_rank else math.inf, 1e-12)
 
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 4)

@@ -242,7 +242,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     certifies injectivity only generically, so the verdict is "generic".
     The time-sampled scaled couplings S are the Khatri-Rao product of D and
     the bucketed kernel table; `_khatri_rao_qr` gives S = Q_S R_S without
-    building S, and the rank is read from the small R_S Gamma.
+    building S, from `_kernel_directions`, and the rank is read from R_S Gamma.
     `alpha` and `window` fix the kernel's order and the sampled interval;
     the 1-D criterion does not read them.
 
@@ -297,13 +297,28 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
     # every mode of a bucket uses the kernel row of the bucket's first mode
     first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
+    directions = _kernel_directions(kernel[first].T)
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, kernel[first[inverse]].T)
+    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, inverse])
     stacked_rank = int(_ranks(r_s @ gram.matrix, RANK_RTOL))
+    logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
+                "directions", stacked_rank, n_modes, len(directions), len(taus))
     strategic = stacked_rank == n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
                            "generic", stacked_rank, n_modes, strategic,
                            "STRATEGIC" if strategic else "NOT")
+
+
+def _kernel_directions(table: np.ndarray) -> np.ndarray:
+    """Rows Sigma_r V_r^T of a kernel table's SVD U Sigma V^T, for the r
+    singular values above 1e-3 RANK_RTOL sigma_1.  The Khatri-Rao map of D and
+    the table is S = (I_m x U) S_Sigma, S_Sigma that of D and Sigma V^T, and
+    I_m x U has orthonormal columns; the rows cut from S_Sigma have columns
+    d_p (x) g_p, ||g_p|| <= sigma_{r+1}, so by Weyl no singular value of S Gamma
+    moves by more than sigma_{r+1} ||D||_F ||Gamma||_2 (Cauchy-like tables decay
+    geometrically: Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017)."""
+    _, s, vt = np.linalg.svd(table, full_matrices=False)
+    return (s[:, None] * vt)[s > 1e-3 * RANK_RTOL * s[0]]
 
 
 def _ranks(stack: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:

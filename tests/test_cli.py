@@ -21,7 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff.cli import (ScenarioError, _jsonable, build_objects, main,
-                           parse_scenario, reproduction_scenario,
+                           parse_scenario, reproduction_scenario, run_analyze,
                            scenario_from_dict, write_report)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
@@ -87,6 +87,57 @@ def test_report_echoes_the_scenario_as_asdict_would():
                  sorted((SRC.parent / "scenarios").glob("*.json"))]
     for scenario in [*scenarios, reproduction_scenario()]:
         assert _jsonable(scenario) == _jsonable(dataclasses.asdict(scenario))
+
+
+def _jsonable_reference(obj):
+    """The report converter as it was before it tested the common leaves
+    first: every node paid the dataclass check."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable_reference(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_reference(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        value = float(obj)
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+@dataclasses.dataclass
+class _Leaf:
+    x: float
+    flags: tuple
+
+
+@dataclasses.dataclass
+class _Node:
+    name: str
+    leaf: _Leaf
+    items: list
+    table: np.ndarray
+    extra: dict
+
+
+def test_report_text_is_unchanged_by_the_leaf_order():
+    scenarios = [parse_scenario(path) for path in
+                 sorted((SRC.parent / "scenarios").glob("*.json"))]
+    built = _Node("n", _Leaf(np.float64(-np.inf), (True, np.bool_(False), None)),
+                  [np.int64(7), (1, 2.5, np.float32(0.25)), math.nan, "text"],
+                  np.array([[1.0, np.inf], [-0.0, 3.0]]),
+                  {1: np.float64(2.0), "k": [math.inf, -math.inf], "b": False,
+                   "i": np.int32(-3), "nested": _Leaf(1e-300, ())})
+    analyzed = run_analyze(parse_scenario(str(SRC.parent / SHIPPED[1])))[1]
+    for obj in [*scenarios, reproduction_scenario(), built, analyzed]:
+        expected = json.dumps(_jsonable_reference(obj), sort_keys=True, indent=2)
+        assert json.dumps(_jsonable(obj), sort_keys=True, indent=2) == expected
 
 
 def test_invalid_scenario_reports_every_violation():

@@ -6,8 +6,10 @@ reciprocal-gamma table, actuator row from the hand closed form).
 """
 
 import dataclasses
+import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from numpy.testing import assert_allclose
 from scipy.linalg import svd
 
 from ultradiff._quadrature import kernel_rule
+from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
-                                       StrategicReport, _khatri_rao_qr, _qr,
+                                       StrategicReport, _kernel_directions,
+                                       _khatri_rao_qr, _qr,
                                        approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
@@ -34,6 +38,7 @@ from ultradiff.spectral import (Actuator, ActuatorSet, Region,
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
 SQUARE = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # alpha=0.7, K=2 on [0,1], whole-domain region, one constant zone actuator
 # on [0.15, 0.7]; W[p][q] = d_p d_q int tau^(2a-2) E_p E_q e^tau/b dtau
@@ -391,6 +396,90 @@ def test_stacked_rank_from_qr_matches_svd(setup):
                     rtol=0, atol=1e-12 * s[0])
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert report.stacked_rank == expected_rank
+
+
+UNIT_SQUARE = [[0.0, 1.0], [0.0, 1.0]]
+
+
+def _probe_scenario(cutoff, alpha, region, actuators):
+    return scenario_from_dict({
+        "name": "probe", "task": "analyze", "domain": UNIT_SQUARE,
+        "family": "canonical", "cutoff": cutoff, "alpha": alpha,
+        "window": [1.0, 4.0], "region": [region], "actuators": actuators})
+
+
+def _modal_probe(cutoff, alpha=0.7, region=UNIT_SQUARE):
+    """cutoff^2 whole-square `mode` actuators on the unit square."""
+    return _probe_scenario(cutoff, alpha, region, [
+        {"support": [UNIT_SQUARE], "profile": "mode", "coefficients": [p]}
+        for p in range(cutoff * cutoff)])
+
+
+def _zone_probe(cutoff, g):
+    """A g x g grid of product-of-sines boxes on the unit square, each axis's
+    frequency drawn from default_rng(3), observed on the quadrant [0, 0.5]^2."""
+    rng = np.random.default_rng(3)
+    boxes = [[[i / g, (i + 1) / g], [j / g, (j + 1) / g]]
+             for i in range(g) for j in range(g)]
+    return _probe_scenario(cutoff, 0.7, [[0.0, 0.5], [0.0, 0.5]], [
+        {"support": [box], "profile": "product-of-sines",
+         "coefficients": [1.0, *map(float, rng.integers(1, 7, size=2))]}
+        for box in boxes])
+
+
+@pytest.mark.parametrize("scenario, expected_rank", [
+    (lambda: _modal_probe(6, 0.98, [[0.0, 0.5], [0.0, 0.5]]), 35),
+    (lambda: _zone_probe(12, 8), 94),
+    (lambda: _zone_probe(20, 4), 122),
+    (lambda: parse_scenario(str(SCENARIOS / "whole-domain-negative.json")), 10),
+], ids=["near-classical-k6", "zone12-8", "zone20-4", "whole-domain-negative"])
+def test_compressed_kernel_table_keeps_the_explicit_stacked_rank(scenario,
+                                                                 expected_rank):
+    """The strategic test folds the kernel table's kept singular directions:
+    its stacked rank is the rank of the explicit 64-sample S Gamma, and the
+    compressed R_S Gamma keeps its singular values to 1e-12 s_0."""
+    scenario = scenario()
+    _, basis, region, acts = build_objects(scenario)
+    window = LogTimeWindow(*scenario.window)
+    d = actuator_coefficients(acts, basis)
+    gram = gradient_gram(basis, region).matrix
+    taus = np.geomspace(window.length * 1e-4, window.length, 64)
+    kernel = _ml_matrix(scenario.alpha, basis.lams, taus)
+    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    product = _stacked_observation_map(d, kernel, mode_buckets) @ gram
+    s = np.linalg.svd(product, compute_uv=False)
+    assert _rank(product, RANK_RTOL) == expected_rank
+
+    _, first, inverse = np.unique(mode_buckets, return_index=True,
+                                  return_inverse=True)
+    directions = _kernel_directions(kernel[first].T)
+    assert len(directions) < 64
+    r_s = _khatri_rao_qr(d, directions[:, inverse])
+    s_cut = np.zeros_like(s)
+    s_cut[:min(r_s.shape)] = np.linalg.svd(r_s @ gram, compute_uv=False)
+    assert_allclose(s_cut, s, rtol=0, atol=1e-12 * s[0])
+    report = strategic_test(basis, region, acts, alpha=scenario.alpha,
+                            window=window)
+    assert report.stacked_rank == expected_rank
+
+
+def test_modal_kernel_table_keeps_few_directions(caplog):
+    # K=16 modal probe: 122 buckets, of whose 64-sample kernels at most 24
+    # directions clear 1e-3 RANK_RTOL sigma_1; the INFO line reports them
+    scenario = _modal_probe(16)
+    _, basis, region, acts = build_objects(scenario)
+    window = LogTimeWindow(*scenario.window)
+    taus = np.geomspace(window.length * 1e-4, window.length, 64)
+    kernel = _ml_matrix(0.7, basis.lams, taus)
+    first = np.unique([mode.bucket for mode in basis.modes], return_index=True)[1]
+    kept = len(_kernel_directions(kernel[first].T))
+    assert kept <= 24
+    with caplog.at_level(logging.INFO, logger="ultradiff.controllability"):
+        report = strategic_test(basis, region, acts, alpha=0.7, window=window)
+    assert report.stacked_rank == 256
+    assert [record.getMessage() for record in caplog.records] == [
+        f"stacked strategic rank 256 of 256 modes from {kept} of 64 kernel "
+        "directions"]
 
 
 def _buckets_reference(basis, d, direction_norms):
