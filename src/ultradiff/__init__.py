@@ -6,11 +6,7 @@ rectangular domains.
 """
 
 from .logtime import LogTimeWindow, graded_grid
-from .mittag_leffler import (
-    MLConvergenceError,
-    mittag_leffler,
-    ml_on_negative_axis,
-)
+from .mittag_leffler import ml_on_negative_axis
 from .spectral import (
     Actuator,
     ActuatorSet,
@@ -26,7 +22,6 @@ from .spectral import (
 from .solver import (
     ControlSignal,
     EnergyDivergenceError,
-    SpectralState,
     adjoint_solution,
     forced_solution,
     free_solution,
@@ -54,8 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LogTimeWindow",
     "graded_grid",
-    "MLConvergenceError",
-    "mittag_leffler",
     "ml_on_negative_axis",
     "Actuator",
     "ActuatorSet",
@@ -69,7 +62,6 @@ __all__ = [
     "gradient_gram",
     "ControlSignal",
     "EnergyDivergenceError",
-    "SpectralState",
     "adjoint_solution",
     "forced_solution",
     "free_solution",

@@ -498,7 +498,7 @@ def run_simulate(scenario: Scenario) -> tuple[int, dict, dict]:
     times[-1] = window.b
     series = np.empty((n_samples, n_modes))
     for j, t in enumerate(times):
-        series[j] = free_solution(y0, basis, scenario.alpha, window, t).coefficients
+        series[j] = free_solution(y0, basis, scenario.alpha, window, t)
     # the state at b is series[-1]; its gradient's norm over the region is |R_Gamma z|
     seminorm = float(np.linalg.norm(gradient_gram(basis, region).factor @ series[-1]))
 
@@ -568,7 +568,7 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
                           solution.residual_map)
     report.update({
         "task": "synthesize",
-        "verdict": solution.diagnostics.verdict,
+        "verdict": solution.verdict.verdict,
         "ill_posed": solution.diagnostics.ill_posed,
         "energy": solution.energy,
         "dual_norm_squared": gnorm2,
@@ -612,16 +612,17 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                       epsilon: float | None = 1e-3) -> dict:
     """Run the built-in worked-example checks; discrepancies become rows.
 
-    Returns a dict with a `checks` list (name, passed, measured values), the
-    coefficient pairing table, and the truncation-stability comparison.  The
-    golden expectations are asserted as recorded; rows that the computed
-    mathematics contradicts are reported FAIL with the measured numbers, never
-    silently adjusted.
+    Returns a dict with the scenario that ran, a `checks` list (name, passed,
+    measured values), the coefficient pairing table, and the
+    truncation-stability comparison.  The golden expectations are asserted as
+    recorded; rows that the computed mathematics contradicts are reported FAIL
+    with the measured numbers, never silently adjusted.
     """
     scenario = dataclasses.replace(reproduction_scenario(), cutoff=cutoff,
                                    family=family, epsilon_cutoff=epsilon)
     if family != "whole-wave":
         return {
+            "scenario": scenario,
             "basis_guard": ("basis differs from the worked-example family; "
                             "golden comparison skipped"),
             "family": family,
@@ -684,6 +685,7 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
                    "passed": len(set(verdicts.values())) == 1})
 
     return {
+        "scenario": scenario,
         "family": family,
         "cutoff": cutoff,
         "epsilon_cutoff": epsilon,
@@ -700,14 +702,9 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
 
 def run_reproduce(scenario: Scenario) -> tuple[int, dict, dict]:
     # only the cutoff, family and epsilon cutoff of `scenario` reach the run
-    ran = dataclasses.replace(reproduction_scenario(), cutoff=scenario.cutoff,
-                              family=scenario.family,
-                              epsilon_cutoff=scenario.epsilon_cutoff)
-    result = reproduce_example(ran.cutoff, family=ran.family,
-                               epsilon=ran.epsilon_cutoff)
-    report = {"tool_version": __version__, "task": "reproduce-example",
-              "scenario": ran}
-    report.update(result)
+    result = reproduce_example(scenario.cutoff, family=scenario.family,
+                               epsilon=scenario.epsilon_cutoff)
+    report = {"tool_version": __version__, "task": "reproduce-example", **result}
 
     if "basis_guard" in result:
         print(result["basis_guard"])
@@ -761,7 +758,7 @@ def run_selftest() -> int:
           abs(float(np.sum(weights)) - 2.0 ** 0.7 / 0.7), 1e-10)
 
     window = LogTimeWindow(1.0, math.e)
-    u1 = ControlSignal.constant([1.0], window, 0.7, n=256)
+    u1 = ControlSignal.constant([1.0], window, 0.7)
     check("constant-control-energy",
           abs(energy(u1) - (window.b - window.a)), 1e-9)
 

@@ -346,55 +346,51 @@ class PairingRow:
     in_stated_parity: bool
 
 
-def worked_example_pairing_table(basis: SpectralBasis, region: Region,
-                                 ks=(1, 3, 5), ls=(1, 3, 5), ps=(2, 4), qs=(2, 4),
-                                 order: int = 96) -> list[PairingRow]:
+def worked_example_pairing_table(basis: SpectralBasis,
+                                 region: Region) -> list[PairingRow]:
     """Target-observability pairings for the reproduction example, both ways.
 
-    The quadrature column is the product of the zone-actuator mode mean over
-    the region with the pairing of the target (as a first-direction field)
-    against the mode gradient, everything on unit-norm modes.  Each target's
-    pairings with every mode gradient come from one call of the callable
-    path of `adjoint_gradient_coefficients`.  The closed-form
-    column evaluates the literal reference expression
+    Rows run over the modes (k, l) with k, l in {1, 3, 5} and the targets
+    (p, q) with p, q in {2, 4}.  The quadrature column is the product of the
+    zone-actuator mode mean over the region with the pairing of the target
+    (as a first-direction field) against the mode gradient, everything on
+    unit-norm modes, on order-96 rules.  Each target's pairings with every
+    mode gradient come from one call of the callable path of
+    `adjoint_gradient_coefficients`.  The closed-form column evaluates the
+    literal reference expression
     8p/(k l pi) (1/((k+p)pi) - 1/((k-p)pi)) (1/((l+q)pi) - 1/((l-q)pi)).
     The two disagree (normalization and sign conventions differ); both are
     reported with their relative discrepancy, and the quadrature value is the
-    operative one.  Index combinations where the closed form has a vanishing
-    denominator, or with the "wrong" parity (k or l even, p or q odd), are
-    flagged as outside the formula's stated regime.
+    operative one.  Odd modes and even targets are the formula's stated
+    parity regime, which `in_stated_parity` records per row.
     """
     if basis.domain.ndim != 2:
         raise ValueError("pairing table is defined for 2-D configurations")
+    modes, targets, order = (1, 3, 5), (2, 4), 96
     constant = SeparableProfile(((1.0, (np.ones_like,) * 2),))
     zone = ActuatorSet((Actuator(region, constant, "zone"),))
     means = actuator_coefficients(zone, basis, order)[0]
     pairings = {(p, q): adjoint_gradient_coefficients(
         _first_direction_field(p, q), basis, region, order)
-        for p in ps for q in qs}
+        for p in targets for q in targets}
     mode_pos = {mode.index: pos for pos, mode in enumerate(basis.modes)}
     rows = []
-    for k in ks:
-        for l in ls:
-            for p in ps:
-                for q in qs:
+    for k in modes:
+        for l in modes:
+            for p in targets:
+                for q in targets:
                     if (k, l) not in mode_pos:
                         raise ValueError(f"mode {(k, l)} beyond the basis cutoff")
                     pos = mode_pos[(k, l)]
                     quad = means[pos] * pairings[(p, q)][pos]
                     in_parity = (k % 2 == 1 and l % 2 == 1
                                  and p % 2 == 0 and q % 2 == 0)
-                    if k == p or l == q:
-                        closed = math.nan
-                        in_parity = False
-                    else:
-                        closed = (8.0 * p / (k * l * math.pi)
-                                  * (1.0 / ((k + p) * math.pi)
-                                     - 1.0 / ((k - p) * math.pi))
-                                  * (1.0 / ((l + q) * math.pi)
-                                     - 1.0 / ((l - q) * math.pi)))
-                    rel = (abs(closed - quad) / abs(quad)
-                           if quad != 0 and math.isfinite(closed) else math.nan)
+                    closed = (8.0 * p / (k * l * math.pi)
+                              * (1.0 / ((k + p) * math.pi)
+                                 - 1.0 / ((k - p) * math.pi))
+                              * (1.0 / ((l + q) * math.pi)
+                                 - 1.0 / ((l - q) * math.pi)))
+                    rel = abs(closed - quad) / abs(quad) if quad != 0 else math.nan
                     rows.append(PairingRow(k, l, p, q, closed, quad, rel, in_parity))
     return rows
 

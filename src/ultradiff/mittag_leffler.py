@@ -2,11 +2,9 @@
 
 E_{alpha,beta}(z) = sum_{n>=0} z^n / Gamma(n*alpha + beta), here for real z,
 0 < alpha <= 1, beta > 0 — the arguments the log-clock diffusion propagators
-produce.  `ml_on_negative_axis` is the one branch router for z <= 0, and the
-scalar `mittag_leffler` is its one-element case there.  The regimes:
+produce; every argument the system forms is z <= 0.  `ml_on_negative_axis`
+is the one branch router.  Its regimes:
 
-* z > 0 (scalar only): the defining series, terms by a log-space recurrence
-  (never forms z^n, so only a genuinely infinite value overflows).
 * -1e-8 < z <= 0: the two-term Taylor polynomial.
 * moderate negative z: a parabolic-contour inverse-Laplace quadrature --
   the series is numerically impossible here (peak terms reach 1e90 while the
@@ -20,6 +18,11 @@ series oracle its worst absolute error is 2.1e-12 over alpha in [0.1, 0.995],
 z in [-65, -0.05], and 1.5e-12 over alpha in [0.985, 1], beta in
 [0.3, 3.5], z in [-50, 0) (2.6e-13 for beta in {alpha, 1}).  The asymptotic
 branch agrees with it to 1.7e-13 on [-80, -50].
+
+`_series_f64` sums the defining series on either side of zero, its terms by a
+log-space recurrence (never forms z^n, so only a genuinely infinite value
+overflows).  No evaluation path calls it: it is the tests' independent float64
+reference, and raises `MLConvergenceError` where that reference fails.
 """
 
 from __future__ import annotations
@@ -122,24 +125,8 @@ def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public evaluators
+# public evaluator
 # ---------------------------------------------------------------------------
-
-def mittag_leffler(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) for real z, absolute accuracy ~1e-11 on |z| <= 50.
-
-    For z <= 0 this is the one-element case of `ml_on_negative_axis`.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got z={z}")
-    if z <= 0.0:
-        return float(ml_on_negative_axis(alpha, beta, z)[0])
-    _check_orders(alpha, beta)
-    if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)
-    return _series_f64(alpha, beta, z)
-
 
 def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} for arrays of arguments z <= 0.

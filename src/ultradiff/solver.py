@@ -62,26 +62,6 @@ def _check_alpha(alpha: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralState:
-    """Coefficient vector against a truncated eigenbasis at one time instant."""
-
-    basis: SpectralBasis
-    coefficients: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coefficients, dtype=float)
-        if c.shape != (len(self.basis.modes),):
-            raise ValueError(f"expected {len(self.basis.modes)} coefficients, "
-                             f"got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite state coefficients")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "t", float(self.t))
-
-
-@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """Vector control held by an exact evaluator on the clock tau = log(b/t).
 
@@ -99,17 +79,15 @@ class ControlSignal:
     smooth_fn: Callable[[np.ndarray], np.ndarray]
     singular: bool = False
     epsilon_cutoff: float | None = None
-    n: int = DEFAULT_CONTROL_NODES
     tau_grid: np.ndarray = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
-        if self.n < 8:
-            raise ValueError(f"control grid needs at least 8 nodes, got n={self.n}")
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
             raise ValueError("epsilon cutoff must be positive when given")
-        grid = graded_grid(self.window.length, n=self.n, exponent=2.0 / alpha)
+        grid = graded_grid(self.window.length, n=DEFAULT_CONTROL_NODES,
+                           exponent=2.0 / alpha)
         values = np.atleast_2d(np.array(self.smooth_fn(grid), dtype=float))
         if values.ndim != 2 or values.shape[1] != grid.size:
             raise ValueError(f"values shape {values.shape} does not match "
@@ -127,19 +105,15 @@ class ControlSignal:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, levels, window: LogTimeWindow, alpha: float, *,
-                 n: int = DEFAULT_CONTROL_NODES) -> "ControlSignal":
+    def constant(cls, levels, window: LogTimeWindow, alpha: float) -> "ControlSignal":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        return cls(window, alpha, lambda tau: np.tile(levels[:, None], (1, tau.size)),
-                   n=n)
+        return cls(window, alpha, lambda tau: np.tile(levels[:, None], (1, tau.size)))
 
     @classmethod
     def from_smooth_part(cls, fn, window: LogTimeWindow, alpha: float, *,
-                         n: int = DEFAULT_CONTROL_NODES,
                          epsilon_cutoff: float | None = None) -> "ControlSignal":
         """Build u = tau^(alpha-1) * fn(tau) from its smooth factor."""
-        return cls(window, alpha, fn, singular=True, epsilon_cutoff=epsilon_cutoff,
-                   n=n)
+        return cls(window, alpha, fn, singular=True, epsilon_cutoff=epsilon_cutoff)
 
     # -- shape ------------------------------------------------------------
 
@@ -254,25 +228,36 @@ class _InputMap:
         return np.einsum("tpq,pq->tp", rows, self.table.T)
 
 
+def _coefficients(values, basis: SpectralBasis) -> np.ndarray:
+    """A copy of one finite coefficient per mode of the basis."""
+    c = np.array(values, dtype=float)
+    if c.shape != (len(basis.modes),):
+        raise ValueError(f"expected {len(basis.modes)} coefficients, "
+                         f"got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("non-finite coefficients")
+    return c
+
+
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
-                  window: LogTimeWindow, t: float) -> SpectralState:
-    """Uncontrolled evolution of initial coefficients to time t."""
+                  window: LogTimeWindow, t: float) -> np.ndarray:
+    """Coefficients at time t of the uncontrolled evolution of z0."""
+    z0 = _coefficients(z0_coefficients, basis)
     alpha = _check_alpha(alpha)
     window.require_inside(t)
-    z0 = np.asarray(z0_coefficients, dtype=float)
     tau = window.tau_from_start(t)
     if tau == 0.0:
-        return SpectralState(basis, z0, t)
+        return z0
     decay = ml_on_negative_axis(alpha, 1.0, -basis.lams * tau ** alpha)
-    return SpectralState(basis, z0 * decay, t)
+    return z0 * decay
 
 
 def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSignal,
                     alpha: float, window: LogTimeWindow, t: float, *,
                     nodes: int = KERNEL_NODES,
                     coefficient_matrix: np.ndarray | None = None,
-                    epsilon: float | None = None) -> SpectralState:
-    """State reached from rest at time t under the control u.
+                    epsilon: float | None = None) -> np.ndarray:
+    """Coefficients of the state reached from rest at time t under the control u.
 
     The mode integrals use `kernel_rule` in y = s^alpha with its nodes placed
     for the largest decay rate, so the Mittag-Leffler factors are smooth on
@@ -305,19 +290,19 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
 
     kernel = _ml_matrix(alpha, basis.lams, s)
     driven = coefficient_matrix.T @ channel_values     # (n_modes, n_nodes)
-    coeffs = np.sum(kernel * driven * w, axis=1)
-    return SpectralState(basis, coeffs, t)
+    return np.sum(kernel * driven * w, axis=1)
 
 
 def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
-                     window: LogTimeWindow, t: float) -> SpectralState:
-    """Backward kernel field driven by final-datum coefficients.
+                     window: LogTimeWindow, t: float) -> np.ndarray:
+    """Coefficients at time t of the backward kernel field driven by final-datum
+    coefficients.
 
     Singular at t = b for alpha < 1; callers integrate on nodes strictly
     inside the window.
     """
+    c = _coefficients(datum_coefficients, basis)
     alpha = _check_alpha(alpha)
-    c = np.asarray(datum_coefficients, dtype=float)
     if alpha < 1.0 and t >= window.b * (1 - 1e-15):
         raise ValueError(f"backward kernel is singular at the final time b = "
                          f"{window.b:g} for alpha < 1; evaluate strictly inside")
@@ -326,4 +311,4 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
     kernel = ml_on_negative_axis(alpha, alpha, -basis.lams * tau ** alpha)
     if alpha < 1.0:
         kernel = tau ** (alpha - 1.0) * kernel
-    return SpectralState(basis, kernel * c, t)
+    return kernel * c

@@ -11,9 +11,8 @@ from ultradiff._quadrature import kernel_rule
 from ultradiff.hadamard import hadamard_derivative_left
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
-from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
-                              SpectralState, _ml_matrix, adjoint_solution,
-                              forced_solution, free_solution)
+from ultradiff.solver import (ControlSignal, EnergyDivergenceError, _ml_matrix,
+                              adjoint_solution, forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, gradient_gram)
 
@@ -53,14 +52,14 @@ def test_forced_solution_matches_frozen_quadrature():
     for t in (1.7, 2.5):
         state = forced_solution(acts, basis, u, 0.7, WINDOW, t)
         for p, mode in enumerate(basis.modes):
-            assert_allclose(state.coefficients[p],
+            assert_allclose(state[p],
                             FORCED_ORACLE[(t, mode.index[0])], rtol=1e-8)
 
 
 def test_forced_solution_node_count_converged():
     basis, acts, u = two_channel_setup()
-    c160 = forced_solution(acts, basis, u, 0.7, WINDOW, 2.5).coefficients
-    c320 = forced_solution(acts, basis, u, 0.7, WINDOW, 2.5, nodes=320).coefficients
+    c160 = forced_solution(acts, basis, u, 0.7, WINDOW, 2.5)
+    c320 = forced_solution(acts, basis, u, 0.7, WINDOW, 2.5, nodes=320)
     assert_allclose(c160, c320, rtol=0, atol=1e-10)
 
 
@@ -71,15 +70,14 @@ def test_forced_solution_superposition():
     f2 = lambda tau: np.vstack([(L - tau) ** 2, np.exp(-(L - tau))])
     u1 = ControlSignal(WINDOW, 0.7, f1)
     u2 = ControlSignal(WINDOW, 0.7, f2)
-    separate = (forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2).coefficients
-                + forced_solution(acts, basis, u2, 0.7, WINDOW, 2.2).coefficients)
+    separate = (forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2)
+                + forced_solution(acts, basis, u2, 0.7, WINDOW, 2.2))
     total = ControlSignal(WINDOW, 0.7, lambda tau: f1(tau) + f2(tau))
-    combined = forced_solution(acts, basis, total, 0.7, WINDOW, 2.2).coefficients
+    combined = forced_solution(acts, basis, total, 0.7, WINDOW, 2.2)
     assert_allclose(combined, separate, rtol=1e-12)
     scaled = ControlSignal(WINDOW, 0.7, lambda tau: 2.0 * f1(tau))
-    doubled = forced_solution(acts, basis, scaled, 0.7, WINDOW, 2.2).coefficients
-    assert_allclose(doubled,
-                    2.0 * forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2).coefficients,
+    doubled = forced_solution(acts, basis, scaled, 0.7, WINDOW, 2.2)
+    assert_allclose(doubled, 2.0 * forced_solution(acts, basis, u1, 0.7, WINDOW, 2.2),
                     rtol=1e-13)
 
 
@@ -98,7 +96,7 @@ def test_classical_free_solution():
     for t in (1.0, 1.4, 2.5):
         state = free_solution(z0, basis, 1.0, WINDOW, t)
         tau = math.log(t / WINDOW.a)
-        assert_allclose(state.coefficients, z0 * np.exp(-basis.lams * tau),
+        assert_allclose(state, z0 * np.exp(-basis.lams * tau),
                         rtol=1e-12)
 
 
@@ -116,18 +114,17 @@ def test_classical_forced_solution_constant_control():
         k = mode.index[0]
         d_p = math.sqrt(2.0) * (1.0 - math.cos(k * math.pi)) / (k * math.pi)
         exact = level * d_p * (1.0 - math.exp(-basis.lams[p] * L)) / basis.lams[p]
-        assert_allclose(state.coefficients[p], exact, rtol=0, atol=1e-10)
+        assert_allclose(state[p], exact, rtol=0, atol=1e-10)
 
 
 def test_classical_adjoint_solution():
     basis = SpectralBasis(DOMAIN_1D, 2)
     c = np.array([0.7, -0.2])
     # no singular prefactor at alpha = 1, so t = b is fine and gives c itself
-    assert_allclose(adjoint_solution(c, basis, 1.0, WINDOW, WINDOW.b).coefficients,
-                    c, rtol=1e-14)
+    assert_allclose(adjoint_solution(c, basis, 1.0, WINDOW, WINDOW.b), c, rtol=1e-14)
     t = 1.6
     tau = math.log(WINDOW.b / t)
-    assert_allclose(adjoint_solution(c, basis, 1.0, WINDOW, t).coefficients,
+    assert_allclose(adjoint_solution(c, basis, 1.0, WINDOW, t),
                     c * np.exp(-basis.lams * tau), rtol=1e-12)
 
 
@@ -148,7 +145,7 @@ def test_free_solution_satisfies_fractional_decay_equation():
 
         for th in (0.2, 0.55, 0.9):
             t = WINDOW.a * (WINDOW.b / WINDOW.a) ** th
-            y_t = free_solution(z0, basis, alpha, WINDOW, t).coefficients[p]
+            y_t = free_solution(z0, basis, alpha, WINDOW, t)[p]
             tau = WINDOW.tau_from_start(t)
             assert_allclose(y_t, ml_on_negative_axis(
                 alpha, 1.0, -basis.lams * tau ** alpha)[p], rtol=1e-13, atol=0)
@@ -160,7 +157,7 @@ def test_free_solution_initial_instant_is_identity():
     basis = SpectralBasis(DOMAIN_1D, 3)
     z0 = np.array([0.3, 0.1, -0.2])
     state = free_solution(z0, basis, 0.6, WINDOW, WINDOW.a)
-    assert np.array_equal(state.coefficients, z0)
+    assert np.array_equal(state, z0)
 
 
 def test_adjoint_solution_refuses_final_time_when_singular():
@@ -178,7 +175,7 @@ def test_adjoint_solution_interior_profile():
     tau = math.log(WINDOW.b / t)
     kernel = tau ** (alpha - 1.0) * ml_on_negative_axis(
         alpha, alpha, -basis.lams * tau ** alpha)
-    got = adjoint_solution(c, basis, alpha, WINDOW, t).coefficients
+    got = adjoint_solution(c, basis, alpha, WINDOW, t)
     assert_allclose(got, kernel * c, rtol=1e-13)
 
 
@@ -202,13 +199,13 @@ def test_singular_control_divergence_refusal_and_cutoff():
     # an explicit cutoff makes the same evaluation finite
     state = forced_solution(acts, basis, singular_signal(0.4, epsilon=1e-3), 0.4,
                             WINDOW, WINDOW.b)
-    assert np.all(np.isfinite(state.coefficients))
+    assert np.all(np.isfinite(state))
     # interior times never touch the singular endpoint
     interior = forced_solution(acts, basis, u, 0.4, WINDOW, 2.0)
-    assert np.all(np.isfinite(interior.coefficients))
+    assert np.all(np.isfinite(interior))
     # integrable case needs no cutoff
     ok = forced_solution(acts, basis, singular_signal(0.7), 0.7, WINDOW, WINDOW.b)
-    assert np.all(np.isfinite(ok.coefficients))
+    assert np.all(np.isfinite(ok))
 
 
 def test_kernel_rule_moments():
@@ -272,8 +269,6 @@ def test_control_signal_times_round_trip():
 
 def test_control_signal_validation():
     ones = lambda tau: np.ones((1, tau.size))
-    with pytest.raises(ValueError, match="at least 8"):
-        ControlSignal(WINDOW, 0.7, ones, n=4)
     with pytest.raises(ValueError, match="does not match"):
         ControlSignal(WINDOW, 0.7, lambda tau: np.ones((1, 9)))
     with pytest.raises(ValueError, match="non-finite"):
@@ -284,20 +279,22 @@ def test_control_signal_validation():
         singular_signal(0.6).evaluate_tau(np.array([0.0, 0.1]))
 
 
-# --- state containers ---------------------------------------------------------
+# --- coefficient inputs --------------------------------------------------------
 
-def test_spectral_state_validates_its_coefficients():
-    basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 2)
-    coeffs = np.random.default_rng(5).standard_normal(len(basis.modes))
-    state = SpectralState(basis, coeffs, 2.0)
-    assert np.array_equal(state.coefficients, coeffs)
-    assert not state.coefficients.flags.writeable
-    with pytest.raises(ValueError, match="coefficients"):
-        SpectralState(basis, coeffs[:-1], 2.0)
-    with pytest.raises(ValueError, match="finite"):
-        bad = coeffs.copy()
-        bad[0] = np.inf
-        SpectralState(basis, bad, 2.0)
+def test_free_and_adjoint_solutions_validate_their_coefficients():
+    # one finite coefficient per mode, checked before any arithmetic: a short
+    # vector must not broadcast against the basis's decay rates
+    basis = SpectralBasis(DOMAIN_1D, 4)
+    bad = np.array([0.5, np.inf, 0.1, 0.2])
+    for solution in (free_solution, adjoint_solution):
+        for t in (2.0, WINDOW.a):
+            with pytest.raises(ValueError, match="expected 4 coefficients"):
+                solution([1.0], basis, 0.7, WINDOW, t)
+            with pytest.raises(ValueError, match="expected 4 coefficients"):
+                solution(np.ones(5), basis, 0.7, WINDOW, t)
+            with pytest.raises(ValueError, match="non-finite"):
+                solution(bad, basis, 0.7, WINDOW, t)
+            assert solution(np.ones(4), basis, 0.7, WINDOW, t).shape == (4,)
 
 
 def test_final_gradient_norm_against_eigenvalue_identity():
@@ -305,7 +302,6 @@ def test_final_gradient_norm_against_eigenvalue_identity():
     # final state's gradient seminorm |R_Gamma z| is sqrt(sum lam_p z_p^2)
     basis = SpectralBasis(DOMAIN_1D, 4)
     coeffs = np.array([0.5, -0.25, 0.125, 0.0625])
-    state = SpectralState(basis, coeffs, WINDOW.b)
     factor = gradient_gram(basis, Region.whole(DOMAIN_1D)).factor
     exact = math.sqrt(float(np.sum(basis.lams * coeffs ** 2)))
-    assert_allclose(np.linalg.norm(factor @ state.coefficients), exact, rtol=1e-11)
+    assert_allclose(np.linalg.norm(factor @ coeffs), exact, rtol=1e-11)
