@@ -294,10 +294,9 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
                                "STRATEGIC" if strategic else "NOT")
 
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
-    kernel = _ml_matrix(alpha, basis.lams, taus)          # (n_modes, n_taus)
-    # every mode of a bucket uses the kernel row of the bucket's first mode
+    # one kernel row per bucket; every mode of a bucket shares its row
     first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
-    directions = _kernel_directions(kernel[first].T)
+    directions = _kernel_directions(_ml_matrix(alpha, basis.lams[first], taus).T)
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
     r_s = _khatri_rao_qr(coefficient_matrix, directions[:, inverse])
     stacked_rank = int(_ranks(r_s @ gram.matrix, RANK_RTOL))

@@ -13,11 +13,18 @@ is the one branch router.  Its regimes:
 
 The contour rule (N=32, h=3/N, mu=pi*N/12; Weideman & Trefethen, Math. Comp.
 76 (2007) 1341) serves every order 0 < alpha <= 1 with no special case near
-alpha = 1; only alpha = beta = 1 short-cuts to exp.  Against a high-precision
-series oracle its worst absolute error is 2.1e-12 over alpha in [0.1, 0.995],
-z in [-65, -0.05], and 1.5e-12 over alpha in [0.985, 1], beta in
-[0.3, 3.5], z in [-50, 0) (2.6e-13 for beta in {alpha, 1}).  The asymptotic
-branch agrees with it to 1.7e-13 on [-80, -50].
+alpha = 1; only alpha = beta = 1 short-cuts to exp.  At real z each node's
+term Re(P_k / (A_k - z)) is evaluated in real arithmetic, from four
+constants per node cached per (alpha, beta); the arguments run through two
+reused float buffers in blocks, so a table of any size needs 128 KiB of
+working memory.  Against a high-precision series oracle the rule's worst
+absolute error is 2.1e-12 over alpha in [0.1, 0.995], z in [-65, -0.05], and
+1.5e-12 over alpha in [0.985, 1], beta in [0.3, 3.5], z in [-50, 0) (2.6e-13
+for beta in {alpha, 1}), as measured in complex arithmetic; the real form
+moves no value on those ranges by more than 8.1e-13.  Against 750-digit
+series values at alpha in {0.55, 0.7, 0.99}, beta in {alpha, 1} and 20 z in
+[-49.9, -0.05] its worst error is 5.7e-13 (6.1e-13 in complex arithmetic).
+The asymptotic branch agrees with the contour to 1.7e-13 on [-80, -50].
 
 `_series_f64` sums the defining series on either side of zero, its terms by a
 log-space recurrence (never forms z^n, so only a genuinely infinite value
@@ -28,6 +35,7 @@ reference, and raises `MLConvergenceError` where that reference fails.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, rgamma
@@ -36,9 +44,10 @@ _MAX_TERMS = 10_000
 _ASYMPTOTIC_CUT = -50.0
 _ASYMPTOTIC_TERMS = 10
 _TINY_Z = 1e-8
-# the contour runs in blocks of this many columns through one reused buffer,
-# so its working memory is 33 x 2048 complex (~1 MiB) whatever the table size
-_CONTOUR_BLOCK = 2048
+# the contour runs in blocks of this many arguments through two reused real
+# buffers, so its working memory is 2 x 8192 floats (128 KiB) whatever the
+# table size; each block pays 33 x 7 ufunc calls, so blocks are kept large
+_CONTOUR_BLOCK = 8192
 
 
 class MLConvergenceError(ArithmeticError):
@@ -88,29 +97,49 @@ def _series_f64(alpha: float, beta: float, z: float) -> float:
     raise MLConvergenceError(alpha, beta, z, f"no convergence in {_MAX_TERMS} terms")
 
 
-def _contour(alpha: float, beta: float, z) -> np.ndarray:
-    """Parabolic-contour quadrature, z a 1-D array of strictly negative reals."""
+@lru_cache(maxsize=16)
+def _contour_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
+    """(a_r, a_i^2, p_r, p_i a_i) per node of the contour rule, last node
+    first: A = zeta^alpha = a_r + i a_i, and P = p_r + i p_i is the node's
+    prefactor with the rule's weight 2 mu h / pi (halved at u = 0) folded in.
+    The node's term Re(P / (A - z)) at real z is then
+    (p_r t + p_i a_i) / (t^2 + a_i^2) with t = a_r - z."""
     N = 32
     h = 3.0 / N
     mu = math.pi * N / 12.0
     u = np.arange(N + 1) * h
     zeta = mu * (1.0 + 1j * u) ** 2
-    pref = (np.exp(zeta) * zeta ** (alpha - beta) * (1.0 + 1j * u))[:, None]
-    zeta_alpha = (zeta ** alpha)[:, None]
-    acc = np.empty_like(z)
-    buf = np.empty((N + 1, min(z.size, _CONTOUR_BLOCK)), dtype=complex)
+    pref = np.exp(zeta) * zeta ** (alpha - beta) * (1.0 + 1j * u)
+    pref[0] *= 0.5
+    pref *= 2.0 * mu * h / math.pi
+    a = zeta ** alpha
+    # the terms shrink like exp(mu (1 - u^2)): add the small ones first
+    return tuple(zip(a.real.tolist(), (a.imag ** 2).tolist(), pref.real.tolist(),
+                     (pref.imag * a.imag).tolist()))[::-1]
+
+
+def _contour(alpha: float, beta: float, z) -> np.ndarray:
+    """Parabolic-contour quadrature, z a 1-D array of strictly negative reals.
+
+    Real arithmetic only: each node's term is added over a block of
+    arguments at a time, in one fixed order, so a value does not depend on
+    its batch or its block."""
+    terms = _contour_terms(alpha, beta)
+    acc = np.zeros_like(z)
+    t = np.empty(min(z.size, _CONTOUR_BLOCK))
+    num = np.empty_like(t)
     for start in range(0, z.size, _CONTOUR_BLOCK):
         out = acc[start:start + _CONTOUR_BLOCK]
-        g = buf[:, :out.size]
-        np.subtract(zeta_alpha, z[start:start + out.size], out=g)
-        np.divide(pref, g, out=g)
-        g[0] *= 0.5
-        # one fixed order of additions, so a value does not depend on its batch
-        # (numpy's axis-0 sum is pairwise for one column, row by row for several)
-        out[:] = g.real[0]
-        for row in g.real[1:]:
-            out += row
-    return (2.0 * mu * h / math.pi) * acc
+        zb, tb, nb = z[start:start + out.size], t[:out.size], num[:out.size]
+        for a_r, a_i2, p_r, p_ia in terms:
+            np.subtract(a_r, zb, out=tb)
+            np.multiply(tb, p_r, out=nb)
+            nb += p_ia
+            tb *= tb
+            tb += a_i2
+            nb /= tb
+            out += nb
+    return acc
 
 
 def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:
@@ -138,6 +167,8 @@ def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         z = z[None]
+    if not np.all(np.isfinite(z)):
+        raise ValueError("ml_on_negative_axis requires finite z")
     if np.any(z > 0.0):
         raise ValueError("ml_on_negative_axis requires z <= 0")
     if alpha == 1.0 and beta == 1.0:

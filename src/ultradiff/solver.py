@@ -159,8 +159,10 @@ class ControlSignal:
 
 
 def _ml_matrix(alpha: float, lams, taus) -> np.ndarray:
-    """E_{alpha,alpha}(-lam_p tau_q^alpha) as a (n_modes, n_taus) table, with
-    one evaluation per distinct lam (lam_kl = lam_lk on a square)."""
+    """E_{alpha,alpha}(-lam_p tau_q^alpha) as a (n_modes, n_taus) table from
+    one router call, with one row evaluated per distinct lam.  A basis gives
+    every member of an eigenvalue bucket the same float, so that is one row
+    per bucket, and modes of one bucket get identical rows."""
     lams, rows = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
     taus = np.asarray(taus, dtype=float)
     z = -np.outer(lams, taus ** alpha)
@@ -240,16 +242,18 @@ def _coefficients(values, basis: SpectralBasis) -> np.ndarray:
 
 
 def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
-                  window: LogTimeWindow, t: float) -> np.ndarray:
-    """Coefficients at time t of the uncontrolled evolution of z0."""
+                  window: LogTimeWindow, t) -> np.ndarray:
+    """Coefficients of the uncontrolled evolution of z0 at time t, or at each
+    of a vector of times (one row per time), from one kernel table."""
     z0 = _coefficients(z0_coefficients, basis)
     alpha = _check_alpha(alpha)
-    window.require_inside(t)
-    tau = window.tau_from_start(t)
-    if tau == 0.0:
-        return z0
-    decay = ml_on_negative_axis(alpha, 1.0, -basis.lams * tau ** alpha)
-    return z0 * decay
+    times = np.asarray(t, dtype=float)
+    window.require_inside(times)
+    # a scalar time takes the array arithmetic too, so it gets its row of the
+    # table to the bit; at t = a, z = -0.0 and the Taylor branch gives 1
+    tau = window.tau_from_start(times.ravel())
+    decay = ml_on_negative_axis(alpha, 1.0, -np.outer(tau ** alpha, basis.lams))
+    return (z0 * decay).reshape(times.shape + z0.shape)
 
 
 def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSignal,

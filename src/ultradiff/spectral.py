@@ -112,7 +112,8 @@ def overlapping_pairs(boxes) -> list[tuple[int, int]]:
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
     """One normalized Laplacian eigenfunction: its per-axis indices, its
-    eigenvalue and the bucket of equal eigenvalues it belongs to."""
+    eigenvalue and the bucket of equal eigenvalues it belongs to.  Every
+    member of a bucket holds the same float, its first member's."""
 
     index: tuple[int, ...]
     lam: float
@@ -149,14 +150,18 @@ class SpectralBasis:
                    for k in axis_indices for l in axis_indices]
         raw.sort(key=lambda item: (item[1], item[0]))
 
+        # each bucket carries its first member's eigenvalue: members summed in
+        # another order (lam_kl = lam_lk) differ in their last bits, and the
+        # kernel tables, W's equal pairs and the bucket map must agree exactly
         modes: list[Eigenpair] = []
         bucket = -1
-        prev_lam = None
+        prev_lam = first_lam = None
         for index, lam in raw:
             if prev_lam is None or lam - prev_lam > BUCKET_RTOL * lam:
                 bucket += 1
+                first_lam = lam
             prev_lam = lam
-            modes.append(Eigenpair(index, lam, bucket))
+            modes.append(Eigenpair(index, first_lam, bucket))
         self.modes: tuple[Eigenpair, ...] = tuple(modes)
         self.lams = np.array([m.lam for m in modes])
 

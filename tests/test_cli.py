@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 
 from ultradiff.cli import (ScenarioError, _jsonable, build_objects, main,
                            parse_scenario, reproduction_scenario, run_analyze,
-                           scenario_from_dict, write_report)
+                           run_simulate, scenario_from_dict, write_report)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
@@ -477,6 +477,23 @@ def test_simulate_free_evolution(tmp_path):
     rows = list(csv.reader((out / "sim-state-series.csv").open(newline="")))
     assert rows[0] == ["t", "c_0", "c_1"]
     assert len(rows) == 1 + 33
+
+
+def test_simulate_series_is_one_table_of_per_time_free_solutions():
+    # simulate evaluates its 33 samples as one kernel table; every row is,
+    # to the bit, the free solution at its own time computed on its own
+    scenario = dataclasses.replace(
+        parse_scenario("scenarios/hum-demo.json"),
+        y0=tuple(np.random.default_rng(4).standard_normal(36).tolist()))
+    _, basis, _, _ = build_objects(scenario)
+    window = LogTimeWindow(*scenario.window)
+    code, report, tables = run_simulate(scenario)
+    (_, rows), = tables.values()
+    assert code == 0 and len(rows) == 33
+    for t, *coefficients in rows:
+        assert np.array_equal(coefficients, free_solution(
+            scenario.y0, basis, scenario.alpha, window, t))
+    assert np.array_equal(report["final_coefficients"], rows[-1][1:])
 
 
 def test_mode_profiles_resolve_lazily(tmp_path, capsys):

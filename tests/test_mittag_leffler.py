@@ -8,6 +8,11 @@ relative.  NEAR_ONE was produced with mpmath 1.3.0 by summing the defining
 power series at 50 decimal digits plus the digits of its largest term
 (~|z| / ln 10 near alpha = 1), until a term fell below 10^-(digits + 5); a
 second summation 30 digits wider agreed to 3.4e-47 relative at every entry.
+CONTOUR_ORACLE was produced with mpmath 1.3.0 by summing the defining series
+at the exact binary values of the float arguments, at 650 and at 750 decimal
+digits (the terms peak near 1e531 at alpha = 0.55, z = -49.9), until a term
+fell below 10^-digits; the two sums agreed to 3.2e-116 relative at every
+entry, and the 750-digit one is frozen at 25 significant digits.
 """
 
 import math
@@ -127,6 +132,81 @@ NEAR_ONE = {
 }
 
 
+# arguments of CONTOUR_ORACLE, every one on the contour branch
+CONTOUR_Z = (-0.05, -0.08, -0.13, -0.2, -0.33, -0.5, -0.8, -1.3, -2.0, -3.3,
+             -5.0, -8.5, -12.0, -17.5, -22.0, -28.0, -35.0, -40.0, -45.0, -49.9)
+
+# (alpha, beta) -> E_{alpha,beta}(z) for z in CONTOUR_Z
+CONTOUR_ORACLE = {
+    (0.55, 0.55): (
+        0.5688751879166735542953723, 0.5413431299208675488779977,
+        0.4990624752642574836367678, 0.4466019768575284655607239,
+        0.3663944275750503323275802, 0.2872086066665209156374333,
+        0.1942261953151616220204435, 0.1110345489526226903079611,
+        0.05899320567252802964243695, 0.02477983619009637039394028,
+        0.01126344988105365897460373, 0.0039477479280215576868468,
+        0.001978461259922179676484166, 0.000926974844898482163995846,
+        0.0005851711597412292628402709, 0.0003604237998500912468438497,
+        0.0002302362983220275144442785, 0.0001760972664348546756707057,
+        0.0001390256300581864060276946, 0.0001129884485696994637405528),
+    (0.55, 1.0): (
+        0.9460559931761497540627225, 0.9157850756056633458153241,
+        0.8685265848130265995667091, 0.8084257976920276498560448,
+        0.7127412076518186774802446, 0.6123666496108976182682472,
+        0.4832166862388973913482611, 0.3491437407136024490163272,
+        0.2457108013854200890199226, 0.1548880920252843697869541,
+        0.1031349442246062680559983, 0.06062554425967102471672099,
+        0.04283506729085031663343628, 0.02928996375156550045357671,
+        0.02326378469418779314237471, 0.0182536623967073883751271,
+        0.01458730191163513796472933, 0.01275679211419739953548827,
+        0.01133435856904833193779288, 0.0102177565209059607356424),
+    (0.7, 0.7): (
+        0.7163463872909470758348455, 0.6860405652286338260911501,
+        0.6387855077840261013500239, 0.5788654635917561186965931,
+        0.4842000502996166227300263, 0.386610800822527102785893,
+        0.2658640926467265665955235, 0.1514539728735957713274453,
+        0.07735822433852122202817982, 0.02954651437168274715709318,
+        0.01220112416715612697204908, 0.003861774666549242066723197,
+        0.001848087132373878369536242, 0.0008358480113045337263454055,
+        0.0005194856766558464704707226, 0.0003158805988623664293396245,
+        0.0001999089035790272448733497, 0.0001521949211258527842056191,
+        0.0001197252388580868582368205, 0.00009703012543712060202976299),
+    (0.7, 1.0): (
+        0.9469296630912468726607439, 0.9168839566773535917063694,
+        0.869592143454415333808396, 0.808767128313044867880061,
+        0.7103615955128770875534486, 0.6051475920595642727129876,
+        0.4672711465284544262238113, 0.3229308776762171765674091,
+        0.2137867270152972753355373, 0.123933306048220568847939,
+        0.07756935776476980998110868, 0.04312519563404964312874696,
+        0.02976116832544935660592883, 0.01999354155775372456084565,
+        0.0157572900844743907276525, 0.01228503170636216938406665,
+        0.009772087919762656484794634, 0.008526170230910744382411374,
+        0.007561973563660924628072633, 0.006807498953913390024823904),
+    (0.99, 0.99): (
+        0.9450074879716290837318993, 0.9166947637086314086205458,
+        0.8713885696895389673103021, 0.8117151411870178502504508,
+        0.7115734094225819024472579, 0.5991075497357993209438266,
+        0.4424304624116164960783383, 0.2673127529421899379578997,
+        0.1325004592158524965684521, 0.03656613169233004616857603,
+        0.007189542303028953453156703, 0.0004550918211486846850146148,
+        0.0001131981496426137763917641, 0.00004259156328910929296921522,
+        0.00002524480798889512120177395, 0.00001483688117090318824669653,
+        0.000009179395448244054461904047, 0.000006914085221868877566851866,
+        0.000005395356424270823328133398, 0.000004345683475750972041433269),
+    (0.99, 1.0): (
+        0.9510416089546131436872325, 0.922836184996649215473856,
+        0.8776922802814465327191786, 0.8182136866229181966948821,
+        0.7183448304513809297847403, 0.6060899526314164779763533,
+        0.4494863279246749151653596, 0.273983452746391732784787,
+        0.1382172806980640283949662, 0.04056696422829456427431395,
+        0.009768092139174128170771058, 0.001822508865851181621089858,
+        0.001034829447638198098393959, 0.0006538047692030533772404732,
+        0.0005048387089726408669094942, 0.0003875709519372470409195256,
+        0.0003050619054788978493663963, 0.0002648272293574449876453652,
+        0.0002339806270823247762932039, 0.0002100145404962367881949403),
+}
+
+
 @pytest.mark.parametrize("alpha,beta,z,expected", ORACLE)
 def test_against_frozen_reference(alpha, beta, z, expected):
     # the router on z <= 0; the float64 series reference on z > 0
@@ -143,6 +223,14 @@ def test_orders_near_one_against_frozen_reference(alpha, beta):
     expected = np.array(NEAR_ONE[(alpha, beta)])
     assert_allclose(ml_on_negative_axis(alpha, beta, z), expected,
                     rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("alpha,beta", list(CONTOUR_ORACLE))
+def test_contour_against_high_precision_series(alpha, beta):
+    # the contour's absolute accuracy over its whole range, at the kernel's
+    # order pairs beta = alpha and beta = 1
+    assert_allclose(ml_on_negative_axis(alpha, beta, CONTOUR_Z),
+                    CONTOUR_ORACLE[(alpha, beta)], rtol=0, atol=1e-12)
 
 
 def test_value_at_zero_is_reciprocal_gamma():
@@ -273,6 +361,15 @@ def test_params_validation():
     for alpha, beta in ((0.0, 1.0), (1.2, 1.0), (0.5, -1.0)):
         with pytest.raises(ValueError):
             ml_on_negative_axis(alpha, beta, np.array([-1.0]))
+
+
+@pytest.mark.parametrize("z", [[math.nan, -1.0], [-math.inf], [-2.0, math.inf]])
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (1.0, 1.0)])
+def test_non_finite_arguments_are_refused(alpha, beta, z):
+    # a NaN would reach the contour and come back as NaN, and -inf would
+    # take the asymptotic branch to 0; neither is a value of E
+    with pytest.raises(ValueError, match="finite"):
+        ml_on_negative_axis(alpha, beta, np.array(z))
 
 
 @settings(max_examples=60, deadline=None)

@@ -234,9 +234,9 @@ def test_kernel_rule_moments():
 
 
 def test_kernel_table_working_memory_is_bounded():
-    # the K=16 modal residual table: 131 distinct decay rates of 256 modes on
-    # 192 nodes, 25k arguments; the contour runs them in fixed blocks, not as
-    # two 33 x 25k complex temporaries (16.4 MiB)
+    # the K=16 modal residual table: 122 buckets of 256 modes on 192 nodes,
+    # 23k arguments; the contour runs them in fixed blocks, not as two
+    # 33 x 23k complex temporaries (16.4 MiB at 131 rows)
     basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 16)
     taus, _ = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=192, length=math.log(4.0),
                           lam_max=float(np.max(basis.lams)))
@@ -248,6 +248,22 @@ def test_kernel_table_working_memory_is_bounded():
         tracemalloc.stop()
     assert table.shape == (256, 192)
     assert peak <= 4 * 2 ** 20
+
+
+def test_kernel_table_has_one_row_per_eigenvalue_bucket():
+    # on the unit square lam_kl = lam_lk, and k^2 + l^2 = 50 from (1,7), (5,5)
+    # and (7,1); summed in another order they differ in their last bits, so a
+    # bucket must carry one float for its members to share one kernel row
+    basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 16)
+    taus, _ = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=192, length=math.log(4.0),
+                          lam_max=float(np.max(basis.lams)))
+    table = _ml_matrix(0.7, basis.lams, taus)
+    buckets = np.array([mode.bucket for mode in basis.modes])
+    assert buckets[-1] + 1 == 122
+    assert len(np.unique(table, axis=0)) == 122
+    for bucket in range(122):
+        rows = table[buckets == bucket]
+        assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
 
 # --- control signal mechanics ------------------------------------------------
