@@ -98,7 +98,7 @@ def _series_f64(alpha: float, beta: float, z: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _contour_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
+def _contour_terms(alpha: float, beta: float) -> tuple[tuple[np.ndarray, ...], ...]:
     """(a_r, a_i^2, p_r, p_i a_i) per node of the contour rule, last node
     first: A = zeta^alpha = a_r + i a_i, and P = p_r + i p_i is the node's
     prefactor with the rule's weight 2 mu h / pi (halved at u = 0) folded in.
@@ -113,9 +113,11 @@ def _contour_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
     pref[0] *= 0.5
     pref *= 2.0 * mu * h / math.pi
     a = zeta ** alpha
-    # the terms shrink like exp(mu (1 - u^2)): add the small ones first
-    return tuple(zip(a.real.tolist(), (a.imag ** 2).tolist(), pref.real.tolist(),
-                     (pref.imag * a.imag).tolist()))[::-1]
+    nodes = np.stack([a.real, a.imag ** 2, pref.real, pref.imag * a.imag]).T
+    # the terms shrink like exp(mu (1 - u^2)): add the small ones first.  A
+    # ufunc takes a 0-d array operand faster than a Python float, and the
+    # contour makes 7 calls per node and block
+    return tuple(tuple(np.array(c) for c in node) for node in nodes[::-1])
 
 
 def _contour(alpha: float, beta: float, z) -> np.ndarray:
@@ -132,24 +134,33 @@ def _contour(alpha: float, beta: float, z) -> np.ndarray:
         out = acc[start:start + _CONTOUR_BLOCK]
         zb, tb, nb = z[start:start + out.size], t[:out.size], num[:out.size]
         for a_r, a_i2, p_r, p_ia in terms:
-            np.subtract(a_r, zb, out=tb)
-            np.multiply(tb, p_r, out=nb)
-            nb += p_ia
-            tb *= tb
-            tb += a_i2
-            nb /= tb
-            out += nb
+            np.subtract(a_r, zb, tb)
+            np.multiply(tb, p_r, nb)
+            np.add(nb, p_ia, nb)
+            np.multiply(tb, tb, tb)
+            np.add(tb, a_i2, tb)
+            np.divide(nb, tb, nb)
+            np.add(out, nb, out)
     return acc
 
 
+@lru_cache(maxsize=16)
+def _asymptotic_terms(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """-1/Gamma(beta - n alpha) for n = _ASYMPTOTIC_TERMS, ..., 1, as 0-d
+    arrays; Gamma poles contribute zero via rgamma."""
+    n = np.arange(_ASYMPTOTIC_TERMS, 0, -1)
+    return tuple(np.array(c) for c in -rgamma(beta - n * alpha))
+
+
 def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:
-    """Large negative-z expansion; Gamma poles contribute zero via rgamma."""
-    z = np.asarray(z, dtype=float)
-    s = np.zeros_like(z)
-    zn = np.ones_like(z)
-    for n in range(1, _ASYMPTOTIC_TERMS + 1):
-        zn = zn / z
-        s -= zn * rgamma(beta - n * alpha)
+    """Large negative-z expansion -sum_n z^-n / Gamma(beta - n alpha), in
+    Horner form in 1/z (one division per argument)."""
+    w = 1.0 / np.asarray(z, dtype=float)
+    first, *rest = _asymptotic_terms(alpha, beta)
+    s = w * first
+    for c in rest:
+        s += c
+        s *= w
     return s
 
 
@@ -161,7 +172,8 @@ def ml_on_negative_axis(alpha: float, beta: float, z) -> np.ndarray:
     """Vectorized E_{alpha,beta} for arrays of arguments z <= 0.
 
     This is the hot path of every kernel quadrature and the only branch
-    router on the negative axis.
+    router on the negative axis.  A non-finite or positive argument raises
+    ValueError before any branch runs.
     """
     _check_orders(alpha, beta)
     z = np.asarray(z, dtype=float)
