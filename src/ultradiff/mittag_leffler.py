@@ -16,16 +16,18 @@ The contour rule (N=32, h=3/N, mu=pi*N/12; Weideman & Trefethen, Math. Comp.
 76 (2007) 1341) serves every order 0 < alpha <= 1 with no special case near
 alpha = 1; only alpha = beta = 1 short-cuts to exp.  At real z each node's
 term Re(P_k / (A_k - z)) is evaluated in real arithmetic, from four
-constants per node cached per (alpha, beta); the arguments run through two
-reused float buffers in blocks, so a table of any size needs 128 KiB of
-working memory.  Against a high-precision series oracle the rule's worst
-absolute error is 2.1e-12 over alpha in [0.1, 0.995], z in [-65, -0.05], and
-1.5e-12 over alpha in [0.985, 1], beta in [0.3, 3.5], z in [-50, 0) (2.6e-13
-for beta in {alpha, 1}), as measured in complex arithmetic; the real form
-moves no value on those ranges by more than 8.1e-13.  Against 750-digit
-series values at alpha in {0.55, 0.7, 0.99}, beta in {alpha, 1} and 20 z in
-[-49.9, -0.05] its worst error is 5.7e-13 (6.1e-13 in complex arithmetic).
-The asymptotic branch agrees with the contour to 1.7e-13 on [-80, -50].
+constants per node cached per (alpha, beta), over the 26 nodes with
+u <= 2.4 (the other 7 add less than half an ulp to every value); the
+arguments run through two reused float buffers in blocks, so a table of any
+size needs 128 KiB of working memory.  Against a high-precision series
+oracle the rule's worst absolute error is 2.1e-12 over alpha in
+[0.1, 0.995], z in [-65, -0.05], and 1.5e-12 over alpha in [0.985, 1], beta
+in [0.3, 3.5], z in [-50, 0) (2.6e-13 for beta in {alpha, 1}), as measured
+in complex arithmetic; the real form moves no value on those ranges by more
+than 8.1e-13.  Against 750-digit series values at alpha in
+{0.55, 0.7, 0.99}, beta in {alpha, 1} and 20 z in [-49.9, -0.05] its worst
+error is 5.7e-13 (6.1e-13 in complex arithmetic).  The asymptotic branch
+agrees with the contour to 1.7e-13 on [-80, -50].
 
 `_series_f64` sums the defining series on either side of zero, its terms by a
 log-space recurrence (never forms z^n, so only a genuinely infinite value
@@ -47,7 +49,7 @@ _ASYMPTOTIC_TERMS = 10
 _TINY_Z = 1e-8
 # the contour runs in blocks of this many arguments through two reused real
 # buffers, so its working memory is 2 x 8192 floats (128 KiB) whatever the
-# table size; each block pays 33 x 7 ufunc calls, so blocks are kept large
+# table size; each block pays 26 x 7 ufunc calls, so blocks are kept large
 _CONTOUR_BLOCK = 8192
 
 
