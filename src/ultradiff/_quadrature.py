@@ -46,13 +46,12 @@ def gauss_jacobi_01(n: int, p: float):
 
 
 @lru_cache(maxsize=None)
-def power_weighted_rule(p: float, n: int = 64, tail_panels: int = 120,
-                        panel_order: int = 16):
+def power_weighted_rule(p: float, n: int = 64):
     """Unit-interval nodes/weights for int_0^1 xi^p g(xi) dxi.
 
-    Tolerates an integrable singularity of g at xi = 1.  The skipped
-    geometric tail is ~2^(-tail_panels*beta) for g ~ (1-xi)^(beta-1);
-    with 120 panels that is below 1e-10 for beta >= 0.3.
+    Tolerates an integrable singularity of g at xi = 1.  The right half has
+    120 dyadic panels of 16 Gauss-Legendre nodes; the skipped geometric tail
+    is ~2^(-120*beta) for g ~ (1-xi)^(beta-1), below 1e-10 for beta >= 0.3.
     """
     xs = []
     ws = []
@@ -61,9 +60,9 @@ def power_weighted_rule(p: float, n: int = 64, tail_panels: int = 120,
     xs.append(0.5 * xj)
     ws.append(wj * 0.5 ** (p + 1.0))
     # right half: dyadic panels closing in on xi = 1
-    xg, wg = gauss_legendre_01(panel_order)
+    xg, wg = gauss_legendre_01(16)
     h = 0.5
-    for _ in range(tail_panels):
+    for _ in range(120):
         lo, hi = 1.0 - h, 1.0 - h / 2.0
         t = lo + (hi - lo) * xg
         xs.append(t)

@@ -15,7 +15,7 @@ Scenario schema (JSON object; every length in domain units, every time > 0):
     domain           [[lo, hi], ...]            one pair per axis
     family           "canonical" | "whole-wave"
     cutoff           int >= 1, per-axis mode count K (K^ndim modes total)
-    alpha            float strictly inside (0, 1)
+    alpha            float in (0, 1]
     window           [a, b], 0 < a < b          log-time horizon
     region           [box, ...], box = [[lo, hi], ...]   observation region
     actuators        [{support: [box, ...], profile: str,
@@ -295,8 +295,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     n_modes = cutoff ** ndim if ndim else None
 
     alpha = _scalar(data.get("alpha"), "alpha", bad)
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        bad.append("alpha: must lie strictly inside (0, 1)")
+    if alpha is not None and not 0.0 < alpha <= 1.0:
+        bad.append("alpha: must lie in (0, 1]")
 
     window_raw = data.get("window")
     window = _pair(window_raw, "window", bad, positive=True) \
@@ -463,8 +463,8 @@ def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
     if kernel_map is not None:
         norm = float(np.linalg.norm(kernel_map.matrix))
         change = float(np.linalg.norm(residual_map.matrix - kernel_map.matrix))
-        quadrature.update(kernel_nodes=kernel_map.nodes,
-                          residual_nodes=residual_map.nodes,
+        quadrature.update(kernel_nodes=kernel_map.kernel_nodes,
+                          residual_nodes=residual_map.kernel_nodes,
                           quadrature_rel_change=change / norm if norm else 0.0)
     return {"tool_version": __version__, "scenario": scenario,
             "quadrature": quadrature}
@@ -521,8 +521,8 @@ def run_analyze(scenario: Scenario) -> tuple[int, dict, dict]:
                                window=LogTimeWindow(*scenario.window),
                                gram=gramian.gram,
                                coefficient_matrix=gramian.coefficient_matrix)
-    report = _base_report(scenario, basis, gramian.input_map,
-                          gramian.input_map.with_nodes(RESIDUAL_NODES))
+    report = _base_report(scenario, basis, gramian,
+                          gramian.with_nodes(RESIDUAL_NODES))
     report.update({
         "task": "analyze",
         **dataclasses.asdict(verdict),
@@ -562,12 +562,11 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
     taus = u.tau_grid
     values = u.values
     times = u.times()
-    report = _base_report(scenario, basis, solution.gramian.input_map,
-                          solution.residual_map)
+    report = _base_report(scenario, basis, solution.gramian, solution.residual_map)
     report.update({
         "task": "synthesize",
         "verdict": solution.verdict.verdict,
-        "ill_posed": solution.diagnostics.ill_posed,
+        "ill_posed": solution.ill_posed,
         "energy": solution.energy,
         "dual_norm_squared": gnorm2,
         "energy_identity_rel_gap": abs(solution.energy - gnorm2) / denom if denom else 0.0,
@@ -688,12 +687,7 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
         "cutoff": cutoff,
         "epsilon_cutoff": epsilon,
         "checks": checks,
-        "pairing_table": [{
-            "k": r.k, "l": r.l, "p": r.p, "q": r.q,
-            "closed_form": r.closed_form, "quadrature": r.quadrature,
-            "rel_discrepancy": r.rel_discrepancy,
-            "in_stated_parity": r.in_stated_parity,
-        } for r in pairing],
+        "pairing_table": [dataclasses.asdict(row) for row in pairing],
         "all_passed": all(c["passed"] for c in checks),
     }
 
@@ -713,12 +707,9 @@ def run_reproduce(scenario: Scenario) -> tuple[int, dict, dict]:
 
     tables = {}
     if "pairing_table" in result:
-        tables["worked-example-pairing"] = (
-            ["k", "l", "p", "q", "closed_form", "quadrature",
-             "rel_discrepancy", "in_stated_parity"],
-            [[r["k"], r["l"], r["p"], r["q"],
-              r["closed_form"], r["quadrature"], r["rel_discrepancy"],
-              r["in_stated_parity"]] for r in result["pairing_table"]])
+        rows = result["pairing_table"]
+        tables["worked-example-pairing"] = (list(rows[0]),
+                                            [list(row.values()) for row in rows])
     return (0 if result["all_passed"] else 2), report, tables
 
 

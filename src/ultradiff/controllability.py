@@ -11,8 +11,8 @@ truncated gradient basis, factors as the pair (Gamma, W):
 
   where the e^tau/b factor is the time Jacobian of the substitution
   tau = log(b/t) applied to the 1/t actuator adjoint — dropping it breaks the
-  energy identities downstream.  W is summed by the discrete input map
-  (`solver._InputMap`) that the synthesis and its checks reuse.
+  energy identities downstream.  The Gramian is the discrete input map
+  (`solver._InputMap`) that sums W, and the synthesis and its checks reuse it.
 
 Verdicts are read from the eigenvalues of the symmetric coordinate operator
 R_Gamma W R_Gamma^T, where R_Gamma^T R_Gamma = Gamma is the Gram pass's
@@ -93,38 +93,16 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True, eq=False)
-class GradientGramian:
-    """Truncated controllability Gramian on the subregion gradient space.
+class GradientGramian(_InputMap):
+    """Truncated controllability Gramian on the subregion gradient space: the
+    configuration's input map on `KERNEL_NODES` nodes, which sums W, and Gamma
+    (`gram`)."""
 
-    Holds Gamma and the input map that sums W; the fractional order, the
-    epsilon cutoff and the couplings are read from that map.
-    """
-
-    gram: GradientBasisGram            # Gamma
-    input_map: _InputMap               # W, and the synthesis and its checks
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """W, read-only."""
-        return self.input_map.matrix
-
-    @property
-    def alpha(self) -> float:
-        return self.input_map.alpha
-
-    @property
-    def epsilon_cutoff(self) -> float | None:
-        return self.input_map.epsilon
-
-    @property
-    def coefficient_matrix(self) -> np.ndarray:
-        """(m, n_modes) actuator-mode couplings."""
-        return self.input_map.d
-
-    @property
-    def kernel_nodes(self) -> int:
-        return self.input_map.nodes
+    def __init__(self, gram: GradientBasisGram, coefficient_matrix: np.ndarray,
+                 lams: np.ndarray, alpha: float, window: LogTimeWindow, nodes: int,
+                 epsilon: float | None = None) -> None:
+        super().__init__(coefficient_matrix, lams, alpha, window, nodes, epsilon)
+        self.gram = gram                   # Gamma
 
     @cached_property
     def pencil_eigenvalues(self) -> np.ndarray:
@@ -156,8 +134,8 @@ def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSe
     if gram is None:
         gram = gradient_gram(basis, region)
 
-    return GradientGramian(gram, _InputMap(coefficient_matrix, basis.lams, alpha,
-                                           window, KERNEL_NODES, epsilon))
+    return GradientGramian(gram, coefficient_matrix, basis.lams, alpha, window,
+                           KERNEL_NODES, epsilon)
 
 
 @dataclass(frozen=True)
@@ -262,9 +240,10 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     n_modes = len(basis.modes)
     direction_norms = gram.direction_norms
 
-    bucket_ids = sorted({mode.bucket for mode in basis.modes})
+    # buckets are numbered 0, 1, ... along the modes, each one contiguous
     mode_buckets = np.array([mode.bucket for mode in basis.modes])
-    bucket_idx = [np.nonzero(mode_buckets == b_id)[0] for b_id in bucket_ids]
+    first = np.flatnonzero(np.diff(mode_buckets, prepend=-1))
+    bucket_idx = np.split(np.arange(n_modes), first[1:])
     scaled = coefficient_matrix * direction_norms[:, None, :]   # (ndim, m, n_modes)
     # rank decisions share one scale across buckets: an eigenvalue block whose
     # couplings are pure roundoff must count as dropped, not as full rank
@@ -276,12 +255,11 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
         group = np.nonzero(sizes == r_k)[0]
         cols = np.array([bucket_idx[pos] for pos in group])  # (n_b, r_k)
         stacks = scaled[:, :, cols].transpose(2, 0, 1, 3)    # (n_b, ndim, m, r_k)
-        ranks[group, :ndim] = _ranks(stacks, RANK_RTOL, scale)
-        ranks[group, ndim] = _ranks(stacks.reshape(group.size, -1, r_k),
-                                    RANK_RTOL, scale)
-    buckets = [StrategicBucket(b_id, float(basis.modes[idx[0]].lam), idx.size,
+        ranks[group, :ndim] = _ranks(stacks, scale)
+        ranks[group, ndim] = _ranks(stacks.reshape(group.size, -1, r_k), scale)
+    buckets = [StrategicBucket(b_id, float(basis.lams[idx[0]]), idx.size,
                                tuple(row[:ndim]), row[ndim], row[ndim] == idx.size)
-               for b_id, idx, row in zip(bucket_ids, bucket_idx, ranks.tolist())]
+               for b_id, (idx, row) in enumerate(zip(bucket_idx, ranks.tolist()))]
 
     sup_r = max(bucket.multiplicity for bucket in buckets)
     m_sufficient = m >= sup_r
@@ -295,11 +273,10 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
 
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     # one kernel row per bucket; every mode of a bucket shares its row
-    first, inverse = np.unique(mode_buckets, return_index=True, return_inverse=True)[1:]
     directions = _kernel_directions(_ml_matrix(alpha, basis.lams[first], taus).T)
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, inverse])
-    stacked_rank = int(_ranks(r_s @ gram.matrix, RANK_RTOL))
+    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, mode_buckets])
+    stacked_rank = int(_ranks(r_s @ gram.matrix))
     logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
                 "directions", stacked_rank, n_modes, len(directions), len(taus))
     strategic = stacked_rank == n_modes
@@ -320,14 +297,14 @@ def _kernel_directions(table: np.ndarray) -> np.ndarray:
     return (s[:, None] * vt)[s > 1e-3 * RANK_RTOL * s[0]]
 
 
-def _ranks(stack: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
+def _ranks(stack: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Ranks of a (..., rows, cols) stack of matrices: singular values above
-    rtol times scale, or each matrix's own largest singular value."""
+    RANK_RTOL times scale, or each matrix's own largest singular value."""
     if stack.size == 0:
         return np.zeros(stack.shape[:-2], dtype=int)
     s = np.linalg.svd(stack, compute_uv=False)
     reference = s[..., :1] if scale is None else scale
-    return np.count_nonzero((s > rtol * reference) & (reference > 0), axis=-1)
+    return np.count_nonzero((s > RANK_RTOL * reference) & (reference > 0), axis=-1)
 
 
 # -- worked reproduction example: coefficient tables -------------------------

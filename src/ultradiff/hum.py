@@ -90,14 +90,6 @@ class HumProblem:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-@dataclass(frozen=True)
-class HumDiagnostics:
-    ill_posed: bool
-    kept_rank: int
-    solve_condition_number: float
-    energy_identity_gap: float    # |J(u*) - c'Wc| / max(J, c'Wc)
-
-
 @dataclass(frozen=True, eq=False)
 class HumSolution:
     problem: HumProblem
@@ -108,7 +100,10 @@ class HumSolution:
     control: ControlSignal
     energy: float
     residual_relative: float
-    diagnostics: HumDiagnostics
+    ill_posed: bool
+    kept_rank: int
+    solve_condition_number: float
+    energy_identity_gap: float     # |J(u*) - c'Wc| / max(J, c'Wc)
     residual_map: _InputMap        # the rule the residual is summed on
     rhs: np.ndarray                # mode-coordinate vector c was solved from
     eigenpairs: tuple[np.ndarray, np.ndarray]   # W's kept (lam_k, V_k)
@@ -153,25 +148,22 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
 
     r_gamma = gramian.gram.factor
     g_coeffs = solve_triangular(r_gamma, solve_triangular(r_gamma, datum, trans="T"))
-    input_map = gramian.input_map
-    control = input_map.control(datum)
+    control = gramian.control(datum)
 
-    residual_map = input_map.with_nodes(RESIDUAL_NODES)
+    residual_map = gramian.with_nodes(RESIDUAL_NODES)
     gap = residual_map.matrix @ datum + free - problem.target_gradient_coefficients
     target_norm = float(np.linalg.norm(r_gamma @ problem.target_gradient_coefficients))
     gap_norm = float(np.linalg.norm(r_gamma @ gap))
     residual = gap_norm / target_norm if target_norm > 0 else gap_norm
 
-    cost = input_map.energy(datum)
+    cost = gramian.energy(datum)
     quadratic = float(datum @ gramian.matrix @ datum)
     identity_gap = (abs(cost - quadratic) / max(cost, quadratic)
                     if max(cost, quadratic) > 0 else 0.0)
 
-    diagnostics = HumDiagnostics(
-        ill_posed=ill_posed, kept_rank=kept, solve_condition_number=cond,
-        energy_identity_gap=identity_gap)
-    return HumSolution(problem, gramian, verdict, g_coeffs, datum, control,
-                       cost, residual, diagnostics, residual_map, rhs, eigenpairs)
+    return HumSolution(problem, gramian, verdict, g_coeffs, datum, control, cost,
+                       residual, ill_posed, kept, cond, identity_gap, residual_map,
+                       rhs, eigenpairs)
 
 
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:
@@ -184,7 +176,7 @@ def g_norm(g_coefficients, gramian: GradientGramian) -> float:
     """
     gamma = np.asarray(g_coefficients, dtype=float)
     r_gamma = gramian.gram.factor
-    return gramian.input_map.energy(r_gamma.T @ (r_gamma @ gamma))
+    return gramian.energy(r_gamma.T @ (r_gamma @ gamma))
 
 
 def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:
@@ -242,18 +234,18 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
     phi . u* - (V_k^T A phi) . (V_k^T c).  The cross-check's energy is
     |S_k^-1 V_k^T rhs|^2 over the pairs of the 96-node W.
     """
-    input_map, rhs = solution.gramian.input_map, solution.rhs
+    gramian, rhs = solution.gramian, solution.rhs
     kernel_kept, trials_passed, min_delta = 0, 0, math.inf
     mode = "pinv-only"
     if trials > 0:
         lams, vecs = solution.eigenpairs
         c = solution.adjoint_datum
-        u_star = (input_map.d @ (input_map.table.T * c[:, None])).ravel()
+        u_star = (gramian.coefficient_matrix @ (gramian.table.T * c[:, None])).ravel()
         kernel_kept = u_star.size - lams.size
         if kernel_kept > 0:
             mode = "kernel+pinv"
             phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
-            a_phi = input_map.apply_factor(phi) @ vecs     # one row per draw
+            a_phi = gramian.apply_factor(phi) @ vecs       # one row per draw
             z = a_phi / np.sqrt(lams)
             null_sq = np.maximum(np.sum(phi * phi, axis=1) - np.sum(z * z, axis=1), 0.0)
             scale = np.sqrt(np.where(null_sq > 0, null_sq, 1.0))
@@ -267,7 +259,7 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
 
     # minimal-norm discrete control on an independent resolution: its
     # coordinates on the orthonormal row-space basis are S_k^-1 V_k^T rhs
-    lams, vecs = kept_eigenpairs(input_map.with_nodes(PINV_NODES).matrix)
+    lams, vecs = kept_eigenpairs(gramian.with_nodes(PINV_NODES).matrix)
     coefficients = (vecs.T @ rhs) / np.sqrt(lams)
     pinv_energy = float(coefficients @ coefficients)
     denom = max(solution.energy, pinv_energy)

@@ -34,7 +34,7 @@ class LogTimeWindow:
         return math.log(self.b / self.a)
 
     def require_inside(self, t, *, open_start: bool = False,
-                       open_end: bool = False, what: str = "t") -> None:
+                       open_end: bool = False) -> None:
         """Refuse a time, or any of an array of times, outside the window."""
         t = np.asarray(t, dtype=float)
         lo_ok = np.all(t > self.a if open_start else t >= self.a)
@@ -43,7 +43,7 @@ class LogTimeWindow:
             lo = "(" if open_start else "["
             hi = ")" if open_end else "]"
             raise ValueError(
-                f"{what}={t} outside the admissible window {lo}{self.a}, {self.b}{hi}")
+                f"t={t} outside the admissible window {lo}{self.a}, {self.b}{hi}")
 
     # -- conversions between the physical clock and the log clock ----------
 

@@ -185,8 +185,8 @@ class _InputMap:
     def __init__(self, coefficient_matrix: np.ndarray, lams: np.ndarray,
                  alpha: float, window: LogTimeWindow, nodes: int,
                  epsilon: float | None = None) -> None:
-        self.d, self.lams, self.nodes = coefficient_matrix, lams, nodes
-        self.alpha, self.window, self.epsilon = alpha, window, epsilon
+        self.coefficient_matrix, self.lams, self.alpha = coefficient_matrix, lams, alpha
+        self.window, self.kernel_nodes, self.epsilon_cutoff = window, nodes, epsilon
         self.taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes,
                                          eps=epsilon or 0.0, length=window.length,
                                          lam_max=float(np.max(lams)))
@@ -194,19 +194,20 @@ class _InputMap:
         self.kernel = _ml_matrix(alpha, lams, self.taus)     # (n_modes, nq)
 
     def with_nodes(self, nodes: int) -> "_InputMap":
-        return _InputMap(self.d, self.lams, self.alpha, self.window, nodes,
-                         self.epsilon)
+        return _InputMap(self.coefficient_matrix, self.lams, self.alpha,
+                         self.window, nodes, self.epsilon_cutoff)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """W, exactly symmetric and read-only."""
-        w = (self.d.T @ self.d) * ((self.kernel * self.weights) @ self.kernel.T)
+        d = self.coefficient_matrix
+        w = (d.T @ d) * ((self.kernel * self.weights) @ self.kernel.T)
         w = 0.5 * (w + w.T)
         w.setflags(write=False)
         return w
 
     def energy(self, datum: np.ndarray) -> float:
-        outputs = self.d @ (self.kernel * datum[:, None])       # (m, nq)
+        outputs = self.coefficient_matrix @ (self.kernel * datum[:, None])  # (m, nq)
         return float(np.sum(self.weights * np.sum(outputs ** 2, axis=0)))
 
     def control(self, datum: np.ndarray) -> ControlSignal:
@@ -214,10 +215,11 @@ class _InputMap:
         def smooth(tau):
             tau = np.atleast_1d(np.asarray(tau, dtype=float))
             kernel = _ml_matrix(self.alpha, self.lams, tau)
-            return (self.d @ (kernel * datum[:, None])) * (np.exp(tau) / self.window.b)
+            return ((self.coefficient_matrix @ (kernel * datum[:, None]))
+                    * (np.exp(tau) / self.window.b))
 
         return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
-                                              epsilon_cutoff=self.epsilon)
+                                              epsilon_cutoff=self.epsilon_cutoff)
 
     @property
     def table(self) -> np.ndarray:
@@ -226,7 +228,8 @@ class _InputMap:
 
     def apply_factor(self, phi: np.ndarray) -> np.ndarray:
         """phi @ A^T for rows phi over the columns iq of A, without forming A."""
-        rows = self.d.T @ phi.reshape(len(phi), self.d.shape[0], self.nodes)
+        d = self.coefficient_matrix
+        rows = d.T @ phi.reshape(len(phi), d.shape[0], self.kernel_nodes)
         return np.einsum("tpq,pq->tp", rows, self.table.T)
 
 

@@ -20,6 +20,7 @@ Two mode families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -141,13 +142,9 @@ class SpectralBasis:
         self._axes = tuple((lo, hi - lo) if family == "canonical" else (0.0, 1.0)
                            for lo, hi in domain.bounds)
 
-        ndim = domain.ndim
-        axis_indices = np.arange(1, cutoff + 1)
-        if ndim == 1:
-            raw = [((int(k),), self._axis_lam(0, int(k))) for k in axis_indices]
-        else:
-            raw = [((int(k), int(l)), self._axis_lam(0, int(k)) + self._axis_lam(1, int(l)))
-                   for k in axis_indices for l in axis_indices]
+        raw = [(index, sum(self._axis_lam(ax, k) for ax, k in enumerate(index)))
+               for index in itertools.product(range(1, self.cutoff + 1),
+                                              repeat=domain.ndim)]
         raw.sort(key=lambda item: (item[1], item[0]))
 
         # each bucket carries its first member's eigenvalue: members summed in
@@ -310,8 +307,6 @@ class GradientBasisGram:
     from the same pass; the strategic rank test scales the couplings by them.
     """
 
-    basis: SpectralBasis
-    region: Region
     factor: np.ndarray
     direction_norms: np.ndarray
 
@@ -362,7 +357,7 @@ def gradient_gram(basis: SpectralBasis, region: Region,
             squares[component] += np.einsum("ip,ip->p", block, block)
             blocks.append(block)
     factor = np.linalg.qr(np.vstack(blocks), mode="r")
-    return GradientBasisGram(basis, region, factor, np.sqrt(squares))
+    return GradientBasisGram(factor, np.sqrt(squares))
 
 
 @dataclass(frozen=True, eq=False)

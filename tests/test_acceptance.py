@@ -342,11 +342,11 @@ def test_minimum_energy_synthesis_end_to_end():
     print(f"relative gradient residual: {solution.residual_relative:.3e}"
           f"  (bound 1e-6)")
     print(f"energy-identity gap: {identity_gap:.3e} / diagnostics "
-          f"{solution.diagnostics.energy_identity_gap:.3e}  (bound 1e-6)")
+          f"{solution.energy_identity_gap:.3e}  (bound 1e-6)")
     assert verdict.controllable
     assert solution.residual_relative <= 1e-6
     assert identity_gap <= 1e-6
-    assert solution.diagnostics.energy_identity_gap <= 1e-6
+    assert solution.energy_identity_gap <= 1e-6
 
     report = verify_minimality(solution, trials=50, seed=0)
     print(f"minimality: {report.trials_passed}/{report.trials_requested} "
@@ -375,10 +375,10 @@ def test_modal_synthesis_accuracy_holds_as_the_cutoff_grows(cutoff):
     target = np.random.default_rng(cutoff).standard_normal(len(basis.modes))
     solution = solve_hum(HumProblem(basis, whole, acts, 0.7, window, target))
     print(f"K={cutoff}: residual {solution.residual_relative:.3e} (bound 1e-8), "
-          f"energy-identity gap {solution.diagnostics.energy_identity_gap:.3e}"
+          f"energy-identity gap {solution.energy_identity_gap:.3e}"
           f" (bound 1e-10)")
     assert solution.residual_relative <= 1e-8
-    assert solution.diagnostics.energy_identity_gap <= 1e-10
+    assert solution.energy_identity_gap <= 1e-10
     if cutoff == 12:
         report = verify_minimality(solution, trials=12, seed=0)
         print(f"minimality: pseudo-inverse gap {report.rel_pinv_gap:.3e}"
@@ -566,5 +566,5 @@ def test_divergence_guard_and_regularized_synthesis():
           f"{datum_gap:.3e}  (bounds 1e-6)")
     assert solution.residual_relative <= 1e-6
     assert identity_gap <= 1e-6
-    assert solution.diagnostics.energy_identity_gap <= 1e-6
+    assert solution.energy_identity_gap <= 1e-6
     assert datum_gap <= 1e-6

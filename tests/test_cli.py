@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.cli import (ScenarioError, _jsonable, build_objects, main,
+from ultradiff.cli import (ScenarioError, _jsonable, analysis, build_objects, main,
                            parse_scenario, reproduction_scenario, run_analyze,
                            run_simulate, scenario_from_dict, write_report)
 from ultradiff.hum import HumProblem, solve_hum
@@ -341,6 +341,22 @@ def test_divergence_guard_refuses_then_runs(tmp_path, capsys):
     report = json.loads((tmp_path / "eps" / "report.json").read_text())
     assert report["controllable"] is True
     assert report["epsilon_cutoff"] == 0.001
+
+
+def test_analyze_runs_the_classical_order(tmp_path):
+    """alpha = 1 is in the schema's (0, 1]: E_{1,1}(-lam tau) = e^(-lam tau),
+    so W = (D^T D) o (e^(-s eps) - e^(-s L)) / (b s), s = lam_p + lam_q - 1."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    data["alpha"] = 1.0
+    path = tmp_path / "classical.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    gramian = analysis(parse_scenario(str(path)))[3]
+    window, d = LogTimeWindow(*data["window"]), gramian.coefficient_matrix
+    s = gramian.lams[:, None] + gramian.lams[None, :] - 1.0
+    w = (d.T @ d) * (1.0 - np.exp(-s * window.length)) / (window.b * s)
+    assert np.max(np.abs(gramian.matrix - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def test_synthesize_report_matches_oracle(tmp_path):

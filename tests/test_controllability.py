@@ -68,9 +68,11 @@ def test_gramian_is_symmetric_psd():
     pencil = g.pencil_eigenvalues
     assert pencil.min() >= -1e-12 * max(pencil.max(), 1.0)
     assert pencil[-1] >= pencil[0] and not pencil.flags.writeable
-    # W is the input map's own read-only array, summed once on its rule
-    assert g.matrix is g.input_map.matrix and not g.matrix.flags.writeable
-    assert g.kernel_nodes == 160
+    # the Gramian is its input map: W is its own read-only array, summed once
+    assert g.matrix is g.matrix and not g.matrix.flags.writeable
+    assert isinstance(g, _InputMap) and g.kernel_nodes == 160
+    assert not hasattr(g, "input_map")
+    assert type(g.with_nodes(96)) is _InputMap
 
 
 def test_divergence_refusal_and_epsilon_validation():

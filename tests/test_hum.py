@@ -49,9 +49,9 @@ def test_steering_residual_and_energy_identities():
         sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW, target,
                                    y0_coefficients=y0), gramian=gramian)
         assert sol.residual_relative <= 1e-6
-        assert not sol.diagnostics.ill_posed
+        assert not sol.ill_posed
         # cost of the synthesized control == Gramian quadratic form of the datum
-        assert sol.diagnostics.energy_identity_gap <= 1e-12
+        assert sol.energy_identity_gap <= 1e-12
         # ... == squared-observation norm of the reported dual element
         assert_allclose(g_norm(sol.g_coefficients, sol.gramian), sol.energy,
                         rtol=1e-12)
@@ -93,9 +93,10 @@ def test_minimality_pinv_only_mode():
 
 def _dense_factor(input_map):
     """The whitened factor A[p, (i, q)] = d_ip kappa_pq sqrt(w_q), A A^T = W, built."""
-    return np.einsum("ip,pq->piq", input_map.d,
+    d = input_map.coefficient_matrix
+    return np.einsum("ip,pq->piq", d,
                      input_map.kernel * np.sqrt(input_map.weights)).reshape(
-        -1, input_map.d.shape[0] * input_map.nodes)
+        -1, d.shape[0] * input_map.kernel_nodes)
 
 
 def _svd_reference_trials(solution, trials, seed):
@@ -103,7 +104,7 @@ def _svd_reference_trials(solution, trials, seed):
     whole whitened factor of the discrete map.  Returns the factor, its
     singular values and row space, and the trials' pass count, least energy
     increase and worst violation."""
-    input_map, window = solution.gramian.input_map, solution.problem.window
+    input_map, window = solution.gramian, solution.problem.window
     factor = _dense_factor(input_map)
     # the control at the nodes, scaled by the square root of the energy metric
     # w_q b e^-tau_q (the map's weights carry w_q e^tau_q / b)
@@ -155,7 +156,7 @@ def _quadrant_zone_setup():
 
 def _whitened_pinv_map(solution):
     """The cross-check's map on its own resolution, whitened by the time metric."""
-    return _dense_factor(solution.gramian.input_map.with_nodes(PINV_NODES))
+    return _dense_factor(solution.gramian.with_nodes(PINV_NODES))
 
 
 @pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
@@ -209,10 +210,9 @@ def test_synthesis_decomposes_w_once_per_node_count(monkeypatch):
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(9)))
     assert verify_minimality(sol, trials=12, seed=4).passed
-    input_map = sol.gramian.input_map
     assert len(calls) == 2
-    assert np.array_equal(calls[0], input_map.matrix)
-    assert np.array_equal(calls[1], input_map.with_nodes(PINV_NODES).matrix)
+    assert np.array_equal(calls[0], sol.gramian.matrix)
+    assert np.array_equal(calls[1], sol.gramian.with_nodes(PINV_NODES).matrix)
     assert drivers == [{"driver": "evd"}] * 2
 
 
@@ -242,7 +242,7 @@ def test_paired_modal_spectrum_keeps_eigenvectors_orthonormal():
 def test_input_map_applies_its_factor_without_forming_it():
     """The trials' constraint check A phi, read from D, kappa and w."""
     basis, region, acts, _ = _modal_plus_zone_setup()
-    input_map = assemble_gramian(basis, region, acts, 0.7, WINDOW).input_map
+    input_map = assemble_gramian(basis, region, acts, 0.7, WINDOW)
     factor = _dense_factor(input_map)
     phi = np.random.default_rng(2).standard_normal((7, factor.shape[1]))
     assert_allclose(input_map.apply_factor(phi), phi @ factor.T, rtol=1e-13)
@@ -261,7 +261,7 @@ def test_minimality_trials_factor_the_map_in_place():
     sol = solve_hum(HumProblem(basis, Region.box(domain, (0.1, 0.8), (0.2, 0.9)),
                                acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(64)))
-    factor_bytes = _dense_factor(sol.gramian.input_map).nbytes
+    factor_bytes = _dense_factor(sol.gramian).nbytes
     tracemalloc.start()
     try:
         report = verify_minimality(sol, trials=12, seed=4)
@@ -372,7 +372,7 @@ def test_epsilon_cutoff_synthesis():
                                rng.standard_normal(2), epsilon_cutoff=1e-3),
                     gramian=gramian)
     assert sol.residual_relative <= 1e-8
-    assert sol.diagnostics.energy_identity_gap <= 1e-12
+    assert sol.energy_identity_gap <= 1e-12
     assert_allclose(g_norm(sol.g_coefficients, sol.gramian), sol.energy,
                     rtol=1e-12)
     assert math.isfinite(sol.energy) and sol.energy > 0
@@ -421,10 +421,12 @@ def test_ill_posed_synthesis_is_flagged():
                                  lambda p: np.sin(2 * math.pi * p[:, 0]), "o"),))
     sol = solve_hum(HumProblem(basis, Region.box(DOMAIN, (0.2, 0.9)), acts,
                                0.7, WINDOW, np.ones(3)))
-    assert sol.diagnostics.ill_posed
+    assert sol.ill_posed
     assert sol.verdict.verdict == "NOT"
-    assert sol.diagnostics.kept_rank == 1
-    assert len(basis.modes) - sol.diagnostics.kept_rank == 2
+    assert sol.kept_rank == 1
+    assert len(basis.modes) - sol.kept_rank == 2
+    # the flags are the solution's own fields, not a second result object
+    assert not hasattr(sol, "diagnostics") and not hasattr(hum, "HumDiagnostics")
 
 
 def test_problem_validation():

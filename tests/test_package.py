@@ -1,5 +1,6 @@
-"""The package's public surface: README's library example runs as printed, and
-every module-level import and `__all__` entry names something real."""
+"""The package's public surface: README's library example runs as printed,
+every module-level import and `__all__` entry names something real, and no
+property is a second name for another object's attribute."""
 
 import ast
 import re
@@ -60,3 +61,29 @@ def test_every_all_entry_is_defined():
     exported = _module_all(tree)
     assert exported
     assert not exported - defined, sorted(exported - defined)
+
+
+def _is_forwarding_property(node: ast.AST) -> bool:
+    """A @property or @cached_property whose body, past its docstring, only
+    returns self.<attr>.<attr>: a second name for another object's value."""
+    if not isinstance(node, ast.FunctionDef) or not any(
+            (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+            in ("property", "cached_property") for d in node.decorator_list):
+        return False
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    value = body[0].value
+    return (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Attribute)
+            and isinstance(value.value.value, ast.Name) and value.value.value.id == "self")
+
+
+def test_no_property_only_forwards_an_attribute_of_an_attribute():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno} {node.name}"
+                  for node in ast.walk(tree) if _is_forwarding_property(node)]
+    assert not found, found

@@ -67,6 +67,26 @@ def test_eigenvalues_and_buckets_whole_wave():
         assert len(set(lams)) == 1
 
 
+@pytest.mark.parametrize("cutoff", [1, 6, 20])
+@pytest.mark.parametrize("domain,family", [
+    (RectDomain.interval(0.3, 1.7), "canonical"),
+    (RectDomain.rectangle((0.3, 1.7), (-0.4, 0.9)), "canonical"),
+    (RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0)), "whole-wave"),
+], ids=["1d", "rectangle", "whole-wave"])
+def test_buckets_are_numbered_contiguously_along_the_modes(domain, family, cutoff):
+    """The strategic test splits the modes at the starts of the bucket runs."""
+    basis = SpectralBasis(domain, cutoff, family)
+    numbers = np.array([mode.bucket for mode in basis.modes])
+    assert numbers[0] == 0 and set(np.diff(numbers)) <= {0, 1}
+    firsts = []
+    for bucket in range(numbers[-1] + 1):
+        lams = {mode.lam for mode in basis.modes if mode.bucket == bucket}
+        assert len(lams) == 1
+        firsts.append(lams.pop())
+    for lam, following in zip(firsts, firsts[1:]):
+        assert following - lam > spectral.BUCKET_RTOL * following
+
+
 def test_gradient_evaluator_matches_finite_difference():
     domain = RectDomain.rectangle((0.3, 1.7), (-0.4, 0.9))
     basis = SpectralBasis(domain, 3)
