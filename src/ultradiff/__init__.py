@@ -5,7 +5,7 @@ controllability analysis, and minimum-energy control synthesis on
 rectangular domains.
 """
 
-from .logtime import LogTimeWindow, graded_grid
+from .logtime import LogTimeWindow
 from .mittag_leffler import ml_on_negative_axis
 from .spectral import (
     Actuator,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LogTimeWindow",
-    "graded_grid",
     "ml_on_negative_axis",
     "Actuator",
     "ActuatorSet",

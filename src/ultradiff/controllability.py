@@ -241,8 +241,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     direction_norms = gram.direction_norms
 
     # buckets are numbered 0, 1, ... along the modes, each one contiguous
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
-    first = np.flatnonzero(np.diff(mode_buckets, prepend=-1))
+    first = np.flatnonzero(np.diff(basis.buckets, prepend=-1))
     bucket_idx = np.split(np.arange(n_modes), first[1:])
     scaled = coefficient_matrix * direction_norms[:, None, :]   # (ndim, m, n_modes)
     # rank decisions share one scale across buckets: an eigenvalue block whose
@@ -275,7 +274,7 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     # one kernel row per bucket; every mode of a bucket shares its row
     directions = _kernel_directions(_ml_matrix(alpha, basis.lams[first], taus).T)
     # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, mode_buckets])
+    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, basis.buckets])
     stacked_rank = int(_ranks(r_s @ gram.matrix))
     logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
                 "directions", stacked_rank, n_modes, len(directions), len(taus))
@@ -319,7 +318,6 @@ class PairingRow:
     closed_form: float
     quadrature: float
     rel_discrepancy: float
-    in_stated_parity: bool
 
 
 def worked_example_pairing_table(basis: SpectralBasis,
@@ -338,7 +336,7 @@ def worked_example_pairing_table(basis: SpectralBasis,
     The two disagree (normalization and sign conventions differ); both are
     reported with their relative discrepancy, and the quadrature value is the
     operative one.  Odd modes and even targets are the formula's stated
-    parity regime, which `in_stated_parity` records per row.
+    parity regime.
     """
     if basis.domain.ndim != 2:
         raise ValueError("pairing table is defined for 2-D configurations")
@@ -349,7 +347,7 @@ def worked_example_pairing_table(basis: SpectralBasis,
     pairings = {(p, q): adjoint_gradient_coefficients(
         _first_direction_field(p, q), basis, region, order)
         for p in targets for q in targets}
-    mode_pos = {mode.index: pos for pos, mode in enumerate(basis.modes)}
+    mode_pos = {tuple(index): pos for pos, index in enumerate(basis.modes.tolist())}
     rows = []
     for k in modes:
         for l in modes:
@@ -359,15 +357,13 @@ def worked_example_pairing_table(basis: SpectralBasis,
                         raise ValueError(f"mode {(k, l)} beyond the basis cutoff")
                     pos = mode_pos[(k, l)]
                     quad = means[pos] * pairings[(p, q)][pos]
-                    in_parity = (k % 2 == 1 and l % 2 == 1
-                                 and p % 2 == 0 and q % 2 == 0)
                     closed = (8.0 * p / (k * l * math.pi)
                               * (1.0 / ((k + p) * math.pi)
                                  - 1.0 / ((k - p) * math.pi))
                               * (1.0 / ((l + q) * math.pi)
                                  - 1.0 / ((l - q) * math.pi)))
                     rel = abs(closed - quad) / abs(quad) if quad != 0 else math.nan
-                    rows.append(PairingRow(k, l, p, q, closed, quad, rel, in_parity))
+                    rows.append(PairingRow(k, l, p, q, closed, quad, rel))
     return rows
 
 

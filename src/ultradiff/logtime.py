@@ -1,4 +1,4 @@
-"""Time window on a logarithmic clock, plus graded grids.
+"""Time window on a logarithmic clock.
 
 Every operator in this package integrates against kernels of the form
 ``(log t/s)^{p}``; the natural variable is the log-time increment
@@ -54,20 +54,3 @@ class LogTimeWindow:
     def tau_from_end(self, t):
         """log(b/t); 0 at the final time."""
         return np.log(self.b / np.asarray(t))
-
-
-def graded_grid(length: float, n: int = 256, exponent: float = 2.0) -> np.ndarray:
-    """Strictly increasing grid of n points on (0, length].
-
-    Points cluster toward 0 like (j/n)**exponent; the left endpoint 0 is
-    excluded because control signals may carry an integrable singularity
-    there.
-    """
-    if length <= 0.0:
-        raise ValueError(f"grid length must be positive, got {length}")
-    if n < 2:
-        raise ValueError(f"need at least two grid points, got n={n}")
-    if exponent < 1.0:
-        raise ValueError(f"grading exponent must be >= 1, got {exponent}")
-    j = np.arange(1, n + 1, dtype=float)
-    return length * (j / n) ** exponent

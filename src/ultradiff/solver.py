@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ._quadrature import kernel_rule
-from .logtime import LogTimeWindow, graded_grid
+from .logtime import LogTimeWindow
 from .mittag_leffler import ml_on_negative_axis
 from .spectral import ActuatorSet, SpectralBasis, actuator_coefficients
 
@@ -86,8 +86,9 @@ class ControlSignal:
         alpha = _check_alpha(self.alpha)
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
             raise ValueError("epsilon cutoff must be positive when given")
-        grid = graded_grid(self.window.length, n=DEFAULT_CONTROL_NODES,
-                           exponent=2.0 / alpha)
+        # graded toward tau = 0, which is left out: u may be singular there
+        j = np.arange(1, DEFAULT_CONTROL_NODES + 1)
+        grid = self.window.length * (j / DEFAULT_CONTROL_NODES) ** (2.0 / alpha)
         values = np.atleast_2d(np.array(self.smooth_fn(grid), dtype=float))
         if values.ndim != 2 or values.shape[1] != grid.size:
             raise ValueError(f"values shape {values.shape} does not match "

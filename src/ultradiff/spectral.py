@@ -20,7 +20,6 @@ Two mode families:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -61,10 +60,10 @@ class RectDomain:
     def ndim(self) -> int:
         return len(self.bounds)
 
-    def contains_box(self, box: Box, tol: float = 1e-12) -> bool:
+    def contains_box(self, box: Box) -> bool:
         if len(box) != self.ndim:
             return False
-        return all(lo >= dlo - tol and hi <= dhi + tol and lo < hi
+        return all(lo >= dlo - 1e-12 and hi <= dhi + 1e-12 and lo < hi
                    for (lo, hi), (dlo, dhi) in zip(box, self.bounds))
 
 
@@ -110,19 +109,15 @@ def overlapping_pairs(boxes) -> list[tuple[int, int]]:
                    for (lo1, hi1), (lo2, hi2) in zip(boxes[i], boxes[j]))]
 
 
-@dataclass(frozen=True, eq=False)
-class Eigenpair:
-    """One normalized Laplacian eigenfunction: its per-axis indices, its
-    eigenvalue and the bucket of equal eigenvalues it belongs to.  Every
-    member of a bucket holds the same float, its first member's."""
-
-    index: tuple[int, ...]
-    lam: float
-    bucket: int
-
-
 class SpectralBasis:
-    """Truncated Dirichlet eigenbasis on a box domain (K modes per axis)."""
+    """Truncated Dirichlet eigenbasis on a box domain (K modes per axis).
+
+    Three read-only arrays describe the modes, in ascending (eigenvalue,
+    index) order: `modes` (n, ndim) their 1-based per-axis indices, `lams`
+    (n,) their eigenvalues and `buckets` (n,) the number 0, 1, ... of their
+    bucket of equal eigenvalues.  Each bucket is contiguous, and every member
+    holds the same float, its first member's.
+    """
 
     def __init__(self, domain: RectDomain, cutoff: int, family: str = "canonical"):
         if cutoff < 1:
@@ -142,30 +137,25 @@ class SpectralBasis:
         self._axes = tuple((lo, hi - lo) if family == "canonical" else (0.0, 1.0)
                            for lo, hi in domain.bounds)
 
-        raw = [(index, sum(self._axis_lam(ax, k) for ax, k in enumerate(index)))
-               for index in itertools.product(range(1, self.cutoff + 1),
-                                              repeat=domain.ndim)]
-        raw.sort(key=lambda item: (item[1], item[0]))
+        ks = range(1, self.cutoff + 1)
+        modes = np.indices((self.cutoff,) * domain.ndim).reshape(domain.ndim, -1).T + 1
+        # (k pi / period)^2 per axis as Python floats, summed from 0 in axis order
+        tables = [np.array([(k * math.pi / period) ** 2 for k in ks])
+                  for _, period in self._axes]
+        raw = sum(table[modes[:, ax] - 1] for ax, table in enumerate(tables))
+        order = np.lexsort(tuple(modes.T[::-1]) + (raw,))
+        modes, raw = modes[order], raw[order]
 
         # each bucket carries its first member's eigenvalue: members summed in
         # another order (lam_kl = lam_lk) differ in their last bits, and the
         # kernel tables, W's equal pairs and the bucket map must agree exactly
-        modes: list[Eigenpair] = []
-        bucket = -1
-        prev_lam = first_lam = None
-        for index, lam in raw:
-            if prev_lam is None or lam - prev_lam > BUCKET_RTOL * lam:
-                bucket += 1
-                first_lam = lam
-            prev_lam = lam
-            modes.append(Eigenpair(index, first_lam, bucket))
-        self.modes: tuple[Eigenpair, ...] = tuple(modes)
-        self.lams = np.array([m.lam for m in modes])
+        new = np.concatenate(([True], np.diff(raw) > BUCKET_RTOL * raw[1:]))
+        self.modes, self.buckets = modes, np.cumsum(new) - 1
+        self.lams = raw[new][self.buckets]
+        for array in (self.modes, self.lams, self.buckets):
+            array.setflags(write=False)
 
     # -- per-axis factors ---------------------------------------------------
-
-    def _axis_lam(self, axis: int, k: int) -> float:
-        return (k * math.pi / self._axes[axis][1]) ** 2
 
     def _axis_factor(self, axis: int, k: int | np.ndarray, x: np.ndarray,
                      derivative: bool) -> np.ndarray:
@@ -177,40 +167,34 @@ class SpectralBasis:
             return math.sqrt(2.0 / (hi - lo)) * w * np.cos(w * (x - origin))
         return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
-    def _rows(self, points, indices, component: int | None = None) -> np.ndarray:
-        """(len(indices), N) products of per-axis factors, in axis order from
-        ones, with the derivative factor on axis `component`.  Each factor
-        is evaluated once per call, and only if some row uses it."""
+    def _rows(self, points, component: int | None = None) -> np.ndarray:
+        """(n_modes, N) products of per-axis factors, in axis order from
+        ones, with the derivative factor on axis `component`: each axis's
+        (K, N) factor table gathered at the modes' indices."""
         points = _as_points(points, self.domain.ndim)
-        factors: list[dict[int, np.ndarray]] = [{} for _ in self._axes]
-        rows = np.empty((len(indices), points.shape[0]))
-        for r, index in enumerate(indices):
-            row = np.ones(points.shape[0])
-            for ax, k in enumerate(index):
-                if k not in factors[ax]:
-                    factors[ax][k] = self._axis_factor(ax, k, points[:, ax],
-                                                       ax == component)
-                row = row * factors[ax][k]
-            rows[r] = row
+        k = np.arange(1, self.cutoff + 1)[:, None]
+        rows = np.ones((len(self.modes), points.shape[0]))
+        for ax in range(self.domain.ndim):
+            table = self._axis_factor(ax, k, points[:, ax], ax == component)
+            rows = rows * table[self.modes[:, ax] - 1]
         return rows
 
     def mode_profile(self, index: int) -> SeparableProfile:
         """The mode `modes[index]` as a separable profile.  The mode is looked
         up when a factor is evaluated, so an index past the cutoff fails then."""
         return SeparableProfile(((1.0, tuple(
-            lambda x, ax=ax: self._axis_factor(ax, self.modes[index].index[ax],
-                                               x, False)
+            lambda x, ax=ax: self._axis_factor(ax, self.modes[index, ax], x, False)
             for ax in range(self.domain.ndim))),))
 
     # -- batch evaluation ---------------------------------------------------
 
     def value_matrix(self, points) -> np.ndarray:
         """(n_modes, n_points) eigenfunction values."""
-        return self._rows(points, [mode.index for mode in self.modes])
+        return self._rows(points)
 
     def gradient_component_matrix(self, points, component: int) -> np.ndarray:
         """(n_modes, n_points) values of d(alpha_p)/dx_component."""
-        return self._rows(points, [mode.index for mode in self.modes], component)
+        return self._rows(points, component)
 
 
 def _as_points(points, ndim: int) -> np.ndarray:
@@ -258,11 +242,6 @@ def _axis_tables(basis: SpectralBasis, box: Box, order: int):
     return tables
 
 
-def _axis_index(basis: SpectralBasis) -> tuple[np.ndarray, ...]:
-    """Per axis, each mode's 0-based row in the axis tables."""
-    return tuple(np.array([mode.index for mode in basis.modes]).T - 1)
-
-
 def _contract(grid: np.ndarray, weighted: list[np.ndarray]) -> np.ndarray:
     """Sum over the nodes of grid (batch, n_1, ..., n_d) times the weighted
     factor tables (K, n_ax) of each axis: (batch, K, ..., K)."""
@@ -277,11 +256,11 @@ def _box_pairings(tables, index, values: np.ndarray,
     """(batch, n_modes) integrals over a box of each row of `values` times
     every mode, or times its derivative along axis `derivative`.
 
-    `tables` are the box's `_axis_tables` and `index` the modes'
-    `_axis_index`; the rows of `values` (batch, N) are taken at the tensor
-    points of the tables' nodes, the last axis fastest.  Their grid is
-    contracted one axis at a time with the weighted factor tables and
-    gathered at the modes' indices.
+    `tables` are the box's `_axis_tables` and `index` the modes' rows in
+    them, `tuple(basis.modes.T - 1)`; the rows of `values` (batch, N) are
+    taken at the tensor points of the tables' nodes, the last axis fastest.
+    Their grid is contracted one axis at a time with the weighted factor
+    tables and gathered at the modes' indices.
     """
     grid = values.reshape((len(values),) + tuple(x.size for x, _, _, _ in tables))
     weighted = [(slope if ax == derivative else value) * w
@@ -342,7 +321,7 @@ def gradient_gram(basis: SpectralBasis, region: Region,
         raise ValueError(f"gradient_gram: region {region.boxes} is empty")
     n_modes = len(basis.modes)
     order = default_order(basis) if order is None else order
-    index = _axis_index(basis)
+    index = tuple(basis.modes.T - 1)
     blocks = []
     squares = np.zeros((basis.domain.ndim, n_modes))
     for box in region.boxes:
@@ -439,7 +418,7 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
     order.
     """
     order = default_order(basis) if order is None else order
-    index = _axis_index(basis)
+    index = tuple(basis.modes.T - 1)
     by_box: dict[Box, list[tuple[int, int]]] = {}
     for i, actuator in enumerate(actuators.actuators):
         if actuator.support.domain is not basis.domain and \
@@ -467,7 +446,8 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
 
 def _separable_pairings(profile: SeparableProfile, tables, index) -> np.ndarray:
     """(n_modes,) integrals over a box of `profile` times every mode, from
-    the box's `_axis_tables` and the modes' `_axis_index`."""
+    the box's `_axis_tables` and the modes' 0-based rows in them,
+    `tuple(basis.modes.T - 1)`."""
     if profile.ndim != len(tables):
         raise ValueError(f"a separable profile expected {profile.ndim} node "
                          f"arrays, got {len(tables)} from its box")
@@ -498,7 +478,7 @@ def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
     """
     order = default_order(basis) if order is None else order
     ndim = basis.domain.ndim
-    index = _axis_index(basis)
+    index = tuple(basis.modes.T - 1)
     c = np.zeros(len(basis.modes))
     for box in region.boxes:
         tables = _axis_tables(basis, box, order)

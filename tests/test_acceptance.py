@@ -115,7 +115,7 @@ def test_quadrant_zone_actuator_controllable_with_simple_ranks():
                             coefficient_matrix=gramian.coefficient_matrix)
     elapsed = time.perf_counter() - started
 
-    indices = [mode.index for mode in basis.modes]
+    indices = basis.modes.tolist()
     sums = [k * k + l * l for k, l in indices]
     odd = [k % 2 == 1 and l % 2 == 1 for k, l in indices]
     distinct_sums = sorted(set(sums))
@@ -129,7 +129,7 @@ def test_quadrant_zone_actuator_controllable_with_simple_ranks():
 
     # eigenvalues and buckets: lam_kl = lam_lk
     assert_allclose(basis.lams, [math.pi ** 2 * s for s in sums], rtol=1e-12)
-    assert [mode.bucket for mode in basis.modes] == [
+    assert basis.buckets.tolist() == [
         distinct_sums.index(s) for s in sums]
     multiplicities = [sums.count(s) for s in distinct_sums]
     assert [bucket.multiplicity for bucket in report.buckets] == multiplicities

@@ -539,7 +539,7 @@ def test_polynomial_and_sine_profiles_couple_in_closed_form():
         ]})
     _, basis, _, actuators = build_objects(scenario)
     d = actuator_coefficients(actuators, basis)
-    ks = np.array([mode.index[0] for mode in basis.modes])
+    ks = basis.modes[:, 0]
     assert_allclose(d[0], np.where(ks == 3, math.sqrt(2.0), 0.0),
                     rtol=1e-13, atol=1e-14)
     assert_allclose(d[1], math.sqrt(2.0) * (-1.0) ** (ks + 1) / (ks * math.pi),

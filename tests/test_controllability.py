@@ -279,7 +279,7 @@ def test_stacked_observation_map_matches_per_bucket_sum():
         Actuator(Region.box(domain, (0.6, 0.9), (0.0, 0.7)),
                  lambda p: np.ones(p.shape[0]), "zone-c"),
     ))
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    mode_buckets = basis.buckets
     assert np.bincount(mode_buckets).max() == 2
     # the subject is the stacked map, so d and Gamma come from the N-point sums
     d = _n_point_couplings(acts, basis)
@@ -347,7 +347,7 @@ def _stacked_map_for(basis, region, acts, time_samples=64):
     order = default_order(basis)
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
     d, kernel = actuator_coefficients(acts, basis, order), _ml_matrix(0.7, basis.lams, taus)
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    mode_buckets = basis.buckets
     return (_stacked_observation_map(d, kernel, mode_buckets),
             gradient_gram(basis, region, order).matrix, d,
             _bucketed_table(kernel, mode_buckets))
@@ -368,7 +368,7 @@ def _quadrant_zone():
     basis = SpectralBasis(SQUARE, 4, "whole-wave")
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
     acts = ActuatorSet((Actuator(quadrant, lambda p: np.ones(p.shape[0]), "zone"),))
-    rank = len({k * k + l * l for k, l in (mode.index for mode in basis.modes)
+    rank = len({k * k + l * l for k, l in basis.modes.tolist()
                 if k % 2 == 1 and l % 2 == 1})
     return basis, quadrant, acts, rank
 
@@ -446,7 +446,7 @@ def test_compressed_kernel_table_keeps_the_explicit_stacked_rank(scenario,
     gram = gradient_gram(basis, region).matrix
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     kernel = _ml_matrix(scenario.alpha, basis.lams, taus)
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    mode_buckets = basis.buckets
     product = _stacked_observation_map(d, kernel, mode_buckets) @ gram
     s = np.linalg.svd(product, compute_uv=False)
     assert _rank(product, RANK_RTOL) == expected_rank
@@ -472,7 +472,7 @@ def test_modal_kernel_table_keeps_few_directions(caplog):
     window = LogTimeWindow(*scenario.window)
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     kernel = _ml_matrix(0.7, basis.lams, taus)
-    first = np.unique([mode.bucket for mode in basis.modes], return_index=True)[1]
+    first = np.unique(basis.buckets, return_index=True)[1]
     kept = len(_kernel_directions(kernel[first].T))
     assert kept <= 24
     with caplog.at_level(logging.INFO, logger="ultradiff.controllability"):
@@ -487,8 +487,8 @@ def _buckets_reference(basis, d, direction_norms):
     """The per-bucket rank tests, one SVD per block: each direction's scaled
     couplings, and the block that stacks them."""
     ndim = basis.domain.ndim
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
-    bucket_ids = sorted({mode.bucket for mode in basis.modes})
+    mode_buckets = basis.buckets
+    bucket_ids = sorted(set(basis.buckets.tolist()))
     bucket_mats = [tuple(d[:, mode_buckets == b] * direction_norms[l, mode_buckets == b]
                          for l in range(ndim)) for b in bucket_ids]
     scale = max(float(np.max(np.abs(mat))) for mats in bucket_mats for mat in mats)
@@ -497,7 +497,7 @@ def _buckets_reference(basis, d, direction_norms):
         idx = np.nonzero(mode_buckets == b_id)[0]
         block_rank = _rank(np.vstack(mats), RANK_RTOL, scale)
         buckets.append(StrategicBucket(
-            b_id, float(basis.modes[idx[0]].lam), idx.size,
+            b_id, float(basis.lams[idx[0]]), idx.size,
             tuple(_rank(mat, RANK_RTOL, scale) for mat in mats), block_rank,
             block_rank == idx.size))
     return buckets
@@ -511,7 +511,7 @@ def _strategic_test_reference(basis, region, acts):
     ndim, n_modes = basis.domain.ndim, len(basis.modes)
     direction_norms = _n_point_gram(basis, region)[1]
 
-    mode_buckets = np.array([mode.bucket for mode in basis.modes])
+    mode_buckets = basis.buckets
     buckets = _buckets_reference(basis, d, direction_norms)
     m = d.shape[0]
     sup_r = max(bucket.multiplicity for bucket in buckets)
@@ -593,7 +593,7 @@ def test_batched_bucket_ranks_match_per_matrix_svds(setup):
     # (1,7), (5,5), (7,1)) and 4 (65: (1,8), (8,1), (4,7), (7,4)), so every
     # multiplicity class gets its own batched SVD
     basis, region, d = setup()
-    sizes = np.bincount([mode.bucket for mode in basis.modes])
+    sizes = np.bincount(basis.buckets)
     assert set(sizes[sizes > 0]) == {1, 2, 3, 4}
     gram = gradient_gram(basis, region)
     report = strategic_test(basis, region, None, alpha=0.7, window=WINDOW,
@@ -743,8 +743,7 @@ def test_quadrant_mode_means_closed_form():
     basis = SpectralBasis(SQUARE, 3, "whole-wave")
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
     means = _zone_means(basis, quadrant)
-    for pos, mode in enumerate(basis.modes):
-        k, l = mode.index
+    for pos, (k, l) in enumerate(basis.modes.tolist()):
         exact = ((1.0 - math.cos(k * math.pi)) / (k * math.pi)
                  * (1.0 - math.cos(l * math.pi)) / (l * math.pi))
         assert_allclose(means[pos], exact, rtol=0, atol=1e-12)
@@ -758,14 +757,11 @@ def test_pairing_table_values_and_flags():
     by_key = {(r.k, r.l, r.p, r.q): r for r in rows}
 
     head = by_key[(1, 1, 2, 2)]
-    assert head.in_stated_parity
     assert_allclose(head.quadrature, -32.0 / (9.0 * math.pi ** 3), rtol=1e-9)
     assert_allclose(head.closed_form, 256.0 / (9.0 * math.pi ** 3), rtol=1e-12)
     assert math.isfinite(head.rel_discrepancy) and head.rel_discrepancy > 0
 
     for row in rows:
-        # every default row sits in the stated parity regime
-        assert row.in_stated_parity
         assert math.isfinite(row.closed_form) and row.closed_form != 0
         assert math.isfinite(row.quadrature)
         assert abs(row.quadrature) > 1e-6
@@ -783,7 +779,7 @@ def test_pairing_table_contracts_the_axis_tables(monkeypatch):
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
     means = _zone_means(basis, quadrant, 96)
     points, weights = box_quadrature(quadrant.boxes[0], 96)
-    mode_of = {mode.index: pos for pos, mode in enumerate(basis.modes)}
+    mode_of = {tuple(index): pos for pos, index in enumerate(basis.modes.tolist())}
     gradients = basis.gradient_component_matrix(points, 0)
     expected = {}
     for k in (1, 3, 5):

@@ -51,9 +51,8 @@ def test_forced_solution_matches_frozen_quadrature():
     basis, acts, u = two_channel_setup()
     for t in (1.7, 2.5):
         state = forced_solution(acts, basis, u, 0.7, WINDOW, t)
-        for p, mode in enumerate(basis.modes):
-            assert_allclose(state[p],
-                            FORCED_ORACLE[(t, mode.index[0])], rtol=1e-8)
+        for p, (k,) in enumerate(basis.modes.tolist()):
+            assert_allclose(state[p], FORCED_ORACLE[(t, k)], rtol=1e-8)
 
 
 def test_forced_solution_node_count_converged():
@@ -110,8 +109,7 @@ def test_classical_forced_solution_constant_control():
     u = ControlSignal.constant([level], WINDOW, 1.0)
     state = forced_solution(acts, basis, u, 1.0, WINDOW, WINDOW.b)
     L = WINDOW.length
-    for p, mode in enumerate(basis.modes):
-        k = mode.index[0]
+    for p, (k,) in enumerate(basis.modes.tolist()):
         d_p = math.sqrt(2.0) * (1.0 - math.cos(k * math.pi)) / (k * math.pi)
         exact = level * d_p * (1.0 - math.exp(-basis.lams[p] * L)) / basis.lams[p]
         assert_allclose(state[p], exact, rtol=0, atol=1e-10)
@@ -258,7 +256,7 @@ def test_kernel_table_has_one_row_per_eigenvalue_bucket():
     taus, _ = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=192, length=math.log(4.0),
                           lam_max=float(np.max(basis.lams)))
     table = _ml_matrix(0.7, basis.lams, taus)
-    buckets = np.array([mode.bucket for mode in basis.modes])
+    buckets = basis.buckets
     assert buckets[-1] + 1 == 122
     assert len(np.unique(table, axis=0)) == 122
     for bucket in range(122):

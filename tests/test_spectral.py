@@ -1,5 +1,6 @@
 """Eigenbasis geometry: orthonormality, Gram matrices, actuator projections."""
 
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -44,9 +45,8 @@ def test_orthonormality(domain, family):
 def test_eigenvalues_canonical():
     domain = RectDomain.rectangle((0.0, 2.0), (0.0, 0.5))
     basis = SpectralBasis(domain, 3)
-    for mode in basis.modes:
-        k, l = mode.index
-        assert mode.lam == pytest.approx(
+    for (k, l), lam in zip(basis.modes.tolist(), basis.lams):
+        assert lam == pytest.approx(
             (k * math.pi / 2.0) ** 2 + (l * math.pi / 0.5) ** 2, rel=1e-14)
     assert np.all(np.diff(basis.lams) >= 0.0)
 
@@ -54,17 +54,42 @@ def test_eigenvalues_canonical():
 def test_eigenvalues_and_buckets_whole_wave():
     domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
     basis = SpectralBasis(domain, 3, "whole-wave")
-    got = {m.index: m.lam / math.pi ** 2 for m in basis.modes}
+    got = {tuple(index): lam / math.pi ** 2
+           for index, lam in zip(basis.modes.tolist(), basis.lams)}
     for (k, l), v in got.items():
         assert v == pytest.approx(k * k + l * l, rel=1e-14)
     # degenerate levels share a bucket: 5, 10 and 13 are two-fold here
     buckets = {}
-    for m in basis.modes:
-        buckets.setdefault(m.bucket, []).append(round(m.lam / math.pi ** 2))
+    for bucket, lam in zip(basis.buckets.tolist(), basis.lams):
+        buckets.setdefault(bucket, []).append(round(lam / math.pi ** 2))
     sizes = sorted((lams[0], len(lams)) for lams in buckets.values())
     assert sizes == [(2, 1), (5, 2), (8, 1), (10, 2), (13, 2), (18, 1)]
     for lams in buckets.values():
         assert len(set(lams)) == 1
+
+
+def reference_modes(domain, family, cutoff):
+    """Modes, eigenvalues and buckets one mode at a time: the product of the
+    per-axis indices sorted by (eigenvalue, index), where a new bucket starts
+    once the eigenvalue climbs by more than BUCKET_RTOL of itself, and every
+    member holds its bucket's first eigenvalue."""
+    periods = [hi - lo if family == "canonical" else 1.0 for lo, hi in domain.bounds]
+    raw = sorted((sum((k * math.pi / period) ** 2
+                      for k, period in zip(index, periods)), index)
+                 for index in itertools.product(range(1, cutoff + 1),
+                                                repeat=domain.ndim))
+    modes, lams, buckets = [], [], []
+    prev = first = None
+    for lam, index in raw:
+        if prev is None or lam - prev > spectral.BUCKET_RTOL * lam:
+            first = lam
+            buckets.append(buckets[-1] + 1 if buckets else 0)
+        else:
+            buckets.append(buckets[-1])
+        prev = lam
+        modes.append(index)
+        lams.append(first)
+    return modes, lams, buckets
 
 
 @pytest.mark.parametrize("cutoff", [1, 6, 20])
@@ -76,11 +101,20 @@ def test_eigenvalues_and_buckets_whole_wave():
 def test_buckets_are_numbered_contiguously_along_the_modes(domain, family, cutoff):
     """The strategic test splits the modes at the starts of the bucket runs."""
     basis = SpectralBasis(domain, cutoff, family)
-    numbers = np.array([mode.bucket for mode in basis.modes])
+    modes, lams, buckets = reference_modes(domain, family, cutoff)
+    assert basis.modes.shape == (cutoff ** domain.ndim, domain.ndim)
+    assert np.array_equal(basis.modes, modes)
+    assert basis.lams.tobytes() == np.array(lams).tobytes()
+    assert basis.buckets.tolist() == buckets
+    for array in (basis.modes, basis.lams, basis.buckets):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    numbers = basis.buckets
     assert numbers[0] == 0 and set(np.diff(numbers)) <= {0, 1}
     firsts = []
     for bucket in range(numbers[-1] + 1):
-        lams = {mode.lam for mode in basis.modes if mode.bucket == bucket}
+        lams = set(basis.lams[numbers == bucket].tolist())
         assert len(lams) == 1
         firsts.append(lams.pop())
     for lam, following in zip(firsts, firsts[1:]):
@@ -136,12 +170,12 @@ def test_mode_evaluators_match_per_axis_reference(domain, family):
         return row
 
     vm = basis.value_matrix(pts)
-    for p, mode in enumerate(basis.modes):
-        assert np.array_equal(vm[p], reference(mode.index))
+    for p, index in enumerate(basis.modes.tolist()):
+        assert np.array_equal(vm[p], reference(index))
     for component in range(2):
         dm = basis.gradient_component_matrix(pts, component)
-        for p, mode in enumerate(basis.modes):
-            assert np.array_equal(dm[p], reference(mode.index, component))
+        for p, index in enumerate(basis.modes.tolist()):
+            assert np.array_equal(dm[p], reference(index, component))
 
 
 def test_gradient_gram_symmetric_psd():
@@ -183,7 +217,7 @@ def test_box_pairings_closed_form():
     def slope(k):       # int_0^h x d/dx sin(k pi x) dx
         return h * math.sin(k * math.pi * h) - sine(k)
 
-    for p, (k, l) in enumerate(mode.index for mode in basis.modes):
+    for p, (k, l) in enumerate(basis.modes.tolist()):
         assert_allclose(means[p], 2.0 * sine(k) * sine(l), rtol=1e-13)
         assert_allclose(pairings[p], 2.0 * (slope(k) * sine(l) + sine(k) * slope(l)),
                         rtol=1e-12, atol=1e-15)
@@ -228,8 +262,7 @@ def test_actuator_coefficients_box_constant_closed_form():
     acts = ActuatorSet((Actuator(Region.box(domain, (c, d)),
                                  lambda p: np.ones(p.shape[0]), "zone"),))
     row = actuator_coefficients(acts, basis)[0]
-    for p, mode in enumerate(basis.modes):
-        k = mode.index[0]
+    for p, (k,) in enumerate(basis.modes.tolist()):
         exact = math.sqrt(2.0) * (math.cos(k * math.pi * c)
                                   - math.cos(k * math.pi * d)) / (k * math.pi)
         assert_allclose(row[p], exact, rtol=0, atol=1e-12)
@@ -440,8 +473,7 @@ def test_construction_validation():
         SpectralBasis(domain, 2, "fourier")
     with pytest.raises(ValueError, match="integer axis endpoints"):
         SpectralBasis(RectDomain.interval(0.0, 1.5), 2, "whole-wave")
-    pairs = SpectralBasis(domain, 3).modes
-    assert [m.index for m in pairs] == [(1,), (2,), (3,)]
+    assert SpectralBasis(domain, 3).modes.tolist() == [[1], [2], [3]]
 
 
 # -- separable profiles: couplings from 1-D integrals ------------------------

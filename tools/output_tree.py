@@ -6,10 +6,11 @@ SRC is a checkout of this repository and OUT a directory that does not exist
 yet.  Every run below is a fresh `python3 -m ultradiff.cli` process on
 SRC/src with one BLAS thread:
 
-* the shipped workload's operations (`perfbench/workloads.py`);
+* the shipped workload's operations (`perfbench/workloads.py`), default
+  `reproduce-example` among them;
 * modal-k-sweep seeds 1-3 and near-classical seed 1, passes 0-1;
 * `simulate` on each scenario under SRC/scenarios;
-* `reproduce-example`, by default and with `--cutoff 5 --epsilon 0.01`;
+* `reproduce-example --cutoff 5 --epsilon 0.01`;
 * `selftest`.
 
 Each run gets OUT/<run>/ with its exit code, stdout and stderr (the two
@@ -66,8 +67,6 @@ def _runs(src: Path, out: Path):
     for path in sorted((src / "scenarios").glob("*.json")):
         run = out / f"simulate-{path.stem}"
         yield run, ["simulate", "--scenario", str(path), "--out", str(run)]
-    run = out / "reproduce-example"
-    yield run, ["reproduce-example", "--out", str(run)]
     run = out / "reproduce-example-cutoff5-eps0.01"
     yield run, ["reproduce-example", "--cutoff", "5", "--epsilon", "0.01",
                 "--out", str(run)]
