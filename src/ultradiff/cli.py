@@ -36,8 +36,10 @@ the p-th basis eigenfunction (0-based, in the basis ordering).
 
 Reports: report.json (sorted keys, no timestamps — byte-identical across
 runs of the same scenario), CSV tables per task, and report.timing.json as a
-sidecar so wall-clock numbers never break determinism.  The environment
-variable ULTRADIFF_LOG_LEVEL sets the log level (default WARNING).
+sidecar so wall-clock numbers never break determinism; for synthesize it also
+holds a numerics block (W's kept rank, the solve's condition number).  The
+environment variable ULTRADIFF_LOG_LEVEL sets the log level (default WARNING);
+every main() call reads it, and an unknown name exits 1.
 
 Exit codes: 0 success, 1 error, 2 negative controllability verdict from
 `analyze` (and a reproduce-example run whose golden checks did not all pass).
@@ -54,6 +56,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -581,6 +584,9 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
             "passed": minimality.passed,
         },
         "epsilon_cutoff": scenario.epsilon_cutoff,
+        # main() moves this block to report.timing.json; report.json keeps none
+        "numerics": {"kept_rank": solution.kept_rank,
+                     "solve_condition_number": solution.solve_condition_number},
     })
     tables = {
         f"{scenario.name}-u-star": (
@@ -829,6 +835,7 @@ def _positive(kind, expected):
     return convert
 
 
+@lru_cache(maxsize=None)    # built on the first main() call, kept for the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ultradiff",
                      description="Ultra-slow diffusion: regional gradient "
@@ -847,9 +854,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("ULTRADIFF_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    # the stderr handler is installed once; the level is read on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("ULTRADIFF_LOG_LEVEL", "WARNING")
+    try:
+        logging.getLogger("ultradiff").setLevel(level.upper())
+    except ValueError:
+        print(f"ultradiff: ULTRADIFF_LOG_LEVEL={level!r} is not a log level "
+              "(DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return 1
     args = _build_parser().parse_args(argv)
 
     if args.verb == "selftest":
@@ -879,9 +892,12 @@ def main(argv=None) -> int:
         out_dir = args.out or scenario.out or "./ultradiff-out"
         started = time.perf_counter()
         code, report, tables = RUNNERS[args.verb](scenario)
+        numerics = report.pop("numerics", None)
         write_report(report, out_dir, tables)
         timing = {"wall_seconds": time.perf_counter() - started,
                   "verb": args.verb}
+        if numerics is not None:
+            timing["numerics"] = numerics
         with open(os.path.join(out_dir, "report.timing.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(json.dumps(timing, sort_keys=True, indent=2) + "\n")

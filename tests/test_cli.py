@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.cli import (ScenarioError, _jsonable, analysis, build_objects, main,
-                           parse_scenario, reproduction_scenario, run_analyze,
-                           run_simulate, scenario_from_dict, write_report)
+from ultradiff import cli
+from ultradiff.cli import (ScenarioError, _jsonable, _target_coefficients,
+                           analysis, build_objects, main, parse_scenario,
+                           reproduction_scenario, run_analyze, run_simulate,
+                           scenario_from_dict, write_report)
 from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
@@ -300,6 +302,76 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+def test_in_process_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    """The parser is built on the first main() call and reused; a usage
+    error, a run and the same usage error again leave the same stderr."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    usage_error = ["analyze", "--scenario", "scenarios/subregion-positive.json",
+                   "--cutoff", "0", "--out", str(tmp_path / "bad")]
+    with pytest.raises(SystemExit) as exc:
+        main(usage_error)
+    assert exc.value.code == 1
+    first = capsys.readouterr().err
+    assert first.startswith("usage:")
+    assert main(["analyze", "--scenario", "scenarios/subregion-positive.json",
+                 "--out", str(tmp_path / "ok")]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(usage_error)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == first
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--scenario", "scenarios/subregion-positive.json",
+              "--epsilon", "nan", "--out", str(tmp_path / "nan")])
+    assert exc.value.code == 1
+    # one tree: the top-level parser and one subparser per verb, built once
+    assert built.count("ultradiff") == 1
+    assert len(built) == len(set(built)) == 1 + len(cli.RUNNERS) + 1
+    assert not (tmp_path / "bad").exists()
+
+
+def test_cli_import_builds_no_parser():
+    probe = "import ultradiff.cli as c; print(c._build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0"
+
+
+def test_log_level_is_read_on_every_call(tmp_path, capsys, caplog, monkeypatch):
+    """ULTRADIFF_LOG_LEVEL once counted only on a process's first call, and an
+    unknown name ended in a traceback."""
+    argv = ["analyze", "--scenario", "scenarios/subregion-positive.json",
+            "--out", str(tmp_path / "out")]
+    stacked = "stacked strategic rank"
+    monkeypatch.delenv("ULTRADIFF_LOG_LEVEL", raising=False)
+    assert main(argv) == 2
+    assert stacked not in caplog.text
+    monkeypatch.setenv("ULTRADIFF_LOG_LEVEL", "INFO")
+    assert main(argv) == 2
+    assert stacked in caplog.text
+    caplog.clear()
+    monkeypatch.setenv("ULTRADIFF_LOG_LEVEL", "WARNING")
+    assert main(argv) == 2
+    assert stacked not in caplog.text
+    capsys.readouterr()
+    monkeypatch.setenv("ULTRADIFF_LOG_LEVEL", "verbose")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "ULTRADIFF_LOG_LEVEL" in err and "'verbose'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["selftest", "--out", "DIR"],
     ["analyze", "--scenario", "scenarios/hum-demo.json", "--out", "DIR",
@@ -371,6 +443,27 @@ def test_synthesize_report_matches_oracle(tmp_path):
     assert report["energy_identity_rel_gap"] <= 1e-9
     assert report["minimality"]["passed"] is True
     assert report["verdict"] == "CONTROLLABLE"
+
+
+def test_synthesize_timing_sidecar_holds_the_solve_numerics(tmp_path):
+    """report.timing.json carries W's kept rank and the solve's condition
+    number; report.json does not."""
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", "scenarios/hum-demo.json",
+                 "--out", str(out)]) == 0
+    numerics = json.loads((out / "report.timing.json").read_text())["numerics"]
+    assert "numerics" not in json.loads((out / "report.json").read_text())
+    scenario = parse_scenario("scenarios/hum-demo.json")
+    _, basis, region, actuators = build_objects(scenario)
+    n_modes = len(basis.modes)
+    problem = HumProblem(basis, region, actuators, scenario.alpha,
+                         LogTimeWindow(*scenario.window),
+                         _target_coefficients(scenario, n_modes),
+                         epsilon_cutoff=scenario.epsilon_cutoff)
+    solution = solve_hum(problem, threshold=scenario.threshold)
+    assert numerics["kept_rank"] == solution.kept_rank == n_modes == 36
+    assert numerics["solve_condition_number"] == solution.solve_condition_number
+    assert round(numerics["solve_condition_number"], 2) == 7.77
 
 
 def _zone_probe_dict(cutoff, grid):
