@@ -339,12 +339,8 @@ def test_in_process_calls_share_one_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_builds_no_parser():
-    probe = "import ultradiff.cli as c; print(c._build_parser.cache_info().currsize)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "0"
+    assert _fresh_stdout("import ultradiff.cli as c; "
+                         "print(c._build_parser.cache_info().currsize)") == "0"
 
 
 def test_log_level_is_read_on_every_call(tmp_path, capsys, caplog, monkeypatch):
@@ -639,14 +635,19 @@ def test_polynomial_and_sine_profiles_couple_in_closed_form():
                     rtol=1e-13)
 
 
-def _loads_scipy_interpolate(imports: str) -> bool:
-    """Whether `import <imports>` in a fresh interpreter loads scipy.interpolate."""
-    probe = f"import sys, {imports}; print('scipy.interpolate' in sys.modules)"
+def _fresh_stdout(probe: str) -> str:
+    """The stripped stdout of `python -c <probe>` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.strip() == "True"
+    return result.stdout.strip()
+
+
+def _loads_scipy_interpolate(imports: str) -> bool:
+    """Whether `import <imports>` in a fresh interpreter loads scipy.interpolate."""
+    return _fresh_stdout(
+        f"import sys, {imports}; print('scipy.interpolate' in sys.modules)") == "True"
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
