@@ -22,7 +22,6 @@ from .spectral import (
 from .solver import (
     ControlSignal,
     EnergyDivergenceError,
-    adjoint_solution,
     forced_solution,
     free_solution,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "gradient_gram",
     "ControlSignal",
     "EnergyDivergenceError",
-    "adjoint_solution",
     "forced_solution",
     "free_solution",
     "ControllabilityVerdict",

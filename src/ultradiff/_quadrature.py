@@ -1,22 +1,11 @@
 """Shared quadrature rules.
 
-Three families cover everything in the package:
-
-* ``power_weighted_rule`` — nodes/weights for integrals of the form
-  ``int_0^T tau^p g(tau) dtau`` where ``g`` is smooth on [0, T) but may
-  carry an *unknown integrable* singularity at ``tau = T`` (fractional
-  kernels evaluated near the opposite window endpoint do exactly this).
-  The rule is a Gauss-Jacobi half on [0, T/2] with the ``tau^p`` weight
-  absorbed, plus dyadically refined Gauss-Legendre panels on [T/2, T]
-  whose geometric clustering soaks up any endpoint behavior.
+Two families cover everything in the package:
 
 * ``kernel_rule`` — the propagator kernels' time rule in ``y = tau^alpha``:
   a head of width ``1/lam_max``, then Gauss-Legendre panels doubling in width.
 
 * plain Gauss rules on [0, 1], cached.
-
-``power_weighted_rule`` is returned in unit form (T = 1) and scaled by
-callers: ``int_0^T tau^p g = T^{p+1} * sum(wbar_i * g(T*xi_i))``.
 """
 
 from __future__ import annotations
@@ -43,34 +32,6 @@ def gauss_jacobi_01(n: int, p: float):
     # roots_jacobi(n, 0, p): weight (1-x)^0 (1+x)^p on [-1, 1]
     x, w = roots_jacobi(n, 0.0, p)
     return (x + 1.0) / 2.0, w / 2.0 ** (p + 1.0)
-
-
-@lru_cache(maxsize=None)
-def power_weighted_rule(p: float, n: int = 64):
-    """Unit-interval nodes/weights for int_0^1 xi^p g(xi) dxi.
-
-    Tolerates an integrable singularity of g at xi = 1.  The right half has
-    120 dyadic panels of 16 Gauss-Legendre nodes; the skipped geometric tail
-    is ~2^(-120*beta) for g ~ (1-xi)^(beta-1), below 1e-10 for beta >= 0.3.
-    """
-    xs = []
-    ws = []
-    # left half: Gauss-Jacobi with xi^p absorbed
-    xj, wj = gauss_jacobi_01(n, p)
-    xs.append(0.5 * xj)
-    ws.append(wj * 0.5 ** (p + 1.0))
-    # right half: dyadic panels closing in on xi = 1
-    xg, wg = gauss_legendre_01(16)
-    h = 0.5
-    for _ in range(120):
-        lo, hi = 1.0 - h, 1.0 - h / 2.0
-        t = lo + (hi - lo) * xg
-        xs.append(t)
-        ws.append(wg * (hi - lo) * t ** p)
-        h /= 2.0
-    xi = np.concatenate(xs)
-    wbar = np.concatenate(ws)
-    return xi, wbar
 
 
 @lru_cache(maxsize=None)

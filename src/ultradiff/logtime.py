@@ -3,8 +3,8 @@
 Every operator in this package integrates against kernels of the form
 ``(log t/s)^{p}``; the natural variable is the log-time increment
 ``tau = log(t/s)``.  The window type centralizes the bookkeeping between
-physical times ``t in [a, b]`` and log-time offsets measured either from
-the start (``tau = log(t/a)``) or from the end (``tau = log(b/t)``).
+physical times ``t in [a, b]`` and log-time offsets measured from the start,
+``tau = log(t/a)``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,3 @@ class LogTimeWindow:
     def tau_from_start(self, t):
         """log(t/a); 0 at the initial time."""
         return np.log(np.asarray(t) / self.a)
-
-    def tau_from_end(self, t):
-        """log(b/t); 0 at the final time."""
-        return np.log(self.b / np.asarray(t))

@@ -28,11 +28,6 @@ than 8.1e-13.  Against 750-digit series values at alpha in
 {0.55, 0.7, 0.99}, beta in {alpha, 1} and 20 z in [-49.9, -0.05] its worst
 error is 5.7e-13 (6.1e-13 in complex arithmetic).  The asymptotic branch
 agrees with the contour to 1.7e-13 on [-80, -50].
-
-`_series_f64` sums the defining series on either side of zero, its terms by a
-log-space recurrence (never forms z^n, so only a genuinely infinite value
-overflows).  No evaluation path calls it: it is the tests' independent float64
-reference, and raises `MLConvergenceError` where that reference fails.
 """
 
 from __future__ import annotations
@@ -41,9 +36,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import rgamma
 
-_MAX_TERMS = 10_000
 _ASYMPTOTIC_CUT = -50.0
 _ASYMPTOTIC_TERMS = 10
 _TINY_Z = 1e-8
@@ -51,18 +45,6 @@ _TINY_Z = 1e-8
 # buffers, so its working memory is 2 x 8192 floats (128 KiB) whatever the
 # table size; each block pays 26 x 7 ufunc calls, so blocks are kept large
 _CONTOUR_BLOCK = 8192
-
-
-class MLConvergenceError(ArithmeticError):
-    """Series evaluation did not converge (or overflowed) at (alpha, beta, z)."""
-
-    def __init__(self, alpha: float, beta: float, z: float, reason: str):
-        self.alpha = alpha
-        self.beta = beta
-        self.z = z
-        super().__init__(
-            f"Mittag-Leffler evaluation failed at alpha={alpha}, beta={beta}, "
-            f"z={z}: {reason}")
 
 
 def _check_orders(alpha: float, beta: float) -> None:
@@ -76,29 +58,6 @@ def _check_orders(alpha: float, beta: float) -> None:
 # ---------------------------------------------------------------------------
 # branch internals
 # ---------------------------------------------------------------------------
-
-def _series_f64(alpha: float, beta: float, z: float) -> float:
-    """Compensated direct series; caller guarantees it is float64-safe."""
-    logax = math.log(abs(z)) if z != 0.0 else -math.inf
-    s = 0.0
-    comp = 0.0
-    peak = 0.0
-    for n in range(_MAX_TERMS):
-        mag = n * logax - gammaln(n * alpha + beta)
-        if mag > 709.0:  # exp overflow: the sum itself is leaving float64
-            raise MLConvergenceError(alpha, beta, z, "series terms overflow float64")
-        term = math.exp(mag)
-        if z < 0.0 and (n & 1):
-            term = -term
-        peak = max(peak, abs(term))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if n > 4 and abs(term) <= 1e-18 * max(abs(s), 1e-300) and abs(term) <= 1e-18 * peak:
-            return s
-    raise MLConvergenceError(alpha, beta, z, f"no convergence in {_MAX_TERMS} terms")
-
 
 @lru_cache(maxsize=16)
 def _contour_terms(alpha: float, beta: float) -> tuple[tuple[np.ndarray, ...], ...]:

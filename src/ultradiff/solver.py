@@ -299,24 +299,3 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
     kernel = _ml_matrix(alpha, basis.lams, s)
     driven = coefficient_matrix.T @ channel_values     # (n_modes, n_nodes)
     return np.sum(kernel * driven * w, axis=1)
-
-
-def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
-                     window: LogTimeWindow, t: float) -> np.ndarray:
-    """Coefficients at time t of the backward kernel field driven by final-datum
-    coefficients.
-
-    Singular at t = b for alpha < 1; callers integrate on nodes strictly
-    inside the window.
-    """
-    c = _coefficients(datum_coefficients, basis)
-    alpha = _check_alpha(alpha)
-    if alpha < 1.0 and t >= window.b * (1 - 1e-15):
-        raise ValueError(f"backward kernel is singular at the final time b = "
-                         f"{window.b:g} for alpha < 1; evaluate strictly inside")
-    window.require_inside(t, open_end=alpha < 1.0)
-    tau = window.tau_from_end(t)
-    kernel = ml_on_negative_axis(alpha, alpha, -basis.lams * tau ** alpha)
-    if alpha < 1.0:
-        kernel = tau ** (alpha - 1.0) * kernel
-    return kernel * c

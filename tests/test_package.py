@@ -1,15 +1,19 @@
 """The package's public surface: README's library example runs as printed,
-every module-level import and `__all__` entry names something real, and no
-property is a second name for another object's attribute."""
+every module-level import and `__all__` entry names something real, every
+definition has a user, and no property is a second name for another object's
+attribute."""
 
 import ast
+import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import ultradiff
 
 PACKAGE = Path(ultradiff.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def test_readme_library_example_runs(capsys):
@@ -87,3 +91,61 @@ def test_no_property_only_forwards_an_attribute_of_an_attribute():
         found += [f"{path.name}:{node.lineno} {node.name}"
                   for node in ast.walk(tree) if _is_forwarding_property(node)]
     assert not found, found
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """Every name `node` reads: bare names, attribute names and imported names."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.split(".")[-1]] += 1
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """(class or None, definition node) for each module-level function and
+    class and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((node, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _overrides(module: str, cls: ast.ClassDef, name: str) -> bool:
+    """Whether method `name` of `cls` overrides one of a base class."""
+    live = getattr(importlib.import_module(f"ultradiff.{module}"), cls.name)
+    return any(name in vars(base) for base in live.__mro__[1:])
+
+
+def test_every_definition_has_a_user():
+    """A function, class or method of the package is read by package code
+    outside its own definition, exported in `ultradiff.__all__`, a dunder,
+    an override of a base-class method, or imported by perfbench: no verb
+    carries code that only the tests call."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    kept = set(ultradiff.__all__)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kept |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").startswith("ultradiff")
+                 for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        for cls, node in _definitions(tree):
+            name = node.name
+            if (read[name] > _names_read(node)[name] or name in kept
+                    or (name.startswith("__") and name.endswith("__"))
+                    or (cls is not None and _overrides(module, cls, name))):
+                continue
+            owner = f"{cls.name}." if cls is not None else ""
+            unused.append(f"{module}.py:{node.lineno} {owner}{name}")
+    assert not unused, unused

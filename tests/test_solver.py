@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _reference import adjoint_solution, hadamard_derivative_left
 from ultradiff._quadrature import kernel_rule
-from ultradiff.hadamard import hadamard_derivative_left
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError, _ml_matrix,
-                              adjoint_solution, forced_solution, free_solution)
+                              forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
                                 SpectralBasis, gradient_gram)
 
