@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt, dtpqrt
 
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, EnergyDivergenceError, _check_alpha,
@@ -49,8 +48,12 @@ def _qr(a: np.ndarray) -> np.ndarray:
     F-ordered `a` the caller can lose.
 
     LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
-    level-2) overwrites `a` with the reflectors; Q is never formed.
+    level-2) overwrites `a` with the reflectors; Q is never formed.  scipy
+    is imported here, not with the module, so only the stacked rank pays for
+    loading it.
     """
+    from scipy.linalg.lapack import dgeqrt
+
     k = min(a.shape)
     a, _, info = dgeqrt(min(32, k), a, overwrite_a=True)
     if info != 0:
@@ -76,6 +79,8 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     soon as it is made.  A map of at most one group of rows is built and
     factored by `_qr` directly.
     """
+    from scipy.linalg.lapack import dtpqrt
+
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
         return _qr(_khatri_rao_rows(d, table))

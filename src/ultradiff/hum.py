@@ -17,7 +17,7 @@ for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
 identities independent of the Gram matrix conditioning.  Gamma enters only
 through its triangular factor R (R^T R = Gamma): norms are |R x|, and the
-reported gradient-basis dual weights Gamma^-1 c take two triangular solves.
+reported gradient-basis dual weights Gamma^-1 c take two solves, on R^T and R.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from ._quadrature import kernel_rule
 from .controllability import (ControllabilityVerdict, GradientGramian,
@@ -48,9 +47,10 @@ SOLVER_RTOL = 1e-12
 def kept_eigenpairs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam_k, V_k) of a symmetric PSD matrix with lam above
     SOLVER_RTOL times the largest |lam|, ascending: the one rank rule of the
-    synthesis and of both its minimality checks.  Divide and conquer: MRRR is
-    slower and loses orthogonality on W's equal pairs (modal actuators)."""
-    vals, vecs = eigh(matrix, driver="evd")
+    synthesis and of both its minimality checks.  numpy's eigh is LAPACK's
+    divide and conquer (dsyevd): MRRR is slower and loses orthogonality on
+    W's equal pairs (modal actuators)."""
+    vals, vecs = np.linalg.eigh(matrix)
     keep = vals > SOLVER_RTOL * np.max(np.abs(vals))
     return vals[keep], vecs[:, keep]
 
@@ -147,7 +147,7 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
                        "kept %d of %d directions", kept, n_modes)
 
     r_gamma = gramian.gram.factor
-    g_coeffs = solve_triangular(r_gamma, solve_triangular(r_gamma, datum, trans="T"))
+    g_coeffs = np.linalg.solve(r_gamma, np.linalg.solve(r_gamma.T, datum))
     control = gramian.control(datum)
 
     residual_map = gramian.with_nodes(RESIDUAL_NODES)

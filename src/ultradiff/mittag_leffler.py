@@ -10,7 +10,8 @@ is the one branch router.  Its regimes:
   the series is numerically impossible here (peak terms reach 1e90 while the
   sum is ~1e-3), and the textbook asymptotic has not kicked in yet.
 * z <= -50: the classical asymptotic expansion in 1/z, 10 terms summed in
-  Horner form.
+  Horner form, its coefficients -1/Gamma(beta - n alpha) from `math.gamma`
+  through `rgamma`, which puts zero at the poles.
 
 The contour rule (N=32, h=3/N, mu=pi*N/12; Weideman & Trefethen, Math. Comp.
 76 (2007) 1341) serves every order 0 < alpha <= 1 with no special case near
@@ -36,7 +37,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import rgamma
 
 _ASYMPTOTIC_CUT = -50.0
 _ASYMPTOTIC_TERMS = 10
@@ -45,6 +45,17 @@ _TINY_Z = 1e-8
 # buffers, so its working memory is 2 x 8192 floats (128 KiB) whatever the
 # table size; each block pays 26 x 7 ufunc calls, so blocks are kept large
 _CONTOUR_BLOCK = 8192
+
+
+def rgamma(x: float) -> float:
+    """1/Gamma(x): zero at the poles x = 0, -1, -2, ... and where Gamma(x)
+    overflows (x > 171.6)."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
 
 
 def _check_orders(alpha: float, beta: float) -> None:
@@ -112,9 +123,9 @@ def _contour(alpha: float, beta: float, z) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _asymptotic_terms(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """-1/Gamma(beta - n alpha) for n = _ASYMPTOTIC_TERMS, ..., 1, as 0-d
-    arrays; Gamma poles contribute zero via rgamma."""
-    n = np.arange(_ASYMPTOTIC_TERMS, 0, -1)
-    return tuple(np.array(c) for c in -rgamma(beta - n * alpha))
+    arrays; `rgamma` gives the Gamma poles (integer orders) zero terms."""
+    return tuple(np.array(-rgamma(beta - n * alpha))
+                 for n in range(_ASYMPTOTIC_TERMS, 0, -1))
 
 
 def _asymptotic(alpha: float, beta: float, z) -> np.ndarray:

@@ -661,6 +661,36 @@ def test_no_submodule_loads_scipy_interpolate():
     assert not _loads_scipy_interpolate(", ".join(modules))
 
 
+def _scipy_loaded_after(code: str) -> set[str]:
+    """The scipy modules a fresh interpreter holds after running `code`."""
+    last = _fresh_stdout(
+        f"{code}\nimport sys\nprint('loaded:', *sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'scipy'))").splitlines()[-1]
+    return set(last.split()[1:])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_after("import ultradiff, ultradiff.cli") == set()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "synthesize", "analyze",
+                                  "reproduce-example", "selftest"])
+def test_only_the_stacked_rank_loads_scipy(verb, tmp_path):
+    """simulate and synthesize load no scipy module; the verbs that take a
+    stacked rank load scipy.linalg's LAPACK fold, and none scipy.special."""
+    argv = [verb]
+    if verb != "selftest":
+        argv += ["--out", str(tmp_path)]
+    if verb in ("simulate", "synthesize", "analyze"):
+        argv += ["--scenario", str(SRC.parent / "scenarios" / "hum-demo.json")]
+    loaded = _scipy_loaded_after(f"from ultradiff.cli import main\nmain({argv!r})")
+    assert not any(m.startswith("scipy.special") for m in loaded)
+    if verb in ("simulate", "synthesize"):
+        assert loaded == set()
+    else:
+        assert "scipy.linalg" in loaded
+
+
 def test_reproduce_example_reports_honest_rows(tmp_path, capsys):
     code = main(["reproduce-example", "--out", str(tmp_path)])
     stdout = capsys.readouterr().out

@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from _reference import MLConvergenceError, _series_f64
-from ultradiff.mittag_leffler import _CONTOUR_BLOCK, ml_on_negative_axis
+from _reference import MLConvergenceError, _gamma, _series_f64
+from ultradiff.mittag_leffler import (_ASYMPTOTIC_TERMS, _CONTOUR_BLOCK,
+                                      ml_on_negative_axis, rgamma)
 
 # (alpha, beta, z, E_{alpha,beta}(z)) — frozen 25-digit reference values
 ORACLE = [
@@ -237,6 +238,21 @@ def test_value_at_zero_is_reciprocal_gamma():
     for beta in (0.5, 0.7, 1.0, 1.3, 2.0):
         assert_allclose(ml_on_negative_axis(0.6, beta, 0.0)[0],
                         1.0 / math.gamma(beta), rtol=1e-14)
+
+
+def test_rgamma_is_zero_at_the_poles_and_matches_gamma_elsewhere():
+    """rgamma is 1/math.gamma with the poles (and Gamma's overflow) mapped to
+    0; over every argument the asymptotic coefficients and the Taylor branch
+    take on an alpha grid it matches the reference gamma to 1e-15."""
+    assert rgamma(0.0) == rgamma(-1.0) == rgamma(-2.0) == 0.0
+    assert rgamma(200.0) == 0.0
+    args = [x for alpha in np.linspace(0.02, 1.0, 50) for beta in (alpha, 1.0)
+            for x in [beta, alpha + beta] + [beta - n * alpha for n in
+                                              range(1, _ASYMPTOTIC_TERMS + 1)]
+            if not (x <= 0.0 and x == math.floor(x))]
+    assert len(args) > 1000
+    worst = max(abs(rgamma(x) * _gamma(x) - 1.0) for x in args)
+    assert worst <= 1e-15
 
 
 def test_classical_limit_is_exponential():
