@@ -49,8 +49,8 @@ def _qr(a: np.ndarray) -> np.ndarray:
 
     LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
     level-2) overwrites `a` with the reflectors; Q is never formed.  scipy
-    is imported here, not with the module, so only the stacked rank pays for
-    loading it.
+    is imported here, not with the module, so only a stacked map of more
+    than one row group pays for loading it.
     """
     from scipy.linalg.lapack import dgeqrt
 
@@ -76,14 +76,14 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 34, 2012), about a third of the flops of a
     dense QR of T when m >= n_modes.  Each fold's reflectors are dropped as
-    soon as it is made.  A map of at most one group of rows is built and
-    factored by `_qr` directly.
+    soon as it is made.  A map of at most one group of rows, empty ones
+    included, is built and factored by numpy's QR, which loads no scipy.
     """
-    from scipy.linalg.lapack import dtpqrt
-
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
-        return _qr(_khatri_rao_rows(d, table))
+        return np.linalg.qr(_khatri_rao_rows(d, table), mode="r")
+    from scipy.linalg.lapack import dtpqrt
+
     r_d = np.linalg.qr(d, mode="r")
     step = max(1, _GROUP_ROWS // nq)
     first = min(r_d.shape[0], max(step, -(-n // nq)))

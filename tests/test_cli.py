@@ -676,8 +676,9 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("verb", ["simulate", "synthesize", "analyze",
                                   "reproduce-example", "selftest"])
 def test_only_the_stacked_rank_loads_scipy(verb, tmp_path):
-    """simulate and synthesize load no scipy module; the verbs that take a
-    stacked rank load scipy.linalg's LAPACK fold, and none scipy.special."""
+    """numpy factors a stacked map of at most 640 rows, so the shipped calls
+    load no scipy module; selftest's larger maps load scipy.linalg's LAPACK
+    fold.  No verb loads scipy.special."""
     argv = [verb]
     if verb != "selftest":
         argv += ["--out", str(tmp_path)]
@@ -685,10 +686,49 @@ def test_only_the_stacked_rank_loads_scipy(verb, tmp_path):
         argv += ["--scenario", str(SRC.parent / "scenarios" / "hum-demo.json")]
     loaded = _scipy_loaded_after(f"from ultradiff.cli import main\nmain({argv!r})")
     assert not any(m.startswith("scipy.special") for m in loaded)
-    if verb in ("simulate", "synthesize"):
-        assert loaded == set()
-    else:
+    if verb == "selftest":
         assert "scipy.linalg" in loaded
+    else:
+        assert loaded == set()
+
+
+def test_a_stacked_map_over_one_row_group_loads_the_lapack_fold(tmp_path):
+    """Modal K=12 (144 mode actuators) stacks thousands of rows, and a 704-row
+    map is past the 640-row group: both fold through scipy.linalg's dtpqrt,
+    where the 640-row map stays in numpy."""
+    data = json.loads((SRC.parent / "scenarios" / "hum-demo.json").read_text())
+    data["cutoff"] = 12
+    data["actuators"] = [dict(data["actuators"][0], coefficients=[float(p)],
+                              label=f"mode-{p}") for p in range(144)]
+    path = tmp_path / "modal12.json"
+    path.write_text(json.dumps(data))
+    argv = ["analyze", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    assert "scipy.linalg" in _scipy_loaded_after(
+        f"from ultradiff.cli import main\nmain({argv!r})")
+    factor = ("import numpy as np\nfrom ultradiff.controllability import "
+              "_khatri_rao_qr\n_khatri_rao_qr(np.ones(({}, 3)), np.ones((64, 3)))")
+    assert _scipy_loaded_after(factor.format(10)) == set()
+    assert "scipy.linalg" in _scipy_loaded_after(factor.format(11))
+
+
+def test_analyze_reads_rank_zero_when_every_kernel_row_underflows(tmp_path, capsys):
+    """alpha = 1 on [0, 1e-3]^2: every eigenvalue exceeds 1e7, so each sampled
+    kernel e^(-lam tau), tau >= 1e-4, underflows to 0 and the stacked map has
+    no rows.  analyze reports stacked rank 0 and verdict NOT, exit 2."""
+    box = [[0.0, 1e-3], [0.0, 1e-3]]
+    data = _single_mode_dict(
+        task="analyze", domain=box, cutoff=6, alpha=1.0, window=[1.0, math.e],
+        region=[[[0.0, 5e-4], [0.0, 5e-4]]],
+        actuators=[{"support": [box], "profile": "constant",
+                    "coefficients": [1.0], "label": "zone"}], target=None)
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    strategic = json.loads((tmp_path / "out" / "report.json").read_text())["strategic"]
+    assert strategic["stacked_rank"] == 0
+    assert strategic["verdict"] == "NOT"
 
 
 def test_reproduce_example_reports_honest_rows(tmp_path, capsys):

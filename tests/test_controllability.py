@@ -21,7 +21,7 @@ from ultradiff._quadrature import kernel_rule
 from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
                                        StrategicReport, _kernel_directions,
-                                       _khatri_rao_qr, _qr,
+                                       _khatri_rao_qr,
                                        approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
@@ -682,7 +682,13 @@ def test_khatri_rao_qr_matches_svd_of_the_built_map(m, n_modes, nq, edit):
     s_vals = np.linalg.svd(r, compute_uv=False)
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
     if m * nq <= 640:
-        assert np.array_equal(r, _qr(t_map.copy(order="F")))
+        assert np.array_equal(r, np.linalg.qr(t_map, mode="r"))
+
+
+def test_khatri_rao_qr_of_an_empty_table_has_no_rows():
+    """With no kernel direction left the map has no rows, and its R none."""
+    d = np.random.default_rng(7).standard_normal((3, 36))
+    assert _khatri_rao_qr(d, np.zeros((0, 36))).shape == (0, 36)
 
 
 def test_strategic_test_holds_one_stacked_map():
