@@ -440,14 +440,18 @@ def _jsonable(obj):
     return obj
 
 
+def _write_json(path: str, obj) -> None:
+    """obj as strict JSON: a non-finite float is written as its repr string."""
+    payload = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+
+
 def write_report(report: dict, out_dir: str, tables: dict) -> None:
     """report.json and one CSV per table (name -> (header, rows)) in out_dir.
     Cells are ints, floats, bools and plain names, written unquoted by str."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = json.dumps(_jsonable(report), sort_keys=True, indent=2,
-                         allow_nan=False)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), report)
     for table_name, (header, rows) in tables.items():
         path = os.path.join(out_dir, f"{table_name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -780,7 +784,7 @@ def run_selftest() -> int:
     check("separable-couplings", float(np.max(np.abs(pair[0] - pair[1])))
           / float(np.max(np.abs(pair[1]))), 2e-15)
 
-    # 12 channels x 160 nodes: the first group of rows and two dtpqrt folds
+    # 12 channels x 160 nodes: three dtpqrt folds of 640 rows into a zero triangle
     rng = np.random.default_rng(3)
     d, table = rng.standard_normal((12, 30)), rng.standard_normal((160, 30))
     s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
@@ -898,9 +902,7 @@ def main(argv=None) -> int:
                   "verb": args.verb}
         if numerics is not None:
             timing["numerics"] = numerics
-        with open(os.path.join(out_dir, "report.timing.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps(timing, sort_keys=True, indent=2) + "\n")
+        _write_json(os.path.join(out_dir, "report.timing.json"), timing)
         return code
     except ScenarioError as err:
         print(str(err), file=sys.stderr)

@@ -43,24 +43,6 @@ RANK_RTOL = 1e-10
 _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
 
 
-def _qr(a: np.ndarray) -> np.ndarray:
-    """Upper-trapezoidal R of a = Q R, by Householder QR in place on an
-    F-ordered `a` the caller can lose.
-
-    LAPACK's blocked compact-WY dgeqrt (level-3 panels, where dgeqrf's are
-    level-2) overwrites `a` with the reflectors; Q is never formed.  scipy
-    is imported here, not with the module, so only a stacked map of more
-    than one row group pays for loading it.
-    """
-    from scipy.linalg.lapack import dgeqrt
-
-    k = min(a.shape)
-    a, _, info = dgeqrt(min(32, k), a, overwrite_a=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
-    return np.triu(a[:k])
-
-
 def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Rows (j, q) of M[(j, q), p] = r_d[j, p] table[q, p], F-ordered."""
     return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
@@ -70,14 +52,15 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     """R of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, never built.
 
     With D = Q_D R_D (economic), T = (Q_D x I) M, where block row j of M is
-    table * R_D[j] and vanishes left of column j.  The first group of block
-    rows (at least n_modes rows) goes through `_qr`; each later group only
-    meets the trailing triangle R[j0:, j0:] and is folded into it by the
-    triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
+    table * R_D[j] and vanishes left of column j.  R starts as an n_modes x
+    n_modes zero triangle, and each group of block rows, the first included,
+    only meets its trailing triangle R[j0:, j0:] and is folded into it by
+    the triangle-pentagon QR dtpqrt (a TSQR step: Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 34, 2012), about a third of the flops of a
     dense QR of T when m >= n_modes.  Each fold's reflectors are dropped as
-    soon as it is made.  A map of at most one group of rows, empty ones
-    included, is built and factored by numpy's QR, which loads no scipy.
+    soon as it is made, and the min(m nq, n_modes) rows of R are returned.
+    A map of at most one group of rows, empty ones included, is built and
+    factored by numpy's QR, so only the fold loads scipy.
     """
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
@@ -86,16 +69,15 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     r_d = np.linalg.qr(d, mode="r")
     step = max(1, _GROUP_ROWS // nq)
-    first = min(r_d.shape[0], max(step, -(-n // nq)))
-    r = _qr(_khatri_rao_rows(r_d[:first], table))
-    for j0 in range(first, r_d.shape[0], step):
+    r = np.zeros((n, n), order="F")
+    for j0 in range(0, r_d.shape[0], step):
         rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
         top, _, _, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
                                  overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
         r[j0:, j0:] = top
-    return r
+    return r[:min(r_d.shape[0] * nq, n)]
 
 
 class GradientGramian(_InputMap):

@@ -462,6 +462,28 @@ def test_synthesize_timing_sidecar_holds_the_solve_numerics(tmp_path):
     assert round(numerics["solve_condition_number"], 2) == 7.77
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_are_strict_json_when_the_synthesis_keeps_no_direction(tmp_path):
+    """hum-demo with every actuator coupling to nothing keeps no direction of
+    W, so the solve's condition number is infinite: both report.json and
+    report.timing.json stay strict JSON, the sidecar holding "inf"."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    for actuator in data["actuators"]:
+        actuator.update(profile="constant", coefficients=[0.0])
+    path = tmp_path / "zero-coupling.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+    report, timing = (json.loads((out / name).read_text(),
+                                 parse_constant=_reject_constant)
+                      for name in ("report.json", "report.timing.json"))
+    assert report["verdict"] == "NOT" and report["energy"] == 0.0
+    assert timing["numerics"] == {"kept_rank": 0, "solve_condition_number": "inf"}
+
+
 def _zone_probe_dict(cutoff, grid):
     """The zone probe: a grid x grid tiling of the unit square by
     product-of-sines boxes, each axis's frequency drawn from default_rng(3),

@@ -661,16 +661,44 @@ def _twin_columns(d, table):
     return d, table
 
 
+def _low_rank(rank_d, rank_t):
+    """D of rank `rank_d` and a table of rank `rank_t`: the map's rank is
+    min(rows, n_modes, rank_d rank_t), generically."""
+    def edit(d, table):
+        rng = np.random.default_rng(5)
+        return tuple(rng.standard_normal((a.shape[0], k)) @ rng.standard_normal((k, a.shape[1]))
+                     for a, k in ((d, rank_d), (table, rank_t)))
+    return edit
+
+
 @pytest.mark.parametrize("m, n_modes, nq, edit", [
     (5, 40, 160, None), (20, 20, 96, None), (30, 12, 64, None),
     (16, 90, 50, None), (12, 30, 160, None), (2, 700, 330, None),
     (12, 30, 160, _rank_deficient), (20, 20, 96, _twin_columns),
     (4, 37, 160, None),
+    (8, 40, 100, _low_rank(5, 5)), (5, 700, 130, _low_rank(5, 5)),
+    (5, 7, 160, None), (92, 291, 7, None),
+    (9, 45, 80, None), (9, 45, 80, _low_rank(4, 5)),
+    (1, 30, 700, _low_rank(1, 1)), (5, 1, 160, None), (5, 60, 160, _low_rank(0, 5)),
+    (5, 700, 330, None),
 ], ids=["m<n", "m=n", "m>n", "nq<n", "nq>n", "wide", "deficient-d",
-        "twin-columns", "one-group"])
+        "twin-columns", "one-group",
+        "tall", "wide-deficient", "tall-below-block", "wide-below-block",
+        "partial-block", "partial-block-deficient", "one-row", "one-column",
+        "zero", "first-group-below-n"])
 def test_khatri_rao_qr_matches_svd_of_the_built_map(m, n_modes, nq, edit):
     """Shapes off every multiple of the 32 block and of the row group; the
-    `wide` map has m nq < n_modes, and `one-group` is factored built."""
+    `wide` maps have m nq < n_modes, and `one-group` is factored built.
+
+    Every other map is folded, its first group included, into a zero
+    triangle: rank 25 of 40 and of 700 columns (`tall`, `wide-deficient`);
+    fewer than 32 columns (`tall-below-block`); a last group of 7 rows
+    against 200 columns (`wide-below-block`); 45 = 32 + 13 columns at full
+    rank and at rank 20 (`partial-block*`); one actuator whose 700 rows
+    exceed a group, at rank 1 (`one-row`); one mode (`one-column`); rank 0
+    (`zero`); and groups of 330 rows against 700 modes
+    (`first-group-below-n`).
+    """
     rng = np.random.default_rng(m * n_modes + nq)
     d, table = rng.standard_normal((m, n_modes)), rng.standard_normal((nq, n_modes))
     if edit is not None:
@@ -681,6 +709,9 @@ def test_khatri_rao_qr_matches_svd_of_the_built_map(m, n_modes, nq, edit):
     assert r.shape == (min(m * nq, n_modes), n_modes)
     s_vals = np.linalg.svd(r, compute_uv=False)
     assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+    assert (np.count_nonzero(s_vals > 1e-12 * s_ref[0])
+            == np.count_nonzero(s_ref > 1e-12 * s_ref[0]))
+    assert not np.tril(r, -1).any()
     if m * nq <= 640:
         assert np.array_equal(r, np.linalg.qr(t_map, mode="r"))
 

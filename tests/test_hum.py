@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff import hum
-from ultradiff.controllability import _qr, assemble_gramian
+from ultradiff.controllability import assemble_gramian
 from ultradiff.hum import (PINV_NODES, HumProblem, energy, g_norm, solve_hum,
                            verify_minimality)
 from ultradiff.logtime import LogTimeWindow
@@ -270,32 +270,6 @@ def test_minimality_trials_factor_the_map_in_place():
         tracemalloc.stop()
     assert report.mode == "kernel+pinv" and report.passed
     assert peak < 2.0 * factor_bytes
-
-
-@pytest.mark.parametrize("shape, rank", [
-    ((60, 40), 25), ((40, 60), 25),
-    ((200, 7), 7), ((7, 200), 7), ((90, 45), 45), ((90, 45), 20),
-    ((1, 30), 1), ((30, 1), 1), ((40, 60), 0),
-], ids=["tall", "wide", "tall-below-block", "wide-below-block",
-        "partial-block", "partial-block-deficient", "one-row", "one-column",
-        "zero"])
-def test_qr_svd_matches_svd_on_tall_and_wide_input(shape, rank):
-    """A rank-`rank` matrix: a wide one has fewer reflectors than columns, and
-    min(shape) below or off a multiple of the 32-column block exercises the
-    last, partial block of the compact-WY factors.  `_qr` gives the R whose
-    singular values are the matrix's."""
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
-    k = min(shape)
-    s_ref = np.linalg.svd(a, compute_uv=False)
-    scale = s_ref[0] if rank else 1.0
-    r = _qr(np.array(a, order="F"))
-    assert r.shape == (k, shape[1])
-    s_vals = np.linalg.svd(r, compute_uv=False)
-    assert_allclose(s_vals, s_ref, rtol=0, atol=1e-12 * scale)
-    assert np.count_nonzero(s_vals > 1e-12 * scale) == rank
-    # R is upper trapezoidal
-    assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-12 * scale)
 
 
 def test_minimality_cross_check_with_more_modes_than_nodes():
