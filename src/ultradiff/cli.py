@@ -61,10 +61,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .controllability import (approx_controllability_verdict, assemble_gramian,
-                              strategic_test, worked_example_pairing_table)
-from .hum import (RESIDUAL_NODES, HumProblem, energy, g_norm, solve_hum,
-                  verify_minimality)
+from .controllability import (VERDICT_THRESHOLD, approx_controllability_verdict,
+                              assemble_gramian, strategic_test,
+                              worked_example_pairing_table)
+from .hum import RESIDUAL_NODES, HumProblem, energy, solve_hum, verify_minimality
 from .logtime import LogTimeWindow
 from .solver import (DEFAULT_CONTROL_NODES, KERNEL_NODES, ControlSignal,
                      EnergyDivergenceError, free_solution)
@@ -118,7 +118,7 @@ class Scenario:
     target: TargetSpec | None = None
     y0: tuple | None = None
     epsilon_cutoff: float | None = None
-    threshold: float = 1e-10
+    threshold: float = VERDICT_THRESHOLD
     seed: int = 0
     out: str | None = None
 
@@ -197,11 +197,18 @@ def _disjoint(boxes, path, bad) -> tuple:
     return tuple(boxes[i] for i in kept)
 
 
+def _unknown_keys(raw: dict, spec, prefix: str, bad) -> None:
+    """One violation per key of `raw` that names no field of `spec`."""
+    known = {field.name for field in dataclasses.fields(spec)}
+    bad.extend(f"{prefix}{key}: unknown key" for key in raw if key not in known)
+
+
 def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
     path = f"actuators[{idx}]"
     if not isinstance(raw, dict):
         bad.append(f"{path}: expected an object")
         return None
+    _unknown_keys(raw, ActuatorSpec, f"{path}.", bad)
     support_raw = raw.get("support")
     boxes = ()
     if not isinstance(support_raw, (list, tuple)) or not support_raw:
@@ -241,6 +248,7 @@ def _parse_target(raw, n_modes, bad) -> TargetSpec | None:
     if not isinstance(raw, dict):
         bad.append("target: expected an object or null")
         return None
+    _unknown_keys(raw, TargetSpec, "target.", bad)
     kind = raw.get("kind")
     if kind == "coefficients":
         values = _numbers(raw.get("values"), "target.values", bad)
@@ -264,6 +272,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     bad: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError(["top level: expected a JSON object"])
+    _unknown_keys(data, Scenario, "", bad)
 
     name = str(data.get("name", "scenario"))
     task = data.get("task")
@@ -347,7 +356,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if eps is not None and (eps <= 0 or (horizon is not None and eps >= horizon)):
             bad.append("epsilon_cutoff: must lie in (0, log(b/a))")
 
-    threshold = _scalar(data.get("threshold", 1e-10), "threshold", bad)
+    threshold = _scalar(data.get("threshold", VERDICT_THRESHOLD), "threshold", bad)
     if threshold is not None and not threshold > 0:
         bad.append("threshold: must be positive")
     seed = _integer(data.get("seed", 0), "seed", bad)
@@ -561,8 +570,6 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
                          target, y0_coefficients=y0,
                          epsilon_cutoff=scenario.epsilon_cutoff)
     solution = solve_hum(problem, threshold=scenario.threshold)
-    gnorm2 = g_norm(solution.g_coefficients, solution.gramian)
-    denom = max(solution.energy, gnorm2)
     minimality = verify_minimality(solution, trials=12, seed=scenario.seed)
 
     u = solution.control
@@ -575,8 +582,8 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
         "verdict": solution.verdict.verdict,
         "ill_posed": solution.ill_posed,
         "energy": solution.energy,
-        "dual_norm_squared": gnorm2,
-        "energy_identity_rel_gap": abs(solution.energy - gnorm2) / denom if denom else 0.0,
+        "dual_norm_squared": solution.dual_norm_squared,
+        "energy_identity_rel_gap": solution.energy_identity_gap,
         "residual_relative": solution.residual_relative,
         "adjoint_datum": solution.adjoint_datum,
         "dual_coefficients": solution.g_coefficients,

@@ -40,6 +40,7 @@ from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
 logger = logging.getLogger(__name__)
 
 RANK_RTOL = 1e-10
+VERDICT_THRESHOLD = 1e-10    # default: smallest pencil eigenvalue over the largest
 _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
 
 
@@ -138,8 +139,9 @@ class ControllabilityVerdict:
     epsilon_cutoff: float | None
 
 
-def approx_controllability_verdict(gramian: GradientGramian,
-                                   threshold: float = 1e-10) -> ControllabilityVerdict:
+def approx_controllability_verdict(
+        gramian: GradientGramian,
+        threshold: float = VERDICT_THRESHOLD) -> ControllabilityVerdict:
     """Decide truncated approximate controllability from the pencil spectrum.
 
     The exact-steering constant is reported as a truncated estimate only: a

@@ -15,9 +15,10 @@ kernel rule.  Every quantity is read from a discrete input map, and the solve
 and its optimality checks read W's eigenpairs under one rank rule.  Solving
 for c directly (rather than for the target's gradient-basis weights through
 the Gram matrix) keeps the control, the reached state, and the energy
-identities independent of the Gram matrix conditioning.  Gamma enters only
-through its triangular factor R (R^T R = Gamma): norms are |R x|, and the
-reported gradient-basis dual weights Gamma^-1 c take two solves, on R^T and R.
+identity free of Gamma's conditioning.  Gamma enters only through its
+triangular factor R (R^T R = Gamma): norms are |R x|, and the dual weights
+g = Gamma^-1 c take two solves, on R^T and R.  Only `solve_hum` checks the
+identity J(u*) = |observation of g|^2 (`g_norm`) and stores norm and gap.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import kernel_rule
-from .controllability import (ControllabilityVerdict, GradientGramian,
-                              approx_controllability_verdict, assemble_gramian)
+from .controllability import (VERDICT_THRESHOLD, ControllabilityVerdict,
+                              GradientGramian, approx_controllability_verdict,
+                              assemble_gramian)
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                      _InputMap, free_solution)
@@ -103,7 +105,8 @@ class HumSolution:
     ill_posed: bool
     kept_rank: int
     solve_condition_number: float
-    energy_identity_gap: float     # |J(u*) - c'Wc| / max(J, c'Wc)
+    dual_norm_squared: float       # g_norm(g_coefficients): |observation of g|^2
+    energy_identity_gap: float     # |J(u*) - dual| / max(J, dual)
     residual_map: _InputMap        # the rule the residual is summed on
     rhs: np.ndarray                # mode-coordinate vector c was solved from
     eigenpairs: tuple[np.ndarray, np.ndarray]   # W's kept (lam_k, V_k)
@@ -116,7 +119,7 @@ def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
                          problem.window, problem.window.b)
 
 
-def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
+def solve_hum(problem: HumProblem, *, threshold: float = VERDICT_THRESHOLD,
               gramian: GradientGramian | None = None) -> HumSolution:
     """Synthesize the minimum-energy control for the steering problem.
 
@@ -156,14 +159,13 @@ def solve_hum(problem: HumProblem, *, threshold: float = 1e-10,
     gap_norm = float(np.linalg.norm(r_gamma @ gap))
     residual = gap_norm / target_norm if target_norm > 0 else gap_norm
 
-    cost = gramian.energy(datum)
-    quadratic = float(datum @ gramian.matrix @ datum)
-    identity_gap = (abs(cost - quadratic) / max(cost, quadratic)
-                    if max(cost, quadratic) > 0 else 0.0)
+    cost, dual = gramian.energy(datum), g_norm(g_coeffs, gramian)
+    denom = max(cost, dual)
+    identity_gap = abs(cost - dual) / denom if denom else 0.0
 
     return HumSolution(problem, gramian, verdict, g_coeffs, datum, control, cost,
-                       residual, ill_posed, kept, cond, identity_gap, residual_map,
-                       rhs, eigenpairs)
+                       residual, ill_posed, kept, cond, dual, identity_gap,
+                       residual_map, rhs, eigenpairs)
 
 
 def g_norm(g_coefficients, gramian: GradientGramian) -> float:

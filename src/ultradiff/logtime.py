@@ -33,17 +33,14 @@ class LogTimeWindow:
         """Log-length L = log(b/a)."""
         return math.log(self.b / self.a)
 
-    def require_inside(self, t, *, open_start: bool = False,
-                       open_end: bool = False) -> None:
+    def require_inside(self, t, *, open_start: bool = False) -> None:
         """Refuse a time, or any of an array of times, outside the window."""
         t = np.asarray(t, dtype=float)
         lo_ok = np.all(t > self.a if open_start else t >= self.a)
-        hi_ok = np.all(t < self.b if open_end else t <= self.b)
-        if not (lo_ok and hi_ok and np.all(np.isfinite(t))):
+        if not (lo_ok and np.all(t <= self.b) and np.all(np.isfinite(t))):
             lo = "(" if open_start else "["
-            hi = ")" if open_end else "]"
             raise ValueError(
-                f"t={t} outside the admissible window {lo}{self.a}, {self.b}{hi}")
+                f"t={t} outside the admissible window {lo}{self.a}, {self.b}]")
 
     # -- conversions between the physical clock and the log clock ----------
 

@@ -126,6 +126,14 @@ def _check_order(alpha: float, *, strict_upper: bool) -> None:
         raise ValueError(f"order must lie in (0, {upper}, got alpha={alpha}")
 
 
+def _require_before_end(window: LogTimeWindow, t) -> None:
+    """Refuse t outside [a, b): the right-sided operators are singular at b."""
+    window.require_inside(t)
+    if not np.all(np.asarray(t, dtype=float) < window.b):
+        raise ValueError(
+            f"t={t} outside the admissible window [{window.a}, {window.b})")
+
+
 def _left_integral_raw(fe, alpha: float, a: float, t: float, nodes: int) -> float:
     """Order-alpha left integral at time t > a; no upper-window check."""
     T = math.log(t / a)
@@ -149,7 +157,7 @@ def hadamard_integral_right(f, alpha: float, window: LogTimeWindow, t: float,
     Defined through the reflection: right(f)(t) = left(Qf)(ab/t).
     """
     _check_order(alpha, strict_upper=False)
-    window.require_inside(t, open_end=True)
+    _require_before_end(window, t)
     qf = reflect_Q(f, window)
     return _left_integral_raw(_as_evaluator(qf), alpha, window.a,
                               window.a * window.b / float(t), nodes)
@@ -196,7 +204,7 @@ def hadamard_derivative_right(f, alpha: float, window: LogTimeWindow, t: float,
     """Riemann-Liouville-type right derivative: -(scale derivative) of the
     right integral of order 1-alpha."""
     _check_order(alpha, strict_upper=True)
-    window.require_inside(t, open_end=True)
+    _require_before_end(window, t)
     qf = _as_evaluator(reflect_Q(f, window))
     a, b = window.a, window.b
 
@@ -267,7 +275,7 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
     if alpha < 1.0 and t >= window.b * (1 - 1e-15):
         raise ValueError(f"backward kernel is singular at the final time b = "
                          f"{window.b:g} for alpha < 1; evaluate strictly inside")
-    window.require_inside(t, open_end=alpha < 1.0)
+    window.require_inside(t)
     tau = np.log(window.b / np.asarray(t))
     kernel = ml_on_negative_axis(alpha, alpha, -basis.lams * tau ** alpha)
     if alpha < 1.0:

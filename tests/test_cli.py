@@ -174,6 +174,27 @@ def test_invalid_scenario_reports_every_violation():
     assert any(v.startswith("domain[1]:") for v in err.value.violations)
 
 
+@pytest.mark.parametrize("rename, needle", [
+    (lambda d: d.update(cutof=d.pop("cutoff")), "cutof: unknown key"),
+    (lambda d: d["actuators"][0].update(coeficients=d["actuators"][0].pop(
+        "coefficients")), "actuators[0].coeficients: unknown key"),
+    (lambda d: d["target"].update(sead=d["target"].pop("seed")),
+     "target.sead: unknown key"),
+], ids=["top-level", "actuator", "target"])
+def test_misspelled_keys_are_violations(tmp_path, capsys, rename, needle):
+    """A misspelled key once fell back to its default: hum-demo with "cutof"
+    ran `analyze` at K=6 and exited 0."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    rename(data)
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and f"  - {needle}" in err, err
+    assert err.count(": unknown key") == 1, err
+
+
 @pytest.mark.parametrize("field, value, needle", [
     ("window", "14", "window:"),
     ("domain", ["01"], "domain[0]:"),
@@ -441,6 +462,17 @@ def test_synthesize_report_matches_oracle(tmp_path):
     assert report["verdict"] == "CONTROLLABLE"
 
 
+def _hum_demo_solution():
+    """The solution `synthesize` computes for the shipped hum-demo."""
+    scenario = parse_scenario("scenarios/hum-demo.json")
+    _, basis, region, actuators = build_objects(scenario)
+    problem = HumProblem(basis, region, actuators, scenario.alpha,
+                         LogTimeWindow(*scenario.window),
+                         _target_coefficients(scenario, len(basis.modes)),
+                         epsilon_cutoff=scenario.epsilon_cutoff)
+    return solve_hum(problem, threshold=scenario.threshold)
+
+
 def test_synthesize_timing_sidecar_holds_the_solve_numerics(tmp_path):
     """report.timing.json carries W's kept rank and the solve's condition
     number; report.json does not."""
@@ -449,17 +481,23 @@ def test_synthesize_timing_sidecar_holds_the_solve_numerics(tmp_path):
                  "--out", str(out)]) == 0
     numerics = json.loads((out / "report.timing.json").read_text())["numerics"]
     assert "numerics" not in json.loads((out / "report.json").read_text())
-    scenario = parse_scenario("scenarios/hum-demo.json")
-    _, basis, region, actuators = build_objects(scenario)
-    n_modes = len(basis.modes)
-    problem = HumProblem(basis, region, actuators, scenario.alpha,
-                         LogTimeWindow(*scenario.window),
-                         _target_coefficients(scenario, n_modes),
-                         epsilon_cutoff=scenario.epsilon_cutoff)
-    solution = solve_hum(problem, threshold=scenario.threshold)
-    assert numerics["kept_rank"] == solution.kept_rank == n_modes == 36
+    solution = _hum_demo_solution()
+    assert numerics["kept_rank"] == solution.kept_rank == 36
     assert numerics["solve_condition_number"] == solution.solve_condition_number
     assert round(numerics["solve_condition_number"], 2) == 7.77
+
+
+def test_synthesize_reports_the_solutions_energy_identity(tmp_path):
+    """The report's dual norm and energy-identity gap are the solution's own
+    fields, bit for bit: the CLI computes neither."""
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", "scenarios/hum-demo.json",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    solution = _hum_demo_solution()
+    assert report["dual_norm_squared"] == solution.dual_norm_squared
+    assert report["energy_identity_rel_gap"] == solution.energy_identity_gap
+    assert report["energy_identity_rel_gap"] <= 1e-9
 
 
 def _reject_constant(name):
