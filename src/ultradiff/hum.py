@@ -14,11 +14,11 @@ and reports an honest residual: the state u* reaches, W c, summed on a second
 kernel rule.  Every quantity is read from a discrete input map, and the solve
 and its optimality checks read W's eigenpairs under one rank rule.  Solving
 for c directly (rather than for the target's gradient-basis weights through
-the Gram matrix) keeps the control, the reached state, and the energy
-identity free of Gamma's conditioning.  Gamma enters only through its
-triangular factor R (R^T R = Gamma): norms are |R x|, and the dual weights
-g = Gamma^-1 c take two solves, on R^T and R.  Only `solve_hum` checks the
-identity J(u*) = |observation of g|^2 (`g_norm`) and stores norm and gap.
+the Gram matrix) keeps the control and the reached state free of Gamma's
+conditioning.  Gamma enters only through its factor R (R^T R = Gamma): norms
+are |R x|, and the dual weights g = Gamma^-1 c take two solves, on R^T and R.
+Only `solve_hum` checks the energy identity J(u*) = |observation of g|^2
+(`g_norm`), which g's roundoff can break; the solution stores norm and gap.
 """
 
 from __future__ import annotations
