@@ -781,15 +781,17 @@ def run_selftest() -> int:
           float(np.max(np.abs(factor.T @ factor - np.diag(basis.lams))))
           / float(basis.lams.max()), 1e-12)
 
-    # a two-term separable profile on a sub-box couples through 1-D integrals;
-    # behind an opaque callable it is contracted at the tensor points
-    profile = SeparableProfile(((1.5, (np.cos, np.square)),
-                                (-0.7, (np.negative, np.exp))))
-    box = Region.box(square, (0.1, 0.6), (0.3, 0.9))
-    pair = actuator_coefficients(ActuatorSet((
-        Actuator(box, profile), Actuator(box, lambda points: profile(points)))), basis)
-    check("separable-couplings", float(np.max(np.abs(pair[0] - pair[1])))
-          / float(np.max(np.abs(pair[1]))), 2e-15)
+    # a constant profile on two boxes couples through 1-D integrals, per axis
+    # <1_[c,d], sqrt(2) sin(k pi x)> = sqrt(2) (cos k pi c - cos k pi d) / (k pi)
+    boxes = (((0.1, 0.6), (0.3, 0.9)), ((0.6, 0.9), (0.0, 0.3)))
+    constant = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+    got = actuator_coefficients(ActuatorSet((Actuator(Region(square, boxes),
+                                                      constant),)), basis)[0]
+    k = math.pi * basis.modes
+    exact = sum(np.prod(math.sqrt(2.0) * (np.cos(k * lo) - np.cos(k * hi)) / k, axis=1)
+                for lo, hi in (np.transpose(box) for box in boxes))
+    check("separable-couplings", float(np.max(np.abs(got - exact)))
+          / float(np.max(np.abs(exact))), 2e-15)
 
     # 12 channels x 160 nodes: three dtpqrt folds of 640 rows into a zero triangle
     rng = np.random.default_rng(3)
@@ -833,8 +835,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive(kind, expected):
     """argparse type: `kind` of the text, which must be finite and > 0;
-    anything else is a usage error.  The window-dependent bound on epsilon
-    stays with `assemble_gramian`."""
+    anything else is a usage error.  The scenario-dependent bounds (epsilon
+    below log(b/a), mode indices inside the truncation) are checked by
+    `scenario_from_dict` once the override is applied."""
     def convert(text):
         try:
             value = kind(text)
@@ -893,12 +896,13 @@ def main(argv=None) -> int:
             overrides["cutoff"] = args.cutoff
         if args.epsilon is not None:
             overrides["epsilon_cutoff"] = args.epsilon
+        if overrides:       # the scenario checker judges the overridden values
+            scenario = scenario_from_dict({**dataclasses.asdict(scenario),
+                                           **overrides})
         if scenario.task != args.verb and args.verb != "reproduce-example":
             logger.info("scenario task %r overridden by the %r verb",
                         scenario.task, args.verb)
-            overrides["task"] = args.verb
-        if overrides:
-            scenario = dataclasses.replace(scenario, **overrides)
+            scenario = dataclasses.replace(scenario, task=args.verb)
 
         out_dir = args.out or scenario.out or "./ultradiff-out"
         started = time.perf_counter()

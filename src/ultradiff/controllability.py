@@ -318,9 +318,9 @@ def worked_example_pairing_table(basis: SpectralBasis,
     zone-actuator mode mean over the region with the pairing of the target
     (as a first-direction field) against the mode gradient, everything on
     unit-norm modes, on order-96 rules.  Each target's pairings with every
-    mode gradient come from one call of the callable path of
-    `adjoint_gradient_coefficients`.  The closed-form column evaluates the
-    literal reference expression
+    mode gradient come from one call of `adjoint_gradient_coefficients` on
+    the separable field (sin(p pi x) cos(q pi y), 0).  The closed-form column
+    evaluates the literal reference expression
     8p/(k l pi) (1/((k+p)pi) - 1/((k-p)pi)) (1/((l+q)pi) - 1/((l-q)pi)).
     The two disagree (normalization and sign conventions differ); both are
     reported with their relative discrepancy, and the quadrature value is the
@@ -333,9 +333,15 @@ def worked_example_pairing_table(basis: SpectralBasis,
     constant = SeparableProfile(((1.0, (np.ones_like,) * 2),))
     zone = ActuatorSet((Actuator(region, constant, "zone"),))
     means = actuator_coefficients(zone, basis, order)[0]
-    pairings = {(p, q): adjoint_gradient_coefficients(
-        _first_direction_field(p, q), basis, region, order)
-        for p in targets for q in targets}
+    zero = SeparableProfile(((0.0, (np.zeros_like,) * 2),))
+    pairings = {}
+    for p in targets:
+        for q in targets:
+            target = SeparableProfile(((1.0, (
+                lambda x, p=p: np.sin(p * math.pi * x),
+                lambda y, q=q: np.cos(q * math.pi * y))),))
+            pairings[(p, q)] = adjoint_gradient_coefficients(
+                (target, zero), basis, region, order)
     mode_pos = {tuple(index): pos for pos, index in enumerate(basis.modes.tolist())}
     rows = []
     for k in modes:
@@ -354,14 +360,3 @@ def worked_example_pairing_table(basis: SpectralBasis,
                     rel = abs(closed - quad) / abs(quad) if quad != 0 else math.nan
                     rows.append(PairingRow(k, l, p, q, closed, quad, rel))
     return rows
-
-
-def _first_direction_field(p: int, q: int):
-    """sin(p pi x1) cos(q pi x2) carried in the first vector component."""
-    def field(points):
-        points = np.asarray(points, dtype=float)
-        out = np.zeros_like(points)
-        out[:, 0] = np.sin(p * math.pi * points[:, 0]) * \
-            np.cos(q * math.pi * points[:, 1])
-        return out
-    return field

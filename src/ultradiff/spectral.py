@@ -4,8 +4,11 @@ Everything spatial lives here: eigenpairs of the Dirichlet Laplacian on an
 interval or rectangle (assembled analytically from tensor sines), axis-aligned
 subregions, actuator coefficient vectors, and the Gram matrix of restricted
 eigenfunction gradients that coordinatizes gradient fields on a subregion.
-Box integrals against the modes contract per-axis 1-D factor tables one axis
-at a time; no (n_modes, N) table of pointwise mode values is built.
+Every box integral against the modes is a product of per-axis 1-D
+integrals: actuator profiles and the components of gradient-paired vector
+fields are `SeparableProfile`s, and each factor is evaluated on its axis's
+Gauss nodes only.  No (n_modes, N) table of pointwise mode values and no
+tensor grid of profile values is built.
 
 Two mode families:
 
@@ -174,41 +177,31 @@ class SpectralBasis:
             for ax in range(self.domain.ndim))),))
 
 
-def _as_points(points, ndim: int) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or points.shape[1] != ndim:
-        raise ValueError(f"expected points of shape (N, {ndim}), got {points.shape}")
-    return points
-
-
 @lru_cache(maxsize=None)
 def _box_rule_1d(lo: float, hi: float, order: int):
     x, w = gauss_legendre_01(order)
     return lo + (hi - lo) * x, (hi - lo) * w
 
 
-def _tensor_points(nodes) -> np.ndarray:
-    """(N, ndim) tensor points of per-axis node arrays, the last axis fastest."""
-    return np.column_stack([x.ravel() for x in np.meshgrid(*nodes, indexing="ij")])
-
-
 def box_quadrature(box: Box, order: int):
-    """Tensor Gauss-Legendre points (N, ndim) and weights (N,) for one box."""
+    """Tensor Gauss-Legendre points (N, ndim) and weights (N,) for one box,
+    the last axis fastest.  No pairing in the package evaluates at these
+    points (`_separable_pairings` reads per-axis nodes); perfbench counts
+    them, and the tests' N-point references sum over them."""
     nodes, weights = zip(*(_box_rule_1d(lo, hi, order) for lo, hi in box))
+    points = np.column_stack([x.ravel() for x in np.meshgrid(*nodes, indexing="ij")])
     if len(weights) == 1:
-        return _tensor_points(nodes), weights[0].copy()
-    return _tensor_points(nodes), np.outer(*weights).ravel()
+        return points, weights[0].copy()
+    return points, np.outer(*weights).ravel()
 
 
 def _axis_tables(basis: SpectralBasis, box: Box, order: int):
     """Per axis of `box`: the 1-D Gauss nodes x and weights w (order,) and
     the (K, order) tables of the value and derivative factors k = 1..K at x.
 
-    Every mode is a product of one factor per axis and `box_quadrature` is
-    the tensor product of these 1-D rules, so every box integral against the
-    modes contracts one axis at a time with these tables.
+    Every mode is a product of one factor per axis, as is every term of a
+    `SeparableProfile`, so every box integral against the modes is a product
+    of 1-D integrals on these tables.
     """
     k = np.arange(1, basis.cutoff + 1)[:, None]
     tables = []
@@ -217,32 +210,6 @@ def _axis_tables(basis: SpectralBasis, box: Box, order: int):
         tables.append((x, w, basis._axis_factor(ax, k, x, False),
                        basis._axis_factor(ax, k, x, True)))
     return tables
-
-
-def _contract(grid: np.ndarray, weighted: list[np.ndarray]) -> np.ndarray:
-    """Sum over the nodes of grid (batch, n_1, ..., n_d) times the weighted
-    factor tables (K, n_ax) of each axis: (batch, K, ..., K)."""
-    for table in reversed(weighted):
-        flat = grid.reshape(-1, grid.shape[-1]) @ table.T
-        grid = np.moveaxis(flat.reshape(grid.shape[:-1] + (table.shape[0],)), -1, 1)
-    return grid
-
-
-def _box_pairings(tables, index, values: np.ndarray,
-                  derivative: int | None = None) -> np.ndarray:
-    """(batch, n_modes) integrals over a box of each row of `values` times
-    every mode, or times its derivative along axis `derivative`.
-
-    `tables` are the box's `_axis_tables` and `index` the modes' rows in
-    them, `tuple(basis.modes.T - 1)`; the rows of `values` (batch, N) are
-    taken at the tensor points of the tables' nodes, the last axis fastest.
-    Their grid is contracted one axis at a time with the weighted factor
-    tables and gathered at the modes' indices.
-    """
-    grid = values.reshape((len(values),) + tuple(x.size for x, _, _, _ in tables))
-    weighted = [(slope if ax == derivative else value) * w
-                for ax, (_, w, value, slope) in enumerate(tables)]
-    return _contract(grid, weighted)[(slice(None),) + index]
 
 
 def default_order(basis: SpectralBasis) -> int:
@@ -321,9 +288,10 @@ class SeparableProfile:
     """Profile sum over `terms` of coef * f_1(x_1) * ... * f_d(x_d).
 
     Each term is (coef, factors), one 1-D callable per axis in `factors`
-    (values (n,) -> (n,)).  It is callable on points (N, ndim) like any
-    profile; its couplings are products of 1-D integrals
-    (`actuator_coefficients`), so no factor is evaluated at tensor points.
+    (values (n,) -> (n,)).  Its box integrals against the modes are products
+    of 1-D integrals (`_separable_pairings`), so no factor is evaluated at
+    tensor points.  Every actuator profile, and every component of a vector
+    field paired with the mode gradients, is one.
     """
 
     terms: tuple
@@ -339,30 +307,23 @@ class SeparableProfile:
     def ndim(self) -> int:
         return len(self.terms[0][1])
 
-    def __call__(self, points) -> np.ndarray:
-        """(N,) values at points (N, ndim): each term's coefficient times
-        axis 0, then axis 1, and the terms added in order."""
-        axes = _as_points(points, self.ndim).T
-        total = 0
-        for coef, factors in self.terms:
-            term = np.float64(coef)
-            for f, x in zip(factors, axes):
-                term = term * f(x)
-            total = total + term
-        return total
-
 
 @dataclass(frozen=True, eq=False)
 class Actuator:
     """Distributed actuator: spatial profile `distribution` on `support`.
 
-    `distribution` maps points (N, ndim) to (N,) values; a `SeparableProfile`
-    has its couplings formed from 1-D integrals on each axis.
+    `distribution` is a `SeparableProfile`, so its couplings are formed from
+    1-D integrals on each axis; any other type is refused.
     """
 
     support: Region
-    distribution: object
+    distribution: SeparableProfile
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.distribution, SeparableProfile):
+            raise TypeError(f"an actuator distribution must be a SeparableProfile, "
+                            f"got {type(self.distribution).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,14 +346,11 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
 
     Each distinct support box builds its `_axis_tables` once, for all its
     users, and drops them before the next box: per axis, the Gauss rule
-    (x, w) and the K x order value table F.  A `SeparableProfile` term
+    (x, w) and the K x order value table F.  A profile term
     coef * f_1(x_1) ... f_d(x_d) pairs with mode p as coef * prod over axes
-    of (F (w f(x)))[k_p], one K x order matvec per axis; each factor is
-    evaluated on its axis's nodes only.  Any other profile is called on the
-    box's order^ndim tensor points and contracted one axis at a time
-    (`_box_pairings`), one actuator at a time, so its row does not depend on
-    the box's other users.  Each actuator's boxes are summed in support
-    order.
+    of (F (w f(x)))[k_p], one K x order matvec per axis
+    (`_separable_pairings`); each factor is evaluated on its axis's nodes
+    only.  Each actuator's boxes are summed in support order.
     """
     order = default_order(basis) if order is None else order
     index = tuple(basis.modes.T - 1)
@@ -407,13 +365,8 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
     for box, users in by_box.items():
         tables = _axis_tables(basis, box, order)
         for i, j in users:
-            profile = actuators.actuators[i].distribution
-            if isinstance(profile, SeparableProfile):
-                parts[i][j] = _separable_pairings(profile, tables, index)
-                continue
-            points = _tensor_points([x for x, _, _, _ in tables])
-            values = np.asarray(profile(points), dtype=float)
-            parts[i][j] = _box_pairings(tables, index, values[None])[0]
+            parts[i][j] = _separable_pairings(actuators.actuators[i].distribution,
+                                              tables, index)
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, row in enumerate(parts):
         for part in row:
@@ -421,48 +374,54 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
     return coeffs
 
 
-def _separable_pairings(profile: SeparableProfile, tables, index) -> np.ndarray:
-    """(n_modes,) integrals over a box of `profile` times every mode, from
-    the box's `_axis_tables` and the modes' 0-based rows in them,
-    `tuple(basis.modes.T - 1)`."""
+def _separable_pairings(profile: SeparableProfile, tables, index,
+                        derivative: int | None = None) -> np.ndarray:
+    """(n_modes,) integrals over a box of `profile` times every mode, or times
+    its derivative along axis `derivative`, from the box's `_axis_tables` and
+    the modes' 0-based rows in them, `tuple(basis.modes.T - 1)`.  Axis
+    `derivative` reads its slope table, the others their value tables."""
     if profile.ndim != len(tables):
         raise ValueError(f"a separable profile expected {profile.ndim} node "
                          f"arrays, got {len(tables)} from its box")
     total = 0
     for coef, factors in profile.terms:
         term = np.float64(coef)
-        for f, k, (x, w, value, _) in zip(factors, index, tables):
+        for ax, (f, k, (x, w, value, slope)) in enumerate(
+                zip(factors, index, tables)):
             fx = f(x)
             if np.shape(fx) != x.shape:
                 raise ValueError(f"a separable profile needs one factor value "
                                  f"per node, got shape {np.shape(fx)} for "
                                  f"{x.size} nodes")
-            term = term * (value @ (w * fx))[k]
+            table = slope if ax == derivative else value
+            term = term * (table @ (w * fx))[k]
         total = total + term
     return total
 
 
-def adjoint_gradient_coefficients(g, basis: SpectralBasis, region: Region,
+def adjoint_gradient_coefficients(field, basis: SpectralBasis, region: Region,
                                   order: int | None = None) -> np.ndarray:
-    """Spectral coordinates c_p = <g, grad alpha_p> over the region of a
-    vector-field callable g, points (N, ndim) -> values (N, ndim).
+    """Spectral coordinates c_p = <g, grad alpha_p> over the region of the
+    vector field g whose component l is the `SeparableProfile` field[l].
 
     c equals the mode coefficients of the divergence-form adjoint datum,
     obtained by integration by parts — no Poisson solve.  For
     g = sum_q gamma_q grad alpha_q it is Gamma gamma, Gamma the gradient Gram
-    matrix over the region.  g is called once per box, on its tensor Gauss
-    points; each component's contraction reads its own column.
+    matrix over the region.  Per box, component l pairs with the modes'
+    derivatives along axis l from 1-D integrals (`_separable_pairings`).
     """
-    order = default_order(basis) if order is None else order
     ndim = basis.domain.ndim
+    if not (isinstance(field, tuple) and len(field) == ndim
+            and all(isinstance(f, SeparableProfile) for f in field)):
+        got = (f"a tuple of {len(field)}" if isinstance(field, tuple)
+               else type(field).__name__)
+        raise ValueError(f"a vector field is a tuple of {ndim} SeparableProfiles, "
+                         f"one per axis; got {got}")
+    order = default_order(basis) if order is None else order
     index = tuple(basis.modes.T - 1)
     c = np.zeros(len(basis.modes))
     for box in region.boxes:
         tables = _axis_tables(basis, box, order)
-        field = np.asarray(g(_tensor_points([x for x, _, _, _ in tables])),
-                           dtype=float)
-        if field.ndim != 2 or field.shape[1] != ndim:
-            raise ValueError("vector field must return shape (N, ndim)")
         for l in range(ndim):
-            c += _box_pairings(tables, index, field.T[l:l + 1], l)[0]
+            c += _separable_pairings(field[l], tables, index, l)
     return c

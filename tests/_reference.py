@@ -15,7 +15,9 @@ it computes the same numbers it did inside the package:
   It forms log(b/t) inline, where it called ``LogTimeWindow.tau_from_end``;
 * from ``ultradiff.spectral``: the pointwise mode tables
   ``SpectralBasis._rows``, ``value_matrix`` and ``gradient_component_matrix``,
-  now functions taking the basis first, as in ``value_matrix(basis, points)``.
+  now functions taking the basis first, as in ``value_matrix(basis, points)``;
+  the tensor-point evaluation of a profile, ``SeparableProfile.__call__``, now
+  ``profile_values(profile, points)``, and its ``_as_points``.
 
 ``tests/`` has no ``__init__.py`` and pytest puts the test directory on
 ``sys.path``, so a test imports these as ``from _reference import ...``.
@@ -34,7 +36,7 @@ from ultradiff._quadrature import gauss_jacobi_01, gauss_legendre_01
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import _check_alpha, _coefficients
-from ultradiff.spectral import SpectralBasis, _as_points
+from ultradiff.spectral import SeparableProfile, SpectralBasis
 
 # ---------------------------------------------------------------------------
 # quadrature for the log-kernel operators
@@ -284,8 +286,30 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# pointwise mode tables
+# pointwise mode tables and profile values
 # ---------------------------------------------------------------------------
+
+def _as_points(points, ndim: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != ndim:
+        raise ValueError(f"expected points of shape (N, {ndim}), got {points.shape}")
+    return points
+
+
+def profile_values(profile: SeparableProfile, points) -> np.ndarray:
+    """(N,) values at points (N, ndim): each term's coefficient times
+    axis 0, then axis 1, and the terms added in order."""
+    axes = _as_points(points, profile.ndim).T
+    total = 0
+    for coef, factors in profile.terms:
+        term = np.float64(coef)
+        for f, x in zip(factors, axes):
+            term = term * f(x)
+        total = total + term
+    return total
+
 
 def _rows(basis: SpectralBasis, points, component: int | None = None) -> np.ndarray:
     """(n_modes, N) products of per-axis factors, in axis order from

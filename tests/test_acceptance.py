@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from _reference import (adjoint_solution, hadamard_caputo_left,
                         hadamard_derivative_left, hadamard_derivative_right,
                         hadamard_integral_left, hadamard_integral_right,
-                        reflect_Q, value_matrix)
+                        reflect_Q)
 from ultradiff.controllability import (approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
@@ -35,8 +35,8 @@ UNIT_SQUARE = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
 UNIT_INTERVAL = RectDomain.interval(0.0, 1.0)
 
 
-def constant_profile(p):
-    return np.ones(p.shape[0])
+constant_profile = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+constant_interval = SeparableProfile(((1.0, (np.ones_like,)),))
 
 
 def interior_times(window, n, lo=0.08, hi=0.95):
@@ -322,11 +322,8 @@ def test_minimum_energy_synthesis_end_to_end():
     whole = Region.whole(UNIT_SQUARE)
     n_modes = len(basis.modes)
 
-    def mode_profile(i):
-        return lambda p: value_matrix(basis, p)[i]
-
     acts = ActuatorSet(tuple(
-        Actuator(whole, mode_profile(i), f"mode-{i}") for i in range(n_modes)))
+        Actuator(whole, basis.mode_profile(i), f"mode-{i}") for i in range(n_modes)))
     target = np.random.default_rng(42).standard_normal(n_modes)
 
     gramian = assemble_gramian(basis, whole, acts, 0.7, window)
@@ -438,8 +435,9 @@ def _zone_probe(cutoff, grid):
             kx, ky = rng.integers(1, 7, size=2)
             box = Region.box(UNIT_SQUARE, (i / grid, (i + 1) / grid),
                              (j / grid, (j + 1) / grid))
-            acts.append(Actuator(box, (lambda kx, ky: lambda p: np.sin(
-                kx * math.pi * p[:, 0]) * np.sin(ky * math.pi * p[:, 1]))(kx, ky)))
+            acts.append(Actuator(box, SeparableProfile(((1.0, (
+                lambda x, kx=kx: np.sin(kx * math.pi * x),
+                lambda y, ky=ky: np.sin(ky * math.pi * y))),))))
     basis = SpectralBasis(UNIT_SQUARE, cutoff)
     quadrant = Region.box(UNIT_SQUARE, (0.0, 0.5), (0.0, 0.5))
     return HumProblem(basis, quadrant, ActuatorSet(tuple(acts)), 0.7,
@@ -480,7 +478,7 @@ def test_classical_limit_regression():
     window = LogTimeWindow(1.0, 2.5)
     basis = SpectralBasis(UNIT_INTERVAL, 1)
     whole = Region.whole(UNIT_INTERVAL)
-    acts = ActuatorSet((Actuator(whole, constant_profile, "z"),))
+    acts = ActuatorSet((Actuator(whole, constant_interval, "z"),))
     lam = math.pi ** 2
     L = window.length
     d = 2.0 * math.sqrt(2.0) / math.pi          # mean of the first mode shape
@@ -538,8 +536,9 @@ def test_divergence_guard_and_regularized_synthesis():
     basis = SpectralBasis(UNIT_INTERVAL, 3)
     region = Region.box(UNIT_INTERVAL, (0.05, 0.95))
     acts = ActuatorSet((
-        Actuator(Region.box(UNIT_INTERVAL, (0.0, 0.6)), constant_profile, "z1"),
-        Actuator(Region.box(UNIT_INTERVAL, (0.3, 1.0)), lambda p: p[:, 0], "z2"),
+        Actuator(Region.box(UNIT_INTERVAL, (0.0, 0.6)), constant_interval, "z1"),
+        Actuator(Region.box(UNIT_INTERVAL, (0.3, 1.0)),
+                 SeparableProfile(((1.0, (lambda x: x,)),)), "z2"),
     ))
 
     with pytest.raises(EnergyDivergenceError) as err:

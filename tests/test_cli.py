@@ -29,9 +29,11 @@ from ultradiff.hum import HumProblem, solve_hum
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import free_solution
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis, actuator_coefficients)
+                                SeparableProfile, SpectralBasis,
+                                actuator_coefficients)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ONE_1D = SeparableProfile(((1.0, (np.ones_like,)),))
 
 SHIPPED = ("scenarios/divergence-guard.json", "scenarios/hum-demo.json",
            "scenarios/subregion-positive.json",
@@ -309,6 +311,43 @@ def test_overrides_must_be_positive(tmp_path, capsys, option, value):
     assert "Traceback" not in err and "ValueError" not in err
 
 
+EPSILON_LINE = "epsilon_cutoff: must lie in (0, log(b/a))"
+MODE_LINE = "actuators[4].coefficients: mode index 4 outside the 4-mode truncation"
+
+
+@pytest.mark.parametrize("verb, option, value, violation", [
+    ("analyze", "--epsilon", "100", EPSILON_LINE),
+    ("reproduce-example", "--epsilon", "100", EPSILON_LINE),
+    ("analyze", "--cutoff", "2", MODE_LINE),
+    ("synthesize", "--cutoff", "2", MODE_LINE),
+    ("simulate", "--cutoff", "2", MODE_LINE),
+])
+def test_overrides_meet_the_scenario_checks(tmp_path, capsys, verb, option, value,
+                                            violation):
+    """An --epsilon past log(b/a), or a --cutoff that leaves hum-demo's mode
+    actuators 4..35 outside the truncation, once ended in the generic error
+    path with a traceback.  The scenario checker judges the overridden values
+    as it judges the file's own: exit 1, one line per violation, and the
+    same lines as a file that holds those values."""
+    argv = [verb, option, value]
+    if verb != "reproduce-example":
+        argv += ["--scenario", "scenarios/hum-demo.json"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:\n") and f"  - {violation}\n" in err, err
+    assert not any(line.startswith("error:") for line in err.splitlines())
+    assert not (tmp_path / "out").exists()
+    if verb != "reproduce-example":
+        data = json.loads(Path("scenarios/hum-demo.json").read_text())
+        data[{"--epsilon": "epsilon_cutoff", "--cutoff": "cutoff"}[option]] = \
+            json.loads(value)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        assert main([verb, "--scenario", str(edited),
+                     "--out", str(tmp_path / "file")]) == 1
+        assert capsys.readouterr().err == err
+
+
 def test_missing_scenario_inputs(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
     assert "--scenario is required" in capsys.readouterr().err
@@ -564,7 +603,7 @@ def test_zone_probe_minimality_checks_the_solved_problem(tmp_path):
 def test_synthesized_control_matches_oracle_samples():
     basis = SpectralBasis(RectDomain.interval(0.0, 1.0), 1)
     whole = Region.whole(basis.domain)
-    acts = ActuatorSet((Actuator(whole, lambda p: np.ones(p.shape[0]), "z"),))
+    acts = ActuatorSet((Actuator(whole, ONE_1D, "z"),))
     sol = solve_hum(HumProblem(basis, whole, acts, 0.7,
                                LogTimeWindow(1.0, 2.5), [0.8]))
     assert_allclose(sol.gramian.matrix[0, 0], ORACLE_W, rtol=1e-8)
@@ -588,7 +627,7 @@ def test_synthesize_csv_table(tmp_path):
     # serialized floats round-trip against an in-process solve
     basis = SpectralBasis(RectDomain.interval(0.0, 1.0), 1)
     whole = Region.whole(basis.domain)
-    acts = ActuatorSet((Actuator(whole, lambda p: np.ones(p.shape[0]), "z"),))
+    acts = ActuatorSet((Actuator(whole, ONE_1D, "z"),))
     sol = solve_hum(HumProblem(basis, whole, acts, 0.7,
                                LogTimeWindow(1.0, 2.5), [0.8]))
     assert_allclose(us, sol.control.values[0], rtol=1e-13)
@@ -661,15 +700,14 @@ def test_simulate_series_is_one_table_of_per_time_free_solutions():
     assert np.array_equal(report["final_coefficients"], rows[-1][1:])
 
 
-def test_mode_profiles_resolve_lazily(tmp_path, capsys):
-    # --cutoff 2 leaves hum-demo's mode indices 4..35 out of range; simulate
-    # never evaluates a profile, so only analyze trips over them
-    argv = ["--scenario", "scenarios/hum-demo.json", "--cutoff", "2"]
-    assert main(["simulate", *argv, "--out", str(tmp_path / "sim")]) == 0
-    capsys.readouterr()
-    assert main(["analyze", *argv, "--out", str(tmp_path / "an")]) == 1
-    err = capsys.readouterr().err
-    assert any(line.startswith("error:") for line in err.splitlines())
+def test_mode_profiles_resolve_lazily():
+    # a mode profile looks its mode up when a factor is evaluated: one past
+    # the truncation builds, and fails once it is coupled
+    domain = RectDomain.interval(0.0, 1.0)
+    basis = SpectralBasis(domain, 2)
+    acts = ActuatorSet((Actuator(Region.whole(domain), basis.mode_profile(4)),))
+    with pytest.raises(IndexError):
+        actuator_coefficients(acts, basis)
 
 
 def test_polynomial_and_sine_profiles_couple_in_closed_form():

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import svd
 
-from _reference import gradient_component_matrix, value_matrix
+from _reference import gradient_component_matrix, profile_values, value_matrix
 from ultradiff._quadrature import kernel_rule
 from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
@@ -39,6 +39,11 @@ from ultradiff.spectral import (Actuator, ActuatorSet, Region,
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
 SQUARE = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
+ONE_1D = SeparableProfile(((1.0, (np.ones_like,)),))
+ONE_2D = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+RAMP = SeparableProfile(((1.0, (lambda x: x,)),))          # x on an interval
+X_PLUS_2Y = SeparableProfile(((1.0, (lambda x: x, np.ones_like)),
+                              (2.0, (np.ones_like, lambda y: y))))
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # alpha=0.7, K=2 on [0,1], whole-domain region, one constant zone actuator
@@ -52,7 +57,7 @@ FROZEN_W = np.array([
 def single_zone_setup():
     basis = SpectralBasis(DOMAIN_1D, 2)
     acts = ActuatorSet((Actuator(Region.box(DOMAIN_1D, (0.15, 0.7)),
-                                 lambda p: np.ones(p.shape[0]), "zone"),))
+                                 ONE_1D, "zone"),))
     return basis, acts
 
 
@@ -158,9 +163,9 @@ def test_adding_actuators_never_shrinks_the_margin():
     basis = SpectralBasis(DOMAIN_1D, 3)
     region = Region.box(DOMAIN_1D, (0.1, 0.8))
     first = Actuator(Region.box(DOMAIN_1D, (0.1, 0.5)),
-                     lambda p: np.ones(p.shape[0]), "a")
+                     ONE_1D, "a")
     second = Actuator(Region.box(DOMAIN_1D, (0.4, 0.95)),
-                      lambda p: p[:, 0], "b")
+                      RAMP, "b")
     g1 = assemble_gramian(basis, region, ActuatorSet((first,)), 0.7, WINDOW)
     g2 = assemble_gramian(basis, region, ActuatorSet((first, second)), 0.7, WINDOW)
     assert np.all(g2.pencil_eigenvalues >= g1.pencil_eigenvalues - 1e-12)
@@ -180,8 +185,8 @@ def test_one_dimensional_rank_and_spectral_verdicts_agree():
             alo = rng.uniform(0.0, 0.55)
             ahi = rng.uniform(alo + 0.2, 1.0)
             c0, c1 = rng.uniform(0.4, 1.5), rng.uniform(-0.5, 0.5)
-            actuators.append(Actuator(Region.box(DOMAIN_1D, (alo, ahi)),
-                                      lambda p, c0=c0, c1=c1: c0 + c1 * p[:, 0],
+            profile = SeparableProfile(((c0, (np.ones_like,)), (c1, (lambda x: x,))))
+            actuators.append(Actuator(Region.box(DOMAIN_1D, (alo, ahi)), profile,
                                       f"a{i}"))
         acts = ActuatorSet(tuple(actuators))
         report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
@@ -197,9 +202,8 @@ def test_mode_orthogonal_actuator_fails_both_tests():
     # are invisible: the rank test and the Gramian must both say NOT
     basis = SpectralBasis(DOMAIN_1D, 4)
     region = Region.box(DOMAIN_1D, (0.2, 0.9))
-    acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D),
-                                 lambda p: np.sin(2.0 * math.pi * p[:, 0]),
-                                 "orthogonal"),))
+    sine = SeparableProfile(((1.0, (lambda x: np.sin(2.0 * math.pi * x),)),))
+    acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D), sine, "orthogonal"),))
     report = strategic_test(basis, region, acts, alpha=0.7, window=WINDOW)
     assert not report.strategic
     assert report.verdict == "NOT"
@@ -216,14 +220,14 @@ def test_two_dimensional_strategic_patterns():
         {b.bucket: b.multiplicity
          for b in strategic_test(
              basis, region,
-             ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0]), "z"),)),
+             ActuatorSet((Actuator(region, ONE_2D, "z"),)),
              alpha=0.7, window=WINDOW).buckets}.values())
     assert mults == [1, 1, 2]
 
     # one channel cannot dominate a two-fold eigenvalue
     single = strategic_test(
         basis, region,
-        ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0]), "z"),)),
+        ActuatorSet((Actuator(region, ONE_2D, "z"),)),
         alpha=0.7, window=WINDOW)
     assert single.criterion == "generic"
     assert single.sup_multiplicity == 2
@@ -274,11 +278,11 @@ def test_stacked_observation_map_matches_per_bucket_sum():
     region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
     acts = ActuatorSet((
         Actuator(Region.box(domain, (0.0, 0.5), (0.0, 0.5)),
-                 lambda p: np.ones(p.shape[0]), "zone-a"),
+                 ONE_2D, "zone-a"),
         Actuator(Region.box(domain, (0.3, 1.0), (0.4, 1.0)),
-                 lambda p: p[:, 0] + 2.0 * p[:, 1], "zone-b"),
+                 X_PLUS_2Y, "zone-b"),
         Actuator(Region.box(domain, (0.6, 0.9), (0.0, 0.7)),
-                 lambda p: np.ones(p.shape[0]), "zone-c"),
+                 ONE_2D, "zone-c"),
     ))
     mode_buckets = basis.buckets
     assert np.bincount(mode_buckets).max() == 2
@@ -319,7 +323,7 @@ def _n_point_couplings(acts, basis):
     for i, actuator in enumerate(acts.actuators):
         for box in actuator.support.boxes:
             points, weights = box_quadrature(box, order)
-            profile = np.asarray(actuator.distribution(points), dtype=float)
+            profile = profile_values(actuator.distribution, points)
             d[i] += value_matrix(basis, points) @ (weights * profile)
     return d
 
@@ -368,7 +372,7 @@ def _quadrant_zone():
     distinct k^2 + l^2 over odd k, l."""
     basis = SpectralBasis(SQUARE, 4, "whole-wave")
     quadrant = Region.box(SQUARE, (0.0, 1.0), (0.0, 1.0))
-    acts = ActuatorSet((Actuator(quadrant, lambda p: np.ones(p.shape[0]), "zone"),))
+    acts = ActuatorSet((Actuator(quadrant, ONE_2D, "zone"),))
     rank = len({k * k + l * l for k, l in basis.modes.tolist()
                 if k % 2 == 1 and l % 2 == 1})
     return basis, quadrant, acts, rank
@@ -538,8 +542,8 @@ def _interval_two_boxes():
     basis = SpectralBasis(DOMAIN_1D, 4)
     region = Region(DOMAIN_1D, (((0.1, 0.4),), ((0.5, 0.9),)))
     acts = ActuatorSet((
-        Actuator(Region.box(DOMAIN_1D, (0.0, 0.6)), lambda p: np.ones(p.shape[0]), "a"),
-        Actuator(Region.box(DOMAIN_1D, (0.3, 1.0)), lambda p: p[:, 0], "b")))
+        Actuator(Region.box(DOMAIN_1D, (0.0, 0.6)), ONE_1D, "a"),
+        Actuator(Region.box(DOMAIN_1D, (0.3, 1.0)), RAMP, "b")))
     return basis, region, acts
 
 
@@ -549,9 +553,9 @@ def _square_two_boxes():
     region = Region(domain, (((0.1, 0.5), (0.2, 0.9)), ((0.6, 0.9), (0.0, 0.4))))
     acts = ActuatorSet((
         Actuator(Region.box(domain, (0.0, 0.5), (0.0, 0.5)),
-                 lambda p: np.ones(p.shape[0]), "zone-a"),
+                 ONE_2D, "zone-a"),
         Actuator(Region.box(domain, (0.3, 1.0), (0.4, 1.0)),
-                 lambda p: p[:, 0] + 2.0 * p[:, 1], "zone-b")))
+                 X_PLUS_2Y, "zone-b")))
     return basis, region, acts
 
 

@@ -21,10 +21,13 @@ from ultradiff.logtime import LogTimeWindow
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
                               _InputMap)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis)
+                                SeparableProfile, SpectralBasis)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN = RectDomain.interval(0.0, 1.0)
+ONE_1D = SeparableProfile(((1.0, (np.ones_like,)),))
+ONE_2D = SeparableProfile(((1.0, (np.ones_like,) * 2),))
+RAMP = SeparableProfile(((1.0, (lambda x: x,)),))          # x on an interval
 
 
 def steering_setup():
@@ -33,8 +36,8 @@ def steering_setup():
     region = Region.box(DOMAIN, (0.05, 0.95))
     acts = ActuatorSet((
         Actuator(Region.box(DOMAIN, (0.0, 0.6)),
-                 lambda p: np.ones(p.shape[0]), "const"),
-        Actuator(Region.box(DOMAIN, (0.3, 1.0)), lambda p: p[:, 0], "ramp"),
+                 ONE_1D, "const"),
+        Actuator(Region.box(DOMAIN, (0.3, 1.0)), RAMP, "ramp"),
     ))
     return basis, region, acts
 
@@ -68,9 +71,9 @@ def test_input_map_energy_is_the_quadratic_form(ndim):
         region = Region.box(square, (0.0, 0.5), (0.0, 0.5))
         acts = ActuatorSet((
             Actuator(Region.box(square, (0.0, 0.6), (0.0, 1.0)),
-                     lambda p: np.ones(p.shape[0]), "const"),
+                     ONE_2D, "const"),
             Actuator(Region.box(square, (0.4, 1.0), (0.2, 0.9)),
-                     lambda p: p[:, 0] * p[:, 1], "bilinear"),
+                     SeparableProfile(((1.0, (lambda x: x, lambda y: y)),)), "bilinear"),
         ))
     gramian = assemble_gramian(basis, region, acts, 0.7, WINDOW)
     rng = np.random.default_rng(ndim)
@@ -160,7 +163,7 @@ def _modal_plus_zone_setup():
         tuple(Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
               for i in range(len(basis.modes)))
         + (Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
-                    lambda p: np.ones(p.shape[0]), "zone"),))
+                    ONE_2D, "zone"),))
     return basis, Region.box(domain, (0.0, 0.5), (0.0, 1.0)), acts, len(basis.modes)
 
 
@@ -171,7 +174,7 @@ def _quadrant_zone_setup():
     domain = RectDomain.rectangle((-1.0, 1.0), (-1.0, 1.0))
     basis = SpectralBasis(domain, 4, "whole-wave")
     quadrant = Region.box(domain, (0.0, 1.0), (0.0, 1.0))
-    acts = ActuatorSet((Actuator(quadrant, lambda p: np.ones(p.shape[0]), "zone"),))
+    acts = ActuatorSet((Actuator(quadrant, ONE_2D, "zone"),))
     rank = len({k * k + l * l for k, l in basis.modes.tolist()
                 if k % 2 == 1 and l % 2 == 1})
     return basis, quadrant, acts, rank
@@ -302,7 +305,7 @@ def test_minimality_cross_check_with_more_modes_than_nodes():
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 10)
     acts = ActuatorSet((Actuator(Region.box(domain, (0.0, 0.5), (0.2, 0.9)),
-                                 lambda p: np.ones(p.shape[0]), "zone"),))
+                                 ONE_2D, "zone"),))
     sol = solve_hum(HumProblem(basis, Region.box(domain, (0.0, 0.5), (0.0, 1.0)),
                                acts, 0.7, WINDOW,
                                np.random.default_rng(11).standard_normal(100)))
@@ -334,7 +337,7 @@ def test_classical_limit_closed_forms():
     # one mode, constant profile on the whole interval: everything elementary
     basis = SpectralBasis(DOMAIN, 1)
     whole = Region.whole(DOMAIN)
-    acts = ActuatorSet((Actuator(whole, lambda p: np.ones(p.shape[0]), "z"),))
+    acts = ActuatorSet((Actuator(whole, ONE_1D, "z"),))
     lam = math.pi ** 2
     L = WINDOW.length
     d = 2.0 * math.sqrt(2.0) / math.pi
@@ -362,7 +365,7 @@ def test_epsilon_cutoff_synthesis():
     basis = SpectralBasis(DOMAIN, 2)
     region = Region.box(DOMAIN, (0.1, 0.9))
     acts = ActuatorSet((Actuator(Region.box(DOMAIN, (0.0, 0.7)),
-                                 lambda p: np.ones(p.shape[0]), "z"),))
+                                 ONE_1D, "z"),))
     gramian = assemble_gramian(basis, region, acts, 0.4, WINDOW, epsilon=1e-3)
     rng = np.random.default_rng(1)
     sol = solve_hum(HumProblem(basis, region, acts, 0.4, WINDOW,
@@ -412,8 +415,8 @@ def test_ill_posed_synthesis_is_flagged():
     # an actuator coupled to one mode only: the solve proceeds through the
     # pseudo-inverse and says so
     basis = SpectralBasis(DOMAIN, 3)
-    acts = ActuatorSet((Actuator(Region.whole(DOMAIN),
-                                 lambda p: np.sin(2 * math.pi * p[:, 0]), "o"),))
+    sine = SeparableProfile(((1.0, (lambda x: np.sin(2 * math.pi * x),)),))
+    acts = ActuatorSet((Actuator(Region.whole(DOMAIN), sine, "o"),))
     sol = solve_hum(HumProblem(basis, Region.box(DOMAIN, (0.2, 0.9)), acts,
                                0.7, WINDOW, np.ones(3)))
     assert sol.ill_posed

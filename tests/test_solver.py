@@ -14,10 +14,12 @@ from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (ControlSignal, EnergyDivergenceError, _ml_matrix,
                               forced_solution, free_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SpectralBasis, gradient_gram)
+                                SeparableProfile, SpectralBasis, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN_1D = RectDomain.interval(0.0, 1.0)
+ONE_1D = SeparableProfile(((1.0, (np.ones_like,)),))
+RAMP = SeparableProfile(((1.0, (lambda x: x,)),))          # x on an interval
 
 # Duhamel integrals for the two-channel configuration below, computed with
 # 120-digit arithmetic: tanh-sinh quadrature in the original (singular)
@@ -35,8 +37,8 @@ def two_channel_setup():
     basis = SpectralBasis(DOMAIN_1D, 2)
     acts = ActuatorSet((
         Actuator(Region.box(DOMAIN_1D, (0.1, 0.45)),
-                 lambda p: np.ones(p.shape[0]), "zone"),
-        Actuator(Region.box(DOMAIN_1D, (0.3, 0.9)), lambda p: p[:, 0], "ramp"),
+                 ONE_1D, "zone"),
+        Actuator(Region.box(DOMAIN_1D, (0.3, 0.9)), RAMP, "ramp"),
     ))
 
     def fn(tau):
@@ -104,7 +106,7 @@ def test_classical_forced_solution_constant_control():
     # z_p(b) = c d_p (1 - exp(-lam_p L)) / lam_p
     basis = SpectralBasis(DOMAIN_1D, 3)
     acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D),
-                                 lambda p: np.ones(p.shape[0]), "bulk"),))
+                                 ONE_1D, "bulk"),))
     level = 0.8
     u = ControlSignal.constant([level], WINDOW, 1.0)
     state = forced_solution(acts, basis, u, 1.0, WINDOW, WINDOW.b)
@@ -188,7 +190,7 @@ def singular_signal(alpha, levels=(1.0,), epsilon=None):
 def test_singular_control_divergence_refusal_and_cutoff():
     basis = SpectralBasis(DOMAIN_1D, 2)
     acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D),
-                                 lambda p: np.ones(p.shape[0]), "bulk"),))
+                                 ONE_1D, "bulk"),))
     u = singular_signal(0.4)
     with pytest.raises(EnergyDivergenceError) as err:
         forced_solution(acts, basis, u, 0.4, WINDOW, WINDOW.b)

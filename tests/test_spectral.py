@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _reference import gradient_component_matrix, value_matrix
+from _reference import gradient_component_matrix, profile_values, value_matrix
 from ultradiff import spectral
 from ultradiff.cli import (build_objects, parse_scenario, reproduction_scenario,
                            scenario_from_dict)
@@ -201,6 +201,22 @@ def test_whole_domain_gradient_gram_is_diagonal_of_eigenvalues(domain, family):
                     atol=1e-9 * basis.lams.max())
 
 
+def _ones(ndim):
+    return SeparableProfile(((1.0, (np.ones_like,) * ndim),))
+
+
+def _bumpy(ndim):
+    """1 + (x_1 ... x_ndim)^2, as two separable terms."""
+    return SeparableProfile(((1.0, (np.ones_like,) * ndim),
+                             (1.0, (np.square,) * ndim)))
+
+
+def _coordinate(ndim, axis):
+    """The coordinate x_axis as a separable profile."""
+    return SeparableProfile(((1.0, tuple((lambda x: x) if ax == axis else np.ones_like
+                                         for ax in range(ndim))),))
+
+
 def test_box_pairings_closed_form():
     # canonical modes 2 sin(k pi x) sin(l pi y) on the unit square, paired
     # over the quadrant [0, h]^2 with the profile 1 and with the field (x, y)
@@ -208,9 +224,10 @@ def test_box_pairings_closed_form():
     basis = SpectralBasis(domain, 3)
     h = 0.5
     region = Region.box(domain, (0.0, h), (0.0, h))
-    acts = ActuatorSet((Actuator(region, lambda pts: np.ones(pts.shape[0])),))
+    acts = ActuatorSet((Actuator(region, _ones(2)),))
     means = actuator_coefficients(acts, basis)[0]
-    pairings = adjoint_gradient_coefficients(lambda pts: pts.copy(), basis, region)
+    field = (_coordinate(2, 0), _coordinate(2, 1))
+    pairings = adjoint_gradient_coefficients(field, basis, region)
 
     def sine(k):        # int_0^h sin(k pi x) dx
         return (1.0 - math.cos(k * math.pi * h)) / (k * math.pi)
@@ -229,10 +246,9 @@ def test_empty_region_integrates_to_zero():
     region = Region(domain, ())
     assert region.is_empty
     basis = SpectralBasis(domain, 3)
-    acts = ActuatorSet((Actuator(region, lambda p: np.ones(p.shape[0])),))
+    acts = ActuatorSet((Actuator(region, _ones(1)),))
     assert np.all(actuator_coefficients(acts, basis) == 0.0)
-    field = lambda p: np.ones((p.shape[0], 1))
-    assert np.all(adjoint_gradient_coefficients(field, basis, region) == 0.0)
+    assert np.all(adjoint_gradient_coefficients((_ones(1),), basis, region) == 0.0)
 
 
 def test_region_measure_and_containment():
@@ -260,8 +276,7 @@ def test_actuator_coefficients_box_constant_closed_form():
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 5)
     c, d = 0.2, 0.7
-    acts = ActuatorSet((Actuator(Region.box(domain, (c, d)),
-                                 lambda p: np.ones(p.shape[0]), "zone"),))
+    acts = ActuatorSet((Actuator(Region.box(domain, (c, d)), _ones(1), "zone"),))
     row = actuator_coefficients(acts, basis)[0]
     for p, (k,) in enumerate(basis.modes.tolist()):
         exact = math.sqrt(2.0) * (math.cos(k * math.pi * c)
@@ -270,40 +285,29 @@ def test_actuator_coefficients_box_constant_closed_form():
 
 
 def _per_actuator_coefficients(actuators, basis):
-    # reference loop: one table per actuator box
+    # reference loop: one table per actuator box, on the profile's values at
+    # the box's tensor points
     order = default_order(basis)
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, actuator in enumerate(actuators.actuators):
         for box in actuator.support.boxes:
             points, weights = box_quadrature(box, order)
-            profile = np.asarray(actuator.distribution(points), dtype=float)
+            profile = profile_values(actuator.distribution, points)
             coeffs[i] += value_matrix(basis, points) @ (weights * profile)
     return coeffs
 
 
-def _ones(points):
-    return np.ones(points.shape[0])
-
-
-def _bumpy(points):
-    return 1.0 + np.prod(points, axis=1) ** 2
-
-
-def _mode_values(basis, q):
-    """Mode q behind an opaque callable: a row of `value_matrix`."""
-    return lambda points: value_matrix(basis, points)[q]
-
-
 def _shared_box_actuators(domain, basis, boxes):
     a, b, c, d = boxes        # a overlaps b; c and d are disjoint from a
+    ones, bumpy = _ones(domain.ndim), _bumpy(domain.ndim)
     return ActuatorSet((
-        Actuator(Region.whole(domain), _mode_values(basis, 2), "mode"),
-        Actuator(Region(domain, (a,)), _ones, "zone"),
-        Actuator(Region(domain, (b,)), _bumpy, "overlapping"),
-        Actuator(Region(domain, (a,)), _bumpy, "same-box"),
-        Actuator(Region(domain, (c, a)), _ones, "two-box"),
-        Actuator(Region(domain, (a, c, d)), _bumpy, "three-box"),
-        Actuator(Region(domain, (d, c, a)), _bumpy, "three-box-reversed"),
+        Actuator(Region.whole(domain), basis.mode_profile(2), "mode"),
+        Actuator(Region(domain, (a,)), ones, "zone"),
+        Actuator(Region(domain, (b,)), bumpy, "overlapping"),
+        Actuator(Region(domain, (a,)), bumpy, "same-box"),
+        Actuator(Region(domain, (c, a)), ones, "two-box"),
+        Actuator(Region(domain, (a, c, d)), bumpy, "three-box"),
+        Actuator(Region(domain, (d, c, a)), bumpy, "three-box-reversed"),
         Actuator(Region.whole(domain), basis.mode_profile(3), "cli-mode"),
     ))
 
@@ -338,7 +342,8 @@ def test_actuator_coefficients_share_one_table_per_box(domain, boxes,
 
 def _n_point_reference(basis, region, acts, field):
     """Couplings, Gamma, direction norms and <field, grad alpha_p> from
-    (n_modes, N) tables on the tensor points of each box."""
+    (n_modes, N) tables and the profiles' values on the tensor points of
+    each box."""
     order = default_order(basis)
     ndim, n_modes = basis.domain.ndim, len(basis.modes)
     gram = np.zeros((n_modes, n_modes))
@@ -346,19 +351,21 @@ def _n_point_reference(basis, region, acts, field):
     adjoint = np.zeros(n_modes)
     for box in region.boxes:
         points, weights = box_quadrature(box, order)
-        values = field(points)
         for component in range(ndim):
             d = gradient_component_matrix(basis, points, component)
             gram += (d * weights) @ d.T
             squares[component] += (d * d) @ weights
-            adjoint += d @ (weights * values[:, component])
+            adjoint += d @ (weights * profile_values(field[component], points))
     return (_per_actuator_coefficients(acts, basis), gram, np.sqrt(squares),
             adjoint)
 
 
-def _nonseparable_field(points):
-    return np.column_stack([(c + 1.0) * _bumpy(points) + points[:, c]
-                            for c in range(points.shape[1])])
+def _polynomial_field(ndim):
+    """Component c is (c + 1) (1 + (x_1 ... x_ndim)^2) + x_c."""
+    return tuple(SeparableProfile(tuple((c + 1.0, factors) for _, factors
+                                        in _bumpy(ndim).terms)
+                                  + _coordinate(ndim, c).terms)
+                 for c in range(ndim))
 
 
 @pytest.mark.parametrize("domain,family,boxes", [
@@ -370,24 +377,25 @@ def _nonseparable_field(points):
      (((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-0.5, 0.5)))),
 ], ids=["interval", "two-box-rectangle", "whole-wave-square"])
 def test_separable_box_integrals_match_n_point_reference(domain, family, boxes):
-    """Couplings, Gamma, its direction norms and the callable adjoint path
-    contract per-axis tables and build no (n_modes, N) table, and agree
-    with the N-point sums to roundoff; Gamma is checked as the product
-    R^T R of its upper triangular factor."""
+    """Couplings, Gamma, its direction norms and the adjoint pairings of a
+    vector field contract per-axis tables and build no (n_modes, N) table,
+    and agree with the N-point sums to roundoff; Gamma is checked as the
+    product R^T R of its upper triangular factor."""
     basis = SpectralBasis(domain, 6, family)
     region = Region(domain, boxes)
     acts = ActuatorSet((
         Actuator(Region.whole(domain), basis.mode_profile(2), "mode"),
-        Actuator(region, _bumpy, "non-separable"),
-        Actuator(Region(domain, boxes[1:]), _ones, "zone"),
+        Actuator(region, _bumpy(domain.ndim), "bumpy"),
+        Actuator(Region(domain, boxes[1:]), _ones(domain.ndim), "zone"),
     ))
-    reference = _n_point_reference(basis, region, acts, _nonseparable_field)
+    field = _polynomial_field(domain.ndim)
+    reference = _n_point_reference(basis, region, acts, field)
     gram = gradient_gram(basis, region)
     factor = gram.factor
     assert np.array_equal(factor, np.triu(factor))
     got = (actuator_coefficients(acts, basis), factor.T @ factor,
            gram.direction_norms,
-           adjoint_gradient_coefficients(_nonseparable_field, basis, region))
+           adjoint_gradient_coefficients(field, basis, region))
     for name, value, expected in zip(("couplings", "gram", "norms", "adjoint"),
                                      got, reference):
         err = np.max(np.abs(value - expected))
@@ -404,8 +412,7 @@ def test_gradient_gram_refuses_an_empty_region():
 def test_actuator_domain_mismatch_raises():
     basis = SpectralBasis(RectDomain.interval(0.0, 1.0), 3)
     other = RectDomain.interval(0.0, 2.0)
-    acts = ActuatorSet((Actuator(Region.whole(other),
-                                 lambda p: np.ones(p.shape[0])),))
+    acts = ActuatorSet((Actuator(Region.whole(other), _ones(1)),))
     with pytest.raises(ValueError, match="different domain"):
         actuator_coefficients(acts, basis)
 
@@ -418,31 +425,51 @@ def test_adjoint_gradient_coefficients_both_entry_points():
     rng = np.random.default_rng(11)
     gamma = rng.standard_normal(len(basis.modes))
 
-    # for g = sum_q gamma_q grad alpha_q the callable path gives Gamma gamma
-    def field(points):
-        return np.column_stack([gamma @ gradient_component_matrix(basis, points, l)
-                                for l in range(2)])
+    # for g = sum_q gamma_q grad alpha_q the pairings give Gamma gamma;
+    # component l of g is a sum of one separable term per mode
+    field = tuple(SeparableProfile(tuple(
+        (g, tuple(lambda x, ax=ax, k=k, slope=ax == l:
+                  basis._axis_factor(ax, k, x, slope) for ax, k in enumerate(index)))
+        for g, index in zip(gamma, basis.modes.tolist()))) for l in range(2))
 
     c_fn = adjoint_gradient_coefficients(field, basis, region)
     assert_allclose(c_fn, gram.matrix @ gamma, rtol=0, atol=1e-8)
-    with pytest.raises(ValueError, match="shape"):
-        adjoint_gradient_coefficients(lambda p: np.ones(p.shape[0]),
-                                      basis, region)
+
+
+@pytest.mark.parametrize("field,got", [
+    ((), "a tuple of 0"),
+    ((_ones(2),), "a tuple of 1"),
+    ((_ones(2),) * 3, "a tuple of 3"),
+    (lambda p: np.ones_like(p), "function"),
+    ([_ones(2)] * 2, "list"),
+], ids=["none", "one", "three", "callable", "list"])
+def test_adjoint_gradient_coefficients_refuses_a_field_of_the_wrong_size(field, got):
+    """A 2-D vector field is a tuple of exactly two SeparableProfiles."""
+    domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match=f"tuple of 2 SeparableProfiles.*got {got}"):
+        adjoint_gradient_coefficients(field, SpectralBasis(domain, 3),
+                                      Region.whole(domain))
 
 
 def test_adjoint_field_is_called_once_per_box():
-    # both gradient components of a 2-D box read one evaluation of the field
+    # each factor of each component of the field (y, x^2) is called once per
+    # box, on its axis's Gauss nodes only: no tensor points
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 3)
     region = Region(domain, (((0.0, 0.5), (0.0, 1.0)), ((0.5, 1.0), (0.25, 0.75))))
     calls = []
 
-    def field(points):
-        calls.append(points.shape)
-        return np.column_stack((points[:, 1], points[:, 0] ** 2))
+    def counted(f):
+        def factor(x):
+            calls.append(x.shape)
+            return f(x)
+        return factor
 
+    field = (SeparableProfile(((1.0, (counted(np.ones_like), counted(lambda y: y))),)),
+             SeparableProfile(((1.0, (counted(np.square), counted(np.ones_like))),)))
     pairings = adjoint_gradient_coefficients(field, basis, region)
-    assert calls == [(default_order(basis) ** 2, 2)] * 2
+    # two boxes, two components, two factors each
+    assert calls == [(default_order(basis),)] * 8
     # the same pairings, box by box
     assert_allclose(pairings, sum(
         adjoint_gradient_coefficients(field, basis, Region(domain, (box,)))
@@ -500,16 +527,8 @@ def _cli_actuators(kind, dim, supports):
     return basis, acts
 
 
-def _pointwise(actuators):
-    """The same actuators with every profile behind an opaque callable, so
-    its couplings come from values at the tensor points."""
-    return ActuatorSet(tuple(
-        Actuator(a.support, (lambda f: lambda points: f(points))(a.distribution),
-                 a.label) for a in actuators.actuators))
-
-
 def _assert_couplings_match(got, expected):
-    # the 1-D integrals sum the nodes in another order than the contraction
+    # the 1-D integrals sum the nodes in another order than the N-point sums
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -517,41 +536,46 @@ def _assert_couplings_match(got, expected):
 @pytest.mark.parametrize("kind", sorted(PROFILE_COEFFICIENTS))
 def test_separable_grid_couplings_equal_pointwise(kind, dim):
     """One-box, multi-box and whole-domain supports: the couplings from 1-D
-    integrals equal those of the same profile evaluated at the tensor points."""
+    integrals equal the N-point sums of the same profile's values at the
+    tensor points (`profile_values`)."""
     bounds, (a, b) = PROFILE_DOMAINS[dim]
     basis, acts = _cli_actuators(kind, dim, [[a], [a, b], [b, a], [bounds]])
     assert all(isinstance(x.distribution, SeparableProfile)
                for x in acts.actuators)
     got = actuator_coefficients(acts, basis)
     assert np.max(np.abs(got)) > 1e-2
-    _assert_couplings_match(got, actuator_coefficients(_pointwise(acts), basis))
+    _assert_couplings_match(got, _per_actuator_coefficients(acts, basis))
 
 
 @pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
 @pytest.mark.parametrize("kind", sorted(PROFILE_COEFFICIENTS))
 def test_box_shared_by_separable_and_opaque_users(kind, dim):
+    """CLI-built profiles share their boxes with hand-built ones: every row
+    matches the N-point sums, and no row depends on the box's other users."""
     bounds, (a, b) = PROFILE_DOMAINS[dim]
     basis, acts = _cli_actuators(kind, dim, [[a], [a, b]])
     domain = basis.domain
-    opaque = (Actuator(Region(domain, (a,)), _bumpy, "opaque"),
-              Actuator(Region(domain, (b, a)), _ones, "opaque-two-box"))
-    mixed = ActuatorSet(acts.actuators + opaque)
-    reference = ActuatorSet(_pointwise(acts).actuators + opaque)
+    others = ActuatorSet((Actuator(Region(domain, (a,)), _bumpy(domain.ndim), "bumpy"),
+                          Actuator(Region(domain, (b, a)), _ones(domain.ndim),
+                                   "ones-two-box")))
+    mixed = ActuatorSet(acts.actuators + others.actuators)
     got = actuator_coefficients(mixed, basis)
-    expected = actuator_coefficients(reference, basis)
-    _assert_couplings_match(got[:2], expected[:2])
-    assert np.array_equal(got[2:], expected[2:])
+    _assert_couplings_match(got, _per_actuator_coefficients(mixed, basis))
+    assert np.array_equal(got[:2], actuator_coefficients(acts, basis))
+    assert np.array_equal(got[2:], actuator_coefficients(others, basis))
 
 
 @pytest.mark.parametrize("dim", sorted(PROFILE_DOMAINS))
 def test_separable_profiles_match_their_closed_forms(dim):
-    """Pointwise values: coefficient first, then axis 0, then axis 1."""
+    """Pointwise values (the tests' `profile_values`): coefficient first,
+    then axis 0, then axis 1."""
     bounds, (box, _) = PROFILE_DOMAINS[dim]
     points, _ = box_quadrature(tuple(map(tuple, box)), 7)
     basis, _ = _cli_actuators("constant", dim, [[box]])
     profiles = {kind: _cli_actuators(kind, dim, [[box]])[1].actuators[0]
                 .distribution for kind in PROFILE_COEFFICIENTS}
-    assert np.array_equal(profiles["constant"](points), np.full(len(points), 0.8))
+    assert np.array_equal(profile_values(profiles["constant"], points),
+                          np.full(len(points), 0.8))
     poly = PROFILE_COEFFICIENTS["polynomial"][dim == "2d"]
     ndim = len(bounds)
     expected = 0.0
@@ -560,15 +584,27 @@ def test_separable_profiles_match_their_closed_forms(dim):
         for ax in range(ndim):
             term = term * points[:, ax] ** poly[j + 1 + ax]
         expected = expected + term
-    assert np.array_equal(profiles["polynomial"](points), expected)
+    assert np.array_equal(profile_values(profiles["polynomial"], points), expected)
     amp, *ks = PROFILE_COEFFICIENTS["product-of-sines"][dim == "2d"]
     sines = amp * np.prod([np.sin(k * math.pi * (points[:, ax] - lo) / (hi - lo))
                            for ax, (k, (lo, hi)) in enumerate(zip(ks, bounds))],
                           axis=0)
-    assert_allclose(profiles["product-of-sines"](points), sines,
+    assert_allclose(profile_values(profiles["product-of-sines"], points), sines,
                     rtol=1e-15, atol=1e-15)
-    assert_allclose(profiles["mode"](points), value_matrix(basis, points)[3],
+    assert_allclose(profile_values(profiles["mode"], points),
+                    value_matrix(basis, points)[3],
                     rtol=1e-15, atol=1e-15)
+
+
+def test_actuator_refuses_a_profile_that_is_not_separable():
+    """Every profile is a SeparableProfile; a callable on points is refused
+    with the type it got."""
+    whole = Region.whole(RectDomain.interval(0.0, 1.0))
+    with pytest.raises(TypeError, match="must be a SeparableProfile, got function"):
+        Actuator(whole, lambda p: np.ones(p.shape[0]))
+    with pytest.raises(TypeError, match="SeparableProfile, got ndarray"):
+        Actuator(whole, np.ones(3))
+    assert Actuator(whole, _ones(1)).distribution.ndim == 1
 
 
 def test_separable_profile_validates_its_axes():
@@ -598,7 +634,7 @@ def test_cli_profiles_need_neither_mode_values_nor_tensor_points(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("evaluated at the tensor points")
 
-    monkeypatch.setattr(spectral, "_tensor_points", refuse)
+    monkeypatch.setattr(spectral, "box_quadrature", refuse)
     for _, basis, _, acts in objects:
         coeffs = actuator_coefficients(acts, basis)
         assert coeffs.shape == (acts.m, len(basis.modes))
