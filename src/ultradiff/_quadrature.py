@@ -13,6 +13,11 @@ Two families cover everything in the package:
   Against 50-digit values at n <= 192 and p in {-0.99, -0.57, 0, 0.5} the
   nodes are within 1.2e-16 and the weights within 2e-12 relative (1.3e-10
   at p = -0.99, where the first node's weight is 99% of the total).
+
+Both memos hold at most a constant number of rules (16 kernel rules, 32
+Gauss rules): their keys carry floats (window lengths, decay rates, Jacobi
+exponents), so a long-lived process that meets ever new ones would otherwise
+keep every rule it has built.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ def _jacobi_derivative(n: int, p: float, x: np.ndarray):
     return cur, slope
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def gauss_jacobi_01(n: int, p: float):
     """Nodes/weights for int_0^1 x^p f(x) dx  (p > -1, weight absorbed)."""
     if p <= -1.0:
@@ -65,7 +70,7 @@ def gauss_legendre_01(n: int):
     return gauss_jacobi_01(n, 0.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
                 length: float = 1.0, lam_max: float = 0.0):
     """Nodes/weights (tau_i, w_i) for int_eps^length tau^p g(tau) dtau

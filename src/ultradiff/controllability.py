@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 RANK_RTOL = 1e-10
 VERDICT_THRESHOLD = 1e-10    # default: smallest pencil eigenvalue over the largest
 _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt call
+_RANK_BATCH = 32             # eigenvalue buckets scaled and ranked per batched SVD
 
 
 def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -97,7 +98,9 @@ class GradientGramian(_InputMap):
         """Ascending, read-only eigenvalues of R_Gamma W R_Gamma^T: the
         Gramian in orthonormalized coordinates."""
         m = self.gram.factor @ self.matrix @ self.gram.factor.T
-        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
+        m += m.T                           # symmetrized in place
+        m *= 0.5
+        vals = np.linalg.eigvalsh(m)
         vals.setflags(write=False)
         return vals
 
@@ -232,19 +235,27 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     # buckets are numbered 0, 1, ... along the modes, each one contiguous
     first = np.flatnonzero(np.diff(basis.buckets, prepend=-1))
     bucket_idx = np.split(np.arange(n_modes), first[1:])
-    scaled = coefficient_matrix * direction_norms[:, None, :]   # (ndim, m, n_modes)
     # rank decisions share one scale across buckets: an eigenvalue block whose
-    # couplings are pure roundoff must count as dropped, not as full rank
-    scale = float(np.max(np.abs(scaled))) if scaled.size else 0.0
-    # one batched SVD per multiplicity r_k; a block joins its directions' rows
+    # couplings are pure roundoff must count as dropped, not as full rank.  It
+    # is max |d_ip| n_lp, and rounding is monotonic, so the column maxima of
+    # |D| give the same float without a scaled or absolute copy of D
+    d_max = np.maximum(coefficient_matrix.max(axis=0, initial=0.0),
+                       -coefficient_matrix.min(axis=0, initial=0.0))
+    scale = float(np.max(d_max * direction_norms))
+    # batched SVDs per multiplicity r_k, _RANK_BATCH buckets at a time, each
+    # scaled from D into one (n_b, ndim, m, r_k) stack; a block joins its
+    # directions' rows
     sizes = np.array([idx.size for idx in bucket_idx])
     ranks = np.zeros((sizes.size, ndim + 1), dtype=int)  # direction ranks, block rank
     for r_k in np.unique(sizes):
-        group = np.nonzero(sizes == r_k)[0]
-        cols = np.array([bucket_idx[pos] for pos in group])  # (n_b, r_k)
-        stacks = scaled[:, :, cols].transpose(2, 0, 1, 3)    # (n_b, ndim, m, r_k)
-        ranks[group, :ndim] = _ranks(stacks, scale)
-        ranks[group, ndim] = _ranks(stacks.reshape(group.size, -1, r_k), scale)
+        same = np.nonzero(sizes == r_k)[0]
+        for start in range(0, same.size, _RANK_BATCH):
+            group = same[start:start + _RANK_BATCH]
+            cols = np.array([bucket_idx[pos] for pos in group])  # (n_b, r_k)
+            stacks = (coefficient_matrix[:, cols].transpose(1, 0, 2)[:, None]
+                      * direction_norms[:, cols].transpose(1, 0, 2)[:, :, None])
+            ranks[group, :ndim] = _ranks(stacks, scale)
+            ranks[group, ndim] = _ranks(stacks.reshape(group.size, -1, r_k), scale)
     buckets = [StrategicBucket(b_id, float(basis.lams[idx[0]]), idx.size,
                                tuple(row[:ndim]), row[ndim], row[ndim] == idx.size)
                for b_id, (idx, row) in enumerate(zip(bucket_idx, ranks.tolist()))]

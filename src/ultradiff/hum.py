@@ -246,13 +246,18 @@ def verify_minimality(solution: HumSolution, trials: int = 50, *,
         kernel_kept = u_star.size - lams.size
         if kernel_kept > 0:
             mode = "kernel+pinv"
-            phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
-            a_phi = gramian.apply_factor(phi) @ vecs       # one row per draw
-            z = a_phi / np.sqrt(lams)
-            null_sq = np.maximum(np.sum(phi * phi, axis=1) - np.sum(z * z, axis=1), 0.0)
-            scale = np.sqrt(np.where(null_sq > 0, null_sq, 1.0))
-            delta = (2.0 * (phi @ u_star - a_phi @ (vecs.T @ c)) / scale
-                     + null_sq / scale ** 2)
+            # one draw at a time: row by row, the generator gives the stream
+            # a (trials, m nq) draw would, and only one draw is ever held
+            rng, root, vc = np.random.default_rng(seed), np.sqrt(lams), vecs.T @ c
+            delta = np.empty(trials)
+            for t in range(trials):
+                phi = rng.standard_normal(u_star.size)
+                a_phi = gramian.apply_factor(phi[None])[0] @ vecs
+                z = a_phi / root
+                null_sq = max(float(phi @ phi - z @ z), 0.0)
+                scale = math.sqrt(null_sq) if null_sq > 0 else 1.0
+                delta[t] = (2.0 * (phi @ u_star - a_phi @ vc) / scale
+                            + null_sq / scale ** 2)
             min_delta = float(delta.min())
             trials_passed = int(np.count_nonzero(delta >= -1e-9))
         else:

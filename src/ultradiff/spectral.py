@@ -170,14 +170,18 @@ class SpectralBasis:
         return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
     def mode_profile(self, index: int) -> SeparableProfile:
-        """The mode `modes[index]` as a separable profile.  The mode is looked
-        up when a factor is evaluated, so an index past the cutoff fails then."""
+        """The mode `modes[index]` as a separable profile; an index outside
+        the truncation is refused here, before any actuator couples it."""
+        if not 0 <= index < len(self.modes):
+            raise IndexError(f"mode index {index} is outside the {len(self.modes)} "
+                             f"modes of cutoff {self.cutoff}")
+        mode = self.modes[index]
         return SeparableProfile(((1.0, tuple(
-            lambda x, ax=ax: self._axis_factor(ax, self.modes[index, ax], x, False)
+            lambda x, ax=ax: self._axis_factor(ax, mode[ax], x, False)
             for ax in range(self.domain.ndim))),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _box_rule_1d(lo: float, hi: float, order: int):
     x, w = gauss_legendre_01(order)
     return lo + (hi - lo) * x, (hi - lo) * w

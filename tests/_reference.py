@@ -17,7 +17,9 @@ it computes the same numbers it did inside the package:
   ``SpectralBasis._rows``, ``value_matrix`` and ``gradient_component_matrix``,
   now functions taking the basis first, as in ``value_matrix(basis, points)``;
   the tensor-point evaluation of a profile, ``SeparableProfile.__call__``, now
-  ``profile_values(profile, points)``, and its ``_as_points``.
+  ``profile_values(profile, points)``, and its ``_as_points``;
+* from ``ultradiff.hum.verify_minimality``: its kernel trials in their
+  batched form, every draw at once, now ``batched_minimality_trials``.
 
 ``tests/`` has no ``__init__.py`` and pytest puts the test directory on
 ``sys.path``, so a test imports these as ``from _reference import ...``.
@@ -333,3 +335,25 @@ def gradient_component_matrix(basis: SpectralBasis, points,
                               component: int) -> np.ndarray:
     """(n_modes, n_points) values of d(alpha_p)/dx_component."""
     return _rows(basis, points, component)
+
+
+# ---------------------------------------------------------------------------
+# the minimality check's kernel trials, batched
+# ---------------------------------------------------------------------------
+
+def batched_minimality_trials(solution, trials: int, seed: int):
+    """(trials_passed, min_energy_increase) of `verify_minimality`'s kernel
+    trials, drawn as one (trials, m nq) array and mapped by one
+    `apply_factor` call."""
+    gramian = solution.gramian
+    lams, vecs = solution.eigenpairs
+    c = solution.adjoint_datum
+    u_star = (gramian.coefficient_matrix @ (gramian.table.T * c[:, None])).ravel()
+    phi = np.random.default_rng(seed).standard_normal((trials, u_star.size))
+    a_phi = gramian.apply_factor(phi) @ vecs       # one row per draw
+    z = a_phi / np.sqrt(lams)
+    null_sq = np.maximum(np.sum(phi * phi, axis=1) - np.sum(z * z, axis=1), 0.0)
+    scale = np.sqrt(np.where(null_sq > 0, null_sq, 1.0))
+    delta = (2.0 * (phi @ u_star - a_phi @ (vecs.T @ c)) / scale
+             + null_sq / scale ** 2)
+    return int(np.count_nonzero(delta >= -1e-9)), float(delta.min())

@@ -700,14 +700,16 @@ def test_simulate_series_is_one_table_of_per_time_free_solutions():
     assert np.array_equal(report["final_coefficients"], rows[-1][1:])
 
 
-def test_mode_profiles_resolve_lazily():
-    # a mode profile looks its mode up when a factor is evaluated: one past
-    # the truncation builds, and fails once it is coupled
+def test_mode_profile_refuses_an_index_past_the_cutoff():
+    # a mode profile looks its mode up when it is built: an index outside the
+    # truncation fails there, with the index and the cutoff in the message
     domain = RectDomain.interval(0.0, 1.0)
     basis = SpectralBasis(domain, 2)
-    acts = ActuatorSet((Actuator(Region.whole(domain), basis.mode_profile(4)),))
-    with pytest.raises(IndexError):
-        actuator_coefficients(acts, basis)
+    for index in (2, 4, -1):
+        with pytest.raises(IndexError, match=f"mode index {index} .* cutoff 2"):
+            basis.mode_profile(index)
+    acts = ActuatorSet((Actuator(Region.whole(domain), basis.mode_profile(1)),))
+    assert_allclose(actuator_coefficients(acts, basis), [[0.0, 1.0]], atol=1e-14)
 
 
 def test_polynomial_and_sine_profiles_couple_in_closed_form():

@@ -625,20 +625,27 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_structured_qr_peaks_below_the_dense_maps():
-    """K = 12 modal actuators on the unit square: 144 modes and channels, so
-    the dense 160-node map A^T is 23040 x 144 doubles and S is 9216 x 144.
-    Neither is built: the minimality checks read eigenpairs of the 144 x 144
-    W, and the strategic test's QR keeps one group of rows of S at a time."""
+def _modal_k12_solution():
+    """K = 12 modal actuators on the unit square (144 modes and channels),
+    steered on a box of the square: (basis, region, actuators, solution)."""
     domain = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
     basis = SpectralBasis(domain, 12)
-    n_modes = len(basis.modes)
     acts = ActuatorSet(tuple(
         Actuator(Region.whole(domain), basis.mode_profile(i), f"m{i}")
         for i in range(len(basis.modes))))
     region = Region.box(domain, (0.1, 0.8), (0.2, 0.9))
     sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
-                               np.random.default_rng(11).standard_normal(n_modes)))
+                               np.random.default_rng(11).standard_normal(acts.m)))
+    return basis, region, acts, sol
+
+
+def test_structured_qr_peaks_below_the_dense_maps():
+    """K = 12 modal actuators on the unit square: 144 modes and channels, so
+    the dense 160-node map A^T is 23040 x 144 doubles and S is 9216 x 144.
+    Neither is built: the minimality checks read eigenpairs of the 144 x 144
+    W, and the strategic test's QR keeps one group of rows of S at a time."""
+    basis, region, acts, sol = _modal_k12_solution()
+    n_modes = len(basis.modes)
     report, peak = _traced_peak(lambda: verify_minimality(sol, trials=12, seed=4))
     assert report.mode == "kernel+pinv" and report.passed
     assert peak < 0.5 * (n_modes * acts.m * KERNEL_NODES * 8)
@@ -647,6 +654,42 @@ def test_structured_qr_peaks_below_the_dense_maps():
         coefficient_matrix=sol.gramian.coefficient_matrix))
     assert report.stacked_rank == n_modes
     assert peak < 0.5 * (64 * acts.m * n_modes * 8)
+
+
+def test_minimality_trials_hold_one_draw_at_a_time():
+    """The 12 kernel trials are drawn and mapped one at a time: the traced
+    peak stays within a few single draws of m nq doubles, where holding every
+    draw at once would take 12 of them for the draws alone."""
+    _, _, acts, sol = _modal_k12_solution()
+    draw_bytes = acts.m * sol.gramian.kernel_nodes * 8
+    verify_minimality(sol, trials=12, seed=4)     # first-call allocations
+    report, peak = _traced_peak(lambda: verify_minimality(sol, trials=12, seed=4))
+    assert report.mode == "kernel+pinv" and report.trials_passed == 12
+    assert peak < 6 * draw_bytes
+
+
+@pytest.mark.parametrize("ndim, cutoff, m", [(1, 256, 512), (2, 16, 2000)])
+def test_strategic_test_never_scales_all_the_couplings(ndim, cutoff, m):
+    """The bucket ranks read D and the direction norms a batch of buckets at a
+    time: with the couplings and Gamma passed in, the traced peak stays below
+    the ndim m n doubles that D scaled by every direction's norms would hold.
+    In 2-D the stacked rank's QR of D runs too, so m is well above n."""
+    domain = (RectDomain.interval(0.0, 1.0) if ndim == 1
+              else RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)))
+    basis = SpectralBasis(domain, cutoff)
+    region = Region.box(domain, *[(0.1, 0.8)] * ndim)
+    d = np.random.default_rng(3).standard_normal((m, len(basis.modes)))
+    gram = gradient_gram(basis, region)
+
+    def call():
+        # the couplings are passed in, so no actuator set is read
+        return strategic_test(basis, region, None, alpha=0.7, window=WINDOW,
+                              gram=gram, coefficient_matrix=d)
+
+    call()                                        # first-call allocations
+    report, peak = _traced_peak(call)
+    assert all(bucket.passes for bucket in report.buckets)
+    assert peak < ndim * d.nbytes
 
 
 def _khatri_rao_map(d, table):

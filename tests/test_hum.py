@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _reference import batched_minimality_trials
 from ultradiff import hum
 from ultradiff.controllability import assemble_gramian
 from ultradiff.hum import (PINV_NODES, RESIDUAL_NODES, HumProblem, energy, g_norm,
@@ -263,6 +264,23 @@ def test_paired_modal_spectrum_keeps_eigenvectors_orthonormal():
         assert np.abs(vecs.T @ vecs - np.eye(144)).max() <= 2e-14
         assert (np.linalg.norm(w @ sol.adjoint_datum - sol.rhs)
                 <= 1e-14 * np.linalg.norm(sol.rhs))
+
+
+@pytest.mark.parametrize("setup", [_modal_plus_zone_setup, _quadrant_zone_setup],
+                         ids=["modal-plus-zone", "quadrant-zone"])
+def test_one_draw_trials_match_the_batched_trials(setup):
+    """Drawn one at a time from the generator, the kernel trials see the
+    stream that one (trials, m nq) draw would: the same trials pass, and the
+    smallest energy increase moves only at roundoff."""
+    basis, region, acts, _ = setup()
+    for seed, trials in ((0, 1), (3, 12), (5, 50)):
+        target = np.random.default_rng(seed).standard_normal(len(basis.modes))
+        sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW, target))
+        report = verify_minimality(sol, trials=trials, seed=seed)
+        passed, min_delta = batched_minimality_trials(sol, trials, seed)
+        assert report.mode == "kernel+pinv"
+        assert report.trials_passed == passed
+        assert report.min_energy_increase == pytest.approx(min_delta, rel=1e-12)
 
 
 def test_input_map_applies_its_factor_without_forming_it():

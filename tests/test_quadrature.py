@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
-from ultradiff._quadrature import gauss_jacobi_01, gauss_legendre_01
+from ultradiff._quadrature import gauss_jacobi_01, gauss_legendre_01, kernel_rule
+from ultradiff.spectral import _box_rule_1d
 
 # (n, p): (node indices, nodes, weights) of int_0^1 x^p f(x) dx
 REFERENCE = {
@@ -92,3 +93,17 @@ def test_one_node_rule_is_exact():
 def test_jacobi_exponent_must_exceed_minus_one():
     with pytest.raises(ValueError, match="exceed -1"):
         gauss_jacobi_01(8, -1.0)
+
+
+def test_memos_keyed_on_continuous_inputs_stay_bounded():
+    """Window lengths, decay rates, box edges and Jacobi exponents take any
+    float: after 100 distinct windows each memo still holds at most its
+    constant bound."""
+    for length in np.linspace(1.0, 3.0, 100):
+        kernel_rule(0.7, -0.6, n=24, length=float(length), lam_max=50.0)
+        gauss_jacobi_01(8, float(length) - 1.5)
+        _box_rule_1d(0.0, float(length), 8)
+    for memo in (kernel_rule, gauss_jacobi_01, _box_rule_1d):
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
