@@ -1,17 +1,16 @@
 """Fresh-process peak RSS and wall time of one CLI verb on the modal probe.
 
-Usage: python3 tools/peak_rss.py VERB K [--alpha A] [--repeats N] [--src SRC]
+Usage: python3 tools/peak_rss.py VERB K [--alpha A] [--src SRC]
 
 The modal probe is `perfbench/workloads.modal_scenario` on the unit square:
 K^2 whole-square `mode` actuators, the whole square as the region, window
 [1, 4] and target `default_rng(1).standard_normal(K^2)`, at order A (0.7 by
-default).  Each repeat is a fresh `python3 -m ultradiff.cli VERB` process on
+default).  The verb runs as a fresh `python3 -m ultradiff.cli` process on
 SRC/src (this checkout by default) with one BLAS thread; its peak resident
 set comes from the kernel's accounting of that child alone (`os.wait4`), and
 its wall time spans the spawn to the exit, interpreter start-up included.
-One line is printed per repeat.  The numbers are informational: nothing here
-compares them with a bound.  Exits 1 if a run exits 1 (an error, not a
-verdict), else 0.
+The numbers are informational: nothing here compares them with a bound.
+Exits 1 if the verb exits 1 (an error, not a verdict), else 0.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def main(argv=None) -> int:
     parser.add_argument("verb", choices=VERBS)
     parser.add_argument("cutoff", type=int, metavar="K")
     parser.add_argument("--alpha", type=float, default=0.7)
-    parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT,
                         help="checkout whose src/ runs (default: this one)")
     args = parser.parse_args(argv)
@@ -67,19 +65,16 @@ def main(argv=None) -> int:
     env = {k: v for k, v in os.environ.items() if k != "ULTRADIFF_LOG_LEVEL"}
     env.update(PYTHONPATH=str(src / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    failed = False
     with tempfile.TemporaryDirectory(prefix="peak-rss-") as tmp:
         tmp = Path(tmp)
         scenario = tmp / "scenario.json"
         scenario.write_text(json.dumps(_modal_scenario(src, args.cutoff, args.alpha)))
-        for _ in range(args.repeats):
-            code, rss, wall = _run(
-                [sys.executable, "-m", "ultradiff.cli", args.verb,
-                 "--scenario", str(scenario), "--out", str(tmp / "out")], env, tmp)
-            failed |= code == 1
-            print(f"{args.verb} K={args.cutoff} alpha={args.alpha}: exit {code}, "
-                  f"peak RSS {rss:.1f} MiB, wall {wall:.2f} s", flush=True)
-    return 1 if failed else 0
+        code, rss, wall = _run(
+            [sys.executable, "-m", "ultradiff.cli", args.verb,
+             "--scenario", str(scenario), "--out", str(tmp / "out")], env, tmp)
+    print(f"{args.verb} K={args.cutoff} alpha={args.alpha}: exit {code}, "
+          f"peak RSS {rss:.1f} MiB, wall {wall:.2f} s")
+    return 1 if code == 1 else 0
 
 
 if __name__ == "__main__":
