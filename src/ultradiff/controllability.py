@@ -98,9 +98,7 @@ class GradientGramian(_InputMap):
         """Ascending, read-only eigenvalues of R_Gamma W R_Gamma^T: the
         Gramian in orthonormalized coordinates."""
         m = self.gram.factor @ self.matrix @ self.gram.factor.T
-        m += m.T                           # symmetrized in place
-        m *= 0.5
-        vals = np.linalg.eigvalsh(m)
+        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
         vals.setflags(write=False)
         return vals
 

@@ -202,10 +202,8 @@ class _InputMap:
     def matrix(self) -> np.ndarray:
         """W, exactly symmetric and read-only."""
         d = self.coefficient_matrix
-        w = d.T @ d                        # formed and symmetrized in place
-        w *= (self.kernel * self.weights) @ self.kernel.T
-        w += w.T
-        w *= 0.5
+        w = (d.T @ d) * ((self.kernel * self.weights) @ self.kernel.T)
+        w = 0.5 * (w + w.T)
         w.setflags(write=False)
         return w
 
