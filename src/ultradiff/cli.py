@@ -8,6 +8,9 @@ synthesize          minimum-energy control for the scenario target
 reproduce-example   built-in worked-example checks with golden comparisons
 selftest            quick internal consistency battery; takes no options
 
+Every other verb takes --out and --cutoff; all but reproduce-example (which
+runs its built-in scenario) --scenario, and all but simulate --epsilon.
+
 Scenario schema (JSON object; every length in domain units, every time > 0):
 
     name             str, report/artifact prefix
@@ -630,19 +633,14 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
     measured values), the coefficient pairing table, and the
     truncation-stability comparison.  The golden expectations are asserted as
     recorded; rows that the computed mathematics contradicts are reported FAIL
-    with the measured numbers, never silently adjusted.
+    with the measured numbers, never silently adjusted.  The example is built
+    on the whole-wave family; any other `family` raises ValueError.
     """
-    scenario = dataclasses.replace(reproduction_scenario(), cutoff=cutoff,
-                                   family=family, epsilon_cutoff=epsilon)
     if family != "whole-wave":
-        return {
-            "scenario": scenario,
-            "basis_guard": ("basis differs from the worked-example family; "
-                            "golden comparison skipped"),
-            "family": family,
-            "checks": [],
-            "all_passed": True,
-        }
+        raise ValueError(f"the worked example is built on the whole-wave "
+                         f"family, not {family!r}")
+    scenario = dataclasses.replace(reproduction_scenario(), cutoff=cutoff,
+                                   epsilon_cutoff=epsilon)
 
     checks = []
 
@@ -709,23 +707,18 @@ def reproduce_example(cutoff: int = 6, *, family: str = "whole-wave",
 
 
 def run_reproduce(scenario: Scenario) -> tuple[int, dict, dict]:
-    # only the cutoff, family and epsilon cutoff of `scenario` reach the run
-    result = reproduce_example(scenario.cutoff, family=scenario.family,
-                               epsilon=scenario.epsilon_cutoff)
+    # `scenario` is the built-in one with the --cutoff and --epsilon overrides
+    result = reproduce_example(scenario.cutoff, epsilon=scenario.epsilon_cutoff)
     report = {"tool_version": __version__, "task": "reproduce-example", **result}
 
-    if "basis_guard" in result:
-        print(result["basis_guard"])
     for check in result["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         measured = ", ".join(f"{k}={v}" for k, v in sorted(check["measured"].items()))
         print(f"{status}  {check['name']}: {measured}  (required: {check['required']})")
 
-    tables = {}
-    if "pairing_table" in result:
-        rows = result["pairing_table"]
-        tables["worked-example-pairing"] = (list(rows[0]),
-                                            [list(row.values()) for row in rows])
+    rows = result["pairing_table"]
+    tables = {"worked-example-pairing": (list(rows[0]),
+                                         [list(row.values()) for row in rows])}
     return (0 if result["all_passed"] else 2), report, tables
 
 
@@ -857,12 +850,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in RUNNERS:
         p = sub.add_parser(verb)
-        p.add_argument("--scenario", help="path to a scenario JSON file")
+        if verb != "reproduce-example":         # which runs its built-in scenario
+            p.add_argument("--scenario", help="path to a scenario JSON file")
         p.add_argument("--out", help="output directory (default ./ultradiff-out)")
         p.add_argument("--cutoff", type=_positive(int, "an integer"),
                        help="override the truncation K")
-        p.add_argument("--epsilon", type=_positive(float, "a finite number"),
-                       help="override the endpoint cutoff epsilon")
+        if verb != "simulate":                  # a free evolution has no kernel integral
+            p.add_argument("--epsilon", type=_positive(float, "a finite number"),
+                           help="override the endpoint cutoff epsilon")
     sub.add_parser("selftest")              # takes no options
     return parser
 
@@ -883,10 +878,10 @@ def main(argv=None) -> int:
         return run_selftest()
 
     try:
-        if args.scenario is not None:
-            scenario = parse_scenario(args.scenario)
-        elif args.verb == "reproduce-example":
+        if args.verb == "reproduce-example":
             scenario = reproduction_scenario()
+        elif args.scenario is not None:
+            scenario = parse_scenario(args.scenario)
         else:
             print(f"ultradiff {args.verb}: --scenario is required",
                   file=sys.stderr)
@@ -894,12 +889,12 @@ def main(argv=None) -> int:
         overrides = {}
         if args.cutoff is not None:
             overrides["cutoff"] = args.cutoff
-        if args.epsilon is not None:
+        if getattr(args, "epsilon", None) is not None:
             overrides["epsilon_cutoff"] = args.epsilon
         if overrides:       # the scenario checker judges the overridden values
             scenario = scenario_from_dict({**dataclasses.asdict(scenario),
                                            **overrides})
-        if scenario.task != args.verb and args.verb != "reproduce-example":
+        if scenario.task != args.verb:
             logger.info("scenario task %r overridden by the %r verb",
                         scenario.task, args.verb)
             scenario = dataclasses.replace(scenario, task=args.verb)

@@ -271,9 +271,10 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     # one kernel row per bucket; every mode of a bucket shares its row
     directions = _kernel_directions(_ml_matrix(alpha, basis.lams[first], taus).T)
-    # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma
+    # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma,
+    # formed as (R_S R_Gamma^T) R_Gamma
     r_s = _khatri_rao_qr(coefficient_matrix, directions[:, basis.buckets])
-    stacked_rank = int(_ranks(r_s @ gram.matrix))
+    stacked_rank = int(_ranks(r_s @ gram.factor.T @ gram.factor))
     logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
                 "directions", stacked_rank, n_modes, len(directions), len(taus))
     strategic = stacked_rank == n_modes

@@ -222,10 +222,13 @@ class _InputMap:
         return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
                                               epsilon_cutoff=self.epsilon_cutoff)
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
-        """(nq, n_modes) table kappa_pq sqrt(w_q): A^T[(i, q), p] = d_ip table_qp."""
-        return (self.kernel * np.sqrt(self.weights)).T
+        """(nq, n_modes) table kappa_pq sqrt(w_q), read-only: A^T[(i, q), p] =
+        d_ip table_qp."""
+        table = (self.kernel * np.sqrt(self.weights)).T
+        table.setflags(write=False)
+        return table
 
     def apply_factor(self, phi: np.ndarray) -> np.ndarray:
         """phi @ A^T for rows phi over the columns iq of A, without forming A."""

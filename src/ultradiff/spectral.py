@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,8 +229,8 @@ class GradientBasisGram:
 
     Gamma[p, q] = <grad alpha_p, grad alpha_q> over the region is held as its
     upper triangular factor R_Gamma (R_Gamma^T R_Gamma = Gamma), which every
-    gradient-space norm and solve reads; `matrix` is the product, formed on
-    first use.  direction_norms[l, p] = ||d(alpha_p)/dx_l|| over the region,
+    gradient-space norm, solve and product reads; Gamma itself is never
+    formed.  direction_norms[l, p] = ||d(alpha_p)/dx_l|| over the region,
     from the same pass; the strategic rank test scales the couplings by them.
     """
 
@@ -242,13 +242,6 @@ class GradientBasisGram:
             m = np.asarray(getattr(self, name), dtype=float)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Gamma = R_Gamma^T R_Gamma, read-only."""
-        gram = self.factor.T @ self.factor
-        gram.setflags(write=False)
-        return gram
 
 
 def gradient_gram(basis: SpectralBasis, region: Region,

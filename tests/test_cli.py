@@ -432,10 +432,15 @@ def test_log_level_is_read_on_every_call(tmp_path, capsys, caplog, monkeypatch):
     ["selftest", "--out", "DIR"],
     ["analyze", "--scenario", "scenarios/hum-demo.json", "--out", "DIR",
      "--format", "json"],
+    ["reproduce-example", "--scenario", "scenarios/hum-demo.json", "--out", "DIR"],
+    ["simulate", "--scenario", "scenarios/hum-demo.json", "--epsilon", "0.1",
+     "--out", "DIR"],
 ])
 def test_options_no_verb_reads_are_usage_errors(tmp_path, capsys, argv):
     """selftest takes no options, and no verb takes --format: every run
-    writes report.json and its CSV tables."""
+    writes report.json and its CSV tables.  reproduce-example runs its
+    built-in scenario and once read 4 of a file's fields; a free evolution
+    integrates no kernel, so simulate's --epsilon only reached the report."""
     argv = [str(tmp_path) if a == "DIR" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -859,14 +864,8 @@ def test_reproduce_example_report_names_the_overrides_it_ran(tmp_path, capsys):
 
 
 def test_reproduce_example_reports_the_scenario_it_ran(tmp_path, capsys):
-    # the file sets the whole square as region and support; the run keeps the
-    # built-in quadrant example and takes only cutoff, family and epsilon
-    data = json.loads((SRC.parent / "scenarios" / "whole-domain-negative.json")
-                      .read_text())
-    data.update(epsilon_cutoff=0.002, alpha=0.6, window=[1.5, 3.0])
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
-    code = main(["reproduce-example", "--scenario", str(path),
+    # the run is the built-in quadrant example with the --epsilon override
+    code = main(["reproduce-example", "--epsilon", "0.002",
                  "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert code in (0, 2)
@@ -878,13 +877,11 @@ def test_reproduce_example_reports_the_scenario_it_ran(tmp_path, capsys):
     assert report["scenario"]["alpha"] == 0.5
 
 
-def test_reproduce_example_canonical_family_guard(tmp_path, capsys):
-    scenario = single_mode_scenario(
-        tmp_path, name="canon", task="reproduce-example", target=None)
-    code = main(["reproduce-example", "--scenario", str(scenario),
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert "golden comparison skipped" in capsys.readouterr().out
+def test_reproduce_example_refuses_a_family_other_than_whole_wave():
+    """The worked example is built on the whole-wave family; a canonical run
+    once returned all_passed with no check run."""
+    with pytest.raises(ValueError, match="whole-wave"):
+        cli.reproduce_example(6, family="canonical", epsilon=1e-3)
 
 
 def test_selftest_passes(capsys):

@@ -353,9 +353,9 @@ def _stacked_map_for(basis, region, acts, time_samples=64):
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
     d, kernel = actuator_coefficients(acts, basis, order), _ml_matrix(0.7, basis.lams, taus)
     mode_buckets = basis.buckets
+    factor = gradient_gram(basis, region, order).factor
     return (_stacked_observation_map(d, kernel, mode_buckets),
-            gradient_gram(basis, region, order).matrix, d,
-            _bucketed_table(kernel, mode_buckets))
+            factor.T @ factor, d, _bucketed_table(kernel, mode_buckets))
 
 
 def _unit_square_modal():
@@ -448,7 +448,8 @@ def test_compressed_kernel_table_keeps_the_explicit_stacked_rank(scenario,
     _, basis, region, acts = build_objects(scenario)
     window = LogTimeWindow(*scenario.window)
     d = actuator_coefficients(acts, basis)
-    gram = gradient_gram(basis, region).matrix
+    factor = gradient_gram(basis, region).factor
+    gram = factor.T @ factor
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
     kernel = _ml_matrix(scenario.alpha, basis.lams, taus)
     mode_buckets = basis.buckets
@@ -530,8 +531,8 @@ def _strategic_test_reference(basis, region, acts):
     stacked = _stacked_observation_map(d, _ml_matrix(0.7, basis.lams, taus),
                                        mode_buckets)
     # the explicit product S Gamma, not the R_S Gamma strategic_test factors
-    stacked_rank = _rank(stacked @ gradient_gram(basis, region, order).matrix,
-                         RANK_RTOL)
+    factor = gradient_gram(basis, region, order).factor
+    stacked_rank = _rank(stacked @ (factor.T @ factor), RANK_RTOL)
     strategic = stacked_rank == n_modes
     return direction_norms, StrategicReport(
         tuple(buckets), m, sup_r, m >= sup_r, "generic", stacked_rank, n_modes,

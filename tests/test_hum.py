@@ -243,6 +243,19 @@ def test_synthesis_decomposes_w_once_per_node_count(monkeypatch):
     assert np.array_equal(calls[1][0][0], sol.gramian.with_nodes(PINV_NODES).matrix)
 
 
+def test_synthesis_builds_the_kernel_table_once():
+    """u* and all 12 minimality trials read one read-only copy of the input
+    map's table kappa sqrt(w); each read once built a fresh one."""
+    basis, region, acts, _ = _modal_plus_zone_setup()
+    sol = solve_hum(HumProblem(basis, region, acts, 0.7, WINDOW,
+                               np.random.default_rng(11).standard_normal(9)))
+    assert verify_minimality(sol, trials=12, seed=4).passed
+    table = sol.gramian.table
+    assert table is sol.gramian.table
+    assert not table.flags.writeable
+    assert np.array_equal(table.T, sol.gramian.kernel * np.sqrt(sol.gramian.weights))
+
+
 def test_paired_modal_spectrum_keeps_eigenvectors_orthonormal():
     """K = 12 whole-square modal actuators: W's spectrum comes in equal pairs
     (lam_kl = lam_lk).  Over window ends b in [3.5, 4.5], MRRR (dsyevr)
