@@ -60,6 +60,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -133,9 +134,9 @@ def _numbers(raw, path, bad, expected="a list of finite numbers", length=None):
     """`raw` as a tuple of floats, or None with a violation appended: it must
     be a list (of `length` entries, if given) of finite JSON numbers."""
     if isinstance(raw, (list, tuple)) and length in (None, len(raw)) and not any(
-            isinstance(v, (str, bytes, bool)) for v in raw):
+            issubclass(kind, (str, bytes, bool)) for kind in set(map(type, raw))):
         try:
-            values = tuple(float(v) for v in raw)
+            values = tuple(map(float, raw))
         except (TypeError, OverflowError):      # a list, or an int past float range
             values = (math.nan,)
         if all(map(math.isfinite, values)):
@@ -200,9 +201,13 @@ def _disjoint(boxes, path, bad) -> tuple:
     return tuple(boxes[i] for i in kept)
 
 
+_KNOWN_KEYS = {spec: frozenset(field.name for field in dataclasses.fields(spec))
+               for spec in (ActuatorSpec, TargetSpec, Scenario)}
+
+
 def _unknown_keys(raw: dict, spec, prefix: str, bad) -> None:
     """One violation per key of `raw` that names no field of `spec`."""
-    known = {field.name for field in dataclasses.fields(spec)}
+    known = _KNOWN_KEYS[spec]
     bad.extend(f"{prefix}{key}: unknown key" for key in raw if key not in known)
 
 
@@ -413,8 +418,10 @@ def build_objects(scenario: Scenario):
     domain = RectDomain(scenario.domain)
     basis = SpectralBasis(domain, scenario.cutoff, family=scenario.family)
     region = Region(domain, scenario.region)
+    regions = {support: Region(domain, support)     # one per distinct support
+               for support in dict.fromkeys(spec.support for spec in scenario.actuators)}
     actuators = ActuatorSet(tuple(
-        Actuator(Region(domain, spec.support), _profile_fn(spec, domain, basis),
+        Actuator(regions[spec.support], _profile_fn(spec, domain, basis),
                  spec.label or f"{spec.profile}-{i}")
         for i, spec in enumerate(scenario.actuators)))
     return domain, basis, region, actuators
@@ -433,30 +440,43 @@ def _target_coefficients(scenario: Scenario, n_modes: int) -> np.ndarray:
 # -- report plumbing ------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):          # np.float64 too; leaves first
-        value = float(obj)
-        return value if math.isfinite(value) else repr(value)
-    if isinstance(obj, (str, int)) or obj is None:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _jsonable(obj.item())
-    return obj
+def _encode(obj, write, pad: str = "\n", lead: str = "") -> None:
+    """Write `lead` and obj's JSON text in pieces, in one pass, as
+    json.dumps(obj, sort_keys=True, indent=2) writes it at the indent `pad`:
+    dataclasses as dicts, arrays as lists, keys by str, non-finite floats as
+    "inf"/"nan".  A container passes each item's separator, indent and key as
+    its `lead`, so a leaf is one piece."""
+    if isinstance(obj, (float, np.floating)):       # leaves first
+        text = repr(float(obj))
+        write(lead + (text if math.isfinite(obj) else f'"{text}"'))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        inner, sep = pad + "  ", lead + "["
+        for value in (obj.tolist() if isinstance(obj, np.ndarray) else obj):
+            _encode(value, write, inner, sep + inner)
+            sep = ","
+        write(pad + "]" if sep == "," else sep + "]")
+    elif isinstance(obj, str):
+        write(lead + encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, (bool, np.bool_)):
+        write(lead + ("null" if obj is None else "true" if obj else "false"))
+    elif isinstance(obj, (int, np.integer)):
+        write(lead + repr(int(obj)))
+    else:               # a dict, or a dataclass: dataclasses.fields refuses the rest
+        fields = obj if isinstance(obj, dict) else {
+            f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        inner, sep = pad + "  ", lead + "{"
+        for key, value in sorted({str(k): v for k, v in fields.items()}.items()):
+            _encode(value, write, inner, f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            sep = ","
+        write(pad + "}" if sep == "," else sep + "}")
 
 
 def _write_json(path: str, obj) -> None:
-    """obj as strict JSON: a non-finite float is written as its repr string."""
-    payload = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    """obj as strict JSON text (`_encode`), written once it is whole."""
+    chunks: list[str] = []
+    _encode(obj, chunks.append)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
+        fh.write("".join(chunks) + "\n")
 
 
 def write_report(report: dict, out_dir: str, tables: dict) -> None:
@@ -545,14 +565,9 @@ def run_analyze(scenario: Scenario) -> tuple[int, dict, dict]:
     report.update({
         "task": "analyze",
         **dataclasses.asdict(verdict),
-        "strategic": {
-            "verdict": strategic.verdict,
-            "criterion": strategic.criterion,
-            "m": strategic.m,
-            "sup_multiplicity": strategic.sup_multiplicity,
-            "stacked_rank": strategic.stacked_rank,
-            "required_rank": strategic.required_rank,
-        },
+        "strategic": {key: getattr(strategic, key) for key in (
+            "verdict", "criterion", "m", "sup_multiplicity", "stacked_rank",
+            "required_rank")},
     })
     eigs = gramian.pencil_eigenvalues
     tables = {
@@ -590,13 +605,8 @@ def run_synthesize(scenario: Scenario) -> tuple[int, dict, dict]:
         "residual_relative": solution.residual_relative,
         "adjoint_datum": solution.adjoint_datum,
         "dual_coefficients": solution.g_coefficients,
-        "minimality": {
-            "mode": minimality.mode,
-            "trials_passed": minimality.trials_passed,
-            "trials_requested": minimality.trials_requested,
-            "rel_pinv_gap": minimality.rel_pinv_gap,
-            "passed": minimality.passed,
-        },
+        "minimality": {key: getattr(minimality, key) for key in (
+            "mode", "trials_passed", "trials_requested", "rel_pinv_gap", "passed")},
         "epsilon_cutoff": scenario.epsilon_cutoff,
         # main() moves this block to report.timing.json; report.json keeps none
         "numerics": {"kept_rank": solution.kept_rank,
@@ -731,8 +741,7 @@ RUNNERS = {"simulate": run_simulate, "analyze": run_analyze,
 
 def run_selftest() -> int:
     from ._quadrature import kernel_rule
-    from .controllability import (RANK_RTOL, _kernel_directions, _khatri_rao_qr,
-                                  _khatri_rao_rows)
+    from .controllability import RANK_RTOL, _kernel_directions, _khatri_rao_qr
     from .mittag_leffler import ml_on_negative_axis
 
     failures = 0
@@ -789,7 +798,7 @@ def run_selftest() -> int:
     # 12 channels x 160 nodes: three dtpqrt folds of 640 rows into a zero triangle
     rng = np.random.default_rng(3)
     d, table = rng.standard_normal((12, 30)), rng.standard_normal((160, 30))
-    s_map = np.linalg.svd(_khatri_rao_rows(d, table), compute_uv=False)
+    s_map = np.linalg.svd((d[:, None] * table).reshape(-1, 30), compute_uv=False)
     s_qr = np.linalg.svd(_khatri_rao_qr(d, table), compute_uv=False)
     check("khatri-rao-qr", float(np.max(np.abs(s_qr - s_map))) / s_map[0], 1e-12)
     s_cut = np.linalg.svd(_khatri_rao_qr(d, _kernel_directions(table)), compute_uv=False)

@@ -45,9 +45,14 @@ _GROUP_ROWS = 640            # rows of a Khatri-Rao map folded in per dtpqrt cal
 _RANK_BATCH = 32             # eigenvalue buckets scaled and ranked per batched SVD
 
 
-def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rows (j, q) of M[(j, q), p] = r_d[j, p] table[q, p], F-ordered."""
-    return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
+def _khatri_rao_rows(r_d: np.ndarray, table: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Rows (j, q) of M[(j, q), p] = r_d[j, p] table[q, p], multiplied into the
+    head of the flat `buf`, which every row group reuses, as a (p, j, q)
+    block: an F-ordered view, which dtpqrt overwrites without a copy."""
+    (j, n), nq = r_d.shape, table.shape[0]
+    block = buf[:n * j * nq].reshape(n, j, nq)
+    np.multiply(r_d.T[:, :, None], table.T[:, None, :], out=block)
+    return block.reshape(n, j * nq).T
 
 
 def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -66,14 +71,15 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     """
     (m, n), nq = d.shape, table.shape[0]
     if m * nq <= _GROUP_ROWS:
-        return np.linalg.qr(_khatri_rao_rows(d, table), mode="r")
+        return np.linalg.qr(_khatri_rao_rows(d, table, np.empty(d.size * nq)), mode="r")
     from scipy.linalg.lapack import dtpqrt
 
     r_d = np.linalg.qr(d, mode="r")
     step = max(1, _GROUP_ROWS // nq)
     r = np.zeros((n, n), order="F")
+    buf = np.empty(min(step, r_d.shape[0]) * nq * n)
     for j0 in range(0, r_d.shape[0], step):
-        rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
+        rows = _khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:], buf)
         top, _, _, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
                                  overwrite_b=True)
         if info != 0:

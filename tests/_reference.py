@@ -19,7 +19,10 @@ it computes the same numbers it did inside the package:
   the tensor-point evaluation of a profile, ``SeparableProfile.__call__``, now
   ``profile_values(profile, points)``, and its ``_as_points``;
 * from ``ultradiff.hum.verify_minimality``: its kernel trials in their
-  batched form, every draw at once, now ``batched_minimality_trials``.
+  batched form, every draw at once, now ``batched_minimality_trials``;
+* from ``ultradiff.controllability``: ``_khatri_rao_rows`` as it built each
+  row group by einsum, now ``khatri_rao_rows``, and the ``_khatri_rao_qr``
+  fold that used it, now ``khatri_rao_qr``.
 
 ``tests/`` has no ``__init__.py`` and pytest puts the test directory on
 ``sys.path``, so a test imports these as ``from _reference import ...``.
@@ -357,3 +360,36 @@ def batched_minimality_trials(solution, trials: int, seed: int):
     delta = (2.0 * (phi @ u_star - a_phi @ (vecs.T @ c)) / scale
              + null_sq / scale ** 2)
     return int(np.count_nonzero(delta >= -1e-9)), float(delta.min())
+
+
+# ---------------------------------------------------------------------------
+# the strategic test's Khatri-Rao fold, row groups built by einsum
+# ---------------------------------------------------------------------------
+
+def khatri_rao_rows(r_d: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows (j, q) of M[(j, q), p] = r_d[j, p] table[q, p], F-ordered."""
+    return np.einsum("jp,qp->pjq", r_d, table).reshape(table.shape[1], -1).T
+
+
+def khatri_rao_qr(d: np.ndarray, table: np.ndarray, group_rows: int = 640) -> np.ndarray:
+    """R of the Khatri-Rao map T[(i, q), p] = d_ip table_qp, as
+    `controllability._khatri_rao_qr` computes it: a map of at most
+    `group_rows` rows built and factored by numpy's QR, a larger one folded
+    group by group into a zero triangle by dtpqrt, each group's rows a fresh
+    `khatri_rao_rows` array."""
+    (m, n), nq = d.shape, table.shape[0]
+    if m * nq <= group_rows:
+        return np.linalg.qr(khatri_rao_rows(d, table), mode="r")
+    from scipy.linalg.lapack import dtpqrt
+
+    r_d = np.linalg.qr(d, mode="r")
+    step = max(1, group_rows // nq)
+    r = np.zeros((n, n), order="F")
+    for j0 in range(0, r_d.shape[0], step):
+        rows = khatri_rao_rows(r_d[j0:j0 + step, j0:], table[:, j0:])
+        top, _, _, info = dtpqrt(0, min(32, n - j0), r[j0:, j0:], rows,
+                                 overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
+        r[j0:, j0:] = top
+    return r[:min(r_d.shape[0] * nq, n)]

@@ -21,7 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ultradiff import cli
-from ultradiff.cli import (ScenarioError, _jsonable, _target_coefficients,
+from ultradiff.cli import (ScenarioError, _encode, _target_coefficients,
                            analysis, build_objects, main, parse_scenario,
                            reproduction_scenario, run_analyze, run_simulate,
                            scenario_from_dict, write_report)
@@ -85,12 +85,22 @@ def test_shipped_scenarios_round_trip():
         assert scenario_from_dict(as_json) == scenario
 
 
+def _json_text(obj):
+    """The text `_write_json` writes of obj, without its final newline."""
+    chunks = []
+    _encode(obj, chunks.append)
+    return "".join(chunks)
+
+
 def test_report_echoes_the_scenario_as_asdict_would():
-    # reports carry the Scenario itself; _jsonable reads it field by field
+    # reports carry the Scenario itself; the encoder reads it field by field
     scenarios = [parse_scenario(path) for path in
                  sorted((SRC.parent / "scenarios").glob("*.json"))]
     for scenario in [*scenarios, reproduction_scenario()]:
-        assert _jsonable(scenario) == _jsonable(dataclasses.asdict(scenario))
+        expected = json.dumps(_jsonable_reference(dataclasses.asdict(scenario)),
+                              sort_keys=True, indent=2)
+        assert _json_text(scenario) == _json_text(dataclasses.asdict(scenario))
+        assert _json_text(scenario) == expected
 
 
 def _jsonable_reference(obj):
@@ -141,7 +151,36 @@ def test_report_text_is_unchanged_by_the_leaf_order():
     analyzed = run_analyze(parse_scenario(str(SRC.parent / SHIPPED[1])))[1]
     for obj in [*scenarios, reproduction_scenario(), built, analyzed]:
         expected = json.dumps(_jsonable_reference(obj), sort_keys=True, indent=2)
-        assert json.dumps(_jsonable(obj), sort_keys=True, indent=2) == expected
+        assert _json_text(obj) == expected
+
+
+@dataclasses.dataclass
+class _Empty:
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {"label": "zone \u00e9t\u00e9 \u2192 \U0001d4b3", "quote\"back\\slash\n": "\t"},
+    [[], (), {}, _Empty(), np.zeros(0), {"empty": []}],
+    [-0.0, 0.0, 1e16, 1e-05, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3],
+    [np.float32(0.1), np.float32(-0.0), np.float16(1.5), np.float64(1e-05)],
+    [np.bool_(True), np.bool_(False), True, False, None],
+    [0, -7, 2 ** 70, np.int8(-3), np.uint64(2 ** 63), np.int64(1)],
+    {1: "int", "1": "str", 2.5: "float", None: "none", True: "bool", "b": 0, "a": 1},
+    _Node("outer", _Leaf(0.5, (_Leaf(-1.0, ()),)), [_Leaf(2.0, (None,))],
+          np.eye(2), {"leaf": _Leaf(np.inf, (np.nan,))}),
+    [math.inf, -math.inf, math.nan, np.float64(-np.inf), np.float32(np.nan),
+     {"inf": np.array([np.inf, -np.inf, np.nan])}],
+], ids=["non-ascii", "empty", "floats", "numpy-floats", "bools", "ints",
+        "colliding-keys", "nested-dataclasses", "non-finite"])
+def test_encoder_writes_the_text_of_the_converted_copy(obj):
+    """The one-pass encoder writes what json.dumps wrote of the converted
+    copy: labels escaped to ASCII, empty containers inline, floats by repr,
+    numpy scalars as their Python values, dict keys by str (the last of
+    colliding keys wins) and non-finite floats as strings."""
+    expected = json.dumps(_jsonable_reference(obj), sort_keys=True, indent=2)
+    assert _json_text(obj) == expected
+    json.loads(expected, parse_constant=pytest.fail)    # strict JSON
 
 
 def test_invalid_scenario_reports_every_violation():
@@ -564,6 +603,20 @@ def test_reports_are_strict_json_when_the_synthesis_keeps_no_direction(tmp_path)
                       for name in ("report.json", "report.timing.json"))
     assert report["verdict"] == "NOT" and report["energy"] == 0.0
     assert timing["numerics"] == {"kept_rank": 0, "solve_condition_number": "inf"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--scenario", "scenarios/hum-demo.json"], 0),
+    (["analyze", "--scenario", "scenarios/subregion-positive.json"], 2),
+    (["synthesize", "--scenario", "scenarios/hum-demo.json"], 0),
+    (["reproduce-example"], 2),
+], ids=["simulate", "analyze", "synthesize", "reproduce-example"])
+def test_every_verb_writes_strict_json(tmp_path, capsys, argv, code):
+    """Each verb's report.json and report.timing.json parse with NaN and
+    Infinity refused."""
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    for name in ("report.json", "report.timing.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 def _zone_probe_dict(cutoff, grid):

@@ -16,7 +16,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import svd
 
-from _reference import gradient_component_matrix, profile_values, value_matrix
+from _reference import (gradient_component_matrix, khatri_rao_qr, profile_values,
+                        value_matrix)
 from ultradiff._quadrature import kernel_rule
 from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
@@ -768,6 +769,59 @@ def test_khatri_rao_qr_of_an_empty_table_has_no_rows():
     """With no kernel direction left the map has no rows, and its R none."""
     d = np.random.default_rng(7).standard_normal((3, 36))
     assert _khatri_rao_qr(d, np.zeros((0, 36))).shape == (0, 36)
+
+
+def _strategic_map(scenario):
+    """D and the bucketed kernel-direction table that `strategic_test` folds."""
+    _, basis, _, acts = build_objects(scenario)
+    first = np.flatnonzero(np.diff(basis.buckets, prepend=-1))
+    length = LogTimeWindow(*scenario.window).length
+    taus = np.geomspace(length * 1e-4, length, 64)
+    directions = _kernel_directions(_ml_matrix(scenario.alpha, basis.lams[first],
+                                               taus).T)
+    return actuator_coefficients(acts, basis), directions[:, basis.buckets]
+
+
+def _random_map(m, n_modes, nq):
+    rng = np.random.default_rng(m * n_modes + nq)
+    return rng.standard_normal((m, n_modes)), rng.standard_normal((nq, n_modes))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _strategic_map(_modal_probe(12)), lambda: _strategic_map(_modal_probe(16)),
+    lambda: _random_map(4, 37, 160), lambda: _random_map(92, 291, 7),
+    lambda: _random_map(9, 45, 80), lambda: _random_map(1, 30, 700),
+    lambda: _random_map(5, 700, 330),
+], ids=["modal-k12", "modal-k16", "one-group", "wide-below-block", "partial-block",
+        "one-row", "first-group-below-n"])
+def test_khatri_rao_qr_is_bitwise_the_einsum_built_fold(build):
+    """Each row group built by one broadcast multiply into the reused buffer
+    gives the R that the einsum-built groups gave, bit for bit: modal K=12
+    and 16 and the random maps past 640 rows fold through dtpqrt, the
+    640-row `one-group` map is factored by numpy."""
+    d, table = build()
+    assert np.array_equal(_khatri_rao_qr(d, table), khatri_rao_qr(d, table))
+
+
+def _one_region_per_actuator(acts):
+    return ActuatorSet(tuple(Actuator(Region(a.support.domain, a.support.boxes),
+                                      a.distribution, a.label)
+                             for a in acts.actuators))
+
+
+@pytest.mark.parametrize("scenario, distinct", [
+    (lambda: parse_scenario(str(SCENARIOS / "hum-demo.json")), 1),
+    (lambda: _zone_probe(6, 4), 16),
+], ids=["hum-demo", "zone6-4"])
+def test_actuators_with_equal_supports_share_one_region(scenario, distinct):
+    """build_objects makes one Region per distinct support: hum-demo's 36
+    whole-square mode actuators share one, the zone probe's 16 boxes keep
+    one each, and the couplings are bitwise those of one Region per
+    actuator."""
+    _, basis, _, acts = build_objects(scenario())
+    assert len({id(a.support) for a in acts.actuators}) == distinct
+    assert np.array_equal(actuator_coefficients(acts, basis),
+                          actuator_coefficients(_one_region_per_actuator(acts), basis))
 
 
 def test_strategic_test_holds_one_stacked_map():
