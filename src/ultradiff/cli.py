@@ -211,20 +211,33 @@ def _unknown_keys(raw: dict, spec, prefix: str, bad) -> None:
     bad.extend(f"{prefix}{key}: unknown key" for key in raw if key not in known)
 
 
-def _parse_actuator(raw, idx, ndim, domain, bad) -> ActuatorSpec | None:
+def _parse_support(raw, path, ndim, domain, bad, supports: dict) -> tuple:
+    """The support's boxes under `_box` and `_disjoint`.  One that parsed
+    without a violation is kept in `supports` under repr(raw), which tells 1,
+    1.0 and true apart, for every later actuator to reuse; one with a
+    violation is parsed, and reported, again for each actuator."""
+    key = repr(raw)
+    boxes = supports.get(key)
+    if boxes is None:
+        if not isinstance(raw, (list, tuple)) or not raw:
+            bad.append(f"{path}: expected a non-empty list of boxes")
+            return ()
+        found = len(bad)
+        boxes = _disjoint([_box(b, f"{path}[{j}]", ndim, domain, bad)
+                           for j, b in enumerate(raw)], path, bad)
+        if len(bad) == found:
+            supports[key] = boxes
+    return boxes
+
+
+def _parse_actuator(raw, idx, ndim, domain, bad, supports) -> ActuatorSpec | None:
     path = f"actuators[{idx}]"
     if not isinstance(raw, dict):
         bad.append(f"{path}: expected an object")
         return None
     _unknown_keys(raw, ActuatorSpec, f"{path}.", bad)
-    support_raw = raw.get("support")
-    boxes = ()
-    if not isinstance(support_raw, (list, tuple)) or not support_raw:
-        bad.append(f"{path}.support: expected a non-empty list of boxes")
-    else:
-        boxes = _disjoint([_box(b, f"{path}.support[{j}]", ndim, domain, bad)
-                           for j, b in enumerate(support_raw)],
-                          f"{path}.support", bad)
+    boxes = _parse_support(raw.get("support"), f"{path}.support", ndim, domain,
+                           bad, supports)
     profile = raw.get("profile")
     if profile not in PROFILES:
         bad.append(f"{path}.profile: expected one of {', '.join(PROFILES)}")
@@ -337,7 +350,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(actuators_raw, (list, tuple)) or not actuators_raw:
         bad.append("actuators: expected a non-empty list")
     elif ndim is not None:
-        specs = [_parse_actuator(a, i, ndim, domain, bad)
+        supports: dict = {}
+        specs = [_parse_actuator(a, i, ndim, domain, bad, supports)
                  for i, a in enumerate(actuators_raw)]
         actuators = tuple(s for s in specs if s is not None)
         for i, spec in enumerate(specs):
@@ -462,13 +476,23 @@ def _encode(obj, write, pad: str = "\n", lead: str = "") -> None:
     elif isinstance(obj, (int, np.integer)):
         write(lead + repr(int(obj)))
     else:               # a dict, or a dataclass: dataclasses.fields refuses the rest
-        fields = obj if isinstance(obj, dict) else {
-            f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         inner, sep = pad + "  ", lead + "{"
-        for key, value in sorted({str(k): v for k, v in fields.items()}.items()):
-            _encode(value, write, inner, f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+        if isinstance(obj, dict):
+            items = ((encode_basestring_ascii(key), value) for key, value in
+                     sorted({str(k): v for k, v in obj.items()}.items()))
+        else:
+            items = ((key, getattr(obj, name)) for name, key in _field_keys(type(obj)))
+        for key, value in items:
+            _encode(value, write, inner, f"{sep}{inner}{key}: ")
             sep = ","
         write(pad + "}" if sep == "," else sep + "}")
+
+
+@lru_cache(maxsize=None)
+def _field_keys(cls) -> tuple:
+    """A dataclass's (field name, JSON-escaped key) pairs, sorted by name."""
+    return tuple((name, encode_basestring_ascii(name))
+                 for name in sorted(f.name for f in dataclasses.fields(cls)))
 
 
 def _write_json(path: str, obj) -> None:

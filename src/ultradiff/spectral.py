@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -135,15 +135,15 @@ class SpectralBasis:
         self.domain = domain
         self.cutoff = int(cutoff)
         self.family = family
-        # each axis factor is sin(k pi (x - origin) / period) * sqrt(2 / length)
-        self._axes = tuple((lo, hi - lo) if family == "canonical" else (0.0, 1.0)
-                           for lo, hi in domain.bounds)
+        # (lo, hi, origin, period) per axis: its factors are `_sine`
+        self._axes = tuple((lo, hi, lo, hi - lo) if family == "canonical"
+                           else (lo, hi, 0.0, 1.0) for lo, hi in domain.bounds)
 
         ks = range(1, self.cutoff + 1)
         modes = np.indices((self.cutoff,) * domain.ndim).reshape(domain.ndim, -1).T + 1
         # (k pi / period)^2 per axis as Python floats, summed from 0 in axis order
         tables = [np.array([(k * math.pi / period) ** 2 for k in ks])
-                  for _, period in self._axes]
+                  for *_, period in self._axes]
         raw = sum(table[modes[:, ax] - 1] for ax, table in enumerate(tables))
         order = np.lexsort(tuple(modes.T[::-1]) + (raw,))
         modes, raw = modes[order], raw[order]
@@ -156,18 +156,18 @@ class SpectralBasis:
         self.lams = raw[new][self.buckets]
         for array in (self.modes, self.lams, self.buckets):
             array.setflags(write=False)
+        # value factor k of each axis, one callable that every mode profile
+        # using it shares, so `actuator_coefficients` pairs it once per box;
+        # it holds the axis's numbers, not the basis, so no cycle keeps a
+        # basis alive past its last use
+        self._factors = tuple(tuple(partial(_sine, *axis, k) for k in ks)
+                              for axis in self._axes)
 
     # -- per-axis factors ---------------------------------------------------
 
     def _axis_factor(self, axis: int, k: int | np.ndarray, x: np.ndarray,
                      derivative: bool) -> np.ndarray:
-        """sin(k pi (x - origin) / period) * sqrt(2 / length), or its x-derivative."""
-        lo, hi = self.domain.bounds[axis]
-        origin, period = self._axes[axis]
-        if derivative:
-            w = k * math.pi / period
-            return math.sqrt(2.0 / (hi - lo)) * w * np.cos(w * (x - origin))
-        return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
+        return _sine(*self._axes[axis], k, x, derivative)
 
     def mode_profile(self, index: int) -> SeparableProfile:
         """The mode `modes[index]` as a separable profile; an index outside
@@ -175,10 +175,17 @@ class SpectralBasis:
         if not 0 <= index < len(self.modes):
             raise IndexError(f"mode index {index} is outside the {len(self.modes)} "
                              f"modes of cutoff {self.cutoff}")
-        mode = self.modes[index]
         return SeparableProfile(((1.0, tuple(
-            lambda x, ax=ax: self._axis_factor(ax, mode[ax], x, False)
-            for ax in range(self.domain.ndim))),))
+            factors[k - 1] for factors, k in zip(self._factors, self.modes[index]))),))
+
+
+def _sine(lo: float, hi: float, origin: float, period: float, k, x: np.ndarray,
+          derivative: bool = False) -> np.ndarray:
+    """sin(k pi (x - origin) / period) * sqrt(2 / (hi - lo)), or its x-derivative."""
+    if derivative:
+        w = k * math.pi / period
+        return math.sqrt(2.0 / (hi - lo)) * w * np.cos(w * (x - origin))
+    return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
 
 @lru_cache(maxsize=32)
@@ -254,29 +261,36 @@ def gradient_gram(basis: SpectralBasis, region: Region,
     A = (F' sqrt(w))^T on axis l and (F sqrt(w))^T on the others.  With
     A = Q T (T is K x K upper triangular) that term is B^T B, where column p
     of B is the Kronecker product of the axes' T columns at mode p's indices.
-    R_Gamma is the R of one QR of every box's and component's B, stacked, and
-    cond R_Gamma = sqrt(cond Gamma).  The direction norms are the roots of
-    B's column sums of squares, per component, summed over the boxes.
+    R_Gamma is the R of one QR of every box's and component's B, each written
+    in place into one preallocated stack, and cond R_Gamma = sqrt(cond Gamma).
+    The direction norms are the roots of B's column sums of squares, per
+    component, summed over the boxes.
     """
     if region.is_empty:
         raise ValueError(f"gradient_gram: region {region.boxes} is empty")
     n_modes = len(basis.modes)
     order = default_order(basis) if order is None else order
     index = tuple(basis.modes.T - 1)
-    blocks = []
-    squares = np.zeros((basis.domain.ndim, n_modes))
+    ndim = basis.domain.ndim
+    side = min(order, basis.cutoff)             # each axis's T has this many rows
+    # column-major, as LAPACK reads it and as the broadcast products are laid
+    # out, so each block's column sums of squares add in the same order
+    stack = np.empty((len(region.boxes) * ndim * side ** ndim, n_modes), order="F")
+    blocks = iter(np.split(stack, len(region.boxes) * ndim))
+    squares = np.zeros((ndim, n_modes))
     for box in region.boxes:
         triangles = [tuple(np.linalg.qr((table * np.sqrt(w)).T, mode="r")
                            for table in (value, slope))
                      for _, w, value, slope in _axis_tables(basis, box, order)]
-        for component in range(basis.domain.ndim):
-            block = np.ones((1, n_modes))
+        for component in range(ndim):
+            block, product = next(blocks), np.ones((1, n_modes))
             for ax, (k, (value_t, slope_t)) in enumerate(zip(index, triangles)):
-                t = slope_t if ax == component else value_t
-                block = (block[:, None] * t[:, k]).reshape(-1, n_modes)
+                t = (slope_t if ax == component else value_t)[:, k]
+                into = (block.reshape(len(product), side, n_modes)
+                        if ax == ndim - 1 else None)
+                product = np.multiply(product[:, None], t, out=into).reshape(-1, n_modes)
             squares[component] += np.einsum("ip,ip->p", block, block)
-            blocks.append(block)
-    factor = np.linalg.qr(np.vstack(blocks), mode="r")
+    factor = np.linalg.qr(stack, mode="r")
     return GradientBasisGram(factor, np.sqrt(squares))
 
 
@@ -345,9 +359,13 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
     users, and drops them before the next box: per axis, the Gauss rule
     (x, w) and the K x order value table F.  A profile term
     coef * f_1(x_1) ... f_d(x_d) pairs with mode p as coef * prod over axes
-    of (F (w f(x)))[k_p], one K x order matvec per axis
-    (`_separable_pairings`); each factor is evaluated on its axis's nodes
-    only.  Each actuator's boxes are summed in support order.
+    of (F (w f(x)))[k_p] (`_separable_pairings`); each factor is evaluated
+    on its axis's nodes only.  The K-row F (w f(x)) is formed once per box
+    for each distinct (axis, factor object) among the box's users, so the
+    K^2 `mode` actuators of a modal layout, which share K factors per axis
+    (`SpectralBasis.mode_profile`), make K matvecs per axis, not K^2.
+    Factors are pure functions of their nodes.  Each actuator's boxes are
+    summed in support order.
     """
     order = default_order(basis) if order is None else order
     index = tuple(basis.modes.T - 1)
@@ -360,10 +378,10 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
             by_box.setdefault(box, []).append((i, j))
     parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
     for box, users in by_box.items():
-        tables = _axis_tables(basis, box, order)
+        tables, rows = _axis_tables(basis, box, order), {}
         for i, j in users:
             parts[i][j] = _separable_pairings(actuators.actuators[i].distribution,
-                                              tables, index)
+                                              tables, index, rows=rows)
     coeffs = np.zeros((actuators.m, len(basis.modes)))
     for i, row in enumerate(parts):
         for part in row:
@@ -372,26 +390,34 @@ def actuator_coefficients(actuators: ActuatorSet, basis: SpectralBasis,
 
 
 def _separable_pairings(profile: SeparableProfile, tables, index,
-                        derivative: int | None = None) -> np.ndarray:
+                        derivative: int | None = None, rows=None) -> np.ndarray:
     """(n_modes,) integrals over a box of `profile` times every mode, or times
     its derivative along axis `derivative`, from the box's `_axis_tables` and
     the modes' 0-based rows in them, `tuple(basis.modes.T - 1)`.  Axis
-    `derivative` reads its slope table, the others their value tables."""
+    `derivative` reads its slope table, the others their value tables.
+
+    `rows` memoizes each factor's K-row pairing by (axis, id(factor)); a
+    caller that shares it across profiles must pass the same box's tables
+    and the same `derivative` with it, and keep the factors alive."""
     if profile.ndim != len(tables):
         raise ValueError(f"a separable profile expected {profile.ndim} node "
                          f"arrays, got {len(tables)} from its box")
+    rows = {} if rows is None else rows
     total = 0
     for coef, factors in profile.terms:
         term = np.float64(coef)
         for ax, (f, k, (x, w, value, slope)) in enumerate(
                 zip(factors, index, tables)):
-            fx = f(x)
-            if np.shape(fx) != x.shape:
-                raise ValueError(f"a separable profile needs one factor value "
-                                 f"per node, got shape {np.shape(fx)} for "
-                                 f"{x.size} nodes")
-            table = slope if ax == derivative else value
-            term = term * (table @ (w * fx))[k]
+            row = rows.get((ax, id(f)))
+            if row is None:
+                fx = f(x)
+                if np.shape(fx) != x.shape:
+                    raise ValueError(f"a separable profile needs one factor value "
+                                     f"per node, got shape {np.shape(fx)} for "
+                                     f"{x.size} nodes")
+                table = slope if ax == derivative else value
+                row = rows[ax, id(f)] = table @ (w * fx)
+            term = term * row[k]
         total = total + term
     return total
 

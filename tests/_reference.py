@@ -23,6 +23,12 @@ it computes the same numbers it did inside the package:
 * from ``ultradiff.controllability``: ``_khatri_rao_rows`` as it built each
   row group by einsum, now ``khatri_rao_rows``, and the ``_khatri_rao_qr``
   fold that used it, now ``khatri_rao_qr``.
+* from ``ultradiff.spectral``: ``actuator_coefficients`` as it paired each
+  actuator's own factors, one matvec per actuator, term and axis, with its
+  ``_separable_pairings``, now ``per_actuator_coefficients`` and
+  ``per_actuator_pairings``; and ``gradient_gram`` as it kept each box's and
+  component's block in a list and stacked them with ``np.vstack``, now
+  ``gradient_gram_vstack``, which returns (R_Gamma, direction norms).
 
 ``tests/`` has no ``__init__.py`` and pytest puts the test directory on
 ``sys.path``, so a test imports these as ``from _reference import ...``.
@@ -41,7 +47,8 @@ from ultradiff._quadrature import gauss_jacobi_01, gauss_legendre_01
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import _check_alpha, _coefficients
-from ultradiff.spectral import SeparableProfile, SpectralBasis
+from ultradiff.spectral import (SeparableProfile, SpectralBasis, _axis_tables,
+                                default_order)
 
 # ---------------------------------------------------------------------------
 # quadrature for the log-kernel operators
@@ -393,3 +400,74 @@ def khatri_rao_qr(d: np.ndarray, table: np.ndarray, group_rows: int = 640) -> np
             raise np.linalg.LinAlgError(f"dtpqrt failed with info={info}")
         r[j0:, j0:] = top
     return r[:min(r_d.shape[0] * nq, n)]
+
+
+# ---------------------------------------------------------------------------
+# spatial pairings, one actuator at a time; the Gram factor from a vstack
+# ---------------------------------------------------------------------------
+
+def per_actuator_pairings(profile: SeparableProfile, tables, index) -> np.ndarray:
+    """(n_modes,) integrals over a box of `profile` times every mode: every
+    factor evaluated and paired on its own, coef * axis 0 * axis 1, and the
+    terms added in order."""
+    if profile.ndim != len(tables):
+        raise ValueError(f"a separable profile expected {profile.ndim} node "
+                         f"arrays, got {len(tables)} from its box")
+    total = 0
+    for coef, factors in profile.terms:
+        term = np.float64(coef)
+        for f, k, (x, w, value, _) in zip(factors, index, tables):
+            fx = f(x)
+            if np.shape(fx) != x.shape:
+                raise ValueError(f"a separable profile needs one factor value "
+                                 f"per node, got shape {np.shape(fx)} for "
+                                 f"{x.size} nodes")
+            term = term * (value @ (w * fx))[k]
+        total = total + term
+    return total
+
+
+def per_actuator_coefficients(actuators, basis: SpectralBasis,
+                              order: int | None = None) -> np.ndarray:
+    """(m, n_modes) couplings: one `_axis_tables` per distinct box, each
+    actuator's pairings formed on their own (`per_actuator_pairings`), and
+    each actuator's boxes summed in support order."""
+    order = default_order(basis) if order is None else order
+    index = tuple(basis.modes.T - 1)
+    by_box: dict = {}
+    for i, actuator in enumerate(actuators.actuators):
+        for j, box in enumerate(actuator.support.boxes):
+            by_box.setdefault(box, []).append((i, j))
+    parts = [[None] * len(a.support.boxes) for a in actuators.actuators]
+    for box, users in by_box.items():
+        tables = _axis_tables(basis, box, order)
+        for i, j in users:
+            parts[i][j] = per_actuator_pairings(actuators.actuators[i].distribution,
+                                                tables, index)
+    coeffs = np.zeros((actuators.m, len(basis.modes)))
+    for i, row in enumerate(parts):
+        for part in row:
+            coeffs[i] += part
+    return coeffs
+
+
+def gradient_gram_vstack(basis: SpectralBasis, region, order: int | None = None):
+    """(R_Gamma, direction norms) of the restricted gradients, every box's and
+    component's Kronecker block kept in a list and stacked by np.vstack."""
+    n_modes = len(basis.modes)
+    order = default_order(basis) if order is None else order
+    index = tuple(basis.modes.T - 1)
+    blocks = []
+    squares = np.zeros((basis.domain.ndim, n_modes))
+    for box in region.boxes:
+        triangles = [tuple(np.linalg.qr((table * np.sqrt(w)).T, mode="r")
+                           for table in (value, slope))
+                     for _, w, value, slope in _axis_tables(basis, box, order)]
+        for component in range(basis.domain.ndim):
+            block = np.ones((1, n_modes))
+            for ax, (k, (value_t, slope_t)) in enumerate(zip(index, triangles)):
+                t = slope_t if ax == component else value_t
+                block = (block[:, None] * t[:, k]).reshape(-1, n_modes)
+            squares[component] += np.einsum("ip,ip->p", block, block)
+            blocks.append(block)
+    return np.linalg.qr(np.vstack(blocks), mode="r"), np.sqrt(squares)

@@ -251,6 +251,42 @@ def test_string_pairs_are_violations(field, value, needle):
         err.value.violations
 
 
+def test_a_support_invalid_twice_is_reported_for_each_actuator():
+    """A support is checked once per distinct raw text only when it passed:
+    the same invalid support on two actuators gives each its own violation."""
+    outside = {"support": [[[0.5, 1.5]]], "profile": "constant"}
+    overlapping = {"support": [[[0.0, 0.6]], [[0.4, 1.0]]], "profile": "constant"}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_single_mode_dict(
+            actuators=[outside, dict(outside), overlapping, dict(overlapping)]))
+    violations = err.value.violations
+    for i in (0, 1):
+        assert f"actuators[{i}].support[0][0]: lies outside the domain [0, 1]" \
+            in violations, violations
+    for i in (2, 3):
+        assert f"actuators[{i}].support: boxes 0 and 1 overlap" in violations, \
+            violations
+
+
+def test_a_support_that_repeats_a_valid_one_with_a_bool_is_refused():
+    """[0, true] equals [0, 1] as a Python tuple, but only the second is a
+    pair of numbers: the reuse of a checked support tells them apart."""
+    square = [[0.0, 1.0], [0.0, 1.0]]
+    actuator = {"profile": "constant", "coefficients": [1.0]}
+    data = _single_mode_dict(domain=square, region=[square], actuators=[
+        dict(actuator, support=[[[0, 1], [0, 1]]]),
+        dict(actuator, support=[[[0, True], [0, 1]]]),
+        dict(actuator, support=[[[0, 1.0], [0, 1]]])])
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.violations == [
+        "actuators[1].support[0][0]: expected a [lo, hi] pair of finite numbers"]
+    data["actuators"][1]["support"] = [[[0, 1], [0, 1]]]
+    scenario = scenario_from_dict(data)
+    assert [spec.support for spec in scenario.actuators] == \
+        [(((0.0, 1.0), (0.0, 1.0)),)] * 3
+
+
 @pytest.mark.parametrize("overrides, needle", [
     ({"actuators": [{"support": [[[0.0, 1.0]]], "profile": "constant",
                      "coefficients": "3"}]}, "actuators[0].coefficients:"),

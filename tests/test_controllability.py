@@ -16,8 +16,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import svd
 
-from _reference import (gradient_component_matrix, khatri_rao_qr, profile_values,
+from _reference import (gradient_component_matrix, gradient_gram_vstack,
+                        khatri_rao_qr, per_actuator_coefficients, profile_values,
                         value_matrix)
+from ultradiff import spectral
 from ultradiff._quadrature import kernel_rule
 from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
 from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
@@ -822,6 +824,103 @@ def test_actuators_with_equal_supports_share_one_region(scenario, distinct):
     assert len({id(a.support) for a in acts.actuators}) == distinct
     assert np.array_equal(actuator_coefficients(acts, basis),
                           actuator_coefficients(_one_region_per_actuator(acts), basis))
+
+
+def _mixed_probe():
+    """Constant, multi-term polynomial, product-of-sines and mode profiles on
+    shared boxes: two whole-square actuators of each, zones on the lower-left
+    quadrant, and two-box supports that list the same boxes in either order."""
+    quadrant, strip = [[0.0, 0.5], [0.0, 0.5]], [[0.5, 1.0], [0.25, 0.75]]
+    return _probe_scenario(5, 0.7, quadrant, [
+        {"support": [UNIT_SQUARE], "profile": "constant", "coefficients": [2.0]},
+        {"support": [UNIT_SQUARE], "profile": "polynomial",
+         "coefficients": [1.0, 1, 0, -0.5, 2, 1, 3.0, 0, 3]},
+        {"support": [quadrant], "profile": "product-of-sines",
+         "coefficients": [1.5, 2, 3]},
+        {"support": [quadrant, strip], "profile": "polynomial",
+         "coefficients": [0.25, 1, 1, 1.0, 0, 2]},
+        {"support": [UNIT_SQUARE], "profile": "mode", "coefficients": [7]},
+        {"support": [strip, quadrant], "profile": "constant", "coefficients": [-1.0]},
+        {"support": [quadrant], "profile": "constant", "coefficients": [0.5]},
+        {"support": [UNIT_SQUARE], "profile": "product-of-sines",
+         "coefficients": [1.0, 2, 3]},
+        {"support": [UNIT_SQUARE], "profile": "mode", "coefficients": [8]},
+    ])
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: parse_scenario(str(SCENARIOS / "hum-demo.json")),
+    lambda: parse_scenario(str(SCENARIOS / "divergence-guard.json")),
+    lambda: _modal_probe(12), lambda: _zone_probe(6, 4), _mixed_probe,
+], ids=["hum-demo", "divergence-guard", "modal-k12", "zone6-4", "mixed"])
+def test_couplings_are_bitwise_the_per_actuator_loop(scenario):
+    """Pairing each distinct (axis, factor) once per box gives the couplings
+    that pairing every actuator's factors on its own gave, bit for bit."""
+    _, basis, _, acts = build_objects(scenario())
+    assert np.array_equal(actuator_coefficients(acts, basis),
+                          per_actuator_coefficients(acts, basis))
+
+
+def test_each_distinct_factor_is_paired_once_per_box(monkeypatch):
+    """Modes that share an index on an axis share that axis's factor object,
+    and a box evaluates each distinct factor once: K = 6 whole-square modes
+    make 6 value evaluations per axis, beside the box's two tables per axis."""
+    calls = []
+    sine = spectral._sine
+
+    def counted(lo, hi, origin, period, k, x, derivative=False):
+        calls.append((lo, np.ndim(k)))
+        return sine(lo, hi, origin, period, k, x, derivative)
+
+    monkeypatch.setattr(spectral, "_sine", counted)     # before a basis binds it
+    basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (2.0, 3.0)), 6)
+    profiles = [basis.mode_profile(i) for i in range(len(basis.modes))]
+    for ax in range(2):
+        factors = {}
+        for k, profile in zip(basis.modes[:, ax].tolist(), profiles):
+            assert factors.setdefault(k, profile.terms[0][1][ax]) is \
+                profile.terms[0][1][ax]
+        assert len(set(map(id, factors.values()))) == 6
+    acts = ActuatorSet(tuple(Actuator(Region.whole(basis.domain), profile)
+                             for profile in profiles))
+    actuator_coefficients(acts, basis)
+    evaluated = [lo for lo, ndim in calls if ndim == 0]     # lo tells the axis
+    assert sorted(evaluated) == [0.0] * 6 + [2.0] * 6
+
+
+def test_a_shared_box_still_refuses_a_factor_of_the_wrong_shape():
+    """A factor returning one value for every node is refused, also after
+    other actuators have paired their factors on the same box."""
+    square = RectDomain.rectangle((0.0, 1.0), (0.0, 1.0))
+    basis = SpectralBasis(square, 3)
+    whole = Region.whole(square)
+    scalar = SeparableProfile(((1.0, (np.ones_like, lambda y: 1.0)),))
+    acts = ActuatorSet((Actuator(whole, basis.mode_profile(0)),
+                        Actuator(whole, ONE_2D), Actuator(whole, scalar)))
+    with pytest.raises(ValueError, match="one factor value per node"):
+        actuator_coefficients(acts, basis)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (SpectralBasis(DOMAIN_1D, 7),
+             Region(DOMAIN_1D, (((0.1, 0.4),), ((0.5, 0.9),)))),
+    lambda: build_objects(_modal_probe(12))[1:3],
+    lambda: build_objects(_zone_probe(6, 4))[1:3],
+    lambda: (SpectralBasis(SQUARE, 5, "whole-wave"),
+             Region(SQUARE, (((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-0.5, 0.5)),
+                             ((-1.0, -0.5), (0.5, 1.0))))),
+], ids=["interval-two-boxes", "whole-square-k12", "zone-quadrant",
+        "whole-wave-three-boxes"])
+@pytest.mark.parametrize("order", [None, 4])
+def test_gradient_gram_stack_is_bitwise_the_vstack(build, order):
+    """Blocks written in place into one column-major stack give R_Gamma and
+    the direction norms that a list of blocks stacked by np.vstack gave, bit
+    for bit, also with fewer Gauss nodes per axis than modes."""
+    basis, region = build()
+    gram = gradient_gram(basis, region, order)
+    factor, norms = gradient_gram_vstack(basis, region, order)
+    assert np.array_equal(gram.factor, factor)
+    assert np.array_equal(gram.direction_norms, norms)
 
 
 def test_strategic_test_holds_one_stacked_map():
