@@ -15,7 +15,7 @@ Scenario schema (JSON object; every length in domain units, every time > 0):
 
     name             str, report/artifact prefix
     task             "simulate" | "analyze" | "synthesize" | "reproduce-example"
-    domain           [[lo, hi], ...]            one pair per axis
+    domain           [[lo, hi]] | [[lo, hi], [lo, hi]]   one pair per axis
     family           "canonical" | "whole-wave"
     cutoff           int >= 1, per-axis mode count K (K^ndim modes total)
     alpha            float in (0, 1]
@@ -305,6 +305,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     domain = None
     if not isinstance(domain_raw, (list, tuple)) or not domain_raw:
         bad.append("domain: expected a non-empty list of [lo, hi] pairs")
+    elif len(domain_raw) > 2:
+        bad.append("domain: expected one or two [lo, hi] pairs")
     else:
         pairs = [_pair(p, f"domain[{i}]", bad) for i, p in enumerate(domain_raw)]
         if all(p is not None for p in pairs):

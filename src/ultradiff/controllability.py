@@ -12,7 +12,8 @@ truncated gradient basis, factors as the pair (Gamma, W):
   where the e^tau/b factor is the time Jacobian of the substitution
   tau = log(b/t) applied to the 1/t actuator adjoint — dropping it breaks the
   energy identities downstream.  The Gramian is the discrete input map
-  (`solver._InputMap`) that sums W, and the synthesis and its checks reuse it.
+  that sums W (`GradientGramian`, at every kernel resolution), and the
+  synthesis and its checks reuse it.
 
 Verdicts are read from the eigenvalues of the symmetric coordinate operator
 R_Gamma W R_Gamma^T, where R_Gamma^T R_Gamma = Gamma is the Gram pass's
@@ -30,9 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
+from ._quadrature import kernel_rule
 from .logtime import LogTimeWindow
-from .solver import (KERNEL_NODES, EnergyDivergenceError, _check_alpha,
-                     _InputMap, _ml_matrix)
+from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
+                     _check_alpha, _ml_matrix)
 from .spectral import (Actuator, ActuatorSet, GradientBasisGram, Region,
                        SeparableProfile, SpectralBasis, actuator_coefficients,
                        adjoint_gradient_coefficients, gradient_gram)
@@ -88,16 +90,46 @@ def _khatri_rao_qr(d: np.ndarray, table: np.ndarray) -> np.ndarray:
     return r[:min(r_d.shape[0] * nq, n)]
 
 
-class GradientGramian(_InputMap):
-    """Truncated controllability Gramian on the subregion gradient space: the
-    configuration's input map on `KERNEL_NODES` nodes, which sums W, and Gamma
-    (`gram`)."""
+class GradientGramian:
+    """Truncated controllability Gramian on the subregion gradient space: Gamma
+    (`gram`) and the discrete input-to-state map H at t = b, on one kernel
+    rule, which sums W.
+
+    D (m, n_modes) holds the couplings, tau_q the nodes of `kernel_rule` for
+    int tau^(2 alpha - 2) g dtau placed for the largest decay rate, w_q its
+    weights times the time Jacobian e^tau_q / b, and kappa_pq the table
+    E_{a,a}(-lam_p tau_q^alpha).  For the datum c of u* = H* c, W =
+    (D^T D) o (kappa w kappa^T) is the Gramian factor and W c the state u*
+    reaches; u* has channel outputs D (kappa o c) and energy
+    sum_q w_q |D (kappa o c)_q|^2 = c' W c; A = [d_ip kappa_pq sqrt(w_q)]
+    (rows p, columns iq) is the factor with A A^T = W.
+    """
 
     def __init__(self, gram: GradientBasisGram, coefficient_matrix: np.ndarray,
                  lams: np.ndarray, alpha: float, window: LogTimeWindow, nodes: int,
                  epsilon: float | None = None) -> None:
-        super().__init__(coefficient_matrix, lams, alpha, window, nodes, epsilon)
         self.gram = gram                   # Gamma
+        self.coefficient_matrix, self.lams, self.alpha = coefficient_matrix, lams, alpha
+        self.window, self.kernel_nodes, self.epsilon_cutoff = window, nodes, epsilon
+        self.taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes,
+                                         eps=epsilon or 0.0, length=window.length,
+                                         lam_max=float(np.max(lams)))
+        self.weights = weights * (np.exp(self.taus) / window.b)
+        self.kernel = _ml_matrix(alpha, lams, self.taus)     # (n_modes, nq)
+
+    def with_nodes(self, nodes: int) -> "GradientGramian":
+        """The same configuration, Gamma included, on `nodes` kernel nodes."""
+        return GradientGramian(self.gram, self.coefficient_matrix, self.lams,
+                               self.alpha, self.window, nodes, self.epsilon_cutoff)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """W, exactly symmetric and read-only."""
+        d = self.coefficient_matrix
+        w = (d.T @ d) * ((self.kernel * self.weights) @ self.kernel.T)
+        w = 0.5 * (w + w.T)
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def pencil_eigenvalues(self) -> np.ndarray:
@@ -107,6 +139,35 @@ class GradientGramian(_InputMap):
         vals = np.linalg.eigvalsh(0.5 * (m + m.T))
         vals.setflags(write=False)
         return vals
+
+    def energy(self, datum: np.ndarray) -> float:
+        outputs = self.coefficient_matrix @ (self.kernel * datum[:, None])  # (m, nq)
+        return float(np.sum(self.weights * np.sum(outputs ** 2, axis=0)))
+
+    def control(self, datum: np.ndarray) -> ControlSignal:
+        """u* = H* c, its smooth part D (kappa(tau) o c) e^tau / b exact at any tau."""
+        def smooth(tau):
+            tau = np.atleast_1d(np.asarray(tau, dtype=float))
+            kernel = _ml_matrix(self.alpha, self.lams, tau)
+            return ((self.coefficient_matrix @ (kernel * datum[:, None]))
+                    * (np.exp(tau) / self.window.b))
+
+        return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
+                                              epsilon_cutoff=self.epsilon_cutoff)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(nq, n_modes) table kappa_pq sqrt(w_q), read-only: A^T[(i, q), p] =
+        d_ip table_qp."""
+        table = (self.kernel * np.sqrt(self.weights)).T
+        table.setflags(write=False)
+        return table
+
+    def apply_factor(self, phi: np.ndarray) -> np.ndarray:
+        """phi @ A^T for rows phi over the columns iq of A, without forming A."""
+        d = self.coefficient_matrix
+        rows = d.T @ phi.reshape(len(phi), d.shape[0], self.kernel_nodes)
+        return np.einsum("tpq,pq->tp", rows, self.table.T)
 
 
 def assemble_gramian(basis: SpectralBasis, region: Region, actuators: ActuatorSet,

@@ -35,7 +35,7 @@ from .controllability import (VERDICT_THRESHOLD, ControllabilityVerdict,
                               assemble_gramian)
 from .logtime import LogTimeWindow
 from .solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
-                     _InputMap, free_solution)
+                     _coefficients, free_solution)
 from .spectral import ActuatorSet, Region, SpectralBasis
 
 logger = logging.getLogger(__name__)
@@ -76,19 +76,11 @@ class HumProblem:
     epsilon_cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        n_modes = len(self.basis.modes)
-        target = np.array(self.target_gradient_coefficients, dtype=float)
-        if target.shape != (n_modes,) or not np.all(np.isfinite(target)):
-            raise ValueError(f"target must be {n_modes} finite coefficients")
-        target.setflags(write=False)
-        object.__setattr__(self, "target_gradient_coefficients", target)
-        y0 = self.y0_coefficients
-        if y0 is not None:
-            y0 = np.array(y0, dtype=float)
-            if y0.shape != (n_modes,) or not np.all(np.isfinite(y0)):
-                raise ValueError(f"y0 must be {n_modes} finite coefficients")
-            y0.setflags(write=False)
-        object.__setattr__(self, "y0_coefficients", y0)
+        object.__setattr__(self, "target_gradient_coefficients", _coefficients(
+            self.target_gradient_coefficients, self.basis, "target"))
+        if self.y0_coefficients is not None:
+            object.__setattr__(self, "y0_coefficients", _coefficients(
+                self.y0_coefficients, self.basis, "y0"))
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
@@ -107,16 +99,9 @@ class HumSolution:
     solve_condition_number: float
     dual_norm_squared: float       # g_norm(g_coefficients): |observation of g|^2
     energy_identity_gap: float     # |J(u*) - dual| / max(J, dual)
-    residual_map: _InputMap        # the rule the residual is summed on
+    residual_map: GradientGramian  # the rule the residual is summed on
     rhs: np.ndarray                # mode-coordinate vector c was solved from
     eigenpairs: tuple[np.ndarray, np.ndarray]   # W's kept (lam_k, V_k)
-
-
-def _free_final_coefficients(problem: HumProblem) -> np.ndarray:
-    if problem.y0_coefficients is None:
-        return np.zeros(len(problem.basis.modes))
-    return free_solution(problem.y0_coefficients, problem.basis, problem.alpha,
-                         problem.window, problem.window.b)
 
 
 def solve_hum(problem: HumProblem, *, threshold: float = VERDICT_THRESHOLD,
@@ -137,7 +122,8 @@ def solve_hum(problem: HumProblem, *, threshold: float = VERDICT_THRESHOLD,
                        "(margin %.3e): proceeding with the pseudo-inverse",
                        verdict.verdict, verdict.margin)
 
-    free = _free_final_coefficients(problem)
+    free = np.zeros(len(basis.modes)) if problem.y0_coefficients is None else \
+        free_solution(problem.y0_coefficients, basis, alpha, window, window.b)
     rhs = problem.target_gradient_coefficients - free
     lams, vecs = eigenpairs = kept_eigenpairs(gramian.matrix)
     datum = vecs @ ((1.0 / lams) * (vecs.T @ rhs))
@@ -191,9 +177,9 @@ def energy(u: ControlSignal, *, nodes: int = KERNEL_NODES) -> float:
     synthesis prices u* on its input map instead.
     """
     window = u.window
-    if u.is_singular and u.alpha <= 0.5 and u.epsilon_cutoff is None:
+    if u.singular and u.alpha <= 0.5 and u.epsilon_cutoff is None:
         raise EnergyDivergenceError(u.alpha, "the control energy integrand")
-    alpha, power = (u.alpha, 2.0 * (u.alpha - 1.0)) if u.is_singular else (1.0, 0.0)
+    alpha, power = (u.alpha, 2.0 * (u.alpha - 1.0)) if u.singular else (1.0, 0.0)
     taus, weights = kernel_rule(alpha, power, n=nodes, eps=u.epsilon_cutoff or 0.0,
                                 length=window.length)
     smooth = u.smooth_at_tau(taus)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +67,8 @@ class ControlSignal:
     tau runs back from the final time, so a synthesized control's singular
     end t = b sits at tau = 0.  `smooth_fn` maps a tau-array to an
     (m, tau.size) array f(tau); the control is u = tau^(alpha-1) * f(tau) when
-    `singular` is set and u = f(tau) otherwise, so the singular endpoint never
+    `singular` is set (kept only for alpha < 1: at alpha = 1 that factor is 1)
+    and u = f(tau) otherwise, so the singular endpoint never
     has to be represented numerically and every quadrature evaluates u
     exactly at its own nodes.  `tau_grid` (graded toward tau = 0) and the raw
     `values` of u there are computed once, for export and plotting only.
@@ -84,6 +84,7 @@ class ControlSignal:
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
+        singular = self.singular and alpha < 1.0
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
             raise ValueError("epsilon cutoff must be positive when given")
         # graded toward tau = 0, which is left out: u may be singular there
@@ -95,11 +96,12 @@ class ControlSignal:
                              f"{grid.size} grid nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite control values")
-        if self.singular:
+        if singular:
             values = grid ** (alpha - 1.0) * values
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "singular", singular)
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -121,11 +123,6 @@ class ControlSignal:
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def is_singular(self) -> bool:
-        """True when the signal carries an explicit tau^(alpha-1) factor."""
-        return self.singular and self.alpha < 1.0
 
     # -- evaluation ---------------------------------------------------------
 
@@ -170,81 +167,16 @@ def _ml_matrix(alpha: float, lams, taus) -> np.ndarray:
     return ml_on_negative_axis(alpha, alpha, z.ravel()).reshape(z.shape)[rows]
 
 
-class _InputMap:
-    """The discrete input-to-state map H at t = b, on one kernel rule.
-
-    D (m, n_modes) holds the couplings, tau_q the nodes of `kernel_rule` for
-    int tau^(2 alpha - 2) g dtau placed for the largest decay rate, w_q its
-    weights times the time Jacobian e^tau_q / b, and kappa_pq the table
-    E_{a,a}(-lam_p tau_q^alpha).  For the datum c of u* = H* c, W =
-    (D^T D) o (kappa w kappa^T) is the Gramian factor and W c the state u*
-    reaches; u* has channel outputs D (kappa o c) and energy
-    sum_q w_q |D (kappa o c)_q|^2 = c' W c; A = [d_ip kappa_pq sqrt(w_q)]
-    (rows p, columns iq) is the factor with A A^T = W.
-    """
-
-    def __init__(self, coefficient_matrix: np.ndarray, lams: np.ndarray,
-                 alpha: float, window: LogTimeWindow, nodes: int,
-                 epsilon: float | None = None) -> None:
-        self.coefficient_matrix, self.lams, self.alpha = coefficient_matrix, lams, alpha
-        self.window, self.kernel_nodes, self.epsilon_cutoff = window, nodes, epsilon
-        self.taus, weights = kernel_rule(alpha, 2.0 * (alpha - 1.0), n=nodes,
-                                         eps=epsilon or 0.0, length=window.length,
-                                         lam_max=float(np.max(lams)))
-        self.weights = weights * (np.exp(self.taus) / window.b)
-        self.kernel = _ml_matrix(alpha, lams, self.taus)     # (n_modes, nq)
-
-    def with_nodes(self, nodes: int) -> "_InputMap":
-        return _InputMap(self.coefficient_matrix, self.lams, self.alpha,
-                         self.window, nodes, self.epsilon_cutoff)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """W, exactly symmetric and read-only."""
-        d = self.coefficient_matrix
-        w = (d.T @ d) * ((self.kernel * self.weights) @ self.kernel.T)
-        w = 0.5 * (w + w.T)
-        w.setflags(write=False)
-        return w
-
-    def energy(self, datum: np.ndarray) -> float:
-        outputs = self.coefficient_matrix @ (self.kernel * datum[:, None])  # (m, nq)
-        return float(np.sum(self.weights * np.sum(outputs ** 2, axis=0)))
-
-    def control(self, datum: np.ndarray) -> ControlSignal:
-        """u* = H* c, its smooth part D (kappa(tau) o c) e^tau / b exact at any tau."""
-        def smooth(tau):
-            tau = np.atleast_1d(np.asarray(tau, dtype=float))
-            kernel = _ml_matrix(self.alpha, self.lams, tau)
-            return ((self.coefficient_matrix @ (kernel * datum[:, None]))
-                    * (np.exp(tau) / self.window.b))
-
-        return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
-                                              epsilon_cutoff=self.epsilon_cutoff)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """(nq, n_modes) table kappa_pq sqrt(w_q), read-only: A^T[(i, q), p] =
-        d_ip table_qp."""
-        table = (self.kernel * np.sqrt(self.weights)).T
-        table.setflags(write=False)
-        return table
-
-    def apply_factor(self, phi: np.ndarray) -> np.ndarray:
-        """phi @ A^T for rows phi over the columns iq of A, without forming A."""
-        d = self.coefficient_matrix
-        rows = d.T @ phi.reshape(len(phi), d.shape[0], self.kernel_nodes)
-        return np.einsum("tpq,pq->tp", rows, self.table.T)
-
-
-def _coefficients(values, basis: SpectralBasis) -> np.ndarray:
-    """A copy of one finite coefficient per mode of the basis."""
+def _coefficients(values, basis: SpectralBasis, name: str) -> np.ndarray:
+    """A read-only copy of one finite coefficient per mode of the basis;
+    `name` heads the messages."""
     c = np.array(values, dtype=float)
     if c.shape != (len(basis.modes),):
-        raise ValueError(f"expected {len(basis.modes)} coefficients, "
+        raise ValueError(f"{name}: expected {len(basis.modes)} coefficients, "
                          f"got shape {c.shape}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("non-finite coefficients")
+        raise ValueError(f"{name}: non-finite coefficients")
+    c.setflags(write=False)
     return c
 
 
@@ -252,7 +184,7 @@ def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
                   window: LogTimeWindow, t) -> np.ndarray:
     """Coefficients of the uncontrolled evolution of z0 at time t, or at each
     of a vector of times (one row per time), from one kernel table."""
-    z0 = _coefficients(z0_coefficients, basis)
+    z0 = _coefficients(z0_coefficients, basis, "z0")
     alpha = _check_alpha(alpha)
     times = np.asarray(t, dtype=float)
     window.require_inside(times)
@@ -287,7 +219,7 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
     horizon = window.tau_from_start(t)
 
     at_final = abs(t - window.b) <= 1e-12 * window.b
-    if u.is_singular and at_final:
+    if u.singular and at_final:
         cutoff = epsilon if epsilon is not None else (u.epsilon_cutoff or 0.0)
         if alpha <= 0.5 and cutoff == 0.0:
             raise EnergyDivergenceError(alpha, "the control-times-kernel integrand")

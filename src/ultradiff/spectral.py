@@ -163,12 +163,6 @@ class SpectralBasis:
         self._factors = tuple(tuple(partial(_sine, *axis, k) for k in ks)
                               for axis in self._axes)
 
-    # -- per-axis factors ---------------------------------------------------
-
-    def _axis_factor(self, axis: int, k: int | np.ndarray, x: np.ndarray,
-                     derivative: bool) -> np.ndarray:
-        return _sine(*self._axes[axis], k, x, derivative)
-
     def mode_profile(self, index: int) -> SeparableProfile:
         """The mode `modes[index]` as a separable profile; an index outside
         the truncation is refused here, before any actuator couples it."""
@@ -216,10 +210,10 @@ def _axis_tables(basis: SpectralBasis, box: Box, order: int):
     """
     k = np.arange(1, basis.cutoff + 1)[:, None]
     tables = []
-    for ax, (lo, hi) in enumerate(box):
+    for axis, (lo, hi) in zip(basis._axes, box):
         x, w = _box_rule_1d(lo, hi, order)
-        tables.append((x, w, basis._axis_factor(ax, k, x, False),
-                       basis._axis_factor(ax, k, x, True)))
+        tables.append((x, w, _sine(*axis, k, x, False),
+                       _sine(*axis, k, x, True)))
     return tables
 
 

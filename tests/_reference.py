@@ -48,7 +48,7 @@ from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import _check_alpha, _coefficients
 from ultradiff.spectral import (SeparableProfile, SpectralBasis, _axis_tables,
-                                default_order)
+                                _sine, default_order)
 
 # ---------------------------------------------------------------------------
 # quadrature for the log-kernel operators
@@ -284,7 +284,7 @@ def adjoint_solution(datum_coefficients, basis: SpectralBasis, alpha: float,
     Singular at t = b for alpha < 1; callers integrate on nodes strictly
     inside the window.
     """
-    c = _coefficients(datum_coefficients, basis)
+    c = _coefficients(datum_coefficients, basis, "datum")
     alpha = _check_alpha(alpha)
     if alpha < 1.0 and t >= window.b * (1 - 1e-15):
         raise ValueError(f"backward kernel is singular at the final time b = "
@@ -331,7 +331,7 @@ def _rows(basis: SpectralBasis, points, component: int | None = None) -> np.ndar
     k = np.arange(1, basis.cutoff + 1)[:, None]
     rows = np.ones((len(basis.modes), points.shape[0]))
     for ax in range(basis.domain.ndim):
-        table = basis._axis_factor(ax, k, points[:, ax], ax == component)
+        table = _sine(*basis._axes[ax], k, points[:, ax], ax == component)
         rows = rows * table[basis.modes[:, ax] - 1]
     return rows
 

@@ -369,6 +369,29 @@ def test_overlapping_boxes_are_violations(tmp_path, capsys, overrides, needle):
     scenario_from_dict(_single_mode_dict(region=[[[0.0, 0.5]], [[0.5, 1.0]]]))
 
 
+def test_a_three_axis_domain_is_one_violation(tmp_path):
+    """A 3-D domain once passed the checker; analyze then ended in
+    RectDomain's ValueError with a traceback.  The refusal is one line, with
+    no violation that depends on the number of axes."""
+    cube = [[0.0, 1.0]] * 3
+    data = _single_mode_dict(
+        task="analyze", domain=cube, cutoff=3, region=[[[0.0, 0.5]] * 3],
+        actuators=[{"support": [cube], "profile": "constant",
+                    "coefficients": [1.0]}], window=[1.0, 4.0], target=None)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.violations == ["domain: expected one or two [lo, hi] pairs"]
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(data))
+    result = subprocess.run(
+        [sys.executable, "-m", "ultradiff.cli", "analyze", "--scenario", str(path),
+         "--out", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "  - domain: expected one or two [lo, hi] pairs" in result.stderr
+    assert "Traceback" not in result.stderr and "Error:" not in result.stderr
+
+
 @pytest.mark.parametrize("option, value", [
     ("--cutoff", "0"), ("--cutoff", "-3"), ("--epsilon", "nan"),
     ("--epsilon", "0"), ("--epsilon", "-0.01"), ("--epsilon", "inf"),
@@ -829,11 +852,15 @@ def test_polynomial_and_sine_profiles_couple_in_closed_form():
                     rtol=1e-13)
 
 
+def _src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_stdout(probe: str) -> str:
     """The stripped stdout of `python -c <probe>` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                             capture_output=True, text=True, check=True)
     return result.stdout.strip()
 

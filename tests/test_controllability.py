@@ -22,9 +22,9 @@ from _reference import (gradient_component_matrix, gradient_gram_vstack,
 from ultradiff import spectral
 from ultradiff._quadrature import kernel_rule
 from ultradiff.cli import build_objects, parse_scenario, scenario_from_dict
-from ultradiff.controllability import (RANK_RTOL, StrategicBucket,
-                                       StrategicReport, _kernel_directions,
-                                       _khatri_rao_qr,
+from ultradiff.controllability import (RANK_RTOL, GradientGramian,
+                                       StrategicBucket, StrategicReport,
+                                       _kernel_directions, _khatri_rao_qr,
                                        approx_controllability_verdict,
                                        assemble_gramian, strategic_test,
                                        worked_example_pairing_table)
@@ -33,7 +33,7 @@ from ultradiff.hum import (HumProblem, kept_eigenpairs, solve_hum,
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
-                              _InputMap, _ml_matrix, forced_solution)
+                              _ml_matrix, forced_solution)
 from ultradiff.spectral import (Actuator, ActuatorSet, Region,
                                 RectDomain, SeparableProfile, SpectralBasis,
                                 actuator_coefficients,
@@ -79,9 +79,19 @@ def test_gramian_is_symmetric_psd():
     assert pencil[-1] >= pencil[0] and not pencil.flags.writeable
     # the Gramian is its input map: W is its own read-only array, summed once
     assert g.matrix is g.matrix and not g.matrix.flags.writeable
-    assert isinstance(g, _InputMap) and g.kernel_nodes == 160
-    assert not hasattr(g, "input_map")
-    assert type(g.with_nodes(96)) is _InputMap
+    assert g.kernel_nodes == 160 and not hasattr(g, "input_map")
+
+
+def test_every_resolution_of_the_input_map_is_the_gramian():
+    # the residual (192-node) and pseudo-inverse (96-node) maps carry Gamma:
+    # one class at every kernel resolution, sharing the one Gram factor
+    basis, acts = single_zone_setup()
+    g = assemble_gramian(basis, Region.box(DOMAIN_1D, (0.2, 0.9)), acts, 0.7, WINDOW)
+    for nodes in (96, 192):
+        other = g.with_nodes(nodes)
+        assert type(other) is GradientGramian and other.kernel_nodes == nodes
+        assert other.gram is g.gram
+        assert other.coefficient_matrix is g.coefficient_matrix
 
 
 def test_divergence_refusal_and_epsilon_validation():
@@ -150,14 +160,17 @@ def test_adjoint_observation_profile_and_refusal():
     tau = math.log(WINDOW.b / t)
     E = ml_on_negative_axis(alpha, alpha, -basis.lams * tau ** alpha)
     expected = (d @ (E * v)) * tau ** (alpha - 1.0) / t
-    control = _InputMap(d, basis.lams, alpha, WINDOW, KERNEL_NODES).control(v)
+    gram = gradient_gram(basis, Region.whole(DOMAIN_1D))
+    control = GradientGramian(gram, d, basis.lams, alpha, WINDOW,
+                              KERNEL_NODES).control(v)
     got = control.evaluate_time(np.array([1.5, t, 2.2]))
     assert got.shape == (1, 3)
     assert_allclose(got[:, 1], expected, rtol=1e-13)
     with pytest.raises(ValueError, match="tau <= 0"):
         control.evaluate_time(np.array([WINDOW.b]))
     # no singular prefactor in the classical limit
-    classical = _InputMap(d, basis.lams, 1.0, WINDOW, KERNEL_NODES).control(v)
+    classical = GradientGramian(gram, d, basis.lams, 1.0, WINDOW,
+                                KERNEL_NODES).control(v)
     assert_allclose(classical.smooth_at_tau(np.array([0.0]))[:, 0],
                     (d @ v) / WINDOW.b, rtol=1e-13)
 

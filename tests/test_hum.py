@@ -15,14 +15,13 @@ from numpy.testing import assert_allclose
 
 from _reference import batched_minimality_trials
 from ultradiff import hum
-from ultradiff.controllability import assemble_gramian
+from ultradiff.controllability import GradientGramian, assemble_gramian
 from ultradiff.hum import (PINV_NODES, RESIDUAL_NODES, HumProblem, energy, g_norm,
                            solve_hum, verify_minimality)
 from ultradiff.logtime import LogTimeWindow
-from ultradiff.solver import (KERNEL_NODES, ControlSignal, EnergyDivergenceError,
-                              _InputMap)
+from ultradiff.solver import KERNEL_NODES, ControlSignal, EnergyDivergenceError
 from ultradiff.spectral import (Actuator, ActuatorSet, Region, RectDomain,
-                                SeparableProfile, SpectralBasis)
+                                SeparableProfile, SpectralBasis, gradient_gram)
 
 WINDOW = LogTimeWindow(1.0, 2.5)
 DOMAIN = RectDomain.interval(0.0, 1.0)
@@ -411,7 +410,8 @@ def test_divergence_refusals():
     # no input map, hence no Gramian for g_norm to read, without a cutoff
     basis = SpectralBasis(DOMAIN, 2)
     with pytest.raises(ValueError, match="non-integrable"):
-        _InputMap(np.ones((1, 2)), basis.lams, 0.4, WINDOW, KERNEL_NODES)
+        GradientGramian(gradient_gram(basis, Region.whole(DOMAIN)), np.ones((1, 2)),
+                        basis.lams, 0.4, WINDOW, KERNEL_NODES)
 
     u = ControlSignal.from_smooth_part(
         lambda tau: np.cos(tau)[None, :], WINDOW, 0.4)
@@ -459,12 +459,20 @@ def test_ill_posed_synthesis_is_flagged():
 
 
 def test_problem_validation():
+    # the solver's one coefficient check, headed by the field's name
     basis, region, acts = steering_setup()
-    with pytest.raises(ValueError, match="target"):
+    with pytest.raises(ValueError, match=r"^target: expected 3 coefficients, "
+                                         r"got shape \(5,\)$"):
         HumProblem(basis, region, acts, 0.7, WINDOW, np.ones(5))
-    with pytest.raises(ValueError, match="target"):
+    with pytest.raises(ValueError, match="^target: non-finite coefficients$"):
         HumProblem(basis, region, acts, 0.7, WINDOW,
                    np.array([1.0, np.nan, 0.0]))
-    with pytest.raises(ValueError, match="y0"):
+    with pytest.raises(ValueError, match="^y0: expected 3 coefficients"):
         HumProblem(basis, region, acts, 0.7, WINDOW, np.ones(3),
                    y0_coefficients=np.ones(2))
+    target, y0 = np.ones(3), np.zeros(3)
+    problem = HumProblem(basis, region, acts, 0.7, WINDOW, target,
+                         y0_coefficients=y0)
+    for given, kept in ((target, problem.target_gradient_coefficients),
+                        (y0, problem.y0_coefficients)):
+        assert kept is not given and not kept.flags.writeable

@@ -187,6 +187,17 @@ def singular_signal(alpha, levels=(1.0,), epsilon=None):
         WINDOW, alpha, epsilon_cutoff=epsilon)
 
 
+def test_a_smooth_part_at_alpha_one_is_not_singular():
+    # tau^(alpha - 1) at alpha = 1 is no factor: the signal is its smooth
+    # part, and tau = 0 (t = b) is an ordinary point
+    u = ControlSignal.from_smooth_part(
+        lambda tau: np.vstack([np.cos(tau), 2.0 + tau]), WINDOW, 1.0)
+    assert not u.singular
+    assert_allclose(u.evaluate_tau([0.0]), [[1.0], [2.0]], rtol=0, atol=0)
+    assert np.array_equal(u.values, u.smooth_at_tau(u.tau_grid))
+    assert singular_signal(0.7).singular
+
+
 def test_singular_control_divergence_refusal_and_cutoff():
     basis = SpectralBasis(DOMAIN_1D, 2)
     acts = ActuatorSet((Actuator(Region.whole(DOMAIN_1D),

@@ -431,7 +431,8 @@ def test_adjoint_gradient_coefficients_both_entry_points():
     # component l of g is a sum of one separable term per mode
     field = tuple(SeparableProfile(tuple(
         (g, tuple(lambda x, ax=ax, k=k, slope=ax == l:
-                  basis._axis_factor(ax, k, x, slope) for ax, k in enumerate(index)))
+                  spectral._sine(*basis._axes[ax], k, x, slope)
+                  for ax, k in enumerate(index)))
         for g, index in zip(gamma, basis.modes.tolist()))) for l in range(2))
 
     c_fn = adjoint_gradient_coefficients(field, basis, region)
