@@ -5,9 +5,10 @@ Two families cover everything in the package:
 * ``kernel_rule`` — the propagator kernels' time rule in ``y = tau^alpha``:
   a head of width ``1/lam_max``, then Gauss-Legendre panels doubling in width.
 
-* plain Gauss rules on [0, 1], cached: Gauss-Jacobi for the weight x^p, and
-  Gauss-Legendre as its p = 0 case.  Golub & Welsch (Math. Comp. 23 (1969)
-  221) give the nodes as eigenvalues of the Jacobi matrix; one Newton step
+* plain Gauss rules on [0, 1], cached: Gauss-Jacobi for the weight x^p, whose
+  p = 0 case is every Gauss-Legendre rule of the package (the kernel rule's
+  panels, the spatial box rules).  Golub & Welsch (Math. Comp. 23 (1969) 221)
+  give the nodes as eigenvalues of the Jacobi matrix; one Newton step
   on the three-term recurrence polishes them, and the weights come from the
   derivative there (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
   Against 50-digit values at n <= 192 and p in {-0.99, -0.57, 0, 0.5} the
@@ -65,11 +66,6 @@ def gauss_jacobi_01(n: int, p: float):
     return (x + 1.0) / 2.0, w / 2.0 ** (p + 1.0)
 
 
-def gauss_legendre_01(n: int):
-    """Nodes/weights for int_0^1 f(x) dx."""
-    return gauss_jacobi_01(n, 0.0)
-
-
 @lru_cache(maxsize=16)
 def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
                 length: float = 1.0, lam_max: float = 0.0):
@@ -105,7 +101,7 @@ def kernel_rule(alpha: float, p: float, n: int = 160, eps: float = 0.0,
             ys.append(x * hi)
             ws.append(w * hi ** (q + 1.0))
         else:
-            x, w = gauss_legendre_01(size)
+            x, w = gauss_jacobi_01(size, 0.0)
             ys.append(lo + (hi - lo) * x)
             ws.append(w * (hi - lo) * ys[-1] ** q)
     wy = np.concatenate(ws) / alpha

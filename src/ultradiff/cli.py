@@ -9,11 +9,12 @@ reproduce-example   built-in worked-example checks with golden comparisons
 selftest            quick internal consistency battery; takes no options
 
 Every other verb takes --out and --cutoff; all but reproduce-example (which
-runs its built-in scenario) --scenario, and all but simulate --epsilon.
+runs its built-in scenario) --scenario, and all but simulate --epsilon.  The
+verb replaces the file's (checked) `task`; only synthesize needs a target.
 
 Scenario schema (JSON object; every length in domain units, every time > 0):
 
-    name             str, report/artifact prefix
+    name             str, CSV file prefix without path separators or NUL
     task             "simulate" | "analyze" | "synthesize" | "reproduce-example"
     domain           [[lo, hi]] | [[lo, hi], [lo, hi]]   one pair per axis
     family           "canonical" | "whole-wave"
@@ -289,17 +290,20 @@ def _parse_target(raw, n_modes, bad) -> TargetSpec | None:
     return None
 
 
-def scenario_from_dict(data: dict) -> Scenario:
+def scenario_from_dict(data: dict, task: str | None = None) -> Scenario:
+    """The checked scenario, or every violation at once.  A given `task` (the
+    verb that runs) replaces the file's valid one; the target rule reads it."""
     bad: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError(["top level: expected a JSON object"])
     _unknown_keys(data, Scenario, "", bad)
 
     name = str(data.get("name", "scenario"))
-    task = data.get("task")
-    if task not in TASKS:
+    if any(c in name for c in "/\\\0"):     # it prefixes every CSV file name
+        bad.append("name: expected a file name without path separators")
+    if data.get("task") not in TASKS:
         bad.append(f"task: expected one of {', '.join(TASKS)}")
-        task = "analyze"
+    task = task or data.get("task")
 
     domain_raw = data.get("domain")
     domain = None
@@ -396,7 +400,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                     actuators, target, y0, eps, threshold, seed, out)
 
 
-def parse_scenario(path: str) -> Scenario:
+def parse_scenario(path: str, task: str | None = None) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -404,7 +408,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError([f"file: {err}"]) from err
     except json.JSONDecodeError as err:
         raise ScenarioError([f"file: not valid JSON ({err})"]) from err
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, task)
 
 
 # -- scenario -> library objects ----------------------------------------------
@@ -445,8 +449,6 @@ def build_objects(scenario: Scenario):
 
 def _target_coefficients(scenario: Scenario, n_modes: int) -> np.ndarray:
     spec = scenario.target
-    if spec is None:
-        raise ScenarioError(["target: required for the synthesize task"])
     if spec.kind == "coefficients":
         return np.array(spec.values, dtype=float)
     rng = np.random.default_rng(spec.seed)
@@ -519,8 +521,9 @@ def write_report(report: dict, out_dir: str, tables: dict) -> None:
 
 def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
                  residual_map=None) -> dict:
-    """Report header.  Given the Gramian's and the residual's input maps, the
-    quadrature block reports their nodes and ||W_res - W||_F / ||W||_F."""
+    """Report header.  Given the Gramian's and the residual's input maps (on
+    KERNEL_NODES and RESIDUAL_NODES), the quadrature block also reports
+    ||W_res - W||_F / ||W||_F."""
     quadrature = {"spatial_order": default_order(basis),
                   "kernel_nodes": KERNEL_NODES,
                   "control_nodes": DEFAULT_CONTROL_NODES,
@@ -528,9 +531,7 @@ def _base_report(scenario: Scenario, basis: SpectralBasis, kernel_map=None,
     if kernel_map is not None:
         norm = float(np.linalg.norm(kernel_map.matrix))
         change = float(np.linalg.norm(residual_map.matrix - kernel_map.matrix))
-        quadrature.update(kernel_nodes=kernel_map.kernel_nodes,
-                          residual_nodes=residual_map.kernel_nodes,
-                          quadrature_rel_change=change / norm if norm else 0.0)
+        quadrature["quadrature_rel_change"] = change / norm if norm else 0.0
     return {"tool_version": __version__, "scenario": scenario,
             "quadrature": quadrature}
 
@@ -916,7 +917,7 @@ def main(argv=None) -> int:
         if args.verb == "reproduce-example":
             scenario = reproduction_scenario()
         elif args.scenario is not None:
-            scenario = parse_scenario(args.scenario)
+            scenario = parse_scenario(args.scenario, args.verb)
         else:
             print(f"ultradiff {args.verb}: --scenario is required",
                   file=sys.stderr)
@@ -929,10 +930,6 @@ def main(argv=None) -> int:
         if overrides:       # the scenario checker judges the overridden values
             scenario = scenario_from_dict({**dataclasses.asdict(scenario),
                                            **overrides})
-        if scenario.task != args.verb:
-            logger.info("scenario task %r overridden by the %r verb",
-                        scenario.task, args.verb)
-            scenario = dataclasses.replace(scenario, task=args.verb)
 
         out_dir = args.out or scenario.out or "./ultradiff-out"
         started = time.perf_counter()

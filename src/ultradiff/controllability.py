@@ -115,7 +115,7 @@ class GradientGramian:
                                          eps=epsilon or 0.0, length=window.length,
                                          lam_max=float(np.max(lams)))
         self.weights = weights * (np.exp(self.taus) / window.b)
-        self.kernel = _ml_matrix(alpha, lams, self.taus)     # (n_modes, nq)
+        self.kernel = _ml_matrix(alpha, alpha, lams, self.taus)   # (n_modes, nq)
 
     def with_nodes(self, nodes: int) -> "GradientGramian":
         """The same configuration, Gamma included, on `nodes` kernel nodes."""
@@ -148,12 +148,12 @@ class GradientGramian:
         """u* = H* c, its smooth part D (kappa(tau) o c) e^tau / b exact at any tau."""
         def smooth(tau):
             tau = np.atleast_1d(np.asarray(tau, dtype=float))
-            kernel = _ml_matrix(self.alpha, self.lams, tau)
+            kernel = _ml_matrix(self.alpha, self.alpha, self.lams, tau)
             return ((self.coefficient_matrix @ (kernel * datum[:, None]))
                     * (np.exp(tau) / self.window.b))
 
-        return ControlSignal.from_smooth_part(smooth, self.window, self.alpha,
-                                              epsilon_cutoff=self.epsilon_cutoff)
+        return ControlSignal(self.window, self.alpha, smooth, singular=True,
+                             epsilon_cutoff=self.epsilon_cutoff)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -328,26 +328,24 @@ def strategic_test(basis: SpectralBasis, region: Region, actuators: ActuatorSet,
     sup_r = max(bucket.multiplicity for bucket in buckets)
     m_sufficient = m >= sup_r
 
-    if ndim == 1:
-        strategic = m_sufficient and all(
-            bucket.direction_ranks[0] == bucket.multiplicity for bucket in buckets)
-        return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
-                               "exact", None, None, strategic,
-                               "STRATEGIC" if strategic else "NOT")
-
-    taus = np.geomspace(window.length * 1e-4, window.length, 64)
-    # one kernel row per bucket; every mode of a bucket shares its row
-    directions = _kernel_directions(_ml_matrix(alpha, basis.lams[first], taus).T)
-    # S Gamma = Q_S (R_S Gamma) has the singular values of the small R_S Gamma,
-    # formed as (R_S R_Gamma^T) R_Gamma
-    r_s = _khatri_rao_qr(coefficient_matrix, directions[:, basis.buckets])
-    stacked_rank = int(_ranks(r_s @ gram.factor.T @ gram.factor))
-    logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
-                "directions", stacked_rank, n_modes, len(directions), len(taus))
-    strategic = stacked_rank == n_modes
+    # 1-D: a bucket's block is its one direction's matrix
+    strategic = m_sufficient and all(bucket.passes for bucket in buckets)
+    stacked_rank = required_rank = None
+    if ndim == 2:
+        taus = np.geomspace(window.length * 1e-4, window.length, 64)
+        # one kernel row per bucket; every mode of a bucket shares its row
+        directions = _kernel_directions(
+            _ml_matrix(alpha, alpha, basis.lams[first], taus).T)
+        # S Gamma = Q_S (R_S Gamma) has the singular values of the small
+        # R_S Gamma, formed as (R_S R_Gamma^T) R_Gamma
+        r_s = _khatri_rao_qr(coefficient_matrix, directions[:, basis.buckets])
+        stacked_rank = int(_ranks(r_s @ gram.factor.T @ gram.factor))
+        logger.info("stacked strategic rank %d of %d modes from %d of %d kernel "
+                    "directions", stacked_rank, n_modes, len(directions), len(taus))
+        strategic, required_rank = stacked_rank == n_modes, n_modes
     return StrategicReport(tuple(buckets), m, sup_r, m_sufficient,
-                           "generic", stacked_rank, n_modes, strategic,
-                           "STRATEGIC" if strategic else "NOT")
+                           "generic" if ndim == 2 else "exact", stacked_rank,
+                           required_rank, strategic, "STRATEGIC" if strategic else "NOT")
 
 
 def _kernel_directions(table: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ class EnergyDivergenceError(ValueError):
 
     def __init__(self, alpha: float, what: str):
         self.alpha = alpha
-        self.what = what
         super().__init__(
             f"{what} carries tau^({2 * alpha - 2:.4g}) near tau = 0, which is not "
             f"integrable for alpha = {alpha:g} <= 1/2; pass an explicit epsilon "
@@ -87,9 +86,10 @@ class ControlSignal:
         singular = self.singular and alpha < 1.0
         if self.epsilon_cutoff is not None and not self.epsilon_cutoff > 0:
             raise ValueError("epsilon cutoff must be positive when given")
-        # graded toward tau = 0, which is left out: u may be singular there
+        # graded toward tau = 0, which is left out: u may be singular there;
+        # the power stops at 64, so for alpha < 1/32 no node underflows to 0
         j = np.arange(1, DEFAULT_CONTROL_NODES + 1)
-        grid = self.window.length * (j / DEFAULT_CONTROL_NODES) ** (2.0 / alpha)
+        grid = self.window.length * (j / DEFAULT_CONTROL_NODES) ** min(2.0 / alpha, 64.0)
         values = np.atleast_2d(np.array(self.smooth_fn(grid), dtype=float))
         if values.ndim != 2 or values.shape[1] != grid.size:
             raise ValueError(f"values shape {values.shape} does not match "
@@ -111,12 +111,6 @@ class ControlSignal:
     def constant(cls, levels, window: LogTimeWindow, alpha: float) -> "ControlSignal":
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         return cls(window, alpha, lambda tau: np.tile(levels[:, None], (1, tau.size)))
-
-    @classmethod
-    def from_smooth_part(cls, fn, window: LogTimeWindow, alpha: float, *,
-                         epsilon_cutoff: float | None = None) -> "ControlSignal":
-        """Build u = tau^(alpha-1) * fn(tau) from its smooth factor."""
-        return cls(window, alpha, fn, singular=True, epsilon_cutoff=epsilon_cutoff)
 
     # -- shape ------------------------------------------------------------
 
@@ -156,15 +150,16 @@ class ControlSignal:
             raise ValueError(f"tau outside [0, {self.window.length:.6g}]")
 
 
-def _ml_matrix(alpha: float, lams, taus) -> np.ndarray:
-    """E_{alpha,alpha}(-lam_p tau_q^alpha) as a (n_modes, n_taus) table from
+def _ml_matrix(alpha: float, beta: float, lams, taus) -> np.ndarray:
+    """E_{alpha,beta}(-lam_p tau_q^alpha), every table of the package (beta = 1
+    the free evolution, beta = alpha the kernels), as (n_modes, n_taus) from
     one router call, with one row evaluated per distinct lam.  A basis gives
     every member of an eigenvalue bucket the same float, so that is one row
     per bucket, and modes of one bucket get identical rows."""
     lams, rows = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
     taus = np.asarray(taus, dtype=float)
     z = -np.outer(lams, taus ** alpha)
-    return ml_on_negative_axis(alpha, alpha, z.ravel()).reshape(z.shape)[rows]
+    return ml_on_negative_axis(alpha, beta, z.ravel()).reshape(z.shape)[rows]
 
 
 def _coefficients(values, basis: SpectralBasis, name: str) -> np.ndarray:
@@ -191,7 +186,7 @@ def free_solution(z0_coefficients, basis: SpectralBasis, alpha: float,
     # a scalar time takes the array arithmetic too, so it gets its row of the
     # table to the bit; at t = a, z = -0.0 and the Taylor branch gives 1
     tau = window.tau_from_start(times.ravel())
-    decay = ml_on_negative_axis(alpha, 1.0, -np.outer(tau ** alpha, basis.lams))
+    decay = _ml_matrix(alpha, 1.0, basis.lams, tau).T
     return (z0 * decay).reshape(times.shape + z0.shape)
 
 
@@ -231,6 +226,6 @@ def forced_solution(actuators: ActuatorSet, basis: SpectralBasis, u: ControlSign
                            lam_max=float(basis.lams.max()))
         channel_values = u.evaluate_time(t * np.exp(-s))
 
-    kernel = _ml_matrix(alpha, basis.lams, s)
+    kernel = _ml_matrix(alpha, alpha, basis.lams, s)
     driven = coefficient_matrix.T @ channel_values     # (n_modes, n_nodes)
     return np.sum(kernel * driven * w, axis=1)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from ._quadrature import gauss_legendre_01
+from ._quadrature import gauss_jacobi_01
 
 BUCKET_RTOL = 1e-9
 
@@ -182,9 +182,8 @@ def _sine(lo: float, hi: float, origin: float, period: float, k, x: np.ndarray,
     return math.sqrt(2.0 / (hi - lo)) * np.sin(k * math.pi * (x - origin) / period)
 
 
-@lru_cache(maxsize=32)
 def _box_rule_1d(lo: float, hi: float, order: int):
-    x, w = gauss_legendre_01(order)
+    x, w = gauss_jacobi_01(order, 0.0)
     return lo + (hi - lo) * x, (hi - lo) * w
 
 
@@ -196,7 +195,7 @@ def box_quadrature(box: Box, order: int):
     nodes, weights = zip(*(_box_rule_1d(lo, hi, order) for lo, hi in box))
     points = np.column_stack([x.ravel() for x in np.meshgrid(*nodes, indexing="ij")])
     if len(weights) == 1:
-        return points, weights[0].copy()
+        return points, weights[0]
     return points, np.outer(*weights).ravel()
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import gammaln
 
-from ultradiff._quadrature import gauss_jacobi_01, gauss_legendre_01
+from ultradiff._quadrature import gauss_jacobi_01
 from ultradiff.logtime import LogTimeWindow
 from ultradiff.mittag_leffler import ml_on_negative_axis
 from ultradiff.solver import _check_alpha, _coefficients
@@ -78,7 +78,7 @@ def power_weighted_rule(p: float, n: int = 64):
     xs.append(0.5 * xj)
     ws.append(wj * 0.5 ** (p + 1.0))
     # right half: dyadic panels closing in on xi = 1
-    xg, wg = gauss_legendre_01(16)
+    xg, wg = gauss_jacobi_01(16, 0.0)
     h = 0.5
     for _ in range(120):
         lo, hi = 1.0 - h, 1.0 - h / 2.0

@@ -549,8 +549,8 @@ def test_divergence_guard_and_regularized_synthesis():
     assert "tau^(-1.2)" in message
     assert "epsilon" in message
 
-    u = ControlSignal.from_smooth_part(
-        lambda tau: np.full((2, np.size(tau)), 1.0), window, 0.4)
+    u = ControlSignal(window, 0.4, lambda tau: np.full((2, np.size(tau)), 1.0),
+                      singular=True)
     with pytest.raises(EnergyDivergenceError):
         energy(u)
 

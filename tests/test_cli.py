@@ -392,6 +392,70 @@ def test_a_three_axis_domain_is_one_violation(tmp_path):
     assert "Traceback" not in result.stderr and "Error:" not in result.stderr
 
 
+@pytest.mark.parametrize("name", ["sub/dir", "../escaped", "back\\slash", "nul\0"])
+def test_a_name_with_a_path_separator_is_one_violation(name):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_single_mode_dict(name=name))
+    assert err.value.violations == [
+        "name: expected a file name without path separators"]
+
+
+@pytest.mark.parametrize("name", ["sub/dir", "../escaped"])
+def test_a_name_cannot_lead_out_of_the_output_directory(tmp_path, name):
+    """The name prefixes every CSV file name: "sub/dir" once ended in a
+    FileNotFoundError with a traceback after the whole analysis, and
+    "../escaped" wrote escaped-spectrum.csv beside --out."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**data, "name": name}))
+    result = subprocess.run(
+        [sys.executable, "-m", "ultradiff.cli", "analyze", "--scenario", str(path),
+         "--out", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == ("invalid scenario:\n  - name: expected a file name "
+                             "without path separators\n"), result.stderr
+    assert list(tmp_path.rglob("*")) == [path]
+
+
+@pytest.mark.parametrize("verb", ["analyze", "simulate"])
+def test_a_verb_that_reads_no_target_runs_a_synthesize_file_without_one(
+        tmp_path, capsys, verb):
+    """The verb is the task that runs, and only synthesize reads a target:
+    hum-demo (task synthesize) with target null once made analyze and
+    simulate exit 1 with `target: required for the synthesize task`."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    path = tmp_path / "no-target.json"
+    path.write_text(json.dumps({**data, "target": None}))
+    assert main([verb, "--scenario", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+    assert "target" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["task"] == report["scenario"]["task"] == verb
+    assert report["scenario"]["target"] is None
+
+
+def test_synthesize_needs_a_target_whatever_the_file_says(tmp_path, capsys):
+    path = "scenarios/whole-domain-negative.json"
+    assert json.loads(Path(path).read_text())["task"] == "analyze"
+    assert main(["synthesize", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid scenario:\n  - target: required for the synthesize task\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_given_task_replaces_the_files_checked_one():
+    data = _single_mode_dict(task="analyze", target=None)
+    assert scenario_from_dict(data).task == "analyze"
+    assert scenario_from_dict(data, "simulate").task == "simulate"
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data, "synthesize")
+    assert err.value.violations == ["target: required for the synthesize task"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict({**data, "task": "transmogrify"}, "analyze")
+    assert err.value.violations == [
+        "task: expected one of simulate, analyze, synthesize, reproduce-example"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--cutoff", "0"), ("--cutoff", "-3"), ("--epsilon", "nan"),
     ("--epsilon", "0"), ("--epsilon", "-0.01"), ("--epsilon", "inf"),

@@ -125,7 +125,7 @@ def test_gramian_state_identity():
             ).reshape(len(basis.modes), tau.size)
             return (d @ (E * v[:, None])) * (np.exp(tau) / WINDOW.b)
 
-        u = ControlSignal.from_smooth_part(smooth, WINDOW, 0.7)
+        u = ControlSignal(WINDOW, 0.7, smooth, singular=True)
         state = forced_solution(acts, basis, u, 0.7, WINDOW, WINDOW.b)
         assert_allclose(state, g.matrix @ v, rtol=1e-9)
 
@@ -307,7 +307,7 @@ def test_stacked_observation_map_matches_per_bucket_sum():
     gram = _n_point_gram(basis, region)[0]
     time_samples = 64
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
-    kernel = _ml_matrix(0.7, basis.lams, taus)
+    kernel = _ml_matrix(0.7, 0.7, basis.lams, taus)
 
     def per_bucket_sum(kernel):
         """One outer product per bucket, each with its first mode's kernel row."""
@@ -367,7 +367,7 @@ def _stacked_map_for(basis, region, acts, time_samples=64):
     and the bucketed kernel table."""
     order = default_order(basis)
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, time_samples)
-    d, kernel = actuator_coefficients(acts, basis, order), _ml_matrix(0.7, basis.lams, taus)
+    d, kernel = actuator_coefficients(acts, basis, order), _ml_matrix(0.7, 0.7, basis.lams, taus)
     mode_buckets = basis.buckets
     factor = gradient_gram(basis, region, order).factor
     return (_stacked_observation_map(d, kernel, mode_buckets),
@@ -467,7 +467,7 @@ def test_compressed_kernel_table_keeps_the_explicit_stacked_rank(scenario,
     factor = gradient_gram(basis, region).factor
     gram = factor.T @ factor
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
-    kernel = _ml_matrix(scenario.alpha, basis.lams, taus)
+    kernel = _ml_matrix(scenario.alpha, scenario.alpha, basis.lams, taus)
     mode_buckets = basis.buckets
     product = _stacked_observation_map(d, kernel, mode_buckets) @ gram
     s = np.linalg.svd(product, compute_uv=False)
@@ -493,7 +493,7 @@ def test_modal_kernel_table_keeps_few_directions(caplog):
     _, basis, region, acts = build_objects(scenario)
     window = LogTimeWindow(*scenario.window)
     taus = np.geomspace(window.length * 1e-4, window.length, 64)
-    kernel = _ml_matrix(0.7, basis.lams, taus)
+    kernel = _ml_matrix(0.7, 0.7, basis.lams, taus)
     first = np.unique(basis.buckets, return_index=True)[1]
     kept = len(_kernel_directions(kernel[first].T))
     assert kept <= 24
@@ -544,7 +544,7 @@ def _strategic_test_reference(basis, region, acts):
             tuple(buckets), m, sup_r, m >= sup_r, "exact", None, None, strategic,
             "STRATEGIC" if strategic else "NOT")
     taus = np.geomspace(WINDOW.length * 1e-4, WINDOW.length, 64)
-    stacked = _stacked_observation_map(d, _ml_matrix(0.7, basis.lams, taus),
+    stacked = _stacked_observation_map(d, _ml_matrix(0.7, 0.7, basis.lams, taus),
                                        mode_buckets)
     # the explicit product S Gamma, not the R_S Gamma strategic_test factors
     factor = gradient_gram(basis, region, order).factor
@@ -792,7 +792,7 @@ def _strategic_map(scenario):
     first = np.flatnonzero(np.diff(basis.buckets, prepend=-1))
     length = LogTimeWindow(*scenario.window).length
     taus = np.geomspace(length * 1e-4, length, 64)
-    directions = _kernel_directions(_ml_matrix(scenario.alpha, basis.lams[first],
+    directions = _kernel_directions(_ml_matrix(scenario.alpha, scenario.alpha, basis.lams[first],
                                                taus).T)
     return actuator_coefficients(acts, basis), directions[:, basis.buckets]
 

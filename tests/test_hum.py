@@ -413,13 +413,12 @@ def test_divergence_refusals():
         GradientGramian(gradient_gram(basis, Region.whole(DOMAIN)), np.ones((1, 2)),
                         basis.lams, 0.4, WINDOW, KERNEL_NODES)
 
-    u = ControlSignal.from_smooth_part(
-        lambda tau: np.cos(tau)[None, :], WINDOW, 0.4)
+    u = ControlSignal(WINDOW, 0.4, lambda tau: np.cos(tau)[None, :], singular=True)
     with pytest.raises(EnergyDivergenceError) as err:
         energy(u)
     assert err.value.alpha == 0.4
-    u = ControlSignal.from_smooth_part(
-        lambda tau: np.cos(tau)[None, :], WINDOW, 0.4, epsilon_cutoff=1e-3)
+    u = ControlSignal(WINDOW, 0.4, lambda tau: np.cos(tau)[None, :], singular=True,
+                      epsilon_cutoff=1e-3)
     assert math.isfinite(energy(u))
 
 

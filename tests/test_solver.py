@@ -182,20 +182,32 @@ def test_adjoint_solution_interior_profile():
 # --- divergence refusal ------------------------------------------------------
 
 def singular_signal(alpha, levels=(1.0,), epsilon=None):
-    return ControlSignal.from_smooth_part(
+    return ControlSignal(
+        WINDOW, alpha,
         lambda tau: np.tile(np.asarray(levels, dtype=float)[:, None], (1, tau.size)),
-        WINDOW, alpha, epsilon_cutoff=epsilon)
+        singular=True, epsilon_cutoff=epsilon)
 
 
 def test_a_smooth_part_at_alpha_one_is_not_singular():
     # tau^(alpha - 1) at alpha = 1 is no factor: the signal is its smooth
     # part, and tau = 0 (t = b) is an ordinary point
-    u = ControlSignal.from_smooth_part(
-        lambda tau: np.vstack([np.cos(tau), 2.0 + tau]), WINDOW, 1.0)
+    u = ControlSignal(WINDOW, 1.0, lambda tau: np.vstack([np.cos(tau), 2.0 + tau]),
+                      singular=True)
     assert not u.singular
     assert_allclose(u.evaluate_tau([0.0]), [[1.0], [2.0]], rtol=0, atol=0)
     assert np.array_equal(u.values, u.smooth_at_tau(u.tau_grid))
     assert singular_signal(0.7).singular
+
+
+def test_the_export_grid_stays_positive_at_a_tiny_order():
+    # the grid's grading power 2/alpha stops at 64: at alpha = 1/128 the
+    # power 256 once took its first nodes (1/256)^256 to 0, where
+    # tau^(alpha - 1) divides by zero
+    u = singular_signal(1.0 / 128.0, epsilon=1e-3)
+    assert u.tau_grid[0] == WINDOW.length * 256.0 ** -64
+    assert np.all(np.diff(u.tau_grid) > 0) and np.all(np.isfinite(u.values))
+    mild = singular_signal(0.5, epsilon=1e-3)     # 2/alpha = 4: unchanged
+    assert mild.tau_grid[0] == WINDOW.length * (1.0 / 256.0) ** 4
 
 
 def test_singular_control_divergence_refusal_and_cutoff():
@@ -253,7 +265,7 @@ def test_kernel_table_working_memory_is_bounded():
                           lam_max=float(np.max(basis.lams)))
     tracemalloc.start()
     try:
-        table = _ml_matrix(0.7, basis.lams, taus)
+        table = _ml_matrix(0.7, 0.7, basis.lams, taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,7 +280,7 @@ def test_kernel_table_has_one_row_per_eigenvalue_bucket():
     basis = SpectralBasis(RectDomain.rectangle((0.0, 1.0), (0.0, 1.0)), 16)
     taus, _ = kernel_rule(0.7, 2.0 * (0.7 - 1.0), n=192, length=math.log(4.0),
                           lam_max=float(np.max(basis.lams)))
-    table = _ml_matrix(0.7, basis.lams, taus)
+    table = _ml_matrix(0.7, 0.7, basis.lams, taus)
     buckets = basis.buckets
     assert buckets[-1] + 1 == 122
     assert len(np.unique(table, axis=0)) == 122
