@@ -14,13 +14,14 @@ verb replaces the file's (checked) `task`; only synthesize needs a target.
 
 Scenario schema (JSON object; every length in domain units, every time > 0):
 
-    name             str, CSV file prefix without path separators or NUL
+    name             str, CSV file prefix: no path separator or NUL, at
+                     most 238 bytes of UTF-8 (255 less "-state-series.csv")
     task             "simulate" | "analyze" | "synthesize" | "reproduce-example"
     domain           [[lo, hi]] | [[lo, hi], [lo, hi]]   one pair per axis
     family           "canonical" | "whole-wave"
     cutoff           int >= 1, per-axis mode count K (K^ndim modes total)
     alpha            float in (0, 1]
-    window           [a, b], 0 < a < b          log-time horizon
+    window           [a, b], 0 < a < b, b/a finite    log-time horizon
     region           [box, ...], box = [[lo, hi], ...]   observation region
     actuators        [{support: [box, ...], profile: str,
                        coefficients: [...], label: str}, ...]
@@ -82,6 +83,8 @@ logger = logging.getLogger(__name__)
 TASKS = ("simulate", "analyze", "synthesize", "reproduce-example")
 FAMILIES = ("canonical", "whole-wave")
 PROFILES = ("constant", "polynomial", "product-of-sines", "mode")
+# the name prefixes every CSV file, and a file name holds at most 255 bytes
+NAME_BYTES = 255 - len("-state-series.csv")     # the longest table suffix
 
 
 class ScenarioError(ValueError):
@@ -301,6 +304,12 @@ def scenario_from_dict(data: dict, task: str | None = None) -> Scenario:
     name = str(data.get("name", "scenario"))
     if any(c in name for c in "/\\\0"):     # it prefixes every CSV file name
         bad.append("name: expected a file name without path separators")
+    try:
+        too_long = len(name.encode("utf-8")) > NAME_BYTES
+    except UnicodeEncodeError:              # a lone surrogate
+        too_long = True
+    if too_long:
+        bad.append(f"name: expected at most {NAME_BYTES} bytes of UTF-8 text")
     if data.get("task") not in TASKS:
         bad.append(f"task: expected one of {', '.join(TASKS)}")
     task = task or data.get("task")
@@ -342,6 +351,9 @@ def scenario_from_dict(data: dict, task: str | None = None) -> Scenario:
         if window_raw is not None else None
     if window_raw is None:
         bad.append("window: required [a, b] with 0 < a < b")
+    elif window and not math.isfinite(window[1] / window[0]):
+        bad.append("window: b/a must be finite")     # log(b/a) is the horizon
+        window = None
 
     region = ()
     region_raw = data.get("region")

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _probes import zone_probe_dict
 from ultradiff import cli
 from ultradiff.cli import (ScenarioError, _encode, _target_coefficients,
                            analysis, build_objects, main, parse_scenario,
@@ -383,10 +384,7 @@ def test_a_three_axis_domain_is_one_violation(tmp_path):
     assert err.value.violations == ["domain: expected one or two [lo, hi] pairs"]
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(data))
-    result = subprocess.run(
-        [sys.executable, "-m", "ultradiff.cli", "analyze", "--scenario", str(path),
-         "--out", str(tmp_path / "out")],
-        env=_src_env(), capture_output=True, text=True)
+    result = _fresh_cli("analyze", "--scenario", path, "--out", tmp_path / "out")
     assert result.returncode == 1
     assert "  - domain: expected one or two [lo, hi] pairs" in result.stderr
     assert "Traceback" not in result.stderr and "Error:" not in result.stderr
@@ -400,22 +398,68 @@ def test_a_name_with_a_path_separator_is_one_violation(name):
         "name: expected a file name without path separators"]
 
 
+def _analyze_hum_demo_named(tmp_path, name) -> str:
+    """The stderr of a fresh-process `analyze` on hum-demo renamed `name`,
+    which must exit 1 and write no file."""
+    data = json.loads(Path("scenarios/hum-demo.json").read_text())
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**data, "name": name}))
+    result = _fresh_cli("analyze", "--scenario", path, "--out", tmp_path / "out")
+    assert result.returncode == 1
+    assert list(tmp_path.rglob("*")) == [path]
+    return result.stderr
+
+
 @pytest.mark.parametrize("name", ["sub/dir", "../escaped"])
 def test_a_name_cannot_lead_out_of_the_output_directory(tmp_path, name):
     """The name prefixes every CSV file name: "sub/dir" once ended in a
     FileNotFoundError with a traceback after the whole analysis, and
     "../escaped" wrote escaped-spectrum.csv beside --out."""
+    assert _analyze_hum_demo_named(tmp_path, name) == (
+        "invalid scenario:\n  - name: expected a file name without path "
+        "separators\n")
+
+
+NAME_LINE = "name: expected at most 238 bytes of UTF-8 text"
+
+
+@pytest.mark.parametrize("name", ["x" * 250, "\ud800"],
+                         ids=["250-bytes", "lone-surrogate"])
+def test_a_name_that_no_file_can_carry_is_one_violation(tmp_path, name):
+    """250 x's once ended in `error: OSError: [Errno 36] File name too long`,
+    and a lone surrogate (valid JSON) in a UnicodeEncodeError, both with a
+    traceback after the whole analysis and report.json already written.  The
+    longest CSV suffix, "-state-series.csv", leaves 238 of a file name's 255
+    bytes."""
+    assert _analyze_hum_demo_named(tmp_path, name) == \
+        f"invalid scenario:\n  - {NAME_LINE}\n"
+    for fits in ("x" * 238, "\u00e9" * 119):         # 238 bytes
+        assert scenario_from_dict(_single_mode_dict(name=fits)).name == fits
+    for too_long in ("x" * 239, "\u00e9" * 120):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(_single_mode_dict(name=too_long))
+        assert err.value.violations == [NAME_LINE]
+
+
+@pytest.mark.parametrize("verb", ["simulate", "analyze", "synthesize"])
+def test_a_window_whose_ratio_overflows_is_one_violation(tmp_path, capsys, verb):
+    """log(b/a) is the horizon, infinite once b/a overflows: hum-demo on
+    [1e-300, 1e300] or [1e-10, 1e300] once ended in an OverflowError in
+    kernel_rule (analyze, synthesize) or a ValueError on t = inf (simulate).
+    An epsilon cutoff is then judged against no horizon.  b/a is finite
+    exactly when e^L is, so [1, 1e307] runs."""
     data = json.loads(Path("scenarios/hum-demo.json").read_text())
-    path = tmp_path / "named.json"
-    path.write_text(json.dumps({**data, "name": name}))
-    result = subprocess.run(
-        [sys.executable, "-m", "ultradiff.cli", "analyze", "--scenario", str(path),
-         "--out", str(tmp_path / "out")],
-        env=_src_env(), capture_output=True, text=True)
-    assert result.returncode == 1
-    assert result.stderr == ("invalid scenario:\n  - name: expected a file name "
-                             "without path separators\n"), result.stderr
-    assert list(tmp_path.rglob("*")) == [path]
+    path = tmp_path / "window.json"
+    for window in ([1e-300, 1e300], [1e-10, 1e300]):
+        path.write_text(json.dumps({**data, "window": window,
+                                    "epsilon_cutoff": 1.0}))
+        assert main([verb, "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "invalid scenario:\n  - window: b/a must be finite\n"
+        assert not (tmp_path / "out").exists()
+    assert scenario_from_dict({**data, "window": [1.0, 1e307]}).window == \
+        (1.0, 1e307)
 
 
 @pytest.mark.parametrize("verb", ["analyze", "simulate"])
@@ -742,36 +786,13 @@ def test_every_verb_writes_strict_json(tmp_path, capsys, argv, code):
         json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
-def _zone_probe_dict(cutoff, grid):
-    """The zone probe: a grid x grid tiling of the unit square by
-    product-of-sines boxes, each axis's frequency drawn from default_rng(3),
-    steering the quadrant's gradient to a target drawn after them."""
-    rng = np.random.default_rng(3)
-    actuators = []
-    for i in range(grid):
-        for j in range(grid):
-            freqs = rng.integers(1, 7, size=2)
-            box = [[i / grid, (i + 1) / grid], [j / grid, (j + 1) / grid]]
-            actuators.append({
-                "support": [box],
-                "profile": "product-of-sines",
-                "coefficients": [1.0, float(freqs[0]), float(freqs[1])],
-                "label": f"box-{i}-{j}"})
-    return {"name": f"zone{cutoff}-{grid}", "task": "synthesize",
-            "domain": [[0.0, 1.0], [0.0, 1.0]], "family": "canonical",
-            "cutoff": cutoff, "alpha": 0.7, "window": [1.0, 4.0],
-            "region": [[[0.0, 0.5], [0.0, 0.5]]], "actuators": actuators,
-            "target": {"kind": "coefficients", "values": [
-                float(v) for v in rng.standard_normal(cutoff * cutoff)]}}
-
-
 def test_zone_probe_minimality_checks_the_solved_problem(tmp_path):
     """zone12-4: the solve keeps W's eigenvalues above 1e-12 lam_max and drops
     the rest, so the target is out of reach (residual ~0.73).  u* is still the
     minimum-norm control of the problem solved, and the checks, which read W
     under the same rule, must say so."""
     path = tmp_path / "zone12-4.json"
-    path.write_text(json.dumps(_zone_probe_dict(12, 4)))
+    path.write_text(json.dumps(zone_probe_dict(12, 4)))
     out = tmp_path / "out"
     assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
     minimality = json.loads((out / "report.json").read_text())["minimality"]
@@ -929,21 +950,11 @@ def _fresh_stdout(probe: str) -> str:
     return result.stdout.strip()
 
 
-def _loads_scipy_interpolate(imports: str) -> bool:
-    """Whether `import <imports>` in a fresh interpreter loads scipy.interpolate."""
-    return _fresh_stdout(
-        f"import sys, {imports}; print('scipy.interpolate' in sys.modules)") == "True"
-
-
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    assert not _loads_scipy_interpolate("ultradiff.cli")
-
-
-def test_no_submodule_loads_scipy_interpolate():
-    modules = sorted(f"ultradiff.{path.stem}" for path in
-                     (SRC / "ultradiff").glob("*.py") if path.stem != "__init__")
-    assert "ultradiff.spectral" in modules
-    assert not _loads_scipy_interpolate(", ".join(modules))
+def _fresh_cli(*argv, **env) -> subprocess.CompletedProcess:
+    """`python -m ultradiff.cli *argv` in a fresh interpreter, with `env`
+    added to _src_env()."""
+    return subprocess.run([sys.executable, "-m", "ultradiff.cli", *map(str, argv)],
+                          env={**_src_env(), **env}, capture_output=True, text=True)
 
 
 def _scipy_loaded_after(code: str) -> set[str]:
@@ -955,20 +966,29 @@ def _scipy_loaded_after(code: str) -> set[str]:
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_loaded_after("import ultradiff, ultradiff.cli") == set()
+    """Importing the package and every module of it, the CLI among them,
+    loads no scipy module."""
+    modules = sorted(f"ultradiff.{path.stem}" for path in
+                     (SRC / "ultradiff").glob("*.py") if path.stem != "__init__")
+    assert "ultradiff.spectral" in modules and "ultradiff.cli" in modules
+    assert _scipy_loaded_after(f"import ultradiff, {', '.join(modules)}") == set()
 
 
-@pytest.mark.parametrize("verb", ["simulate", "synthesize", "analyze",
-                                  "reproduce-example", "selftest"])
-def test_only_the_stacked_rank_loads_scipy(verb, tmp_path):
+@pytest.mark.parametrize("verb, scenario", [
+    ("simulate", "hum-demo"), ("synthesize", "hum-demo"), ("analyze", "hum-demo"),
+    ("analyze", "subregion-positive"), ("reproduce-example", None),
+    ("selftest", None),
+], ids=["simulate", "synthesize", "analyze", "analyze-subregion-positive",
+        "reproduce-example", "selftest"])
+def test_only_the_stacked_rank_loads_scipy(verb, scenario, tmp_path):
     """numpy factors a stacked map of at most 640 rows, so the shipped calls
     load no scipy module; selftest's larger maps load scipy.linalg's LAPACK
     fold.  No verb loads scipy.special."""
     argv = [verb]
     if verb != "selftest":
         argv += ["--out", str(tmp_path)]
-    if verb in ("simulate", "synthesize", "analyze"):
-        argv += ["--scenario", str(SRC.parent / "scenarios" / "hum-demo.json")]
+    if scenario is not None:
+        argv += ["--scenario", str(SRC.parent / "scenarios" / f"{scenario}.json")]
     loaded = _scipy_loaded_after(f"from ultradiff.cli import main\nmain({argv!r})")
     assert not any(m.startswith("scipy.special") for m in loaded)
     if verb == "selftest":
@@ -977,23 +997,47 @@ def test_only_the_stacked_rank_loads_scipy(verb, tmp_path):
         assert loaded == set()
 
 
-def test_a_stacked_map_over_one_row_group_loads_the_lapack_fold(tmp_path):
-    """Modal K=12 (144 mode actuators) stacks thousands of rows, and a 704-row
-    map is past the 640-row group: both fold through scipy.linalg's dtpqrt,
-    where the 640-row map stays in numpy."""
+def _modal12(tmp_path) -> Path:
+    """hum-demo at K=12 with its 144 modes as whole-square mode actuators,
+    written to a file."""
     data = json.loads((SRC.parent / "scenarios" / "hum-demo.json").read_text())
     data["cutoff"] = 12
     data["actuators"] = [dict(data["actuators"][0], coefficients=[float(p)],
                               label=f"mode-{p}") for p in range(144)]
     path = tmp_path / "modal12.json"
     path.write_text(json.dumps(data))
-    argv = ["analyze", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    return path
+
+
+def test_a_stacked_map_over_one_row_group_loads_the_lapack_fold(tmp_path):
+    """Modal K=12 (144 mode actuators) stacks thousands of rows, and a 704-row
+    map is past the 640-row group: both fold through scipy.linalg's dtpqrt,
+    where the 640-row map stays in numpy."""
+    argv = ["analyze", "--scenario", str(_modal12(tmp_path)),
+            "--out", str(tmp_path / "out")]
     assert "scipy.linalg" in _scipy_loaded_after(
         f"from ultradiff.cli import main\nmain({argv!r})")
     factor = ("import numpy as np\nfrom ultradiff.controllability import "
               "_khatri_rao_qr\n_khatri_rao_qr(np.ones(({}, 3)), np.ones((64, 3)))")
     assert _scipy_loaded_after(factor.format(10)) == set()
     assert "scipy.linalg" in _scipy_loaded_after(factor.format(11))
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Couplings are memoized by factor identity and supports by their text;
+    a report that moved with PYTHONHASHSEED would show an order-dependent
+    memo.  Modal K=12 `analyze` and hum-demo `synthesize` each run in fresh
+    processes under seeds 0 and 1 and write the same report.json bytes."""
+    hum_demo = SRC.parent / "scenarios" / "hum-demo.json"
+    for verb, scenario in (("analyze", _modal12(tmp_path)), ("synthesize", hum_demo)):
+        reports = []
+        for seed in ("0", "1"):
+            out = tmp_path / verb / seed
+            result = _fresh_cli(verb, "--scenario", scenario, "--out", out,
+                                PYTHONHASHSEED=seed)
+            assert result.returncode == 0, result.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1], verb
 
 
 def test_analyze_reads_rank_zero_when_every_kernel_row_underflows(tmp_path, capsys):

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import svd
 
+from _probes import zone_probe_dict
 from _reference import (gradient_component_matrix, gradient_gram_vstack,
                         khatri_rao_qr, per_actuator_coefficients, profile_values,
                         value_matrix)
@@ -437,22 +438,10 @@ def _modal_probe(cutoff, alpha=0.7, region=UNIT_SQUARE):
         for p in range(cutoff * cutoff)])
 
 
-def _zone_probe(cutoff, g):
-    """A g x g grid of product-of-sines boxes on the unit square, each axis's
-    frequency drawn from default_rng(3), observed on the quadrant [0, 0.5]^2."""
-    rng = np.random.default_rng(3)
-    boxes = [[[i / g, (i + 1) / g], [j / g, (j + 1) / g]]
-             for i in range(g) for j in range(g)]
-    return _probe_scenario(cutoff, 0.7, [[0.0, 0.5], [0.0, 0.5]], [
-        {"support": [box], "profile": "product-of-sines",
-         "coefficients": [1.0, *map(float, rng.integers(1, 7, size=2))]}
-        for box in boxes])
-
-
 @pytest.mark.parametrize("scenario, expected_rank", [
     (lambda: _modal_probe(6, 0.98, [[0.0, 0.5], [0.0, 0.5]]), 35),
-    (lambda: _zone_probe(12, 8), 94),
-    (lambda: _zone_probe(20, 4), 122),
+    (lambda: scenario_from_dict(zone_probe_dict(12, 8)), 94),
+    (lambda: scenario_from_dict(zone_probe_dict(20, 4)), 122),
     (lambda: parse_scenario(str(SCENARIOS / "whole-domain-negative.json")), 10),
 ], ids=["near-classical-k6", "zone12-8", "zone20-4", "whole-domain-negative"])
 def test_compressed_kernel_table_keeps_the_explicit_stacked_rank(scenario,
@@ -826,7 +815,7 @@ def _one_region_per_actuator(acts):
 
 @pytest.mark.parametrize("scenario, distinct", [
     (lambda: parse_scenario(str(SCENARIOS / "hum-demo.json")), 1),
-    (lambda: _zone_probe(6, 4), 16),
+    (lambda: scenario_from_dict(zone_probe_dict(6, 4)), 16),
 ], ids=["hum-demo", "zone6-4"])
 def test_actuators_with_equal_supports_share_one_region(scenario, distinct):
     """build_objects makes one Region per distinct support: hum-demo's 36
@@ -864,7 +853,8 @@ def _mixed_probe():
 @pytest.mark.parametrize("scenario", [
     lambda: parse_scenario(str(SCENARIOS / "hum-demo.json")),
     lambda: parse_scenario(str(SCENARIOS / "divergence-guard.json")),
-    lambda: _modal_probe(12), lambda: _zone_probe(6, 4), _mixed_probe,
+    lambda: _modal_probe(12), lambda: scenario_from_dict(zone_probe_dict(6, 4)),
+    _mixed_probe,
 ], ids=["hum-demo", "divergence-guard", "modal-k12", "zone6-4", "mixed"])
 def test_couplings_are_bitwise_the_per_actuator_loop(scenario):
     """Pairing each distinct (axis, factor) once per box gives the couplings
@@ -918,7 +908,7 @@ def test_a_shared_box_still_refuses_a_factor_of_the_wrong_shape():
     lambda: (SpectralBasis(DOMAIN_1D, 7),
              Region(DOMAIN_1D, (((0.1, 0.4),), ((0.5, 0.9),)))),
     lambda: build_objects(_modal_probe(12))[1:3],
-    lambda: build_objects(_zone_probe(6, 4))[1:3],
+    lambda: build_objects(scenario_from_dict(zone_probe_dict(6, 4)))[1:3],
     lambda: (SpectralBasis(SQUARE, 5, "whole-wave"),
              Region(SQUARE, (((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-0.5, 0.5)),
                              ((-1.0, -0.5), (0.5, 1.0))))),

@@ -138,7 +138,8 @@ _HUM_DEMO = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=scenarios())
-# a 3-D domain, a name that points out of --out, and a synthesize-task file
+# a 3-D domain, a name that points out of --out, names no file can carry (too
+# long, or no UTF-8), a window whose b/a overflows, and a synthesize-task file
 # without a target (which analyze does not read)
 @example(data={"name": "three-axis", "task": "analyze", "domain": _CUBE,
                "cutoff": 3, "alpha": 0.7, "window": [1.0, 4.0],
@@ -146,6 +147,9 @@ _HUM_DEMO = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
                "actuators": [{"support": [_CUBE], "profile": "constant",
                               "coefficients": [1.0]}]})
 @example(data={**_HUM_DEMO, "name": "../escaped"})
+@example(data={**_HUM_DEMO, "name": "x" * 250})
+@example(data={**_HUM_DEMO, "name": "\ud800"})
+@example(data={**_HUM_DEMO, "window": [1e-300, 1e300]})
 @example(data={**_HUM_DEMO, "target": None})
 def test_generated_scenarios_keep_the_exit_and_report_contracts(data):
     for verb in VERBS:
