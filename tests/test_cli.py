@@ -974,6 +974,17 @@ def test_import_loads_no_scipy():
     assert _scipy_loaded_after(f"import ultradiff, {', '.join(modules)}") == set()
 
 
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert "scipy.interpolate" not in _scipy_loaded_after("import ultradiff.cli")
+
+
+def test_no_submodule_loads_scipy_interpolate():
+    modules = sorted(f"ultradiff.{path.stem}" for path in
+                     (SRC / "ultradiff").glob("*.py") if path.stem != "__init__")
+    assert "ultradiff.spectral" in modules
+    assert "scipy.interpolate" not in _scipy_loaded_after(f"import {', '.join(modules)}")
+
+
 @pytest.mark.parametrize("verb, scenario", [
     ("simulate", "hum-demo"), ("synthesize", "hum-demo"), ("analyze", "hum-demo"),
     ("analyze", "subregion-positive"), ("reproduce-example", None),
